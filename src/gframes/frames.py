@@ -131,18 +131,23 @@ def analysis_op(family: GFrameFamily) -> AdjointableOp:
     return adjoint_op(synthesis_op(family))
 
 
-def frame_operator(family: GFrameFamily) -> AdjointableOp:
-    """Frame operator: the sum of adjoint(member) . member, acting on the source."""
-    n = family.algebra_dim
-    size = n * family.source_len
+def _paired_products(lefts, rights) -> AdjointableOp:
+    """Sum of adjoint(p) . q over paired members p, q of one source module."""
+    n = lefts[0].algebra_dim
+    size = n * lefts[0].source_len
     total = np.zeros((size, size), dtype=np.complex128)
-    for m in family.members:
-        total += m.flat @ m.flat.conj().T
+    for p, q in zip(lefts, rights):
+        total += q.flat @ p.flat.conj().T
     return op_from_flat(total, n)
 
 
-def cross_operator(left: GFrameFamily, right: GFrameFamily) -> AdjointableOp:
-    """Mixed operator synthesis(left) . analysis(right) on the source module."""
+def frame_operator(family: GFrameFamily) -> AdjointableOp:
+    """Frame operator: the sum of adjoint(member) . member, acting on the source."""
+    return _paired_products(family.members, family.members)
+
+
+def require_compatible(left: GFrameFamily, right: GFrameFamily) -> None:
+    """Two families must share the source module and the member targets."""
     if (
         left.algebra_dim != right.algebra_dim
         or left.source_len != right.source_len
@@ -150,23 +155,25 @@ def cross_operator(left: GFrameFamily, right: GFrameFamily) -> AdjointableOp:
         or left.member_dims != right.member_dims
     ):
         raise DimensionMismatch("families are not index-compatible")
-    n = left.algebra_dim
-    size = n * left.source_len
-    total = np.zeros((size, size), dtype=np.complex128)
-    for p, q in zip(left.members, right.members):
-        total += q.flat @ p.flat.conj().T
-    return op_from_flat(total, n)
 
 
-def _spectrum(family: GFrameFamily) -> np.ndarray:
-    flat = frame_operator(family).flat
-    return np.linalg.eigvalsh(hermitian_part(flat))
+def require_endomorphism(op: AdjointableOp, family: GFrameFamily, name: str) -> None:
+    """The operator must map the family's source module into itself."""
+    n, d = family.algebra_dim, family.source_len
+    if op.algebra_dim != n or op.source_len != d or op.target_len != d:
+        raise DimensionMismatch(f"{name} must act on the source module itself")
+
+
+def cross_operator(left: GFrameFamily, right: GFrameFamily) -> AdjointableOp:
+    """Mixed operator synthesis(left) . analysis(right) on the source module."""
+    require_compatible(left, right)
+    return _paired_products(left.members, right.members)
 
 
 def optimal_bounds(family: GFrameFamily) -> FrameBounds:
     """Best constants of the frame inequality: the extreme eigenvalues
     of the flattened frame operator."""
-    eigs = _spectrum(family)
+    eigs = np.linalg.eigvalsh(hermitian_part(frame_operator(family).flat))
     return FrameBounds.from_spectrum(eigs[0], eigs[-1])
 
 
@@ -204,11 +211,6 @@ def bound_witnesses(family: GFrameFamily) -> tuple[ModuleVector, ModuleVector]:
     return vector_from_flat(low, n), vector_from_flat(high, n)
 
 
-def _witness_flats(family: GFrameFamily) -> np.ndarray:
-    lo, hi = bound_witnesses(family)
-    return np.stack([lo.flat, hi.flat])
-
-
 def batched_quadratic(flat_op: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Inner products <Tx, x> for a batch of flattened vectors.
 
@@ -244,7 +246,8 @@ def verify_frame_inequality(
     n, d = family.algebra_dim, family.source_len
     rng = make_rng(seed)
     xs = sample_flat_vectors(rng, samples, n, d)
-    xs = np.concatenate([xs, _witness_flats(family)])
+    lo, hi = bound_witnesses(family)
+    xs = np.concatenate([xs, np.stack([lo.flat, hi.flat])])
     s_flat = frame_operator(family).flat
     grams = np.einsum("mik,mjk->mij", xs, xs.conj())
     quads = batched_quadratic(s_flat, xs)

@@ -29,8 +29,6 @@ from .generators import (
 from .hilbert import AdjointableOp, identity_op, op_from_flat, zero_op
 from .sums import (
     ScalarWeights,
-    TheoremReport,
-    Verdict,
     isometry_sum_check,
     lambda_lower_check,
     op_weighted_sum,
@@ -38,6 +36,7 @@ from .sums import (
     scalar_weighted_sum,
     t3_corollary_check,
     t11_check,
+    theorem_report,
     tight_mn_check,
     tight_sum_check,
 )
@@ -123,20 +122,6 @@ def _rescale_to_upper(family: GFrameFamily, target_upper: float) -> GFrameFamily
     return scale_family(family, math.sqrt(target_upper / current))
 
 
-def _classify_report(family: GFrameFamily, tol: Tolerance) -> TheoremReport:
-    cls = classify(family, tol)
-    return TheoremReport(
-        theorem_id="CLASSIFY",
-        hypothesis_checks=(),
-        predicted_lower=None,
-        predicted_upper=None,
-        achieved=cls.bounds,
-        verdict=Verdict.CONCLUSION_HOLDS,
-        result_kind=cls.kind.value,
-        details={},
-    )
-
-
 # Builders.  Each receives the instance config, a seed, and a tolerance,
 # assembles inputs (inline values win over generation), and runs the
 # checker.  Generated instances satisfy the theorem hypotheses by
@@ -147,7 +132,10 @@ def _build_classify(cfg, seed, tol):
     rng = make_rng(seed)
     n, d, dims = _sizes(cfg, rng)
     family = _family(cfg, "family", rng, n, d, dims, "parseval")
-    return _classify_report(family, tol)
+    # Classifying asserts no claim, so every family concludes.
+    return theorem_report(
+        "CLASSIFY", classify(family, tol), (), None, None, tol, conclusion=True
+    )
 
 
 def _build_perturb_lambda(cfg, seed, tol):

@@ -28,15 +28,18 @@ from .algebra import (
 from .errors import AlphaOutOfRange, DimensionMismatch
 from .frames import (
     FrameBounds,
+    FrameKind,
     GFrameFamily,
     batched_quadratic,
     classify,
     frame_operator,
     is_frame_bounds,
     optimal_bounds,
+    require_compatible,
+    require_endomorphism,
 )
 from .hilbert import AdjointableOp, adjoint_op, compose
-from .sums import ScalarWeights, Verdict, weighted_family
+from .sums import ScalarWeights, Verdict, _verdict, weighted_pair
 
 
 class StabilityId(str, Enum):
@@ -59,15 +62,38 @@ class PerturbationReport:
     details: dict[str, float] = field(default_factory=dict)
 
 
-def _check_alphas(alpha1: float, alpha2: float) -> None:
+def _frame_conclusion_report(
+    other: GFrameFamily, hypotheses_hold: bool, tol: Tolerance, **fields
+) -> PerturbationReport:
+    """Shared tail of the family-based checks: the conclusion is that the
+    perturbed family classifies as a frame, and its bounds are the
+    achieved ones."""
+    cls = classify(other, tol)
+    return PerturbationReport(
+        achieved=cls.bounds,
+        verdict=_verdict(hypotheses_hold, cls.kind is not FrameKind.BESSEL_ONLY),
+        **fields,
+    )
+
+
+def _weighted_preamble(
+    family: GFrameFamily,
+    other: GFrameFamily,
+    weights: ScalarWeights,
+    alpha1: float,
+    alpha2: float,
+    samples: int,
+    seed: int,
+) -> tuple[GFrameFamily, GFrameFamily, np.ndarray, np.ndarray, np.ndarray]:
+    """The two weighted families, their flattened frame operators and the
+    seeded sample batch, after validating the coefficients and the pair."""
     if not (0.0 < alpha1 < 1.0 and 0.0 < alpha2 < 1.0):
         raise AlphaOutOfRange("perturbation coefficients must lie in (0, 1)")
-
-
-def _verdict(hypothesis_ok: bool, conclusion_ok: bool) -> Verdict:
-    if not hypothesis_ok:
-        return Verdict.HYPOTHESIS_FAILS
-    return Verdict.CONCLUSION_HOLDS if conclusion_ok else Verdict.CONCLUSION_FAILS
+    require_compatible(family, other)
+    left, right = weighted_pair(family, other, weights)
+    rng = make_rng(seed)
+    xs = sample_flat_vectors(rng, samples, family.algebra_dim, family.source_len)
+    return left, right, frame_operator(left).flat, frame_operator(right).flat, xs
 
 
 _NOTE_RECORDED_ONLY = (
@@ -93,16 +119,9 @@ def prop_mixed_check(
     weighted sums: sqrt(max(a - b, 0)) <= alpha1 sqrt(a) + alpha2 sqrt(b).
     Conclusion: the second family is a frame.
     """
-    _check_alphas(alpha1, alpha2)
-    _require_pair(family, other)
-    left = weighted_family(family, weights.thetas)
-    right = weighted_family(other, weights.deltas)
-    s_left = frame_operator(left).flat
-    s_right = frame_operator(right).flat
-
-    n, d = family.algebra_dim, family.source_len
-    rng = make_rng(seed)
-    xs = sample_flat_vectors(rng, samples, n, d)
+    _, _, s_left, s_right, xs = _weighted_preamble(
+        family, other, weights, alpha1, alpha2, samples, seed
+    )
     a = _batched_psd_norm(s_left, xs)
     b = _batched_psd_norm(s_right, xs)
     lhs = np.sqrt(np.maximum(a - b, 0.0))
@@ -115,7 +134,6 @@ def prop_mixed_check(
 
     base = optimal_bounds(family)
     input_frame = is_frame_bounds(base, tol)
-    cls = classify(other, tol)
     claimed = (
         base.lower
         * weights.band_lower
@@ -126,14 +144,15 @@ def prop_mixed_check(
         * (1.0 + alpha2) ** 2
         / (weights.band_lower * (1.0 - alpha1) ** 2),
     )
-    return PerturbationReport(
+    return _frame_conclusion_report(
+        other,
+        hypothesis_ok and input_frame,
+        tol,
         theorem_id=StabilityId.PROP_MIXED.value,
         alphas=(alpha1, alpha2),
         measured_lhs=measured_lhs,
         allowed_rhs=allowed_rhs,
         claimed_bounds=claimed,
-        achieved=cls.bounds,
-        verdict=_verdict(hypothesis_ok and input_frame, cls.kind.value != "Bessel-only"),
         bound_discrepancy_note=_NOTE_RECORDED_ONLY,
         details={
             "input_lower": base.lower,
@@ -162,15 +181,12 @@ def difference_check(
     together with a sampled pointwise corroboration.  Conclusion: the
     second family is a frame.
     """
-    _check_alphas(alpha1, alpha2)
-    _require_pair(family, other)
-    left = weighted_family(family, weights.thetas)
-    right = weighted_family(other, weights.deltas)
+    left, right, s_left, s_right, xs = _weighted_preamble(
+        family, other, weights, alpha1, alpha2, samples, seed
+    )
     diff = GFrameFamily(
         tuple(p - q for p, q in zip(left.members, right.members))
     )
-    s_left = frame_operator(left).flat
-    s_right = frame_operator(right).flat
     s_diff = frame_operator(diff).flat
     combo = alpha1 * s_left + alpha2 * s_right
 
@@ -183,9 +199,6 @@ def difference_check(
     scale = max(spectral_norm(combo), spectral_norm(s_diff), 1.0)
     spectral_ok = float(gap_eigs[-1]) <= tol.margin(scale)
 
-    n, d = family.algebra_dim, family.source_len
-    rng = make_rng(seed)
-    xs = sample_flat_vectors(rng, samples, n, d)
     resid = batched_quadratic(combo - s_diff, xs)
     resid_eigs = np.linalg.eigvalsh((resid + resid.conj().swapaxes(1, 2)) / 2)
     gram_scale = np.linalg.norm(
@@ -196,7 +209,6 @@ def difference_check(
 
     base = optimal_bounds(family)
     input_frame = is_frame_bounds(base, tol)
-    cls = classify(other, tol)
     claimed = (
         base.lower
         * weights.band_lower
@@ -209,17 +221,15 @@ def difference_check(
         if base.lower > 0.0
         else math.inf,
     )
-    return PerturbationReport(
+    return _frame_conclusion_report(
+        other,
+        spectral_ok and sampled_ok and input_frame,
+        tol,
         theorem_id=StabilityId.THM_DIFFERENCE.value,
         alphas=(alpha1, alpha2),
         measured_lhs=measured_lhs,
         allowed_rhs=allowed_rhs,
         claimed_bounds=claimed,
-        achieved=cls.bounds,
-        verdict=_verdict(
-            spectral_ok and sampled_ok and input_frame,
-            cls.kind.value != "Bessel-only",
-        ),
         bound_discrepancy_note=_NOTE_RECORDED_ONLY,
         details={
             "input_lower": base.lower,
@@ -258,8 +268,7 @@ def t12_check(
     if len(delta_ops) != family.size:
         raise DimensionMismatch("one candidate summand per member required")
     for op in delta_ops:
-        if op.algebra_dim != n or op.source_len != d or op.target_len != d:
-            raise DimensionMismatch("candidate summands must act on the source module")
+        require_endomorphism(op, family, "candidate summands")
 
     base = optimal_bounds(family)
     c_low, d_high = base.lower, base.upper
@@ -369,16 +378,15 @@ def final_corollary_check(
     contraction = spectral_norm(
         np.eye(size, dtype=np.complex128) - np.linalg.solve(s_left, s_right)
     )
-    cls = classify(other, tol)
-    conclusion = cls.kind.value != "Bessel-only"
-    return PerturbationReport(
+    return _frame_conclusion_report(
+        other,
+        hypothesis_ok,
+        tol,
         theorem_id=StabilityId.FINAL_COROLLARY.value,
         alphas=None,
         measured_lhs=measured_lhs,
         allowed_rhs=alpha,
         claimed_bounds=None,
-        achieved=cls.bounds,
-        verdict=_verdict(hypothesis_ok, conclusion),
         bound_discrepancy_note="",
         details={
             "alpha": alpha,
@@ -388,16 +396,6 @@ def final_corollary_check(
             "input_upper": base.upper,
         },
     )
-
-
-def _require_pair(left: GFrameFamily, right: GFrameFamily) -> None:
-    if (
-        left.algebra_dim != right.algebra_dim
-        or left.source_len != right.source_len
-        or left.size != right.size
-        or left.member_dims != right.member_dims
-    ):
-        raise DimensionMismatch("families are not index-compatible")
 
 
 def _batched_psd_norm(flat_op: np.ndarray, xs: np.ndarray) -> np.ndarray:

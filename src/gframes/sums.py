@@ -31,6 +31,7 @@ from .algebra import (
 from ._rand import make_rng, sample_flat_vectors
 from .errors import BadRange, DimensionMismatch, NotTight
 from .frames import (
+    Classification,
     FrameBounds,
     GFrameFamily,
     classify,
@@ -38,6 +39,8 @@ from .frames import (
     frame_operator,
     is_frame_bounds,
     optimal_bounds,
+    require_compatible,
+    require_endomorphism,
     synthesis_op,
 )
 from .hilbert import (
@@ -113,6 +116,8 @@ class ScalarWeights:
     deltas: tuple[AlgebraElement, ...]
     band_lower: float
     band_upper: float
+    # Smallest and largest eig(w* w) over all weights, set at construction.
+    spectrum_range: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "thetas", tuple(self.thetas))
@@ -121,6 +126,7 @@ class ScalarWeights:
             raise BadRange("weight band must satisfy 0 < lower < upper")
         if len(self.thetas) != len(self.deltas) or not self.thetas:
             raise BadRange("weight sequences must be nonempty and equally long")
+        low, high = math.inf, -math.inf
         for seq_name, seq in (("theta", self.thetas), ("delta", self.deltas)):
             for w in seq:
                 eigs = np.linalg.eigvalsh(w.entries.conj().T @ w.entries)
@@ -129,50 +135,59 @@ class ScalarWeights:
                         f"{seq_name} weight spectrum [{eigs[0]:.6g}, {eigs[-1]:.6g}]"
                         f" leaves the open band ({self.band_lower}, {self.band_upper})"
                     )
+                low, high = min(low, float(eigs[0])), max(high, float(eigs[-1]))
+        object.__setattr__(self, "spectrum_range", (low, high))
 
     @property
     def count(self) -> int:
         return len(self.thetas)
 
 
-def _verdict(checks: tuple[CheckItem, ...], conclusion_ok: bool) -> Verdict:
-    if not all(c.passed for c in checks):
+def _verdict(hypotheses_hold: bool, conclusion_holds: bool) -> Verdict:
+    if not hypotheses_hold:
         return Verdict.HYPOTHESIS_FAILS
-    return Verdict.CONCLUSION_HOLDS if conclusion_ok else Verdict.CONCLUSION_FAILS
+    return Verdict.CONCLUSION_HOLDS if conclusion_holds else Verdict.CONCLUSION_FAILS
 
 
 def _bound_slack(achieved: FrameBounds, tol: Tolerance) -> float:
     return tol.margin(max(1.0, achieved.upper))
 
 
-def _conclusion_with_bounds(
-    achieved: FrameBounds,
+def theorem_report(
+    theorem_id: str,
+    cls: Classification,
+    checks: tuple[CheckItem, ...],
     predicted_lower: float | None,
     predicted_upper: float | None,
     tol: Tolerance,
-) -> bool:
-    ok = is_frame_bounds(achieved, tol)
-    slack = _bound_slack(achieved, tol)
-    if predicted_lower is not None:
-        ok = ok and achieved.lower >= predicted_lower - slack
-    if predicted_upper is not None:
-        ok = ok and achieved.upper <= predicted_upper + slack
-    return ok
+    details: dict[str, float] | None = None,
+    conclusion: bool | None = None,
+) -> TheoremReport:
+    """The shared checker tail: judge the one classification of the
+    combined family.
 
-
-def _require_endomorphism(op: AdjointableOp, n: int, d: int, name: str) -> None:
-    if op.algebra_dim != n or op.source_len != d or op.target_len != d:
-        raise DimensionMismatch(f"{name} must act on the source module itself")
-
-
-def _require_pair(left: GFrameFamily, right: GFrameFamily) -> None:
-    if (
-        left.algebra_dim != right.algebra_dim
-        or left.source_len != right.source_len
-        or left.size != right.size
-        or left.member_dims != right.member_dims
-    ):
-        raise DimensionMismatch("families are not index-compatible")
+    ``achieved`` and ``result_kind`` both come from ``cls``.  Unless the
+    checker states its own conclusion, the claim is that the combined
+    family is a frame within the predicted bounds.
+    """
+    achieved = cls.bounds
+    if conclusion is None:
+        slack = _bound_slack(achieved, tol)
+        conclusion = (
+            is_frame_bounds(achieved, tol)
+            and (predicted_lower is None or achieved.lower >= predicted_lower - slack)
+            and (predicted_upper is None or achieved.upper <= predicted_upper + slack)
+        )
+    return TheoremReport(
+        theorem_id=theorem_id,
+        hypothesis_checks=checks,
+        predicted_lower=predicted_lower,
+        predicted_upper=predicted_upper,
+        achieved=achieved,
+        verdict=_verdict(all(c.passed for c in checks), conclusion),
+        result_kind=cls.kind.value,
+        details=details or {},
+    )
 
 
 def _min_eig(flat: np.ndarray) -> float:
@@ -199,6 +214,23 @@ def _frame_check(name: str, bounds: FrameBounds, tol: Tolerance) -> CheckItem:
     )
 
 
+def _member_sums(family: GFrameFamily, other: GFrameFamily) -> GFrameFamily:
+    """Members P_i + Q_i."""
+    return GFrameFamily(tuple(p + q for p, q in zip(family.members, other.members)))
+
+
+def _mn_family(
+    family: GFrameFamily, other: GFrameFamily, m_op: AdjointableOp, n_op: AdjointableOp
+) -> GFrameFamily:
+    """Members P_i.M + Q_i.N."""
+    return GFrameFamily(
+        tuple(
+            compose(p, m_op) + compose(q, n_op)
+            for p, q in zip(family.members, other.members)
+        )
+    )
+
+
 def _s_formula_residual(formula: AdjointableOp, family: GFrameFamily) -> float:
     direct = frame_operator(family).flat
     denom = max(spectral_norm(direct), 1.0)
@@ -218,13 +250,15 @@ def weighted_family(family: GFrameFamily, coeffs) -> GFrameFamily:
     return GFrameFamily(members)
 
 
+def weighted_pair(
+    family: GFrameFamily, other: GFrameFamily, weights: ScalarWeights
+) -> tuple[GFrameFamily, GFrameFamily]:
+    """The first family weighted by the thetas, the second by the deltas."""
+    return weighted_family(family, weights.thetas), weighted_family(other, weights.deltas)
+
+
 def _weight_band_check(weights: ScalarWeights) -> CheckItem:
-    worst_low = math.inf
-    worst_high = -math.inf
-    for w in weights.thetas + weights.deltas:
-        eigs = np.linalg.eigvalsh(w.entries.conj().T @ w.entries)
-        worst_low = min(worst_low, float(eigs[0]))
-        worst_high = max(worst_high, float(eigs[-1]))
+    worst_low, worst_high = weights.spectrum_range
     passed = weights.band_lower < worst_low and worst_high < weights.band_upper
     return CheckItem("weights_in_band", passed, worst_low, weights.band_lower)
 
@@ -234,9 +268,8 @@ def perturb_lambda(
 ) -> tuple[GFrameFamily, TheoremReport]:
     """Members composed with (I + lam); a frame again whenever the
     conjugated frame operator dominates the original."""
-    n, d = family.algebra_dim, family.source_len
-    _require_endomorphism(lam, n, d, "lam")
-    shifted = identity_op(n, d) + lam
+    require_endomorphism(lam, family, "lam")
+    shifted = identity_op(family.algebra_dim, family.source_len) + lam
     new_family = GFrameFamily(tuple(compose(m, shifted) for m in family.members))
 
     base = optimal_bounds(family)
@@ -246,18 +279,13 @@ def perturb_lambda(
         _frame_check("input_is_frame", base, tol),
         _positivity_check("conjugation_dominates", conjugated - s_op, tol),
     )
-    predicted_lower = base.lower
-    predicted_upper = 2.0 * base.upper * (1.0 + op_norm(lam) ** 2)
-    achieved = optimal_bounds(new_family)
-    conclusion = _conclusion_with_bounds(achieved, predicted_lower, predicted_upper, tol)
-    report = TheoremReport(
-        theorem_id=TheoremId.PERTURB_LAMBDA.value,
-        hypothesis_checks=checks,
-        predicted_lower=predicted_lower,
-        predicted_upper=predicted_upper,
-        achieved=achieved,
-        verdict=_verdict(checks, conclusion),
-        result_kind=classify(new_family, tol).kind.value,
+    report = theorem_report(
+        TheoremId.PERTURB_LAMBDA.value,
+        classify(new_family, tol),
+        checks,
+        base.lower,
+        2.0 * base.upper * (1.0 + op_norm(lam) ** 2),
+        tol,
         details={"s_formula_residual": _s_formula_residual(conjugated, new_family)},
     )
     return new_family, report
@@ -277,25 +305,17 @@ def op_weighted_sum(
     strictly positive) must agree pairwise; their agreement is the
     conclusion.
     """
-    _require_pair(family, other)
-    n, d = family.algebra_dim, family.source_len
-    _require_endomorphism(m_op, n, d, "m_op")
-    _require_endomorphism(n_op, n, d, "n_op")
+    require_compatible(family, other)
+    require_endomorphism(m_op, family, "m_op")
+    require_endomorphism(n_op, family, "n_op")
+    new_family = _mn_family(family, other, m_op, n_op)
 
-    members = tuple(
-        compose(p, m_op) + compose(q, n_op)
-        for p, q in zip(family.members, other.members)
-    )
-    new_family = GFrameFamily(members)
-
-    t_left = synthesis_op(family)
-    t_right = synthesis_op(other)
-    combined_synthesis = adjoint_op(m_op) @ t_left + adjoint_op(n_op) @ t_right
+    mh, nh = adjoint_op(m_op), adjoint_op(n_op)
+    combined_synthesis = mh @ synthesis_op(family) + nh @ synthesis_op(other)
 
     s_left = frame_operator(family)
     s_right = frame_operator(other)
     cross = cross_operator(family, other)
-    mh, nh = adjoint_op(m_op), adjoint_op(n_op)
     s_formula = (
         mh @ s_left @ m_op
         + mh @ cross @ n_op
@@ -303,8 +323,8 @@ def op_weighted_sum(
         + nh @ s_right @ n_op
     )
 
-    achieved = optimal_bounds(new_family)
-    cond_frame = is_frame_bounds(achieved, tol)
+    cls = classify(new_family, tol)
+    cond_frame = is_frame_bounds(cls.bounds, tol)
     cond_surjective = is_surjective(combined_synthesis, tol)
     eigs = np.linalg.eigvalsh(hermitian_part(s_formula.flat))
     cond_positive = eigs[0] > tol.margin(max(eigs[-1], 0.0))
@@ -315,18 +335,18 @@ def op_weighted_sum(
         optimal_bounds(family).upper * op_norm(m_op) ** 2
         + optimal_bounds(other).upper * op_norm(n_op) ** 2
     )
-    slack = _bound_slack(achieved, tol)
+    slack = _bound_slack(cls.bounds, tol)
     conclusion = agree and residual <= FORMULA_AGREEMENT_REL and (
-        achieved.upper <= predicted_upper + slack
+        cls.bounds.upper <= predicted_upper + slack
     )
-    report = TheoremReport(
-        theorem_id=TheoremId.T3_EQUIV.value,
-        hypothesis_checks=(),
-        predicted_lower=None,
-        predicted_upper=predicted_upper,
-        achieved=achieved,
-        verdict=_verdict((), conclusion),
-        result_kind=classify(new_family, tol).kind.value,
+    report = theorem_report(
+        TheoremId.T3_EQUIV.value,
+        cls,
+        (),
+        None,
+        predicted_upper,
+        tol,
+        conclusion=conclusion,
         details={
             "condition_frame": float(cond_frame),
             "condition_surjective": float(cond_surjective),
@@ -346,7 +366,7 @@ def t3_corollary_check(
     Bessel), so an auxiliary hypothesis requires at least one input to
     classify as a frame before the conclusion is asserted.
     """
-    _require_pair(family, other)
+    require_compatible(family, other)
     cross = cross_operator(family, other)
     bounds_left = optimal_bounds(family)
     bounds_right = optimal_bounds(other)
@@ -363,39 +383,22 @@ def t3_corollary_check(
         ),
     )
 
-    members = tuple(p + q for p, q in zip(family.members, other.members))
-    new_family = GFrameFamily(members)
+    new_family = _member_sums(family, other)
     s_formula = (
         frame_operator(family)
         + cross
         + adjoint_op(cross)
         + frame_operator(other)
     )
-    achieved = optimal_bounds(new_family)
-    predicted_lower = bounds_left.lower + bounds_right.lower
-    predicted_upper = 2.0 * (bounds_left.upper + bounds_right.upper)
-    conclusion = _conclusion_with_bounds(achieved, predicted_lower, predicted_upper, tol)
-    return TheoremReport(
-        theorem_id=TheoremId.T3_COROLLARY.value,
-        hypothesis_checks=checks,
-        predicted_lower=predicted_lower,
-        predicted_upper=predicted_upper,
-        achieved=achieved,
-        verdict=_verdict(checks, conclusion),
-        result_kind=classify(new_family, tol).kind.value,
+    return theorem_report(
+        TheoremId.T3_COROLLARY.value,
+        classify(new_family, tol),
+        checks,
+        bounds_left.lower + bounds_right.lower,
+        2.0 * (bounds_left.upper + bounds_right.upper),
+        tol,
         details={"s_formula_residual": _s_formula_residual(s_formula, new_family)},
     )
-
-
-def _weighted_sum_family(
-    family: GFrameFamily, other: GFrameFamily, weights: ScalarWeights
-) -> GFrameFamily:
-    if weights.count != family.size:
-        raise DimensionMismatch("one weight pair per member index required")
-    left = weighted_family(family, weights.thetas)
-    right = weighted_family(other, weights.deltas)
-    members = tuple(p + q for p, q in zip(left.members, right.members))
-    return GFrameFamily(members)
 
 
 def scalar_weighted_sum(
@@ -411,8 +414,8 @@ def scalar_weighted_sum(
     and band_upper * B_delta < band_lower * D.  The predicted lower
     bound is (sqrt(band_lower * D) - sqrt(band_upper * B_delta))^2.
     """
-    _require_pair(family, other)
-    new_family = _weighted_sum_family(family, other, weights)
+    require_compatible(family, other)
+    new_family = _member_sums(*weighted_pair(family, other, weights))
 
     bounds_left = optimal_bounds(family)
     bounds_right = optimal_bounds(other)
@@ -428,17 +431,13 @@ def scalar_weighted_sum(
     predicted_lower = (
         math.sqrt(weights.band_lower * d_low) - math.sqrt(weights.band_upper * bessel)
     ) ** 2
-    predicted_upper = 2.0 * weights.band_upper * (bessel + d_high)
-    achieved = optimal_bounds(new_family)
-    conclusion = _conclusion_with_bounds(achieved, predicted_lower, predicted_upper, tol)
-    report = TheoremReport(
-        theorem_id=TheoremId.T7_SCALAR.value,
-        hypothesis_checks=checks,
-        predicted_lower=predicted_lower,
-        predicted_upper=predicted_upper,
-        achieved=achieved,
-        verdict=_verdict(checks, conclusion),
-        result_kind=classify(new_family, tol).kind.value,
+    report = theorem_report(
+        TheoremId.T7_SCALAR.value,
+        classify(new_family, tol),
+        checks,
+        predicted_lower,
+        2.0 * weights.band_upper * (bessel + d_high),
+        tol,
         details={"bessel_bound": bessel, "frame_lower": d_low},
     )
     return new_family, report
@@ -455,7 +454,7 @@ def t11_check(
     Predicted lower bound: band_lower * (alpha + beta) where alpha and
     beta are the input lower bounds.
     """
-    _require_pair(family, other)
+    require_compatible(family, other)
     bounds_left = optimal_bounds(family)
     bounds_right = optimal_bounds(other)
     cross = cross_operator(family, other)
@@ -465,22 +464,14 @@ def t11_check(
         _weight_band_check(weights),
         _positivity_check("mixed_operator_positive", cross, tol),
     )
-    new_family = _weighted_sum_family(family, other, weights)
-    predicted_lower = weights.band_lower * (bounds_left.lower + bounds_right.lower)
-    predicted_upper = 2.0 * weights.band_upper * (
-        bounds_left.upper + bounds_right.upper
-    )
-    achieved = optimal_bounds(new_family)
-    conclusion = _conclusion_with_bounds(achieved, predicted_lower, predicted_upper, tol)
-    return TheoremReport(
-        theorem_id=TheoremId.T11_POSITIVE.value,
-        hypothesis_checks=checks,
-        predicted_lower=predicted_lower,
-        predicted_upper=predicted_upper,
-        achieved=achieved,
-        verdict=_verdict(checks, conclusion),
-        result_kind=classify(new_family, tol).kind.value,
-        details={},
+    new_family = _member_sums(*weighted_pair(family, other, weights))
+    return theorem_report(
+        TheoremId.T11_POSITIVE.value,
+        classify(new_family, tol),
+        checks,
+        weights.band_lower * (bounds_left.lower + bounds_right.lower),
+        2.0 * weights.band_upper * (bounds_left.upper + bounds_right.upper),
+        tol,
     )
 
 
@@ -488,16 +479,33 @@ def _tight_constant(bounds: FrameBounds) -> float:
     return (bounds.lower + bounds.upper) / 2.0
 
 
-def _require_tight_frame(
-    family: GFrameFamily, tol: Tolerance, label: str
-) -> FrameBounds:
-    bounds = optimal_bounds(family)
-    if not bounds.tight or not is_frame_bounds(bounds, tol):
-        raise NotTight(
-            f"{label} must be a tight frame, has bounds"
-            f" ({bounds.lower:.6g}, {bounds.upper:.6g})"
-        )
-    return bounds
+def _tight_pair(
+    family: GFrameFamily, other: GFrameFamily, tol: Tolerance
+) -> tuple[float, float, tuple[CheckItem, ...]]:
+    """Tight constants of two families that must be tight frames, with
+    the check that their mixed operator vanishes."""
+    left, right = optimal_bounds(family), optimal_bounds(other)
+    for label, bounds in (("first family", left), ("second family", right)):
+        if not bounds.tight or not is_frame_bounds(bounds, tol):
+            raise NotTight(
+                f"{label} must be a tight frame, has bounds"
+                f" ({bounds.lower:.6g}, {bounds.upper:.6g})"
+            )
+    cross_norm = op_norm(cross_operator(family, other))
+    limit = tol.margin(max(1.0, left.upper, right.upper))
+    checks = (
+        CheckItem("mixed_operator_vanishes", cross_norm <= limit, cross_norm, limit),
+    )
+    return _tight_constant(left), _tight_constant(right), checks
+
+
+def _tight_at(achieved: FrameBounds, constant: float, tol: Tolerance) -> bool:
+    """A tight frame whose constant matches ``constant`` to 1e-8 relative."""
+    return (
+        is_frame_bounds(achieved, tol)
+        and achieved.tight
+        and abs(_tight_constant(achieved) - constant) <= 1e-8 * max(1.0, constant)
+    )
 
 
 def tight_sum_check(
@@ -505,43 +513,20 @@ def tight_sum_check(
 ) -> TheoremReport:
     """Member sums of two tight frames with vanishing mixed operator are
     tight with constant the sum of the two tight constants."""
-    _require_pair(family, other)
-    bounds_left = _require_tight_frame(family, tol, "first family")
-    bounds_right = _require_tight_frame(other, tol, "second family")
-    alpha1 = _tight_constant(bounds_left)
-    alpha2 = _tight_constant(bounds_right)
-
-    cross_norm = op_norm(cross_operator(family, other))
-    cross_scale = max(1.0, bounds_left.upper, bounds_right.upper)
-    checks = (
-        CheckItem(
-            "mixed_operator_vanishes",
-            cross_norm <= tol.margin(cross_scale),
-            cross_norm,
-            tol.margin(cross_scale),
-        ),
-    )
-
-    members = tuple(p + q for p, q in zip(family.members, other.members))
-    new_family = GFrameFamily(members)
-    achieved = optimal_bounds(new_family)
+    require_compatible(family, other)
+    alpha1, alpha2, checks = _tight_pair(family, other, tol)
+    cls = classify(_member_sums(family, other), tol)
     target = alpha1 + alpha2
-    constant_margin = 1e-8 * max(1.0, target)
-    conclusion = (
-        is_frame_bounds(achieved, tol)
-        and achieved.tight
-        and abs(_tight_constant(achieved) - target) <= constant_margin
-    )
-    return TheoremReport(
-        theorem_id=TheoremId.TIGHT_SUM.value,
-        hypothesis_checks=checks,
-        predicted_lower=target,
-        predicted_upper=target,
-        achieved=achieved,
-        verdict=_verdict(checks, conclusion),
-        result_kind=classify(new_family, tol).kind.value,
+    return theorem_report(
+        TheoremId.TIGHT_SUM.value,
+        cls,
+        checks,
+        target,
+        target,
+        tol,
+        conclusion=_tight_at(cls.bounds, target, tol),
         details={
-            "achieved_tight_constant": _tight_constant(achieved),
+            "achieved_tight_constant": _tight_constant(cls.bounds),
             "target_tight_constant": target,
         },
     )
@@ -555,9 +540,9 @@ def isometry_sum_check(
 ) -> TheoremReport:
     """Member sums composed with an isometry keep the first family's
     lower bound when the mixed operator is positive."""
-    _require_pair(family, other)
+    require_compatible(family, other)
+    require_endomorphism(lam, family, "lam")
     n, d = family.algebra_dim, family.source_len
-    _require_endomorphism(lam, n, d, "lam")
     bounds_left = optimal_bounds(family)
     bounds_right = optimal_bounds(other)
     cross = cross_operator(family, other)
@@ -571,19 +556,13 @@ def isometry_sum_check(
         compose(p + q, lam) for p, q in zip(family.members, other.members)
     )
     new_family = GFrameFamily(members)
-    predicted_lower = bounds_left.lower
-    predicted_upper = 2.0 * (bounds_left.upper + bounds_right.upper)
-    achieved = optimal_bounds(new_family)
-    conclusion = _conclusion_with_bounds(achieved, predicted_lower, predicted_upper, tol)
-    return TheoremReport(
-        theorem_id=TheoremId.ISOMETRY_SUM.value,
-        hypothesis_checks=checks,
-        predicted_lower=predicted_lower,
-        predicted_upper=predicted_upper,
-        achieved=achieved,
-        verdict=_verdict(checks, conclusion),
-        result_kind=classify(new_family, tol).kind.value,
-        details={},
+    return theorem_report(
+        TheoremId.ISOMETRY_SUM.value,
+        classify(new_family, tol),
+        checks,
+        bounds_left.lower,
+        2.0 * (bounds_left.upper + bounds_right.upper),
+        tol,
     )
 
 
@@ -603,10 +582,10 @@ def lambda_lower_check(
     the stated hypotheses; it is verified here as an explicit auxiliary
     check instead of being assumed.
     """
-    _require_pair(family, other)
+    require_compatible(family, other)
+    require_endomorphism(m_op, family, "m_op")
+    require_endomorphism(n_op, family, "n_op")
     n, d = family.algebra_dim, family.source_len
-    _require_endomorphism(m_op, n, d, "m_op")
-    _require_endomorphism(n_op, n, d, "n_op")
     if lam_bound <= 0.0:
         raise BadRange("lam_bound must be positive")
 
@@ -644,25 +623,13 @@ def lambda_lower_check(
             -dom_margin,
         ),
     )
-    members = tuple(
-        compose(p, m_op) + compose(q, n_op)
-        for p, q in zip(family.members, other.members)
-    )
-    new_family = GFrameFamily(members)
-    predicted_lower = lam_bound**2 * (math.sqrt(d_low) - math.sqrt(bessel)) ** 2
-    predicted_upper = 2.0 * (
-        d_high * op_norm(m_op) ** 2 + bessel * op_norm(n_op) ** 2
-    )
-    achieved = optimal_bounds(new_family)
-    conclusion = _conclusion_with_bounds(achieved, predicted_lower, predicted_upper, tol)
-    return TheoremReport(
-        theorem_id=TheoremId.LAMBDA_LOWER.value,
-        hypothesis_checks=checks,
-        predicted_lower=predicted_lower,
-        predicted_upper=predicted_upper,
-        achieved=achieved,
-        verdict=_verdict(checks, conclusion),
-        result_kind=classify(new_family, tol).kind.value,
+    return theorem_report(
+        TheoremId.LAMBDA_LOWER.value,
+        classify(_mn_family(family, other, m_op, n_op), tol),
+        checks,
+        lam_bound**2 * (math.sqrt(d_low) - math.sqrt(bessel)) ** 2,
+        2.0 * (d_high * op_norm(m_op) ** 2 + bessel * op_norm(n_op) ** 2),
+        tol,
         details={"n_sigma_min": sigma_min, "sampled_lower_gap": sampled_gap},
     )
 
@@ -681,59 +648,37 @@ def tight_mn_check(
     alpha1 M*M + alpha2 N*N equals alpha times the identity; alpha is
     extracted as the trace mean and confirmed by the residual.
     """
-    _require_pair(family, other)
-    n, d = family.algebra_dim, family.source_len
-    _require_endomorphism(m_op, n, d, "m_op")
-    _require_endomorphism(n_op, n, d, "n_op")
-    bounds_left = _require_tight_frame(family, tol, "first family")
-    bounds_right = _require_tight_frame(other, tol, "second family")
-    alpha1 = _tight_constant(bounds_left)
-    alpha2 = _tight_constant(bounds_right)
-
-    cross_norm = op_norm(cross_operator(family, other))
-    cross_scale = max(1.0, bounds_left.upper, bounds_right.upper)
-    checks = (
-        CheckItem(
-            "mixed_operator_vanishes",
-            cross_norm <= tol.margin(cross_scale),
-            cross_norm,
-            tol.margin(cross_scale),
-        ),
-    )
+    require_compatible(family, other)
+    require_endomorphism(m_op, family, "m_op")
+    require_endomorphism(n_op, family, "n_op")
+    alpha1, alpha2, checks = _tight_pair(family, other, tol)
 
     combo = alpha1 * (adjoint_op(m_op) @ m_op) + alpha2 * (adjoint_op(n_op) @ n_op)
-    size = n * d
+    size = family.algebra_dim * family.source_len
     alpha = float(np.trace(combo.flat).real) / size
     residual = spectral_norm(combo.flat - alpha * np.eye(size))
     combo_margin = tol.margin(max(1.0, spectral_norm(combo.flat)))
     condition_holds = residual <= combo_margin and alpha > combo_margin
 
-    members = tuple(
-        compose(p, m_op) + compose(q, n_op)
-        for p, q in zip(family.members, other.members)
-    )
-    new_family = GFrameFamily(members)
-    achieved = optimal_bounds(new_family)
-    measured_constant = _tight_constant(achieved)
-    measured_tight = achieved.tight and is_frame_bounds(achieved, tol)
-
-    constant_margin = 1e-8 * max(1.0, alpha)
+    cls = classify(_mn_family(family, other, m_op, n_op), tol)
+    measured_tight = cls.bounds.tight and is_frame_bounds(cls.bounds, tol)
     if condition_holds:
-        conclusion = measured_tight and abs(measured_constant - alpha) <= constant_margin
+        conclusion = _tight_at(cls.bounds, alpha, tol)
     else:
         conclusion = not measured_tight
-    return TheoremReport(
-        theorem_id=TheoremId.TIGHT_MN.value,
-        hypothesis_checks=checks,
-        predicted_lower=alpha if condition_holds else None,
-        predicted_upper=alpha if condition_holds else None,
-        achieved=achieved,
-        verdict=_verdict(checks, conclusion),
-        result_kind=classify(new_family, tol).kind.value,
+    predicted = alpha if condition_holds else None
+    return theorem_report(
+        TheoremId.TIGHT_MN.value,
+        cls,
+        checks,
+        predicted,
+        predicted,
+        tol,
+        conclusion=conclusion,
         details={
             "identity_multiple": alpha,
             "identity_residual": residual,
-            "achieved_tight_constant": measured_constant,
+            "achieved_tight_constant": _tight_constant(cls.bounds),
             "condition_holds": float(condition_holds),
             "measured_tight": float(measured_tight),
         },
