@@ -1,3 +1,5 @@
+"""Random matrices, algebra elements, vectors, operators and families for tests."""
+
 import numpy as np
 
 from gframes import AlgebraElement, GFrameFamily, ModuleVector

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import random_element, random_op, random_vector
+from randoms import random_element, random_op, random_vector
 from gframes import (
     FamilyTarget,
     GenSpec,

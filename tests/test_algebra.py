@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_element, random_matrix
+from randoms import random_element, random_matrix
 from gframes import (
     AlgebraElement,
     DimensionMismatch,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_family, random_op, random_vector
+from randoms import random_family, random_op, random_vector
 from gframes import (
     AlgebraElement,
     FrameKind,

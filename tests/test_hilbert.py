@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_element, random_op, random_vector
+from randoms import random_element, random_op, random_vector
 from gframes import (
     AlgebraElement,
     DimensionMismatch,

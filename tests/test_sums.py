@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_op
+from randoms import random_op
 from gframes import (
     BadRange,
     FamilyTarget,
