@@ -25,6 +25,7 @@ from gframes import (
     t12_check,
     zero_op,
 )
+from gframes.stability import _subset_sup_bracket
 
 
 def _frame(seed, n=2, d=2, dims=(2, 2), lo=1.0, hi=2.0):
@@ -217,3 +218,42 @@ class TestWeightedStabilityInstances:
             )
             report = difference_check(family, other, weights, 0.5, 0.5)
             assert report.verdict is Verdict.CONCLUSION_HOLDS
+
+
+def test_t12_large_family_with_alternating_deviations_fails_hypothesis():
+    # 13 unit members (S = 13 I, budget C/D = 1) whose deviations
+    # alternate +0.2 and -0.2: the full sum has norm 0.2, but the seven
+    # positive deviations together have norm 1.4 > 1.
+    one = op_from_flat(np.array([[1.0 + 0j]]), 1)
+    family = GFrameFamily((one,) * 13)
+    deltas = [
+        op_from_flat(np.array([[1.0 - (0.2 if i % 2 == 0 else -0.2) + 0j]]), 1)
+        for i in range(13)
+    ]
+    report = t12_check(family, deltas)
+    assert report.allowed_rhs == pytest.approx(1.0)
+    assert report.verdict == Verdict.HYPOTHESIS_FAILS
+    assert report.details["subset_sup_upper"] == pytest.approx(1.4)
+    assert report.details["subset_sup_lower"] == pytest.approx(1.4)
+
+
+def test_t12_subset_bracket_contains_exact_enumeration():
+    rng = np.random.default_rng(12)
+    for trial in range(60):
+        count = int(rng.integers(1, 13))
+        n, d = ((1, 2), (2, 1), (2, 2))[trial % 3]
+        family = _frame(trial, n, d, dims=(d,) * count)
+        deltas = []
+        for m in family.members:
+            raw = rng.standard_normal((n * d, n * d)) + 1j * rng.standard_normal(
+                (n * d, n * d)
+            )
+            bump = 0.1 * (raw @ raw.conj().T) - 0.05 * np.eye(n * d)
+            deltas.append(op_from_flat(m.flat @ m.flat.conj().T + bump, n))
+        exact = t12_check(family, deltas).measured_lhs
+        deviations = np.stack(
+            [m.flat @ m.flat.conj().T - o.flat for m, o in zip(family.members, deltas)]
+        )
+        lower, upper = _subset_sup_bracket(deviations)
+        slack = 1e-9 * max(1.0, exact)
+        assert lower - slack <= exact <= upper + slack
