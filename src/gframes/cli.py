@@ -14,7 +14,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 
 from .algebra import DEFAULT_TOL, Tolerance
@@ -79,14 +79,17 @@ def parse_scenario(data: dict, path: str = "<memory>") -> Scenario:
     instance = data.get("instance", {})
     if not isinstance(instance, dict):
         raise ValidationError(f"{path}: instance must be an object")
+    seeds = {"seed": data.get("seed", 0), "seed_stride": data.get("seed_stride", 1)}
+    for key, value in seeds.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValidationError(f"{path}: {key!r} must be an integer, got {value!r}")
     return Scenario(
         name=str(data.get("name", theorem)),
         theorem=theorem,
         instance=instance,
         tolerance=tol,
         repetitions=reps,
-        seed=int(data.get("seed", 0)),
-        seed_stride=int(data.get("seed_stride", 1)),
+        **seeds,
     )
 
 
@@ -139,7 +142,7 @@ def render_json(runs: list[RunReport], with_timing: bool) -> str:
     if with_timing:
         doc["generated_at"] = datetime.now(timezone.utc).isoformat()
     doc["runs"] = [run_report_to_json(r, with_timing) for r in runs]
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 _CSV_COLUMNS = (
@@ -222,18 +225,7 @@ def main(argv=None) -> int:
         for path in args.files:
             scenarios.extend(load_scenarios(path))
         if args.seed is not None:
-            scenarios = [
-                Scenario(
-                    name=s.name,
-                    theorem=s.theorem,
-                    instance=s.instance,
-                    tolerance=s.tolerance,
-                    repetitions=s.repetitions,
-                    seed=args.seed,
-                    seed_stride=s.seed_stride,
-                )
-                for s in scenarios
-            ]
+            scenarios = [replace(s, seed=args.seed) for s in scenarios]
         runs = [run_scenario(s) for s in scenarios]
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

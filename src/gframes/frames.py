@@ -151,7 +151,6 @@ def require_compatible(left: GFrameFamily, right: GFrameFamily) -> None:
     if (
         left.algebra_dim != right.algebra_dim
         or left.source_len != right.source_len
-        or left.size != right.size
         or left.member_dims != right.member_dims
     ):
         raise DimensionMismatch("families are not index-compatible")

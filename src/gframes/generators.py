@@ -86,11 +86,6 @@ def _needs_span(target: FamilyTarget) -> bool:
     return target.kind != "random"
 
 
-def _spectrum_of(flats: list[np.ndarray]) -> np.ndarray:
-    total = sum(p @ p.conj().T for p in flats)
-    return np.linalg.eigvalsh(hermitian_part(total))
-
-
 def _inv_sqrt(total: np.ndarray) -> np.ndarray:
     eigs, vecs = np.linalg.eigh(hermitian_part(total))
     return (vecs / np.sqrt(eigs)) @ vecs.conj().T
@@ -110,10 +105,10 @@ def _condition_to_target(
     """
     if target.kind == "random":
         return flats
-    eigs = _spectrum_of(flats)
+    total = sum(p @ p.conj().T for p in flats)
+    eigs = np.linalg.eigvalsh(hermitian_part(total))
     if eigs[0] <= _MIN_CONDITION * max(eigs[-1], 1.0):
         return None
-    total = sum(p @ p.conj().T for p in flats)
     whitener = _inv_sqrt(total)
     flats = [whitener @ p for p in flats]
     if target.kind == "parseval":
@@ -141,20 +136,15 @@ def _condition_to_target(
 def _verify_target(family: GFrameFamily, target: FamilyTarget) -> bool:
     if target.kind == "random":
         return True
+    if target.kind == "bounds":
+        lower, upper, rel = target.lower, target.upper, 1e-8
+    else:
+        # Parseval is tight with constant one.
+        lower = upper = 1.0 if target.kind == "parseval" else target.nu
+        rel = 1e-9
     bounds = optimal_bounds(family)
-    if target.kind == "parseval":
-        return abs(bounds.lower - 1.0) <= 1e-9 and abs(bounds.upper - 1.0) <= 1e-9
-    if target.kind == "tight":
-        slack = 1e-9 * max(1.0, target.nu)
-        return (
-            abs(bounds.lower - target.nu) <= slack
-            and abs(bounds.upper - target.nu) <= slack
-        )
-    slack = 1e-8 * max(1.0, target.upper)
-    return (
-        abs(bounds.lower - target.lower) <= slack
-        and abs(bounds.upper - target.upper) <= slack
-    )
+    slack = rel * max(1.0, upper)
+    return abs(bounds.lower - lower) <= slack and abs(bounds.upper - upper) <= slack
 
 
 def gen_family(spec: GenSpec) -> GFrameFamily:

@@ -10,13 +10,14 @@ one thing throughout the repository.
 from __future__ import annotations
 
 import math
+import reprlib
 
 import numpy as np
 
 from . import serialize
 from ._rand import complex_gaussian, haar_unitary, make_rng, sub_seed
 from .algebra import DEFAULT_TOL, Tolerance
-from .errors import ValidationError
+from .errors import GFrameError, ValidationError
 from .frames import GFrameFamily, classify, frame_operator, scale_family
 from .generators import (
     FamilyTarget,
@@ -51,17 +52,99 @@ from .stability import (
 
 def parse_target(data) -> FamilyTarget:
     """Accepts "random" | "parseval" | {"tight": nu} | {"bounds": [lo, hi]}."""
-    if isinstance(data, str):
-        if data in ("random", "parseval"):
-            return FamilyTarget(data)
-        raise ValidationError(f"unknown family target {data!r}")
-    if isinstance(data, dict):
+    if data in ("random", "parseval"):
+        return FamilyTarget(data)
+    try:
         if "tight" in data:
             return FamilyTarget.tight(float(data["tight"]))
-        if "bounds" in data:
-            lo, hi = data["bounds"]
-            return FamilyTarget.bounds(float(lo), float(hi))
-    raise ValidationError(f"unparseable family target {data!r}")
+        lo, hi = data["bounds"]
+        return FamilyTarget.bounds(float(lo), float(hi))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"unparseable family target {data!r}") from exc
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_positive(value) -> bool:
+    number = _is_int(value) or isinstance(value, float)
+    return number and math.isfinite(value) and value > 0
+
+
+def _is_target(value) -> bool:
+    try:
+        parse_target(value)
+    except GFrameError:
+        return False
+    return True
+
+
+# What a present instance field must hold: a description and a predicate.
+_FIELD_KINDS = {
+    **dict.fromkeys(
+        ("algebra_dim", "module_len"),
+        ("a positive integer", lambda v: _is_int(v) and v > 0),
+    ),
+    "member_dims": (
+        "a nonempty list of positive integers",
+        lambda v: isinstance(v, list) and v and all(_is_int(x) and x > 0 for x in v),
+    ),
+    **dict.fromkeys(
+        ("family", "second_family", "weights", "lambda", "m", "n"),
+        ("a JSON object", lambda v: isinstance(v, dict)),
+    ),
+    "delta_ops": (
+        "a list of JSON objects",
+        lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v),
+    ),
+    **dict.fromkeys(
+        ("family_target", "second_family_target"),
+        ('"random", "parseval", {"tight": nu} or {"bounds": [lo, hi]}', _is_target),
+    ),
+    "weight_band": (
+        "a list of two positive numbers",
+        lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_positive, v)),
+    ),
+    **dict.fromkeys(
+        ("alpha", "alpha1", "alpha2", "bessel_ratio", "bessel_upper")
+        + ("budget_fraction", "lambda_bound"),
+        ("a positive number", _is_positive),
+    ),
+}
+
+
+def _schema(declared: str) -> dict[str, tuple]:
+    """Kinds of the size fields and of the space-separated ``declared``
+    fields; ``key=x|y`` restricts a field to the listed values."""
+    fields = {}
+    for token in f"algebra_dim module_len member_dims {declared}".split():
+        key, _, options = token.partition("=")
+        fields[key] = _FIELD_KINDS.get(key)
+        if options:
+            choices = tuple(options.split("|"))
+            fields[key] = (" or ".join(map(repr, choices)), choices.__contains__)
+    return fields
+
+
+def validate_instance(theorem: str, instance) -> dict:
+    """The instance with its null fields dropped, once every field is
+    known to the theorem and well-typed.  Draws nothing from any
+    generator, so generated instances do not depend on validation."""
+    fields = THEOREMS[theorem][2]
+    for key, value in instance.items():
+        if key not in fields:
+            raise ValidationError(
+                f"unknown instance field {key!r} for {theorem};"
+                f" accepted: {', '.join(sorted(fields))}"
+            )
+        description, valid = fields[key]
+        if value is not None and not valid(value):
+            raise ValidationError(
+                f"instance field {key!r} must be {description},"
+                f" got {reprlib.repr(value)}"
+            )
+    return {key: value for key, value in instance.items() if value is not None}
 
 
 def _sizes(
@@ -92,18 +175,34 @@ def _sizes(
     return n, d, dims
 
 
-def _evened(dims: tuple[int, ...], d: int) -> tuple[int, ...]:
-    """Even member dims whose column halves can span a length-d module."""
-    even = tuple(dz + (dz % 2) for dz in dims)
-    while sum(even) < 2 * d:
-        even = even + (2,)
-    return even
+# Decoders of the instance fields that hold serialized values.
+_DECODERS = {
+    "family": serialize.family_from_json,
+    "second_family": serialize.family_from_json,
+    "weights": serialize.weights_from_json,
+    "m": serialize.op_from_json,
+    "n": serialize.op_from_json,
+    "lambda_bound": float,
+}
+
+
+def _inline(cfg: dict, *keys: str) -> tuple | None:
+    """Decoded values of inline fields that only make sense together, or
+    None when the instance leaves all of them to the generator."""
+    missing = [key for key in keys if key not in cfg]
+    if len(missing) == len(keys):
+        return None
+    if missing:
+        raise ValidationError(
+            f"instance field {missing[0]!r} is required together with"
+            f" {', '.join(repr(key) for key in keys if key in cfg)}"
+        )
+    return tuple(_DECODERS[key](cfg[key]) for key in keys)
 
 
 def _family(cfg, key, rng, n, d, dims, default_target) -> GFrameFamily:
-    inline = cfg.get(key)
-    if inline is not None:
-        return serialize.family_from_json(inline)
+    if key in cfg:
+        return serialize.family_from_json(cfg[key])
     target = parse_target(cfg.get(f"{key}_target", default_target))
     return gen_family(GenSpec(sub_seed(rng), n, d, dims, target))
 
@@ -112,25 +211,56 @@ def _random_endo(rng, n, d, scale=1.0) -> AdjointableOp:
     return op_from_flat(scale * complex_gaussian(rng, n * d, n * d), n)
 
 
-def _rescale_to_upper(family: GFrameFamily, target_upper: float) -> GFrameFamily:
-    """Scale a family so its optimal upper bound equals target_upper."""
+def _gen_weights(rng, n, count, band, shared=False) -> ScalarWeights:
+    """Weights drawn inside ``band``.  With ``shared`` the thetas serve as
+    the deltas too: a shared coefficient sequence keeps the weighted mixed
+    term positive whenever the unweighted one is."""
+    drawn = gen_weights(sub_seed(rng), n, count, float(band[0]), float(band[1]))
+    if not shared:
+        return drawn
+    return ScalarWeights(drawn.thetas, drawn.thetas, drawn.band_lower, drawn.band_upper)
+
+
+def _bessel_partner(rng, family: GFrameFamily, target_upper: float) -> GFrameFamily:
+    """A random family on the same members as ``family``, scaled so that
+    its optimal upper bound equals target_upper."""
+    n, d = family.algebra_dim, family.source_len
+    raw = gen_family(GenSpec(sub_seed(rng), n, d, family.member_dims))
     current = float(
-        np.linalg.eigvalsh(frame_operator(family).flat).max().real
+        np.linalg.eigvalsh(frame_operator(raw).flat).max().real
     )
     if current <= 0.0:
-        return family
-    return scale_family(family, math.sqrt(target_upper / current))
+        return raw
+    return scale_family(raw, math.sqrt(target_upper / current))
 
 
-# Builders.  Each receives the instance config, a seed, and a tolerance,
-# assembles inputs (inline values win over generation), and runs the
-# checker.  Generated instances satisfy the theorem hypotheses by
-# construction so that seeded suites exercise the asserted branch.
+# Each theorem: its builder, a description (the builder's docstring), its
+# declared instance schema and the ``_sizes`` options it draws with.
+THEOREMS: dict[str, tuple] = {}
 
 
-def _build_classify(cfg, seed, tol):
-    rng = make_rng(seed)
-    n, d, dims = _sizes(cfg, rng)
+def _theorem(theorem_id: str, fields: str, min_flat: int = 2, even_dims=False):
+    """Register a builder under ``theorem_id`` with the instance fields
+    it reads, declared as ``_schema`` parses them."""
+
+    def register(builder):
+        sizing = {"min_flat": min_flat, "even_dims": even_dims}
+        THEOREMS[theorem_id] = (builder, builder.__doc__, _schema(fields), sizing)
+        return builder
+
+    return register
+
+
+# Builders.  Each receives the validated instance config, the seed, its
+# generator with the sizes already drawn, and a tolerance, assembles
+# inputs (inline values win over generation), and runs the checker.
+# Generated instances satisfy the theorem hypotheses by construction so
+# that seeded suites exercise the asserted branch.
+
+
+@_theorem("CLASSIFY", "family family_target", min_flat=1)
+def _build_classify(cfg, seed, rng, n, d, dims, tol):
+    """classify a family and report its optimal bounds"""
     family = _family(cfg, "family", rng, n, d, dims, "parseval")
     # Classifying asserts no claim, so every family concludes.
     return theorem_report(
@@ -138,9 +268,12 @@ def _build_classify(cfg, seed, tol):
     )
 
 
-def _build_perturb_lambda(cfg, seed, tol):
-    rng = make_rng(seed)
-    n, d, dims = _sizes(cfg, rng, min_flat=2)
+@_theorem(
+    "PERTURB_LAMBDA",
+    "family family_target lambda lambda_kind=expansive|scalar|zero",
+)
+def _build_perturb_lambda(cfg, seed, rng, n, d, dims, tol):
+    """members composed with (I + L) under the conjugation-dominance hypothesis"""
     kind = cfg.get("lambda_kind", "expansive" if seed % 2 == 0 else "scalar")
     if kind == "expansive":
         family = _family(cfg, "family", rng, n, d, dims, "parseval")
@@ -150,20 +283,22 @@ def _build_perturb_lambda(cfg, seed, tol):
     elif kind == "scalar":
         family = _family(cfg, "family", rng, n, d, dims, {"bounds": [0.5, 2.0]})
         lam = float(rng.uniform(0.0, 1.0)) * identity_op(n, d)
-    elif kind == "zero":
+    else:
         family = _family(cfg, "family", rng, n, d, dims, {"bounds": [0.5, 2.0]})
         lam = zero_op(n, d, d)
-    else:
-        raise ValidationError(f"unknown lambda_kind {kind!r}")
     if cfg.get("lambda") is not None:
         lam = serialize.op_from_json(cfg["lambda"])
     _, report = perturb_lambda(family, lam, tol)
     return report
 
 
-def _build_t3_equiv(cfg, seed, tol):
-    rng = make_rng(seed)
-    n, d, dims = _sizes(cfg, rng)
+@_theorem(
+    "T3_EQUIV",
+    "family family_target second_family second_family_target m n",
+    min_flat=1,
+)
+def _build_t3_equiv(cfg, seed, rng, n, d, dims, tol):
+    """three-way equivalence for members P.M + Q.N"""
     family = _family(cfg, "family", rng, n, d, dims, "random")
     other = _family(cfg, "second_family", rng, n, d, dims, "random")
     if cfg.get("m") is not None:
@@ -182,51 +317,46 @@ def _build_t3_equiv(cfg, seed, tol):
     return report
 
 
-def _scaled_or_orthogonal_pair(cfg, rng, seed, n, d, dims):
-    """A pair with positive mixed operator: a scaled copy, or supported
-    on complementary columns (exactly zero mixed operator)."""
-    mode = cfg.get("mode", "scaled" if seed % 2 == 0 else "orthogonal")
-    if mode == "orthogonal":
-        even = _evened(dims, d)
-        pair = gen_orthogonal_pair(
-            GenSpec(sub_seed(rng), n, d, even, FamilyTarget.parseval())
-        )
+def _positive_mixed_pair(rng, n, d, dims, orthogonal, ranges=((0.2, 1.5), (0.3, 1.3))):
+    """A pair with positive mixed operator: on complementary columns (zero
+    mixed operator), or a scaled copy.  The second family's squared scale
+    is drawn from ``ranges[0]`` or ``ranges[1]`` respectively."""
+    if orthogonal:
+        pair = _orthogonal_pair(rng, n, d, dims)
         first = scale_family(pair[0], math.sqrt(float(rng.uniform(0.8, 2.0))))
-        second = scale_family(pair[1], math.sqrt(float(rng.uniform(0.2, 1.5))))
+        second = scale_family(pair[1], math.sqrt(float(rng.uniform(*ranges[0]))))
         return first, second
     family = gen_family(
         GenSpec(sub_seed(rng), n, d, dims, FamilyTarget.bounds(0.8, 2.0))
     )
-    other = scale_family(family, math.sqrt(float(rng.uniform(0.3, 1.3))))
+    other = scale_family(family, math.sqrt(float(rng.uniform(*ranges[1]))))
     return family, other
 
 
-def _build_t3_corollary(cfg, seed, tol):
-    rng = make_rng(seed)
-    n, d, dims = _sizes(cfg, rng, min_flat=2)
-    if cfg.get("family") is not None:
-        family = serialize.family_from_json(cfg["family"])
-        other = serialize.family_from_json(cfg["second_family"])
-    else:
-        family, other = _scaled_or_orthogonal_pair(cfg, rng, seed, n, d, dims)
+@_theorem("T3_COROLLARY", "family second_family mode=scaled|orthogonal")
+def _build_t3_corollary(cfg, seed, rng, n, d, dims, tol):
+    """plain member sums with positive mixed operator"""
+    mode = cfg.get("mode", "scaled" if seed % 2 == 0 else "orthogonal")
+    pair = _inline(cfg, "family", "second_family")
+    family, other = pair or _positive_mixed_pair(rng, n, d, dims, mode == "orthogonal")
     return t3_corollary_check(family, other, tol)
 
 
-def _build_t7_scalar(cfg, seed, tol):
-    rng = make_rng(seed)
-    n, d, dims = _sizes(cfg, rng, min_flat=2)
+@_theorem(
+    "T7_SCALAR",
+    "family family_target second_family weights weight_band bessel_ratio",
+)
+def _build_t7_scalar(cfg, seed, rng, n, d, dims, tol):
+    """coefficient-weighted sums with a dominated Bessel term"""
     band = cfg.get("weight_band", [0.8, 1.25])
     family = _family(cfg, "family", rng, n, d, dims, {"bounds": [1.0, 2.5]})
     if cfg.get("weights") is not None:
         weights = serialize.weights_from_json(cfg["weights"])
     else:
-        weights = gen_weights(
-            sub_seed(rng), n, family.size, float(band[0]), float(band[1])
-        )
+        weights = _gen_weights(rng, n, family.size, band)
     if cfg.get("second_family") is not None:
         other = serialize.family_from_json(cfg["second_family"])
     else:
-        raw = gen_family(GenSpec(sub_seed(rng), n, d, family.member_dims))
         # Hypothesis headroom: weighted Bessel term at 40% of the
         # weighted frame term.
         ratio = float(cfg.get("bessel_ratio", 0.4))
@@ -234,79 +364,65 @@ def _build_t7_scalar(cfg, seed, tol):
             np.linalg.eigvalsh(frame_operator(family).flat).min().real
         )
         target = ratio * weights.band_lower * lower_f / weights.band_upper
-        other = _rescale_to_upper(raw, target)
+        other = _bessel_partner(rng, family, target)
     _, report = scalar_weighted_sum(family, other, weights, tol)
     return report
 
 
-def _build_t11(cfg, seed, tol):
-    rng = make_rng(seed)
-    n, d, dims = _sizes(cfg, rng, min_flat=2)
+@_theorem(
+    "T11_POSITIVE",
+    "family second_family weights weight_band mode=orthogonal|same",
+)
+def _build_t11(cfg, seed, rng, n, d, dims, tol):
+    """coefficient-weighted sums of two frames with positive mixed operator"""
     band = cfg.get("weight_band", [0.7, 1.4])
-    if cfg.get("family") is not None:
-        family = serialize.family_from_json(cfg["family"])
-        other = serialize.family_from_json(cfg["second_family"])
-        weights = serialize.weights_from_json(cfg["weights"])
-        return t11_check(family, other, weights, tol)
+    inline = _inline(cfg, "family", "second_family", "weights")
+    if inline is not None:
+        return t11_check(*inline, tol)
     mode = cfg.get("mode", "orthogonal" if seed % 2 == 0 else "same")
-    if mode == "orthogonal":
-        even = _evened(dims, d)
-        family, other = gen_orthogonal_pair(
-            GenSpec(sub_seed(rng), n, d, even, FamilyTarget.parseval())
-        )
-        family = scale_family(family, math.sqrt(float(rng.uniform(0.8, 2.0))))
-        other = scale_family(other, math.sqrt(float(rng.uniform(0.8, 2.0))))
-        weights = gen_weights(
-            sub_seed(rng), n, family.size, float(band[0]), float(band[1])
-        )
-    else:
-        family = gen_family(
-            GenSpec(sub_seed(rng), n, d, dims, FamilyTarget.bounds(0.8, 2.0))
-        )
-        other = scale_family(family, math.sqrt(float(rng.uniform(0.3, 1.2))))
-        drawn = gen_weights(
-            sub_seed(rng), n, family.size, float(band[0]), float(band[1])
-        )
-        # A shared coefficient sequence keeps the weighted mixed term
-        # positive whenever the unweighted one is.
-        weights = ScalarWeights(
-            drawn.thetas, drawn.thetas, drawn.band_lower, drawn.band_upper
-        )
+    orthogonal = mode == "orthogonal"
+    ranges = ((0.8, 2.0), (0.3, 1.2))
+    family, other = _positive_mixed_pair(rng, n, d, dims, orthogonal, ranges)
+    weights = _gen_weights(rng, n, family.size, band, shared=not orthogonal)
     return t11_check(family, other, weights, tol)
 
 
-def _tight_pair(cfg, rng, n, d, dims, alpha1, alpha2):
-    even = _evened(dims, d)
-    pair = gen_orthogonal_pair(
+def _orthogonal_pair(rng, n, d, dims) -> tuple[GFrameFamily, GFrameFamily]:
+    """Two Parseval families on complementary columns (zero mixed operator),
+    with member dims evened so that the column halves can span the module."""
+    even = tuple(dz + (dz % 2) for dz in dims)
+    while sum(even) < 2 * d:
+        even = even + (2,)
+    return gen_orthogonal_pair(
         GenSpec(sub_seed(rng), n, d, even, FamilyTarget.parseval())
     )
+
+
+def _tight_pair(cfg, rng, n, d, dims):
+    """The inline pair, or an orthogonal pair with tight constants alpha1, alpha2."""
+    pair = _inline(cfg, "family", "second_family")
+    if pair is not None:
+        return pair
+    first, second = _orthogonal_pair(rng, n, d, dims)
     return (
-        scale_family(pair[0], math.sqrt(alpha1)),
-        scale_family(pair[1], math.sqrt(alpha2)),
+        scale_family(first, math.sqrt(float(cfg.get("alpha1", 1.0)))),
+        scale_family(second, math.sqrt(float(cfg.get("alpha2", 1.0)))),
     )
 
 
-def _build_tight_sum(cfg, seed, tol):
-    rng = make_rng(seed)
-    n, d, dims = _sizes(cfg, rng, even_dims=True)
-    if cfg.get("family") is not None:
-        family = serialize.family_from_json(cfg["family"])
-        other = serialize.family_from_json(cfg["second_family"])
-    else:
-        alpha1 = float(cfg.get("alpha1", 1.0))
-        alpha2 = float(cfg.get("alpha2", 1.0))
-        family, other = _tight_pair(cfg, rng, n, d, dims, alpha1, alpha2)
+@_theorem("TIGHT_SUM", "family second_family alpha1 alpha2", min_flat=1, even_dims=True)
+def _build_tight_sum(cfg, seed, rng, n, d, dims, tol):
+    """sum of two tight families with vanishing mixed operator"""
+    family, other = _tight_pair(cfg, rng, n, d, dims)
     return tight_sum_check(family, other, tol)
 
 
-def _build_isometry_sum(cfg, seed, tol):
-    rng = make_rng(seed)
-    n, d, dims = _sizes(cfg, rng, min_flat=2)
-    if cfg.get("family") is not None:
-        family = serialize.family_from_json(cfg["family"])
-        other = serialize.family_from_json(cfg["second_family"])
-    else:
-        family, other = _scaled_or_orthogonal_pair(cfg, rng, seed, n, d, dims)
+@_theorem("ISOMETRY_SUM", "family second_family lambda mode=scaled|orthogonal")
+def _build_isometry_sum(cfg, seed, rng, n, d, dims, tol):
+    """member sums composed with an isometry"""
+    mode = cfg.get("mode", "scaled" if seed % 2 == 0 else "orthogonal")
+    pair = _inline(cfg, "family", "second_family")
+    family, other = pair or _positive_mixed_pair(rng, n, d, dims, mode == "orthogonal")
     if cfg.get("lambda") is not None:
         lam = serialize.op_from_json(cfg["lambda"])
     else:
@@ -314,19 +430,20 @@ def _build_isometry_sum(cfg, seed, tol):
     return isometry_sum_check(family, other, lam, tol)
 
 
-def _build_lambda_lower(cfg, seed, tol):
-    rng = make_rng(seed)
-    n, d, dims = _sizes(cfg, rng, min_flat=2)
+@_theorem(
+    "LAMBDA_LOWER",
+    "family family_target second_family bessel_upper m n lambda_bound",
+)
+def _build_lambda_lower(cfg, seed, rng, n, d, dims, tol):
+    """members P.M + Q.N with N bounded below"""
     family = _family(cfg, "family", rng, n, d, dims, {"bounds": [1.0, 2.0]})
     if cfg.get("second_family") is not None:
         other = serialize.family_from_json(cfg["second_family"])
     else:
-        raw = gen_family(GenSpec(sub_seed(rng), n, d, family.member_dims))
-        other = _rescale_to_upper(raw, float(cfg.get("bessel_upper", 0.2)))
-    if cfg.get("m") is not None and cfg.get("n") is not None:
-        m_op = serialize.op_from_json(cfg["m"])
-        n_op = serialize.op_from_json(cfg["n"])
-        lam_bound = float(cfg["lambda_bound"])
+        other = _bessel_partner(rng, family, float(cfg.get("bessel_upper", 0.2)))
+    inline = _inline(cfg, "m", "n", "lambda_bound")
+    if inline is not None:
+        m_op, n_op, lam_bound = inline
     else:
         svals = rng.uniform(0.6, 0.9, n * d)
         n_op = op_from_flat(
@@ -339,19 +456,18 @@ def _build_lambda_lower(cfg, seed, tol):
     )
 
 
-def _build_tight_mn(cfg, seed, tol):
-    rng = make_rng(seed)
-    n, d, dims = _sizes(cfg, rng, even_dims=True)
-    alpha1 = float(cfg.get("alpha1", 1.0))
-    alpha2 = float(cfg.get("alpha2", 1.0))
-    if cfg.get("family") is not None:
-        family = serialize.family_from_json(cfg["family"])
-        other = serialize.family_from_json(cfg["second_family"])
-    else:
-        family, other = _tight_pair(cfg, rng, n, d, dims, alpha1, alpha2)
-    if cfg.get("m") is not None and cfg.get("n") is not None:
-        m_op = serialize.op_from_json(cfg["m"])
-        n_op = serialize.op_from_json(cfg["n"])
+@_theorem(
+    "TIGHT_MN",
+    "family second_family alpha1 alpha2 m n mode=scalar|violating",
+    min_flat=1,
+    even_dims=True,
+)
+def _build_tight_mn(cfg, seed, rng, n, d, dims, tol):
+    """tightness characterization for members P.M + Q.N"""
+    family, other = _tight_pair(cfg, rng, n, d, dims)
+    inline = _inline(cfg, "m", "n")
+    if inline is not None:
+        m_op, n_op = inline
     else:
         mode = cfg.get("mode", "scalar" if seed % 2 == 0 else "violating")
         if mode == "scalar":
@@ -376,64 +492,55 @@ def _build_tight_mn(cfg, seed, tol):
     return tight_mn_check(family, other, m_op, n_op, tol)
 
 
-def _build_prop_mixed(cfg, seed, tol):
-    rng = make_rng(seed)
-    n, d, dims = _sizes(cfg, rng, min_flat=2)
-    alpha1 = float(cfg.get("alpha1", 0.5))
-    alpha2 = float(cfg.get("alpha2", 0.5))
-    band = cfg.get("weight_band", [0.9, 1.1])
-    if cfg.get("family") is not None:
-        family = serialize.family_from_json(cfg["family"])
-        other = serialize.family_from_json(cfg["second_family"])
-        weights = serialize.weights_from_json(cfg["weights"])
-    else:
+def _perturbation_args(cfg, rng, n, d, dims, perturb, shared) -> tuple:
+    """Checker arguments of the weighted perturbation theorems: the inline
+    family, second family and weights, or a generated frame, its
+    ``perturb``-ed copy and drawn weights; then alpha1 and alpha2."""
+    inline = _inline(cfg, "family", "second_family", "weights")
+    if inline is None:
         family = gen_family(
             GenSpec(sub_seed(rng), n, d, dims, FamilyTarget.bounds(1.0, 2.0))
         )
-        other = scale_family(family, float(rng.uniform(0.95, 1.05)))
-        weights = gen_weights(
-            sub_seed(rng), n, family.size, float(band[0]), float(band[1])
-        )
-    return prop_mixed_check(
-        family, other, weights, alpha1, alpha2, tol, seed=sub_seed(rng)
-    )
+        other = perturb(family)
+        band = cfg.get("weight_band", [0.9, 1.1])
+        inline = (family, other, _gen_weights(rng, n, family.size, band, shared))
+    return (*inline, float(cfg.get("alpha1", 0.5)), float(cfg.get("alpha2", 0.5)))
 
 
-def _build_difference(cfg, seed, tol):
-    rng = make_rng(seed)
-    n, d, dims = _sizes(cfg, rng, min_flat=2)
-    alpha1 = float(cfg.get("alpha1", 0.5))
-    alpha2 = float(cfg.get("alpha2", 0.5))
-    band = cfg.get("weight_band", [0.9, 1.1])
-    if cfg.get("family") is not None:
-        family = serialize.family_from_json(cfg["family"])
-        other = serialize.family_from_json(cfg["second_family"])
-        weights = serialize.weights_from_json(cfg["weights"])
-    else:
-        family = gen_family(
-            GenSpec(sub_seed(rng), n, d, dims, FamilyTarget.bounds(1.0, 2.0))
-        )
+@_theorem("PROP_MIXED", "family second_family weights alpha1 alpha2 weight_band")
+def _build_prop_mixed(cfg, seed, rng, n, d, dims, tol):
+    """norm-difference perturbation implies the second family is a frame"""
+
+    def rescaled(family):
+        return scale_family(family, float(rng.uniform(0.95, 1.05)))
+
+    args = _perturbation_args(cfg, rng, n, d, dims, rescaled, shared=False)
+    return prop_mixed_check(*args, tol, seed=sub_seed(rng))
+
+
+@_theorem("THM_DIFFERENCE", "family second_family weights alpha1 alpha2 weight_band")
+def _build_difference(cfg, seed, rng, n, d, dims, tol):
+    """quadratic-difference perturbation implies the second family is a frame"""
+
+    def shrunk(family):
         shrink = rng.uniform(0.0, 0.02, family.size)
-        other = GFrameFamily(
+        return GFrameFamily(
             tuple(
                 (1.0 - float(eps)) * m
                 for eps, m in zip(shrink, family.members)
             )
         )
-        drawn = gen_weights(
-            sub_seed(rng), n, family.size, float(band[0]), float(band[1])
-        )
-        weights = ScalarWeights(
-            drawn.thetas, drawn.thetas, drawn.band_lower, drawn.band_upper
-        )
-    return difference_check(
-        family, other, weights, alpha1, alpha2, tol, seed=sub_seed(rng)
-    )
+
+    args = _perturbation_args(cfg, rng, n, d, dims, shrunk, shared=True)
+    return difference_check(*args, tol, seed=sub_seed(rng))
 
 
-def _build_t12(cfg, seed, tol):
-    rng = make_rng(seed)
-    n, d, dims = _sizes(cfg, rng, min_flat=2)
+@_theorem(
+    "T12_OPERATOR",
+    "family family_target second_family delta_ops budget_fraction",
+)
+def _build_t12(cfg, seed, rng, n, d, dims, tol):
+    """frame-operator perturbation within the C/D budget"""
     family = _family(cfg, "family", rng, n, d, dims, {"bounds": [1.0, 2.0]})
     if cfg.get("delta_ops") is not None:
         delta_ops = [serialize.op_from_json(o) for o in cfg["delta_ops"]]
@@ -443,12 +550,8 @@ def _build_t12(cfg, seed, tol):
         )
     else:
         margin = float(cfg.get("budget_fraction", 0.5))
-        lower_f = float(
-            np.linalg.eigvalsh(frame_operator(family).flat).min().real
-        )
-        upper_f = float(
-            np.linalg.eigvalsh(frame_operator(family).flat).max().real
-        )
+        spectrum = np.linalg.eigvalsh(frame_operator(family).flat)
+        lower_f, upper_f = float(spectrum.min().real), float(spectrum.max().real)
         budget = margin * lower_f / max(upper_f, 1e-12)
         raws = [complex_gaussian(rng, n * d, n * d) for _ in family.members]
         bumps = [r @ r.conj().T for r in raws]
@@ -462,9 +565,9 @@ def _build_t12(cfg, seed, tol):
     return t12_check(family, delta_ops, tol)
 
 
-def _build_final_corollary(cfg, seed, tol):
-    rng = make_rng(seed)
-    n, d, dims = _sizes(cfg, rng, min_flat=2)
+@_theorem("FINAL_COROLLARY", "family family_target second_family alpha")
+def _build_final_corollary(cfg, seed, rng, n, d, dims, tol):
+    """frame-operator proximity below the lower bound"""
     alpha = float(cfg.get("alpha", 0.5))
     family = _family(cfg, "family", rng, n, d, dims, {"bounds": [1.0, 2.0]})
     if cfg.get("second_family") is not None:
@@ -473,63 +576,6 @@ def _build_final_corollary(cfg, seed, tol):
         eps = float(rng.uniform(0.01, 0.1))
         other = scale_family(family, 1.0 - eps)
     return final_corollary_check(family, other, alpha, tol)
-
-
-THEOREMS: dict[str, tuple] = {
-    "CLASSIFY": (_build_classify, "classify a family and report its optimal bounds"),
-    "PERTURB_LAMBDA": (
-        _build_perturb_lambda,
-        "members composed with (I + L) under the conjugation-dominance hypothesis",
-    ),
-    "T3_EQUIV": (
-        _build_t3_equiv,
-        "three-way equivalence for members P.M + Q.N",
-    ),
-    "T3_COROLLARY": (
-        _build_t3_corollary,
-        "plain member sums with positive mixed operator",
-    ),
-    "T7_SCALAR": (
-        _build_t7_scalar,
-        "coefficient-weighted sums with a dominated Bessel term",
-    ),
-    "T11_POSITIVE": (
-        _build_t11,
-        "coefficient-weighted sums of two frames with positive mixed operator",
-    ),
-    "TIGHT_SUM": (
-        _build_tight_sum,
-        "sum of two tight families with vanishing mixed operator",
-    ),
-    "ISOMETRY_SUM": (
-        _build_isometry_sum,
-        "member sums composed with an isometry",
-    ),
-    "LAMBDA_LOWER": (
-        _build_lambda_lower,
-        "members P.M + Q.N with N bounded below",
-    ),
-    "TIGHT_MN": (
-        _build_tight_mn,
-        "tightness characterization for members P.M + Q.N",
-    ),
-    "PROP_MIXED": (
-        _build_prop_mixed,
-        "norm-difference perturbation implies the second family is a frame",
-    ),
-    "THM_DIFFERENCE": (
-        _build_difference,
-        "quadratic-difference perturbation implies the second family is a frame",
-    ),
-    "T12_OPERATOR": (
-        _build_t12,
-        "frame-operator perturbation within the C/D budget",
-    ),
-    "FINAL_COROLLARY": (
-        _build_final_corollary,
-        "frame-operator proximity below the lower bound",
-    ),
-}
 
 
 def theorem_ids() -> list[str]:
@@ -542,5 +588,7 @@ def build_and_run(
     """Assemble the instance for one repetition and run its checker."""
     if theorem not in THEOREMS:
         raise ValidationError(f"unknown theorem id {theorem!r}")
-    builder, _ = THEOREMS[theorem]
-    return builder(dict(instance or {}), int(seed), tol)
+    builder, _, _, sizing = THEOREMS[theorem]
+    cfg = validate_instance(theorem, instance or {})
+    rng = make_rng(int(seed))
+    return builder(cfg, int(seed), rng, *_sizes(cfg, rng, **sizing), tol)

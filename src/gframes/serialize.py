@@ -130,10 +130,21 @@ def _check_to_json(c: CheckItem) -> dict:
     }
 
 
+def _strict(value):
+    """Report value in strict JSON: tuples as lists, non-finite floats as null."""
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    if isinstance(value, float) and not np.isfinite(value):
+        return None
+    return value
+
+
 def report_to_json(report) -> dict:
     """Serialize either report flavor to a plain JSON-ready dict."""
     if isinstance(report, TheoremReport):
-        return {
+        data = {
             "theorem": report.theorem_id,
             "verdict": report.verdict.value,
             "hypothesis_checks": [
@@ -145,18 +156,18 @@ def report_to_json(report) -> dict:
             "result_kind": report.result_kind,
             "details": {k: report.details[k] for k in sorted(report.details)},
         }
-    if isinstance(report, PerturbationReport):
-        return {
+    elif isinstance(report, PerturbationReport):
+        data = {
             "theorem": report.theorem_id,
             "verdict": report.verdict.value,
-            "alphas": None if report.alphas is None else list(report.alphas),
+            "alphas": report.alphas,
             "measured_lhs": report.measured_lhs,
             "allowed_rhs": report.allowed_rhs,
-            "claimed_bounds": None
-            if report.claimed_bounds is None
-            else list(report.claimed_bounds),
+            "claimed_bounds": report.claimed_bounds,
             "achieved": bounds_to_json(report.achieved),
             "bound_discrepancy_note": report.bound_discrepancy_note,
             "details": {k: report.details[k] for k in sorted(report.details)},
         }
-    raise TypeError(f"cannot serialize {type(report).__name__}")
+    else:
+        raise TypeError(f"cannot serialize {type(report).__name__}")
+    return _strict(data)

@@ -163,13 +163,10 @@ def theorem_report(
     details: dict[str, float] | None = None,
     conclusion: bool | None = None,
 ) -> TheoremReport:
-    """The shared checker tail: judge the one classification of the
-    combined family.
-
-    ``achieved`` and ``result_kind`` both come from ``cls``.  Unless the
-    checker states its own conclusion, the claim is that the combined
-    family is a frame within the predicted bounds.
-    """
+    """The shared checker tail: ``achieved`` and ``result_kind`` come from
+    the one classification of the combined family.  Unless the checker
+    states its own conclusion, the claim is a frame within the predicted
+    bounds."""
     achieved = cls.bounds
     if conclusion is None:
         slack = _bound_slack(achieved, tol)
@@ -254,7 +251,8 @@ def weighted_pair(
     family: GFrameFamily, other: GFrameFamily, weights: ScalarWeights
 ) -> tuple[GFrameFamily, GFrameFamily]:
     """The first family weighted by the thetas, the second by the deltas."""
-    return weighted_family(family, weights.thetas), weighted_family(other, weights.deltas)
+    left = weighted_family(family, weights.thetas)
+    return left, weighted_family(other, weights.deltas)
 
 
 def _weight_band_check(weights: ScalarWeights) -> CheckItem:
@@ -552,10 +550,8 @@ def isometry_sum_check(
         _positivity_check("mixed_operator_positive", cross, tol),
         CheckItem("lam_is_isometry", is_isometry(lam, tol), gram_dev, tol.margin(1.0)),
     )
-    members = tuple(
-        compose(p + q, lam) for p, q in zip(family.members, other.members)
-    )
-    new_family = GFrameFamily(members)
+    summed = _member_sums(family, other)
+    new_family = GFrameFamily(tuple(compose(m, lam) for m in summed.members))
     return theorem_report(
         TheoremId.ISOMETRY_SUM.value,
         classify(new_family, tol),

@@ -1,6 +1,9 @@
 """Scenario runner: schema validation, determinism, exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,7 @@ from gframes.cli import (
     run_scenario,
 )
 from gframes.errors import ValidationError
+from gframes.registry import THEOREMS, build_and_run
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -234,3 +238,101 @@ def test_render_csv_blank_predicted_columns():
     text = render_csv([run])
     row = text.splitlines()[1]
     assert row.endswith(",,")
+
+
+def _inline_pair_instance():
+    family = gframes.gen_family(
+        gframes.GenSpec(1, 1, 2, (2, 2), gframes.FamilyTarget.parseval())
+    )
+    return {"family": ser.family_to_json(family)}
+
+
+_IDENTITY_MN = {
+    "m": ser.op_to_json(gframes.identity_op(1, 2)),
+    "n": ser.op_to_json(gframes.identity_op(1, 2)),
+}
+
+
+_MALFORMED = [
+    # Negative sizes used to loop forever while drawing the module length.
+    ("CLASSIFY", {}, {"algebra_dim": -3}, "algebra_dim"),
+    ("CLASSIFY", {}, {"algebra_dim": 0}, "algebra_dim"),
+    ("CLASSIFY", {}, {"member_dims": [2, 0]}, "member_dims"),
+    ("CLASSIFY", {"seed": "abc"}, {}, "seed"),
+    ("CLASSIFY", {"seed_stride": 1.5}, {}, "seed_stride"),
+    ("CLASSIFY", {}, {"family_target": {"bounds": [1.0]}}, "family_target"),
+    ("T7_SCALAR", {}, {"weight_band": [1.0]}, "weight_band"),
+    ("TIGHT_SUM", {}, {"alpha1": "two"}, "alpha1"),
+    ("TIGHT_SUM", {}, {"alpah1": 2.0}, "alpah1"),
+    ("TIGHT_MN", {}, {"mode": "sideways"}, "mode"),
+    ("PERTURB_LAMBDA", {}, {"lambda_kind": "huge"}, "lambda_kind"),
+    ("TIGHT_SUM", {}, _inline_pair_instance(), "second_family"),
+    ("T3_COROLLARY", {}, _inline_pair_instance(), "second_family"),
+    ("T11_POSITIVE", {}, _inline_pair_instance(), "second_family"),
+    ("ISOMETRY_SUM", {}, _inline_pair_instance(), "second_family"),
+    ("TIGHT_MN", {}, _inline_pair_instance(), "second_family"),
+    ("PROP_MIXED", {}, _inline_pair_instance(), "second_family"),
+    ("THM_DIFFERENCE", {}, _inline_pair_instance(), "second_family"),
+    ("LAMBDA_LOWER", {}, dict(_IDENTITY_MN, module_len=2), "lambda_bound"),
+    ("TIGHT_MN", {}, {"m": _IDENTITY_MN["m"]}, "n"),
+]
+
+
+@pytest.mark.parametrize(
+    "theorem, doc_fields, instance, field",
+    _MALFORMED,
+    ids=[f"{case[0]}-{case[3]}" for case in _MALFORMED],
+)
+def test_malformed_instance_exits_2_and_names_the_field(
+    tmp_path, capsys, theorem, doc_fields, instance, field
+):
+    doc = dict(_basic_scenario(theorem=theorem, repetitions=1, instance=instance))
+    doc.update(doc_fields)
+    path = _write(tmp_path, "bad.json", doc)
+    if instance.get("algebra_dim", 1) < 0:
+        # Run in a child process so that a hang fails the test instead
+        # of stalling the suite.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "gframes", "run", path],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        code, err = done.returncode, done.stderr
+    else:
+        code, err = main(["run", path]), capsys.readouterr().err
+    assert code == 2
+    assert repr(field) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("theorem", sorted(THEOREMS))
+def test_unknown_instance_field_is_rejected_for_every_theorem(theorem):
+    with pytest.raises(ValidationError, match="alpah1"):
+        build_and_run(theorem, {"alpah1": 2.0}, 0)
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_reports_are_strict_json_with_null_for_non_finite(tmp_path):
+    # A rank-deficient (Bessel-only) family: its lower bound is zero, so
+    # the inverse and contraction norms and a claimed bound are infinite.
+    member = gframes.op_from_flat(np.array([[1.0 + 0j], [0.0 + 0j]]), 1)
+    family = ser.family_to_json(gframes.GFrameFamily((member,)))
+    doc = _basic_scenario(
+        theorem="T12_OPERATOR",
+        repetitions=1,
+        instance={"family": family, "second_family": family},
+    )
+    report_path = tmp_path / "out.json"
+    assert main(["run", _write(tmp_path, "t12.json", doc), "--no-timestamp",
+                 "--report", str(report_path)]) == 0
+    payload = json.loads(report_path.read_text(), parse_constant=_reject_constant)
+    rep = payload["runs"][0]["reports"][0]
+    assert rep["verdict"] == "HypothesisFails"
+    assert rep["claimed_bounds"][0] is None
+    assert rep["details"]["contraction_norm"] is None
+    assert rep["details"]["inverse_norm"] is None
