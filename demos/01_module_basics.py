@@ -1,14 +1,16 @@
 """Walk through the scalar algebra and the module layer.
 
 Elements of the scalar algebra are square complex matrices; module
-vectors are tuples of them with a matrix-valued inner product.  This
-script shows the involution, positivity, square roots, and the exact
-flattening that the rest of the library is built on.
+vectors are tuples of them with a matrix-valued inner product, stored
+as their components side by side.  This script shows the involution,
+positivity, square roots, and the exact flattening that the rest of the
+library is built on.
 """
 
 import numpy as np
 
 from gframes import (
+    AdjointableOp,
     AlgebraElement,
     ModuleVector,
     abs_element,
@@ -19,7 +21,6 @@ from gframes import (
     identity,
     inner_product,
     is_positive,
-    op_from_flat,
     operator_norm,
     psd_order_leq,
     scalar_norm,
@@ -50,14 +51,16 @@ print("|a| equals sqrt(a* a):",
 
 print()
 print("== module vectors and the matrix-valued inner product ==")
-x = ModuleVector((random_element(2), random_element(2)))
-y = ModuleVector((random_element(2), random_element(2)))
+x = ModuleVector(np.hstack([random_element(2).entries, random_element(2).entries]))
+y = ModuleVector(np.hstack([random_element(2).entries, random_element(2).entries]))
+print("component 1 is columns 2-3 of the flattening:",
+      np.array_equal(x.components[1].entries, x.flat[:, 2:]))
 print("<x, x> is a positive 2x2 matrix:", is_positive(inner_product(x, x)))
 print("||x|| =", round(scalar_norm(x), 6))
 print("norm bound <Tx,Tx> <= ||T||^2 <x,x> on a random operator:")
 
 flat = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / np.sqrt(2)
-op = op_from_flat(flat, 2)
+op = AdjointableOp(flat, 2)
 tx = apply(op, x)
 lhs = inner_product(tx, tx)
 rhs = operator_norm(AlgebraElement(op.flat)) ** 2 * inner_product(x, x)
@@ -65,7 +68,7 @@ print("   holds:", psd_order_leq(lhs, rhs))
 
 print()
 print("== flattening is exact ==")
-other = op_from_flat(
+other = AdjointableOp(
     (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / np.sqrt(2), 2
 )
 product = compose(other, op)

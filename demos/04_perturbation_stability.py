@@ -9,6 +9,7 @@ conclusion is asserted.
 import numpy as np
 
 from gframes import (
+    AdjointableOp,
     FamilyTarget,
     GenSpec,
     adjoint_op,
@@ -16,7 +17,6 @@ from gframes import (
     final_corollary_check,
     gen_family,
     gen_weights,
-    op_from_flat,
     prop_mixed_check,
     scale_family,
     t12_check,
@@ -42,7 +42,7 @@ eps = 0.3
 n, d = family.algebra_dim, family.source_len
 bump = (eps / family.size) * np.eye(n * d)
 deltas = [
-    op_from_flat(m.flat @ m.flat.conj().T + bump, n) for m in family.members
+    AdjointableOp(m.flat @ m.flat.conj().T + bump, n) for m in family.members
 ]
 report = t12_check(family, deltas)
 print("verdict:", report.verdict.value)

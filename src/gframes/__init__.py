@@ -71,10 +71,8 @@ from .hilbert import (
     is_isometry,
     is_surjective,
     module_scale,
-    op_from_flat,
     op_norm,
     scalar_norm,
-    vector_from_flat,
     zero_op,
 )
 from .stability import (

@@ -9,6 +9,7 @@ to use from concurrent code without locking.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,9 @@ class Tolerance:
     abs: float = 1e-12
 
     def __post_init__(self):
-        if self.rel < 0.0 or self.abs < 0.0:
-            raise ValueError("tolerance components must be nonnegative")
+        for name, value in (("rel", self.rel), ("abs", self.abs)):
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"tolerance {name!r} must be finite and nonnegative")
 
     def margin(self, scale: float) -> float:
         """Total slack for a comparison at the given magnitude."""

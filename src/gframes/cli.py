@@ -64,8 +64,10 @@ def parse_scenario(data: dict, path: str = "<memory>") -> Scenario:
             f"{path}: unknown theorem {theorem!r}; see --list-theorems"
         )
     reps = data.get("repetitions", 1)
-    if not isinstance(reps, int) or reps < 1:
-        raise ValidationError(f"{path}: repetitions must be a positive integer")
+    if not isinstance(reps, int) or isinstance(reps, bool) or reps < 1:
+        raise ValidationError(
+            f"{path}: 'repetitions' must be a positive integer, got {reps!r}"
+        )
     tol_data = data.get("tolerance", {})
     if not isinstance(tol_data, dict):
         raise ValidationError(f"{path}: tolerance must be an object")

@@ -18,14 +18,7 @@ import numpy as np
 from ._rand import make_rng, sample_flat_vectors
 from .algebra import DEFAULT_TOL, Tolerance, hermitian_part
 from .errors import DimensionMismatch, InternalConsistencyError
-from .hilbert import (
-    AdjointableOp,
-    ModuleVector,
-    adjoint_op,
-    apply,
-    op_from_flat,
-    vector_from_flat,
-)
+from .hilbert import AdjointableOp, ModuleVector, adjoint_op, apply
 
 # Relative margin for deciding that optimal bounds coincide (tightness).
 TIGHTNESS_REL = 1e-8
@@ -123,7 +116,7 @@ def synthesis(family: GFrameFamily, ys: list[ModuleVector]) -> ModuleVector:
 def synthesis_op(family: GFrameFamily) -> AdjointableOp:
     """Synthesis operator materialized on the concatenated target modules."""
     flat = np.vstack([m.flat.conj().T for m in family.members])
-    return op_from_flat(flat, family.algebra_dim)
+    return AdjointableOp(flat, family.algebra_dim)
 
 
 def analysis_op(family: GFrameFamily) -> AdjointableOp:
@@ -138,7 +131,7 @@ def _paired_products(lefts, rights) -> AdjointableOp:
     total = np.zeros((size, size), dtype=np.complex128)
     for p, q in zip(lefts, rights):
         total += q.flat @ p.flat.conj().T
-    return op_from_flat(total, n)
+    return AdjointableOp(total, n)
 
 
 def frame_operator(family: GFrameFamily) -> AdjointableOp:
@@ -207,7 +200,7 @@ def bound_witnesses(family: GFrameFamily) -> tuple[ModuleVector, ModuleVector]:
     basis[0] = 1.0
     low = np.outer(basis, vecs[:, 0].conj())
     high = np.outer(basis, vecs[:, -1].conj())
-    return vector_from_flat(low, n), vector_from_flat(high, n)
+    return ModuleVector(low), ModuleVector(high)
 
 
 def batched_quadratic(flat_op: np.ndarray, xs: np.ndarray) -> np.ndarray:

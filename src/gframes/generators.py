@@ -16,7 +16,7 @@ from ._rand import complex_gaussian, haar_unitary, make_rng
 from .algebra import AlgebraElement, hermitian_part, spectral_norm
 from .errors import BadRange, DegenerateSpec
 from .frames import GFrameFamily, cross_operator, optimal_bounds
-from .hilbert import AdjointableOp, op_from_flat
+from .hilbert import AdjointableOp
 from .sums import ScalarWeights
 
 _REDRAWS = 32
@@ -167,7 +167,7 @@ def gen_family(spec: GenSpec) -> GFrameFamily:
         conditioned = _condition_to_target(flats, n, d, spec.target, rng)
         if conditioned is None:
             continue
-        family = GFrameFamily(tuple(op_from_flat(p, n) for p in conditioned))
+        family = GFrameFamily(tuple(AdjointableOp(p, n) for p in conditioned))
         if _verify_target(family, spec.target):
             return family
     raise RuntimeError(f"generator failed to hit target after {_REDRAWS} draws")
@@ -208,8 +208,8 @@ def gen_orthogonal_pair(spec: GenSpec) -> tuple[GFrameFamily, GFrameFamily]:
         right_cond = _condition_to_target(right_flats, n, d, spec.target, rng)
         if left_cond is None or right_cond is None:
             continue
-        first = GFrameFamily(tuple(op_from_flat(p, n) for p in left_cond))
-        second = GFrameFamily(tuple(op_from_flat(p, n) for p in right_cond))
+        first = GFrameFamily(tuple(AdjointableOp(p, n) for p in left_cond))
+        second = GFrameFamily(tuple(AdjointableOp(p, n) for p in right_cond))
         if not (_verify_target(first, spec.target) and _verify_target(second, spec.target)):
             continue
         cross_norm = spectral_norm(cross_operator(first, second).flat)
@@ -226,7 +226,7 @@ def gen_isometry(seed: int, n: int, d: int) -> AdjointableOp:
     gram_dev = spectral_norm(flat @ flat.conj().T - np.eye(n * d))
     if gram_dev > 1e-10:
         raise RuntimeError(f"unitary draw failed the isometry check: {gram_dev:.3e}")
-    return op_from_flat(flat, n)
+    return AdjointableOp(flat, n)
 
 
 def gen_weights(

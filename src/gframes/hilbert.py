@@ -2,10 +2,11 @@
 
 A module vector over the n-by-n algebra is a d-tuple of algebra
 elements; an adjointable operator between modules of lengths d and d'
-is a d-by-d' array of blocks.  Both flatten exactly to complex
-matrices: vectors become n-by-(n*d) row-block matrices, and operators
-act on that representation by right multiplication.  Under this
-convention the flattened adjoint is the conjugate transpose, and
+is a d-by-d' array of blocks.  Both are stored only as their exact
+flattenings: vectors as n-by-(n*d) row-block matrices, operators as
+(n*d)-by-(n*d') matrices acting on vectors by right multiplication.
+The ``components`` and ``blocks`` views slice those matrices.  Under
+this convention the flattened adjoint is the conjugate transpose, and
 ``flat(compose(T2, T1)) == flat(T1) @ flat(T2)`` holds to the bit.
 """
 
@@ -16,112 +17,112 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import AlgebraElement, DEFAULT_TOL, Tolerance, adjoint, spectral_norm
+from .algebra import AlgebraElement, DEFAULT_TOL, Tolerance, spectral_norm
 from .errors import DimensionMismatch
+
+
+def _frozen_matrix(data, what: str) -> np.ndarray:
+    """Read-only complex128 copy of a non-empty, finite 2-D array."""
+    arr = np.array(data, dtype=np.complex128, order="C")
+    if arr.ndim != 2 or arr.size == 0:
+        raise DimensionMismatch(f"{what} must be a non-empty matrix, not {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} entries must be finite")
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
 class ModuleVector:
-    """Element of the length-d module over the n-by-n algebra."""
+    """Element of the length-d module over the n-by-n algebra, stored as
+    its n-by-(n*d) flattening; component i is columns i*n to (i+1)*n."""
 
-    components: tuple[AlgebraElement, ...]
+    flat: np.ndarray
 
     def __post_init__(self):
-        comps = tuple(self.components)
-        if not comps:
-            raise DimensionMismatch("module vector needs at least one component")
-        dims = {c.dim for c in comps}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"components mix algebra dims {sorted(dims)}")
-        object.__setattr__(self, "components", comps)
+        arr = _frozen_matrix(self.flat, "module vector")
+        if arr.shape[1] % arr.shape[0] != 0:
+            raise DimensionMismatch(f"flat vector shape {arr.shape} is not n-by-(n*d)")
+        object.__setattr__(self, "flat", arr)
 
     @property
     def algebra_dim(self) -> int:
-        return self.components[0].dim
+        return self.flat.shape[0]
 
     @property
     def length(self) -> int:
-        return len(self.components)
+        return self.flat.shape[1] // self.flat.shape[0]
 
-    @cached_property
-    def flat(self) -> np.ndarray:
-        """Row-block matrix of shape (n, n*length)."""
-        out = np.hstack([c.entries for c in self.components])
-        out.setflags(write=False)
-        return out
+    @property
+    def components(self) -> tuple[AlgebraElement, ...]:
+        return tuple(AlgebraElement(c) for c in np.hsplit(self.flat, self.length))
 
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
         _check_vectors(self, other)
-        return ModuleVector(
-            tuple(a + b for a, b in zip(self.components, other.components))
-        )
+        return ModuleVector(self.flat + other.flat)
 
     def __sub__(self, other: "ModuleVector") -> "ModuleVector":
         _check_vectors(self, other)
-        return ModuleVector(
-            tuple(a - b for a, b in zip(self.components, other.components))
-        )
+        return ModuleVector(self.flat - other.flat)
 
     def __mul__(self, scalar: complex) -> "ModuleVector":
-        return ModuleVector(tuple(c * scalar for c in self.components))
+        return ModuleVector(self.flat * scalar)
 
     __rmul__ = __mul__
 
 
 @dataclass(frozen=True, eq=False)
 class AdjointableOp:
-    """Adjointable map between modules, stored as a block matrix.
+    """Adjointable map between modules, stored as its flattening.
 
-    ``blocks[i][j]`` multiplies component i of the input and contributes
-    to component j of the output.
+    Block (i, j) of the (n*source_len)-by-(n*target_len) flattening
+    multiplies component i of the input and contributes to component j
+    of the output.
     """
 
-    blocks: tuple[tuple[AlgebraElement, ...], ...]
+    _flat: np.ndarray  # not ``flat``: that cached property is rebound by span tracing
+    algebra_dim: int
 
     def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.blocks)
-        if not rows or not rows[0]:
-            raise DimensionMismatch("operator needs at least one block")
-        width = len(rows[0])
-        if any(len(row) != width for row in rows):
-            raise DimensionMismatch("operator block rows have unequal lengths")
-        dims = {b.dim for row in rows for b in row}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"operator blocks mix algebra dims {sorted(dims)}")
-        object.__setattr__(self, "blocks", rows)
-
-    @property
-    def algebra_dim(self) -> int:
-        return self.blocks[0][0].dim
-
-    @property
-    def source_len(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def target_len(self) -> int:
-        return len(self.blocks[0])
+        n = self.algebra_dim
+        arr = _frozen_matrix(self._flat, "operator")
+        if n < 1 or arr.shape[0] % n != 0 or arr.shape[1] % n != 0:
+            raise DimensionMismatch(f"operator shape {arr.shape} invalid for dim {n}")
+        object.__setattr__(self, "_flat", arr)
 
     @cached_property
     def flat(self) -> np.ndarray:
-        """Assembled complex matrix of shape (n*source_len, n*target_len)."""
-        out = np.block([[b.entries for b in row] for row in self.blocks])
-        out.setflags(write=False)
-        return out
+        """Complex matrix of shape (n*source_len, n*target_len)."""
+        return self._flat
+
+    @property
+    def source_len(self) -> int:
+        return self._flat.shape[0] // self.algebra_dim
+
+    @property
+    def target_len(self) -> int:
+        return self._flat.shape[1] // self.algebra_dim
+
+    @property
+    def blocks(self) -> tuple[tuple[AlgebraElement, ...], ...]:
+        return tuple(
+            tuple(AlgebraElement(b) for b in np.hsplit(row, self.target_len))
+            for row in np.vsplit(self._flat, self.source_len)
+        )
 
     def __add__(self, other: "AdjointableOp") -> "AdjointableOp":
         _check_op_shapes(self, other)
-        return op_from_flat(self.flat + other.flat, self.algebra_dim)
+        return AdjointableOp(self.flat + other.flat, self.algebra_dim)
 
     def __sub__(self, other: "AdjointableOp") -> "AdjointableOp":
         _check_op_shapes(self, other)
-        return op_from_flat(self.flat - other.flat, self.algebra_dim)
+        return AdjointableOp(self.flat - other.flat, self.algebra_dim)
 
     def __neg__(self) -> "AdjointableOp":
-        return op_from_flat(-self.flat, self.algebra_dim)
+        return AdjointableOp(-self.flat, self.algebra_dim)
 
     def __mul__(self, scalar: complex) -> "AdjointableOp":
-        return op_from_flat(self.flat * scalar, self.algebra_dim)
+        return AdjointableOp(self.flat * scalar, self.algebra_dim)
 
     __rmul__ = __mul__
 
@@ -131,57 +132,23 @@ class AdjointableOp:
 
 
 def _check_vectors(x: ModuleVector, y: ModuleVector) -> None:
-    if x.algebra_dim != y.algebra_dim or x.length != y.length:
-        raise DimensionMismatch(
-            f"vector shapes differ: ({x.algebra_dim},{x.length}) vs"
-            f" ({y.algebra_dim},{y.length})"
-        )
+    if x.flat.shape != y.flat.shape:
+        raise DimensionMismatch(f"vector shapes {x.flat.shape} and {y.flat.shape} differ")
 
 
 def _check_op_shapes(a: AdjointableOp, b: AdjointableOp) -> None:
-    if (
-        a.algebra_dim != b.algebra_dim
-        or a.source_len != b.source_len
-        or a.target_len != b.target_len
-    ):
+    if a.algebra_dim != b.algebra_dim or a.flat.shape != b.flat.shape:
         raise DimensionMismatch("operator shapes differ")
-
-
-def vector_from_flat(flat: np.ndarray, algebra_dim: int) -> ModuleVector:
-    """Rebuild a module vector from its n-by-(n*d) flattening."""
-    n = algebra_dim
-    if flat.ndim != 2 or flat.shape[0] != n or flat.shape[1] % n != 0:
-        raise DimensionMismatch(f"flat vector shape {flat.shape} invalid for dim {n}")
-    d = flat.shape[1] // n
-    comps = tuple(AlgebraElement(flat[:, i * n : (i + 1) * n]) for i in range(d))
-    return ModuleVector(comps)
-
-
-def op_from_flat(flat: np.ndarray, algebra_dim: int) -> AdjointableOp:
-    """Rebuild an operator from its (n*d)-by-(n*d') flattening."""
-    n = algebra_dim
-    if flat.ndim != 2 or flat.shape[0] % n != 0 or flat.shape[1] % n != 0:
-        raise DimensionMismatch(f"flat operator shape {flat.shape} invalid for dim {n}")
-    src = flat.shape[0] // n
-    tgt = flat.shape[1] // n
-    blocks = tuple(
-        tuple(
-            AlgebraElement(flat[i * n : (i + 1) * n, j * n : (j + 1) * n])
-            for j in range(tgt)
-        )
-        for i in range(src)
-    )
-    return AdjointableOp(blocks)
 
 
 def identity_op(n: int, length: int) -> AdjointableOp:
     """Identity operator on the length-d module over the n-by-n algebra."""
-    return op_from_flat(np.eye(n * length, dtype=np.complex128), n)
+    return AdjointableOp(np.eye(n * length, dtype=np.complex128), n)
 
 
 def zero_op(n: int, source_len: int, target_len: int) -> AdjointableOp:
     """Zero operator between modules of the given lengths."""
-    return op_from_flat(
+    return AdjointableOp(
         np.zeros((n * source_len, n * target_len), dtype=np.complex128), n
     )
 
@@ -196,7 +163,7 @@ def block_diag_op(a: AlgebraElement, length: int) -> AdjointableOp:
     flat = np.zeros((n * length, n * length), dtype=np.complex128)
     for i in range(length):
         flat[i * n : (i + 1) * n, i * n : (i + 1) * n] = a.entries
-    return op_from_flat(flat, n)
+    return AdjointableOp(flat, n)
 
 
 def inner_product(x: ModuleVector, y: ModuleVector) -> AlgebraElement:
@@ -213,7 +180,7 @@ def module_scale(a: AlgebraElement, x: ModuleVector) -> ModuleVector:
     """Module action of an algebra element: components become a x_i."""
     if a.dim != x.algebra_dim:
         raise DimensionMismatch("algebra dim does not match vector")
-    return ModuleVector(tuple(a @ c for c in x.components))
+    return ModuleVector(a.entries @ x.flat)
 
 
 def scalar_norm(x: ModuleVector) -> float:
@@ -228,7 +195,7 @@ def apply(op: AdjointableOp, x: ModuleVector) -> ModuleVector:
         raise DimensionMismatch(
             f"operator expects length {op.source_len}, vector has {x.length}"
         )
-    return vector_from_flat(x.flat @ op.flat, op.algebra_dim)
+    return ModuleVector(x.flat @ op.flat)
 
 
 def adjoint_op(op: AdjointableOp) -> AdjointableOp:
@@ -237,11 +204,7 @@ def adjoint_op(op: AdjointableOp) -> AdjointableOp:
     Satisfies <apply(T, x), y> = <x, apply(adjoint_op(T), y)> and
     flattens to the exact conjugate transpose of flat(T).
     """
-    blocks = tuple(
-        tuple(adjoint(op.blocks[i][j]) for i in range(op.source_len))
-        for j in range(op.target_len)
-    )
-    return AdjointableOp(blocks)
+    return AdjointableOp(op.flat.conj().T, op.algebra_dim)
 
 
 def compose(second: AdjointableOp, first: AdjointableOp) -> AdjointableOp:
@@ -252,7 +215,7 @@ def compose(second: AdjointableOp, first: AdjointableOp) -> AdjointableOp:
         raise DimensionMismatch(
             f"cannot compose: inner lengths {first.target_len} vs {second.source_len}"
         )
-    return op_from_flat(first.flat @ second.flat, first.algebra_dim)
+    return AdjointableOp(first.flat @ second.flat, first.algebra_dim)
 
 
 def op_norm(op: AdjointableOp) -> float:

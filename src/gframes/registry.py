@@ -27,7 +27,7 @@ from .generators import (
     gen_orthogonal_pair,
     gen_weights,
 )
-from .hilbert import AdjointableOp, identity_op, op_from_flat, zero_op
+from .hilbert import AdjointableOp, identity_op, zero_op
 from .sums import (
     ScalarWeights,
     isometry_sum_check,
@@ -208,7 +208,7 @@ def _family(cfg, key, rng, n, d, dims, default_target) -> GFrameFamily:
 
 
 def _random_endo(rng, n, d, scale=1.0) -> AdjointableOp:
-    return op_from_flat(scale * complex_gaussian(rng, n * d, n * d), n)
+    return AdjointableOp(scale * complex_gaussian(rng, n * d, n * d), n)
 
 
 def _gen_weights(rng, n, count, band, shared=False) -> ScalarWeights:
@@ -279,7 +279,7 @@ def _build_perturb_lambda(cfg, seed, rng, n, d, dims, tol):
         family = _family(cfg, "family", rng, n, d, dims, "parseval")
         stretch = rng.uniform(1.05, 1.8, n * d)
         expansive = (haar_unitary(rng, n * d) * stretch) @ haar_unitary(rng, n * d)
-        lam = op_from_flat(expansive - np.eye(n * d), n)
+        lam = AdjointableOp(expansive - np.eye(n * d), n)
     elif kind == "scalar":
         family = _family(cfg, "family", rng, n, d, dims, {"bounds": [0.5, 2.0]})
         lam = float(rng.uniform(0.0, 1.0)) * identity_op(n, d)
@@ -446,11 +446,11 @@ def _build_lambda_lower(cfg, seed, rng, n, d, dims, tol):
         m_op, n_op, lam_bound = inline
     else:
         svals = rng.uniform(0.6, 0.9, n * d)
-        n_op = op_from_flat(
+        n_op = AdjointableOp(
             (haar_unitary(rng, n * d) * svals) @ haar_unitary(rng, n * d), n
         )
         lam_bound = 0.9 * float(svals.min())
-        m_op = op_from_flat(1.05 * float(svals.max()) * haar_unitary(rng, n * d), n)
+        m_op = AdjointableOp(1.05 * float(svals.max()) * haar_unitary(rng, n * d), n)
     return lambda_lower_check(
         family, other, m_op, n_op, lam_bound, tol, seed=sub_seed(rng)
     )
@@ -473,22 +473,22 @@ def _build_tight_mn(cfg, seed, rng, n, d, dims, tol):
         if mode == "scalar":
             s = float(rng.uniform(0.3, 1.2))
             t = float(rng.uniform(0.3, 1.2))
-            m_op = op_from_flat(s * haar_unitary(rng, n * d), n)
-            n_op = op_from_flat(t * haar_unitary(rng, n * d), n)
+            m_op = AdjointableOp(s * haar_unitary(rng, n * d), n)
+            n_op = AdjointableOp(t * haar_unitary(rng, n * d), n)
         else:
             # Distinct Hermitian spectrum: the identity-multiple
             # condition fails and the sum must measure non-tight.
             basis = haar_unitary(rng, n * d)
             spread = np.linspace(0.5, 1.5, n * d) if n * d > 1 else np.array([1.0])
             m_flat = (basis * spread) @ basis.conj().T
-            m_op = op_from_flat(m_flat, n)
-            n_op = op_from_flat(
+            m_op = AdjointableOp(m_flat, n)
+            n_op = AdjointableOp(
                 float(rng.uniform(0.4, 1.1)) * haar_unitary(rng, n * d), n
             )
             if n * d == 1:
                 # Degenerate size: every operator is a scalar, so fall
                 # back to the consistent tight branch.
-                m_op = op_from_flat(np.array([[0.7 + 0j]]), n)
+                m_op = AdjointableOp(np.array([[0.7 + 0j]]), n)
     return tight_mn_check(family, other, m_op, n_op, tol)
 
 
@@ -557,7 +557,7 @@ def _build_t12(cfg, seed, rng, n, d, dims, tol):
         bumps = [r @ r.conj().T for r in raws]
         total = sum(float(np.linalg.norm(b, 2)) for b in bumps)
         delta_ops = [
-            op_from_flat(
+            AdjointableOp(
                 m.flat @ m.flat.conj().T + (budget / max(total, 1e-12)) * b, n
             )
             for m, b in zip(family.members, bumps)

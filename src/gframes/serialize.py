@@ -21,14 +21,17 @@ def matrix_to_json(mat: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
 
 
-def matrix_from_json(data) -> np.ndarray:
+def matrix_from_json(data, key: str) -> np.ndarray:
+    """Finite complex matrix from nested [re, im] lists; errors name ``key``."""
     try:
         arr = np.array(
             [[complex(cell[0], cell[1]) for cell in row] for row in data],
             dtype=np.complex128,
         )
     except (TypeError, IndexError, ValueError) as exc:
-        raise ValidationError(f"malformed complex matrix: {exc}") from exc
+        raise ValidationError(f"malformed complex matrix in {key!r}: {exc}") from exc
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"non-finite complex matrix entry in {key!r}")
     return arr
 
 
@@ -36,8 +39,24 @@ def element_to_json(a: AlgebraElement) -> list:
     return matrix_to_json(a.entries)
 
 
-def element_from_json(data) -> AlgebraElement:
-    return AlgebraElement(matrix_from_json(data))
+def element_from_json(data, key: str) -> AlgebraElement:
+    return AlgebraElement(matrix_from_json(data, key))
+
+
+def _grid_from_json(rows, key: str) -> tuple[np.ndarray, int]:
+    """Flattening and block size of a grid of equal-sized square blocks."""
+    if not (isinstance(rows, list) and rows) or not all(
+        isinstance(row, list) and row and len(row) == len(rows[0]) for row in rows
+    ):
+        raise ValidationError(f"{key!r} must be nonempty rows of blocks, all one length")
+    grid = [[matrix_from_json(block, key) for block in row] for row in rows]
+    n = len(grid[0][0])
+    shapes = {block.shape for row in grid for block in row}
+    if shapes != {(n, n)}:
+        raise ValidationError(
+            f"{key!r} must hold square blocks of one size, got shapes {sorted(shapes)}"
+        )
+    return np.block(grid), n
 
 
 def vector_to_json(x: ModuleVector) -> dict:
@@ -47,7 +66,7 @@ def vector_to_json(x: ModuleVector) -> dict:
 def vector_from_json(data) -> ModuleVector:
     if not isinstance(data, dict) or "components" not in data:
         raise ValidationError("module vector needs a 'components' list")
-    return ModuleVector(tuple(element_from_json(c) for c in data["components"]))
+    return ModuleVector(_grid_from_json([data["components"]], "components")[0])
 
 
 def op_to_json(op: AdjointableOp) -> dict:
@@ -62,18 +81,14 @@ def op_to_json(op: AdjointableOp) -> dict:
 def op_from_json(data) -> AdjointableOp:
     if not isinstance(data, dict) or "blocks" not in data:
         raise ValidationError("operator needs a 'blocks' grid")
-    op = AdjointableOp(
-        tuple(
-            tuple(element_from_json(b) for b in row) for row in data["blocks"]
-        )
-    )
+    op = AdjointableOp(*_grid_from_json(data["blocks"], "blocks"))
     for key, actual in (
         ("algebra_dim", op.algebra_dim),
         ("source_len", op.source_len),
         ("target_len", op.target_len),
     ):
         if key in data and data[key] != actual:
-            raise ValidationError(f"operator {key} disagrees with its blocks")
+            raise ValidationError(f"operator {key!r} disagrees with its blocks")
     return op
 
 
@@ -86,7 +101,7 @@ def family_to_json(family: GFrameFamily) -> dict:
 
 
 def family_from_json(data) -> GFrameFamily:
-    if not isinstance(data, dict) or "members" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("members"), list):
         raise ValidationError("family needs a 'members' list")
     return GFrameFamily(tuple(op_from_json(m) for m in data["members"]))
 
@@ -103,8 +118,8 @@ def weights_from_json(data) -> ScalarWeights:
     try:
         band = data["band"]
         return ScalarWeights(
-            tuple(element_from_json(t) for t in data["thetas"]),
-            tuple(element_from_json(t) for t in data["deltas"]),
+            tuple(element_from_json(t, "thetas") for t in data["thetas"]),
+            tuple(element_from_json(t, "deltas") for t in data["deltas"]),
             float(band[0]),
             float(band[1]),
         )

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from gframes import AlgebraElement, GFrameFamily, ModuleVector
+from gframes import AdjointableOp, AlgebraElement, GFrameFamily, ModuleVector
 
 
 def random_matrix(rng, rows, cols):
@@ -14,13 +14,11 @@ def random_element(rng, n):
 
 
 def random_vector(rng, n, d):
-    return ModuleVector(tuple(random_element(rng, n) for _ in range(d)))
+    return ModuleVector(np.hstack([random_matrix(rng, n, n) for _ in range(d)]))
 
 
 def random_op(rng, n, source_len, target_len):
-    from gframes import op_from_flat
-
-    return op_from_flat(random_matrix(rng, n * source_len, n * target_len), n)
+    return AdjointableOp(random_matrix(rng, n * source_len, n * target_len), n)
 
 
 def random_family(rng, n, d, dims):

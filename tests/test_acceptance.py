@@ -11,6 +11,7 @@ import numpy as np
 
 from randoms import random_element, random_op, random_vector
 from gframes import (
+    AdjointableOp,
     FamilyTarget,
     GenSpec,
     GFrameFamily,
@@ -30,7 +31,6 @@ from gframes import (
     inner_product,
     is_surjective,
     module_scale,
-    op_from_flat,
     op_norm,
     operator_norm,
     optimal_bounds,
@@ -116,7 +116,7 @@ def _mixed_family(rng, index):
     base = gen_family(GenSpec(int(rng.integers(1 << 62)), n, d, dims))
     mask = np.ones(n * d)
     mask[0] = 0.0
-    proj = op_from_flat(np.diag(mask).astype(np.complex128), n)
+    proj = AdjointableOp(np.diag(mask).astype(np.complex128), n)
     return GFrameFamily(tuple(compose(m, proj) for m in base.members))
 
 

@@ -77,7 +77,7 @@ def test_classify_parseval_reports_parseval_kind():
 
 
 def test_inline_t3_mirrors_classification(tmp_path):
-    two = gframes.op_from_flat(np.array([[2.0 + 0j]]), 1)
+    two = gframes.AdjointableOp(np.array([[2.0 + 0j]]), 1)
     family = gframes.GFrameFamily((two,))
     doc = {
         "schema": 1,
@@ -105,10 +105,26 @@ def test_inline_t3_mirrors_classification(tmp_path):
 def test_serialization_roundtrip():
     rng = np.random.default_rng(0)
     flat = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-    op = gframes.op_from_flat(flat, 2)
+    op = gframes.AdjointableOp(flat, 2)
     assert np.array_equal(ser.op_from_json(ser.op_to_json(op)).flat, op.flat)
-    vec = gframes.vector_from_flat(flat[:2], 2)
+    vec = gframes.ModuleVector(flat[:2])
     assert np.array_equal(ser.vector_from_json(ser.vector_to_json(vec)).flat, vec.flat)
+    # The block and component views are the n-by-n slices of the flattening.
+    for n, source_len, target_len in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        op = gframes.AdjointableOp(
+            rng.standard_normal((n * source_len, n * target_len)) + 0.5j, n
+        )
+        assert np.array_equal(ser.op_from_json(ser.op_to_json(op)).flat, op.flat)
+        for i in range(source_len):
+            for j in range(target_len):
+                block = op.flat[i * n : (i + 1) * n, j * n : (j + 1) * n]
+                assert np.array_equal(op.blocks[i][j].entries, block)
+        vec = gframes.ModuleVector(op.flat[:n])
+        back = ser.vector_from_json(ser.vector_to_json(vec))
+        assert np.array_equal(back.flat, vec.flat)
+        for i in range(target_len):
+            component = vec.flat[:, i * n : (i + 1) * n]
+            assert np.array_equal(vec.components[i].entries, component)
     weights = gframes.gen_weights(1, 2, 3, 0.5, 2.0)
     back = ser.weights_from_json(ser.weights_to_json(weights))
     for a, b in zip(weights.thetas, back.thetas):
@@ -253,6 +269,13 @@ _IDENTITY_MN = {
 }
 
 
+# JSON forms of the blocks [1], [inf], [1 0] (not square) and the 2x2 identity.
+_ONE = [[[1, 0]]]
+_INF = [[[1e999, 0]]]
+_ROW = [[[1, 0], [0, 0]]]
+_EYE2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+
+
 _MALFORMED = [
     # Negative sizes used to loop forever while drawing the module length.
     ("CLASSIFY", {}, {"algebra_dim": -3}, "algebra_dim"),
@@ -275,6 +298,20 @@ _MALFORMED = [
     ("THM_DIFFERENCE", {}, _inline_pair_instance(), "second_family"),
     ("LAMBDA_LOWER", {}, dict(_IDENTITY_MN, module_len=2), "lambda_bound"),
     ("TIGHT_MN", {}, {"m": _IDENTITY_MN["m"]}, "n"),
+    # Inline matrices: non-finite entries, non-list grids and member lists,
+    # and block grids that are ragged, non-square, mixed-size or mislabelled.
+    ("CLASSIFY", {}, {"family": {"members": [{"blocks": [[_INF]]}]}}, "blocks"),
+    ("T7_SCALAR", {}, {"weights": {"thetas": [_INF], "deltas": [_ONE], "band": [1, 2]}}, "thetas"),
+    ("PERTURB_LAMBDA", {}, {"lambda": {"blocks": 5}}, "blocks"),
+    ("CLASSIFY", {}, {"family": {"members": 3}}, "members"),
+    ("T3_EQUIV", {}, {"m": {"blocks": [[_ONE, _ONE], [_ONE]]}}, "blocks"),
+    ("ISOMETRY_SUM", {}, {"lambda": {"blocks": [[_ROW], [_ROW]]}}, "blocks"),
+    ("T12_OPERATOR", {}, {"delta_ops": [{"blocks": [[_ONE], [_EYE2]]}]}, "blocks"),
+    ("T3_EQUIV", {}, {"n": {"source_len": 2, "blocks": [[_ONE]]}}, "source_len"),
+    # Scenario fields: a tolerance must be finite, repetitions not a bool.
+    ("CLASSIFY", {"tolerance": {"rel": "nan"}}, {}, "rel"),
+    ("CLASSIFY", {"tolerance": {"abs": 1e999}}, {}, "abs"),
+    ("CLASSIFY", {"repetitions": True}, {}, "repetitions"),
 ]
 
 
@@ -320,7 +357,7 @@ def _reject_constant(token):
 def test_reports_are_strict_json_with_null_for_non_finite(tmp_path):
     # A rank-deficient (Bessel-only) family: its lower bound is zero, so
     # the inverse and contraction norms and a claimed bound are infinite.
-    member = gframes.op_from_flat(np.array([[1.0 + 0j], [0.0 + 0j]]), 1)
+    member = gframes.AdjointableOp(np.array([[1.0 + 0j], [0.0 + 0j]]), 1)
     family = ser.family_to_json(gframes.GFrameFamily((member,)))
     doc = _basic_scenario(
         theorem="T12_OPERATOR",

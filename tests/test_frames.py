@@ -5,6 +5,7 @@ import pytest
 
 from randoms import random_family, random_op, random_vector
 from gframes import (
+    AdjointableOp,
     AlgebraElement,
     FrameKind,
     GFrameFamily,
@@ -22,7 +23,6 @@ from gframes import (
     is_positive,
     is_surjective,
     lemma_surjectivity_equivalence,
-    op_from_flat,
     operator_norm,
     optimal_bounds,
     psd_order_leq,
@@ -159,7 +159,7 @@ def test_classify_rank_deficient_embedding():
     # Member confined to a proper submodule: the frame operator is singular.
     proj = np.zeros((4, 4), dtype=np.complex128)
     proj[:2, :2] = np.eye(2)
-    member = compose(random_op(rng, 2, 2, 2), op_from_flat(proj, 2))
+    member = compose(random_op(rng, 2, 2, 2), AdjointableOp(proj, 2))
     family = GFrameFamily((member,))
     cls = classify(family)
     assert cls.kind is FrameKind.BESSEL_ONLY
@@ -185,7 +185,7 @@ def test_no_positive_lower_bound_for_deficient_family():
     rng = np.random.default_rng(46)
     proj = np.zeros((4, 4), dtype=np.complex128)
     proj[:2, :2] = np.eye(2)
-    member = compose(random_op(rng, 2, 2, 3), op_from_flat(proj, 2))
+    member = compose(random_op(rng, 2, 2, 3), AdjointableOp(proj, 2))
     family = GFrameFamily((member,))
     assert classify(family).kind is FrameKind.BESSEL_ONLY
     # The low witness defeats any positive candidate constant.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gframes import (
+    AdjointableOp,
     AlphaOutOfRange,
     FamilyTarget,
     GenSpec,
@@ -17,7 +18,6 @@ from gframes import (
     gen_family,
     gen_weights,
     identity,
-    op_from_flat,
     operators_from_family,
     optimal_bounds,
     prop_mixed_check,
@@ -121,7 +121,7 @@ class TestT12:
         eps = 0.3  # below the budget C/D = 0.5
         bump = (eps / count) * np.eye(n * d)
         deltas = [
-            op_from_flat(m.flat @ m.flat.conj().T + bump, n) for m in family.members
+            AdjointableOp(m.flat @ m.flat.conj().T + bump, n) for m in family.members
         ]
         report = t12_check(family, deltas)
         assert report.verdict is Verdict.CONCLUSION_HOLDS
@@ -134,7 +134,7 @@ class TestT12:
         n, d = family.algebra_dim, family.source_len
         bump = 2.0 * np.eye(n * d)  # far beyond C/D
         deltas = [
-            op_from_flat(m.flat @ m.flat.conj().T + bump, n) for m in family.members
+            AdjointableOp(m.flat @ m.flat.conj().T + bump, n) for m in family.members
         ]
         report = t12_check(family, deltas)
         assert report.verdict is Verdict.HYPOTHESIS_FAILS
@@ -156,7 +156,7 @@ class TestT12:
         for i, m in enumerate(family.members):
             sign = 1.0 if i % 2 == 0 else -1.0
             flat = m.flat @ m.flat.conj().T + sign * shift
-            deltas.append(op_from_flat(flat, n))
+            deltas.append(AdjointableOp(flat, n))
         report = t12_check(family, deltas)
         full_sum_norm = 0.0 if family.size % 2 == 0 else 0.2
         assert report.measured_lhs >= 0.2 - 1e-12
@@ -224,10 +224,10 @@ def test_t12_large_family_with_alternating_deviations_fails_hypothesis():
     # 13 unit members (S = 13 I, budget C/D = 1) whose deviations
     # alternate +0.2 and -0.2: the full sum has norm 0.2, but the seven
     # positive deviations together have norm 1.4 > 1.
-    one = op_from_flat(np.array([[1.0 + 0j]]), 1)
+    one = AdjointableOp(np.array([[1.0 + 0j]]), 1)
     family = GFrameFamily((one,) * 13)
     deltas = [
-        op_from_flat(np.array([[1.0 - (0.2 if i % 2 == 0 else -0.2) + 0j]]), 1)
+        AdjointableOp(np.array([[1.0 - (0.2 if i % 2 == 0 else -0.2) + 0j]]), 1)
         for i in range(13)
     ]
     report = t12_check(family, deltas)
@@ -249,7 +249,7 @@ def test_t12_subset_bracket_contains_exact_enumeration():
                 (n * d, n * d)
             )
             bump = 0.1 * (raw @ raw.conj().T) - 0.05 * np.eye(n * d)
-            deltas.append(op_from_flat(m.flat @ m.flat.conj().T + bump, n))
+            deltas.append(AdjointableOp(m.flat @ m.flat.conj().T + bump, n))
         exact = t12_check(family, deltas).measured_lhs
         deviations = np.stack(
             [m.flat @ m.flat.conj().T - o.flat for m, o in zip(family.members, deltas)]
