@@ -72,44 +72,53 @@ def _is_positive(value) -> bool:
     return number and math.isfinite(value) and value > 0
 
 
-def _is_target(value) -> bool:
-    try:
-        parse_target(value)
-    except GFrameError:
-        return False
-    return True
+def _is_object(value) -> bool:
+    return isinstance(value, dict)
 
 
-# What a present instance field must hold: a description and a predicate.
+# What a present instance field must hold: a description, a predicate, and
+# the decoder that builds its value.  Decoders look ``serialize`` functions
+# up when called, because span tracing rebinds them on the module.
 _FIELD_KINDS = {
     **dict.fromkeys(
         ("algebra_dim", "module_len"),
-        ("a positive integer", lambda v: _is_int(v) and v > 0),
+        ("a positive integer", lambda v: _is_int(v) and v > 0, int),
     ),
     "member_dims": (
         "a nonempty list of positive integers",
         lambda v: isinstance(v, list) and v and all(_is_int(x) and x > 0 for x in v),
+        tuple,
     ),
     **dict.fromkeys(
-        ("family", "second_family", "weights", "lambda", "m", "n"),
-        ("a JSON object", lambda v: isinstance(v, dict)),
+        ("family", "second_family"),
+        ("a family object", _is_object, lambda v: serialize.family_from_json(v)),
+    ),
+    **dict.fromkeys(
+        ("lambda", "m", "n"),
+        ("an operator object", _is_object, lambda v: serialize.op_from_json(v)),
     ),
     "delta_ops": (
-        "a list of JSON objects",
-        lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v),
+        "a list of operator objects",
+        lambda v: isinstance(v, list),
+        lambda v: [serialize.op_from_json(x) for x in v],
+    ),
+    "weights": (
+        "a weights object", _is_object, lambda v: serialize.weights_from_json(v)
     ),
     **dict.fromkeys(
         ("family_target", "second_family_target"),
-        ('"random", "parseval", {"tight": nu} or {"bounds": [lo, hi]}', _is_target),
+        ('"random", "parseval", {"tight": nu} or {"bounds": [lo, hi]}',
+         lambda v: isinstance(v, (str, dict)), parse_target),
     ),
     "weight_band": (
         "a list of two positive numbers",
         lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_positive, v)),
+        lambda v: tuple(map(float, v)),
     ),
     **dict.fromkeys(
         ("alpha", "alpha1", "alpha2", "bessel_ratio", "bessel_upper")
         + ("budget_fraction", "lambda_bound"),
-        ("a positive number", _is_positive),
+        ("a positive number", _is_positive, float),
     ),
 }
 
@@ -123,45 +132,52 @@ def _schema(declared: str) -> dict[str, tuple]:
         fields[key] = _FIELD_KINDS.get(key)
         if options:
             choices = tuple(options.split("|"))
-            fields[key] = (" or ".join(map(repr, choices)), choices.__contains__)
+            fields[key] = (" or ".join(map(repr, choices)), choices.__contains__, str)
     return fields
 
 
 def validate_instance(theorem: str, instance) -> dict:
-    """The instance with its null fields dropped, once every field is
-    known to the theorem and well-typed.  Draws nothing from any
-    generator, so generated instances do not depend on validation."""
+    """The decoded values of the instance's non-null fields, once every
+    field is known to the theorem and well-formed.  Draws nothing from
+    any generator, so generated instances do not depend on validation."""
     fields = THEOREMS[theorem][2]
+    cfg = {}
     for key, value in instance.items():
         if key not in fields:
             raise ValidationError(
                 f"unknown instance field {key!r} for {theorem};"
                 f" accepted: {', '.join(sorted(fields))}"
             )
-        description, valid = fields[key]
-        if value is not None and not valid(value):
+        if value is None:
+            continue
+        description, valid, decode = fields[key]
+        try:
+            if not valid(value):
+                raise ValidationError(f"got {reprlib.repr(value)}")
+            cfg[key] = decode(value)
+        except GFrameError as exc:
             raise ValidationError(
-                f"instance field {key!r} must be {description},"
-                f" got {reprlib.repr(value)}"
-            )
-    return {key: value for key, value in instance.items() if value is not None}
+                f"instance field {key!r} must be {description}: {exc}"
+            ) from exc
+    return cfg
 
 
 def _sizes(
     cfg: dict, rng, *, even_dims: bool = False, min_flat: int = 1
 ) -> tuple[int, int, tuple[int, ...]]:
-    """Instance sizes: explicit from the config, otherwise drawn at desk scale.
+    """Instance sizes: explicit from the config, otherwise drawn at desk
+    scale; an inline family fixes all three.
 
     ``min_flat`` forces the drawn flattening dimension n*d upward, for
     builders whose targets need room for two distinct bounds.
     """
-    n = int(cfg.get("algebra_dim", 0)) or int(rng.integers(1, 4))
-    d = int(cfg.get("module_len", 0)) or int(rng.integers(1, 4))
+    n = cfg.get("algebra_dim") or int(rng.integers(1, 4))
+    d = cfg.get("module_len") or int(rng.integers(1, 4))
     if "module_len" not in cfg:
         while n * d < min_flat:
             d += 1
     if "member_dims" in cfg:
-        dims = tuple(int(v) for v in cfg["member_dims"])
+        dims = cfg["member_dims"]
     else:
         count = int(rng.integers(2, 6))
         if even_dims:
@@ -172,22 +188,21 @@ def _sizes(
             dims = tuple(int(rng.integers(1, d + 3)) for _ in range(count))
             while sum(dims) < d:
                 dims = dims + (1,)
+    if "family" in cfg:
+        # The sizes are drawn even so: every later draw then stays what it
+        # was for the seeds whose drawn sizes already fitted the family.
+        family = cfg["family"]
+        n, d, dims = family.algebra_dim, family.source_len, family.member_dims
+        for key, size in zip(("algebra_dim", "module_len", "member_dims"), (n, d, dims)):
+            if cfg.get(key, size) != size:
+                raise ValidationError(
+                    f"instance field {key!r} contradicts the family, which has {size!r}"
+                )
     return n, d, dims
 
 
-# Decoders of the instance fields that hold serialized values.
-_DECODERS = {
-    "family": serialize.family_from_json,
-    "second_family": serialize.family_from_json,
-    "weights": serialize.weights_from_json,
-    "m": serialize.op_from_json,
-    "n": serialize.op_from_json,
-    "lambda_bound": float,
-}
-
-
 def _inline(cfg: dict, *keys: str) -> tuple | None:
-    """Decoded values of inline fields that only make sense together, or
+    """Values of inline fields that only make sense together, or
     None when the instance leaves all of them to the generator."""
     missing = [key for key in keys if key not in cfg]
     if len(missing) == len(keys):
@@ -197,13 +212,13 @@ def _inline(cfg: dict, *keys: str) -> tuple | None:
             f"instance field {missing[0]!r} is required together with"
             f" {', '.join(repr(key) for key in keys if key in cfg)}"
         )
-    return tuple(_DECODERS[key](cfg[key]) for key in keys)
+    return tuple(cfg[key] for key in keys)
 
 
 def _family(cfg, key, rng, n, d, dims, default_target) -> GFrameFamily:
     if key in cfg:
-        return serialize.family_from_json(cfg[key])
-    target = parse_target(cfg.get(f"{key}_target", default_target))
+        return cfg[key]
+    target = cfg.get(f"{key}_target", default_target)
     return gen_family(GenSpec(sub_seed(rng), n, d, dims, target))
 
 
@@ -215,7 +230,7 @@ def _gen_weights(rng, n, count, band, shared=False) -> ScalarWeights:
     """Weights drawn inside ``band``.  With ``shared`` the thetas serve as
     the deltas too: a shared coefficient sequence keeps the weighted mixed
     term positive whenever the unweighted one is."""
-    drawn = gen_weights(sub_seed(rng), n, count, float(band[0]), float(band[1]))
+    drawn = gen_weights(sub_seed(rng), n, count, *band)
     if not shared:
         return drawn
     return ScalarWeights(drawn.thetas, drawn.thetas, drawn.band_lower, drawn.band_upper)
@@ -261,7 +276,7 @@ def _theorem(theorem_id: str, fields: str, min_flat: int = 2, even_dims=False):
 @_theorem("CLASSIFY", "family family_target", min_flat=1)
 def _build_classify(cfg, seed, rng, n, d, dims, tol):
     """classify a family and report its optimal bounds"""
-    family = _family(cfg, "family", rng, n, d, dims, "parseval")
+    family = _family(cfg, "family", rng, n, d, dims, FamilyTarget.parseval())
     # Classifying asserts no claim, so every family concludes.
     return theorem_report(
         "CLASSIFY", classify(family, tol), (), None, None, tol, conclusion=True
@@ -276,18 +291,18 @@ def _build_perturb_lambda(cfg, seed, rng, n, d, dims, tol):
     """members composed with (I + L) under the conjugation-dominance hypothesis"""
     kind = cfg.get("lambda_kind", "expansive" if seed % 2 == 0 else "scalar")
     if kind == "expansive":
-        family = _family(cfg, "family", rng, n, d, dims, "parseval")
+        family = _family(cfg, "family", rng, n, d, dims, FamilyTarget.parseval())
         stretch = rng.uniform(1.05, 1.8, n * d)
         expansive = (haar_unitary(rng, n * d) * stretch) @ haar_unitary(rng, n * d)
         lam = AdjointableOp(expansive - np.eye(n * d), n)
     elif kind == "scalar":
-        family = _family(cfg, "family", rng, n, d, dims, {"bounds": [0.5, 2.0]})
+        family = _family(cfg, "family", rng, n, d, dims, FamilyTarget.bounds(0.5, 2.0))
         lam = float(rng.uniform(0.0, 1.0)) * identity_op(n, d)
     else:
-        family = _family(cfg, "family", rng, n, d, dims, {"bounds": [0.5, 2.0]})
+        family = _family(cfg, "family", rng, n, d, dims, FamilyTarget.bounds(0.5, 2.0))
         lam = zero_op(n, d, d)
-    if cfg.get("lambda") is not None:
-        lam = serialize.op_from_json(cfg["lambda"])
+    if "lambda" in cfg:
+        lam = cfg["lambda"]
     _, report = perturb_lambda(family, lam, tol)
     return report
 
@@ -299,16 +314,16 @@ def _build_perturb_lambda(cfg, seed, rng, n, d, dims, tol):
 )
 def _build_t3_equiv(cfg, seed, rng, n, d, dims, tol):
     """three-way equivalence for members P.M + Q.N"""
-    family = _family(cfg, "family", rng, n, d, dims, "random")
-    other = _family(cfg, "second_family", rng, n, d, dims, "random")
-    if cfg.get("m") is not None:
-        m_op = serialize.op_from_json(cfg["m"])
+    family = _family(cfg, "family", rng, n, d, dims, FamilyTarget.random())
+    other = _family(cfg, "second_family", rng, n, d, dims, FamilyTarget.random())
+    if "m" in cfg:
+        m_op = cfg["m"]
     elif seed % 7 == 0:
         m_op = identity_op(n, d)
     else:
         m_op = _random_endo(rng, n, d)
-    if cfg.get("n") is not None:
-        n_op = serialize.op_from_json(cfg["n"])
+    if "n" in cfg:
+        n_op = cfg["n"]
     elif seed % 5 == 0:
         n_op = zero_op(n, d, d)
     else:
@@ -348,18 +363,18 @@ def _build_t3_corollary(cfg, seed, rng, n, d, dims, tol):
 )
 def _build_t7_scalar(cfg, seed, rng, n, d, dims, tol):
     """coefficient-weighted sums with a dominated Bessel term"""
-    band = cfg.get("weight_band", [0.8, 1.25])
-    family = _family(cfg, "family", rng, n, d, dims, {"bounds": [1.0, 2.5]})
-    if cfg.get("weights") is not None:
-        weights = serialize.weights_from_json(cfg["weights"])
+    band = cfg.get("weight_band", (0.8, 1.25))
+    family = _family(cfg, "family", rng, n, d, dims, FamilyTarget.bounds(1.0, 2.5))
+    if "weights" in cfg:
+        weights = cfg["weights"]
     else:
         weights = _gen_weights(rng, n, family.size, band)
-    if cfg.get("second_family") is not None:
-        other = serialize.family_from_json(cfg["second_family"])
+    if "second_family" in cfg:
+        other = cfg["second_family"]
     else:
         # Hypothesis headroom: weighted Bessel term at 40% of the
         # weighted frame term.
-        ratio = float(cfg.get("bessel_ratio", 0.4))
+        ratio = cfg.get("bessel_ratio", 0.4)
         lower_f = float(
             np.linalg.eigvalsh(frame_operator(family).flat).min().real
         )
@@ -375,7 +390,7 @@ def _build_t7_scalar(cfg, seed, rng, n, d, dims, tol):
 )
 def _build_t11(cfg, seed, rng, n, d, dims, tol):
     """coefficient-weighted sums of two frames with positive mixed operator"""
-    band = cfg.get("weight_band", [0.7, 1.4])
+    band = cfg.get("weight_band", (0.7, 1.4))
     inline = _inline(cfg, "family", "second_family", "weights")
     if inline is not None:
         return t11_check(*inline, tol)
@@ -405,8 +420,8 @@ def _tight_pair(cfg, rng, n, d, dims):
         return pair
     first, second = _orthogonal_pair(rng, n, d, dims)
     return (
-        scale_family(first, math.sqrt(float(cfg.get("alpha1", 1.0)))),
-        scale_family(second, math.sqrt(float(cfg.get("alpha2", 1.0)))),
+        scale_family(first, math.sqrt(cfg.get("alpha1", 1.0))),
+        scale_family(second, math.sqrt(cfg.get("alpha2", 1.0))),
     )
 
 
@@ -423,8 +438,8 @@ def _build_isometry_sum(cfg, seed, rng, n, d, dims, tol):
     mode = cfg.get("mode", "scaled" if seed % 2 == 0 else "orthogonal")
     pair = _inline(cfg, "family", "second_family")
     family, other = pair or _positive_mixed_pair(rng, n, d, dims, mode == "orthogonal")
-    if cfg.get("lambda") is not None:
-        lam = serialize.op_from_json(cfg["lambda"])
+    if "lambda" in cfg:
+        lam = cfg["lambda"]
     else:
         lam = gen_isometry(sub_seed(rng), n, d)
     return isometry_sum_check(family, other, lam, tol)
@@ -436,11 +451,11 @@ def _build_isometry_sum(cfg, seed, rng, n, d, dims, tol):
 )
 def _build_lambda_lower(cfg, seed, rng, n, d, dims, tol):
     """members P.M + Q.N with N bounded below"""
-    family = _family(cfg, "family", rng, n, d, dims, {"bounds": [1.0, 2.0]})
-    if cfg.get("second_family") is not None:
-        other = serialize.family_from_json(cfg["second_family"])
+    family = _family(cfg, "family", rng, n, d, dims, FamilyTarget.bounds(1.0, 2.0))
+    if "second_family" in cfg:
+        other = cfg["second_family"]
     else:
-        other = _bessel_partner(rng, family, float(cfg.get("bessel_upper", 0.2)))
+        other = _bessel_partner(rng, family, cfg.get("bessel_upper", 0.2))
     inline = _inline(cfg, "m", "n", "lambda_bound")
     if inline is not None:
         m_op, n_op, lam_bound = inline
@@ -502,9 +517,9 @@ def _perturbation_args(cfg, rng, n, d, dims, perturb, shared) -> tuple:
             GenSpec(sub_seed(rng), n, d, dims, FamilyTarget.bounds(1.0, 2.0))
         )
         other = perturb(family)
-        band = cfg.get("weight_band", [0.9, 1.1])
+        band = cfg.get("weight_band", (0.9, 1.1))
         inline = (family, other, _gen_weights(rng, n, family.size, band, shared))
-    return (*inline, float(cfg.get("alpha1", 0.5)), float(cfg.get("alpha2", 0.5)))
+    return (*inline, cfg.get("alpha1", 0.5), cfg.get("alpha2", 0.5))
 
 
 @_theorem("PROP_MIXED", "family second_family weights alpha1 alpha2 weight_band")
@@ -541,15 +556,13 @@ def _build_difference(cfg, seed, rng, n, d, dims, tol):
 )
 def _build_t12(cfg, seed, rng, n, d, dims, tol):
     """frame-operator perturbation within the C/D budget"""
-    family = _family(cfg, "family", rng, n, d, dims, {"bounds": [1.0, 2.0]})
-    if cfg.get("delta_ops") is not None:
-        delta_ops = [serialize.op_from_json(o) for o in cfg["delta_ops"]]
-    elif cfg.get("second_family") is not None:
-        delta_ops = operators_from_family(
-            serialize.family_from_json(cfg["second_family"])
-        )
+    family = _family(cfg, "family", rng, n, d, dims, FamilyTarget.bounds(1.0, 2.0))
+    if "delta_ops" in cfg:
+        delta_ops = cfg["delta_ops"]
+    elif "second_family" in cfg:
+        delta_ops = operators_from_family(cfg["second_family"])
     else:
-        margin = float(cfg.get("budget_fraction", 0.5))
+        margin = cfg.get("budget_fraction", 0.5)
         spectrum = np.linalg.eigvalsh(frame_operator(family).flat)
         lower_f, upper_f = float(spectrum.min().real), float(spectrum.max().real)
         budget = margin * lower_f / max(upper_f, 1e-12)
@@ -568,10 +581,10 @@ def _build_t12(cfg, seed, rng, n, d, dims, tol):
 @_theorem("FINAL_COROLLARY", "family family_target second_family alpha")
 def _build_final_corollary(cfg, seed, rng, n, d, dims, tol):
     """frame-operator proximity below the lower bound"""
-    alpha = float(cfg.get("alpha", 0.5))
-    family = _family(cfg, "family", rng, n, d, dims, {"bounds": [1.0, 2.0]})
-    if cfg.get("second_family") is not None:
-        other = serialize.family_from_json(cfg["second_family"])
+    alpha = cfg.get("alpha", 0.5)
+    family = _family(cfg, "family", rng, n, d, dims, FamilyTarget.bounds(1.0, 2.0))
+    if "second_family" in cfg:
+        other = cfg["second_family"]
     else:
         eps = float(rng.uniform(0.01, 0.1))
         other = scale_family(family, 1.0 - eps)

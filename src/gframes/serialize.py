@@ -17,46 +17,35 @@ from .sums import CheckItem, ScalarWeights, TheoremReport
 from .stability import PerturbationReport
 
 
-def matrix_to_json(mat: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
-
-
-def matrix_from_json(data, key: str) -> np.ndarray:
-    """Finite complex matrix from nested [re, im] lists; errors name ``key``."""
+def array_from_json(data, key: str, rank: int) -> np.ndarray:
+    """Finite complex array of the given rank from nested [re, im] pairs,
+    converted in one call; errors name ``key``."""
     try:
-        arr = np.array(
-            [[complex(cell[0], cell[1]) for cell in row] for row in data],
-            dtype=np.complex128,
+        pairs = np.array(data)
+    except (ValueError, OverflowError) as exc:
+        raise ValidationError(f"malformed complex array in {key!r}: {exc}") from exc
+    # Entries must be JSON numbers: a string such as "1.5" makes a text
+    # array and a null, an object or a huge integer an object array.
+    if pairs.dtype.kind not in "biuf" or pairs.ndim != rank + 1 or pairs.shape[-1] != 2:
+        raise ValidationError(
+            f"{key!r} must be a rank-{rank} array of [re, im] number pairs"
         )
-    except (TypeError, IndexError, ValueError) as exc:
-        raise ValidationError(f"malformed complex matrix in {key!r}: {exc}") from exc
-    if not np.isfinite(arr).all():
+    if not np.isfinite(pairs).all():
         raise ValidationError(f"non-finite complex matrix entry in {key!r}")
-    return arr
+    return pairs.astype(np.float64).view(np.complex128)[..., 0]
 
 
 def element_to_json(a: AlgebraElement) -> list:
-    return matrix_to_json(a.entries)
-
-
-def element_from_json(data, key: str) -> AlgebraElement:
-    return AlgebraElement(matrix_from_json(data, key))
+    return [[[float(z.real), float(z.imag)] for z in row] for row in a.entries]
 
 
 def _grid_from_json(rows, key: str) -> tuple[np.ndarray, int]:
     """Flattening and block size of a grid of equal-sized square blocks."""
-    if not (isinstance(rows, list) and rows) or not all(
-        isinstance(row, list) and row and len(row) == len(rows[0]) for row in rows
-    ):
-        raise ValidationError(f"{key!r} must be nonempty rows of blocks, all one length")
-    grid = [[matrix_from_json(block, key) for block in row] for row in rows]
-    n = len(grid[0][0])
-    shapes = {block.shape for row in grid for block in row}
-    if shapes != {(n, n)}:
-        raise ValidationError(
-            f"{key!r} must hold square blocks of one size, got shapes {sorted(shapes)}"
-        )
-    return np.block(grid), n
+    grid = array_from_json(rows, key, 4)
+    height, width, n, m = grid.shape
+    if n != m:
+        raise ValidationError(f"{key!r} must hold square blocks, got {n}x{m} blocks")
+    return grid.transpose(0, 2, 1, 3).reshape(height * n, width * n), n
 
 
 def vector_to_json(x: ModuleVector) -> dict:
@@ -82,12 +71,8 @@ def op_from_json(data) -> AdjointableOp:
     if not isinstance(data, dict) or "blocks" not in data:
         raise ValidationError("operator needs a 'blocks' grid")
     op = AdjointableOp(*_grid_from_json(data["blocks"], "blocks"))
-    for key, actual in (
-        ("algebra_dim", op.algebra_dim),
-        ("source_len", op.source_len),
-        ("target_len", op.target_len),
-    ):
-        if key in data and data[key] != actual:
+    for key in ("algebra_dim", "source_len", "target_len"):
+        if key in data and data[key] != getattr(op, key):
             raise ValidationError(f"operator {key!r} disagrees with its blocks")
     return op
 
@@ -118,12 +103,12 @@ def weights_from_json(data) -> ScalarWeights:
     try:
         band = data["band"]
         return ScalarWeights(
-            tuple(element_from_json(t, "thetas") for t in data["thetas"]),
-            tuple(element_from_json(t, "deltas") for t in data["deltas"]),
+            tuple(map(AlgebraElement, array_from_json(data["thetas"], "thetas", 3))),
+            tuple(map(AlgebraElement, array_from_json(data["deltas"], "deltas", 3))),
             float(band[0]),
             float(band[1]),
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValidationError(f"malformed weights: {exc}") from exc
 
 

@@ -276,6 +276,9 @@ _ROW = [[[1, 0], [0, 0]]]
 _EYE2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
 
 
+_WEIGHTS = {"thetas": [_ONE], "deltas": [_ONE], "band": [0.5, 2]}
+
+
 _MALFORMED = [
     # Negative sizes used to loop forever while drawing the module length.
     ("CLASSIFY", {}, {"algebra_dim": -3}, "algebra_dim"),
@@ -312,6 +315,12 @@ _MALFORMED = [
     ("CLASSIFY", {"tolerance": {"rel": "nan"}}, {}, "rel"),
     ("CLASSIFY", {"tolerance": {"abs": 1e999}}, {}, "abs"),
     ("CLASSIFY", {"repetitions": True}, {}, "repetitions"),
+    # Inline values: a size the family contradicts, a non-numeric band, and
+    # decode errors, which name the instance field that holds the value.
+    ("CLASSIFY", {}, dict(_inline_pair_instance(), algebra_dim=2), "algebra_dim"),
+    ("T7_SCALAR", {}, {"weights": dict(_WEIGHTS, band=["abc", 2])}, "weights"),
+    ("T3_EQUIV", {}, {"m": {"blocks": [[_ONE, _ONE], [_ONE]]}}, "m"),
+    ("CLASSIFY", {}, {"family": {"members": []}}, "family"),
 ]
 
 
@@ -348,6 +357,35 @@ def test_malformed_instance_exits_2_and_names_the_field(
 def test_unknown_instance_field_is_rejected_for_every_theorem(theorem):
     with pytest.raises(ValidationError, match="alpah1"):
         build_and_run(theorem, {"alpah1": 2.0}, 0)
+
+
+@pytest.mark.parametrize(
+    "theorem",
+    ["T3_EQUIV", "PERTURB_LAMBDA", "LAMBDA_LOWER", "T7_SCALAR", "T12_OPERATOR"],
+)
+def test_inline_family_sets_the_sizes_of_generated_companions(theorem):
+    # Only the family is inline: the generated companions must take its
+    # sizes, whatever sizes the seed draws.
+    instance = _inline_pair_instance()
+    for seed in range(10):
+        report = build_and_run(theorem, instance, seed)
+        assert report.verdict.value != "ConclusionFails"
+
+
+def test_inline_families_are_decoded_through_the_serialize_module(monkeypatch):
+    # Span tracing rebinds module attributes, so a decoder bound at import
+    # time would go uncounted.
+    calls = []
+    original = ser.family_from_json
+
+    def counting(data):
+        calls.append(data)
+        return original(data)
+
+    monkeypatch.setattr(ser, "family_from_json", counting)
+    family = _inline_pair_instance()["family"]
+    build_and_run("T3_COROLLARY", {"family": family, "second_family": family}, 0)
+    assert len(calls) == 2
 
 
 def _reject_constant(token):
