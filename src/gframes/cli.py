@@ -71,12 +71,15 @@ def parse_scenario(data: dict, path: str = "<memory>") -> Scenario:
     tol_data = data.get("tolerance", {})
     if not isinstance(tol_data, dict):
         raise ValidationError(f"{path}: tolerance must be an object")
+    bounds = {}
+    for key in ("rel", "abs"):
+        try:
+            bounds[key] = float(tol_data.get(key, getattr(DEFAULT_TOL, key)))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"{path}: tolerance {key!r}: {exc}") from exc
     try:
-        tol = Tolerance(
-            rel=float(tol_data.get("rel", DEFAULT_TOL.rel)),
-            abs=float(tol_data.get("abs", DEFAULT_TOL.abs)),
-        )
-    except (TypeError, ValueError) as exc:
+        tol = Tolerance(**bounds)
+    except ValueError as exc:
         raise ValidationError(f"{path}: bad tolerance: {exc}") from exc
     instance = data.get("instance", {})
     if not isinstance(instance, dict):
@@ -120,6 +123,9 @@ def load_scenarios(path: str) -> list[Scenario]:
         raise ValidationError(
             f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:
+        # Bytes that are not UTF-8, or an integer past Python's digit limit.
+        raise ValidationError(f"{path}: {exc}") from exc
     items = data if isinstance(data, list) else [data]
     return [parse_scenario(item, path) for item in items]
 

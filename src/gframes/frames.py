@@ -203,12 +203,26 @@ def bound_witnesses(family: GFrameFamily) -> tuple[ModuleVector, ModuleVector]:
     return ModuleVector(low), ModuleVector(high)
 
 
-def batched_quadratic(flat_op: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Inner products <Tx, x> for a batch of flattened vectors.
+def batched_gram(xs: np.ndarray) -> np.ndarray:
+    """Inner products <x, x> = x.x* for a batch of flattened vectors.
 
     ``xs`` has shape (count, n, n*d); the result has shape (count, n, n).
     """
-    return np.einsum("mik,kl,mjl->mij", xs, flat_op, xs.conj())
+    return xs @ xs.conj().swapaxes(1, 2)
+
+
+def batched_quadratic(flat_op: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Inner products <Tx, x> for a batch of flattened vectors: one GEMM
+    for every Tx, then the batched product with the conjugate samples."""
+    images = (xs.reshape(-1, xs.shape[-1]) @ flat_op).reshape(xs.shape)
+    return images @ xs.conj().swapaxes(1, 2)
+
+
+def batched_norm(xs: np.ndarray) -> np.ndarray:
+    """Module norms ||x|| = ||<x, x>||^(1/2) for a batch of flattened
+    vectors: the top eigenvalue of each n x n Gram matrix."""
+    top = np.linalg.eigvalsh(batched_gram(xs))[:, -1]
+    return np.sqrt(np.maximum(top, 0.0))
 
 
 def verify_frame_inequality(
@@ -241,7 +255,7 @@ def verify_frame_inequality(
     lo, hi = bound_witnesses(family)
     xs = np.concatenate([xs, np.stack([lo.flat, hi.flat])])
     s_flat = frame_operator(family).flat
-    grams = np.einsum("mik,mjk->mij", xs, xs.conj())
+    grams = batched_gram(xs)
     quads = batched_quadratic(s_flat, xs)
     low_resid = quads - lower * grams
     high_resid = upper * grams - quads

@@ -37,15 +37,15 @@ class FamilyTarget:
     def __post_init__(self):
         if self.kind not in {"random", "parseval", "tight", "bounds"}:
             raise BadRange(f"unknown target kind {self.kind!r}")
-        if self.kind == "tight" and (self.nu is None or self.nu <= 0.0):
-            raise BadRange("tight target needs nu > 0")
+        if self.kind == "tight" and (self.nu is None or not 0.0 < self.nu < math.inf):
+            raise BadRange("tight target needs a finite nu > 0")
         if self.kind == "bounds":
             if (
                 self.lower is None
                 or self.upper is None
-                or not (0.0 < self.lower <= self.upper)
+                or not (0.0 < self.lower <= self.upper < math.inf)
             ):
-                raise BadRange("bounds target needs 0 < lower <= upper")
+                raise BadRange("bounds target needs 0 < lower <= upper < inf")
 
     @classmethod
     def random(cls) -> "FamilyTarget":

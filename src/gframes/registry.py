@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import reprlib
+import sys
 
 import numpy as np
 
@@ -59,7 +60,7 @@ def parse_target(data) -> FamilyTarget:
             return FamilyTarget.tight(float(data["tight"]))
         lo, hi = data["bounds"]
         return FamilyTarget.bounds(float(lo), float(hi))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"unparseable family target {data!r}") from exc
 
 
@@ -68,8 +69,9 @@ def _is_int(value) -> bool:
 
 
 def _is_positive(value) -> bool:
+    # A comparison, not float(): an integer above the float range overflows.
     number = _is_int(value) or isinstance(value, float)
-    return number and math.isfinite(value) and value > 0
+    return number and 0 < value <= sys.float_info.max
 
 
 def _is_object(value) -> bool:
@@ -166,7 +168,7 @@ def _sizes(
     cfg: dict, rng, *, even_dims: bool = False, min_flat: int = 1
 ) -> tuple[int, int, tuple[int, ...]]:
     """Instance sizes: explicit from the config, otherwise drawn at desk
-    scale; an inline family fixes all three.
+    scale; an inline family (else an inline second family) fixes all three.
 
     ``min_flat`` forces the drawn flattening dimension n*d upward, for
     builders whose targets need room for two distinct bounds.
@@ -188,15 +190,16 @@ def _sizes(
             dims = tuple(int(rng.integers(1, d + 3)) for _ in range(count))
             while sum(dims) < d:
                 dims = dims + (1,)
-    if "family" in cfg:
+    inline = next((key for key in ("family", "second_family") if key in cfg), None)
+    if inline is not None:
         # The sizes are drawn even so: every later draw then stays what it
         # was for the seeds whose drawn sizes already fitted the family.
-        family = cfg["family"]
+        family = cfg[inline]
         n, d, dims = family.algebra_dim, family.source_len, family.member_dims
         for key, size in zip(("algebra_dim", "module_len", "member_dims"), (n, d, dims)):
             if cfg.get(key, size) != size:
                 raise ValidationError(
-                    f"instance field {key!r} contradicts the family, which has {size!r}"
+                    f"instance field {key!r} contradicts the {inline}, which has {size!r}"
                 )
     return n, d, dims
 

@@ -108,7 +108,7 @@ def weights_from_json(data) -> ScalarWeights:
             float(band[0]),
             float(band[1]),
         )
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed weights: {exc}") from exc
 
 

@@ -30,6 +30,7 @@ from .frames import (
     FrameBounds,
     FrameKind,
     GFrameFamily,
+    batched_gram,
     batched_quadratic,
     classify,
     frame_operator,
@@ -200,9 +201,7 @@ def difference_check(
 
     resid = batched_quadratic(combo - s_diff, xs)
     resid_eigs = np.linalg.eigvalsh((resid + resid.conj().swapaxes(1, 2)) / 2)
-    gram_scale = np.linalg.norm(
-        np.einsum("mik,mjk->mij", xs, xs.conj()), axis=(1, 2)
-    )
+    gram_scale = np.linalg.norm(batched_gram(xs), axis=(1, 2))
     sample_margins = tol.abs + tol.rel * scale * np.maximum(gram_scale, 1.0)
     sampled_ok = bool((resid_eigs[:, 0] >= -sample_margins).all())
 

@@ -34,6 +34,7 @@ from .frames import (
     Classification,
     FrameBounds,
     GFrameFamily,
+    batched_norm,
     classify,
     cross_operator,
     frame_operator,
@@ -594,9 +595,10 @@ def lambda_lower_check(
     sigma_min = float(n_svals[-1])
     rng = make_rng(seed)
     xs = sample_flat_vectors(rng, samples, n, d)
-    norms_x = np.linalg.norm(xs, ord=2, axis=(1, 2))
-    norms_nx = np.linalg.norm(xs @ n_op.flat, ord=2, axis=(1, 2))
-    norms_mx = np.linalg.norm(xs @ m_op.flat, ord=2, axis=(1, 2))
+    rows = xs.reshape(-1, n * d)
+    norms_x = batched_norm(xs)
+    norms_nx = batched_norm((rows @ n_op.flat).reshape(xs.shape))
+    norms_mx = batched_norm((rows @ m_op.flat).reshape(xs.shape))
     sampled_gap = float(np.min(norms_nx - lam_bound * norms_x))
     dominance_flat = m_op.flat @ m_op.flat.conj().T - n_op.flat @ n_op.flat.conj().T
     dominance_sampled = float(np.min(norms_mx - norms_nx))

@@ -131,6 +131,22 @@ def test_serialization_roundtrip():
         assert np.array_equal(a.entries, b.entries)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        b'{"schema": 1, "theorem": "CLASSIFY", "seed": ' + b"1" * 5000 + b"}",
+        b'{"schema": 1, "theorem": "CLASSIFY", "name": "\xff"}',
+    ],
+    ids=["integer-past-digit-limit", "not-utf8"],
+)
+def test_unreadable_scenario_file_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(text)
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "unreadable.json" in err and "Traceback" not in err
+
+
 def test_malformed_json_gives_line_and_column(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "schema": 1,\n  "oops"\n}\n')
@@ -256,11 +272,11 @@ def test_render_csv_blank_predicted_columns():
     assert row.endswith(",,")
 
 
-def _inline_pair_instance():
+def _inline_pair_instance(key="family"):
     family = gframes.gen_family(
         gframes.GenSpec(1, 1, 2, (2, 2), gframes.FamilyTarget.parseval())
     )
-    return {"family": ser.family_to_json(family)}
+    return {key: ser.family_to_json(family)}
 
 
 _IDENTITY_MN = {
@@ -277,6 +293,8 @@ _EYE2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
 
 
 _WEIGHTS = {"thetas": [_ONE], "deltas": [_ONE], "band": [0.5, 2]}
+# An integer that float() cannot convert.
+_HUGE = 10**400
 
 
 _MALFORMED = [
@@ -321,6 +339,13 @@ _MALFORMED = [
     ("T7_SCALAR", {}, {"weights": dict(_WEIGHTS, band=["abc", 2])}, "weights"),
     ("T3_EQUIV", {}, {"m": {"blocks": [[_ONE, _ONE], [_ONE]]}}, "m"),
     ("CLASSIFY", {}, {"family": {"members": []}}, "family"),
+    ("T7_SCALAR", {}, dict(_inline_pair_instance("second_family"), algebra_dim=2), "algebra_dim"),
+    # Numbers beyond the float range, and targets that are not finite.
+    ("TIGHT_SUM", {}, {"alpha2": _HUGE}, "alpha2"),
+    ("T11_POSITIVE", {}, {"weights": dict(_WEIGHTS, band=[0.5, _HUGE])}, "weights"),
+    ("PERTURB_LAMBDA", {"tolerance": {"rel": _HUGE}}, {}, "rel"),
+    ("PERTURB_LAMBDA", {}, {"family_target": {"tight": _HUGE}}, "family_target"),
+    ("T12_OPERATOR", {}, {"family_target": {"tight": "inf"}}, "family_target"),
 ]
 
 
@@ -361,15 +386,25 @@ def test_unknown_instance_field_is_rejected_for_every_theorem(theorem):
 
 @pytest.mark.parametrize(
     "theorem",
-    ["T3_EQUIV", "PERTURB_LAMBDA", "LAMBDA_LOWER", "T7_SCALAR", "T12_OPERATOR"],
+    [
+        "T3_EQUIV",
+        "PERTURB_LAMBDA",
+        "LAMBDA_LOWER",
+        "T7_SCALAR",
+        "T12_OPERATOR",
+        "FINAL_COROLLARY",
+    ],
 )
 def test_inline_family_sets_the_sizes_of_generated_companions(theorem):
-    # Only the family is inline: the generated companions must take its
-    # sizes, whatever sizes the seed draws.
-    instance = _inline_pair_instance()
-    for seed in range(10):
-        report = build_and_run(theorem, instance, seed)
-        assert report.verdict.value != "ConclusionFails"
+    # Only the family, or only the second family, is inline: the generated
+    # companions must take its sizes, whatever sizes the seed draws.
+    for key in ("family", "second_family"):
+        if key not in THEOREMS[theorem][2]:
+            continue
+        instance = _inline_pair_instance(key)
+        for seed in range(10):
+            report = build_and_run(theorem, instance, seed)
+            assert report.verdict.value != "ConclusionFails"
 
 
 def test_inline_families_are_decoded_through_the_serialize_module(monkeypatch):

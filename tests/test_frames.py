@@ -26,12 +26,14 @@ from gframes import (
     operator_norm,
     optimal_bounds,
     psd_order_leq,
+    scalar_norm,
     scale_family,
     synthesis,
     synthesis_op,
     verify_frame_inequality,
     zero_op,
 )
+from gframes.frames import batched_gram, batched_norm, batched_quadratic
 
 
 def _identity_family(n, d, count=1):
@@ -258,3 +260,21 @@ def test_cross_operator_adjoint_pairing():
     cross = cross_operator(left, right)
     swapped = cross_operator(right, left)
     np.testing.assert_allclose(cross.flat, swapped.flat.conj().T, atol=1e-12)
+
+
+def _relative_gap(got, want):
+    return np.abs(np.asarray(got) - np.asarray(want)).max() / max(np.abs(want).max(), 1e-300)
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (1, 3), (3, 1), (2, 2), (4, 3)])
+def test_batched_kernels_match_the_per_vector_definitions(n, d):
+    rng = np.random.default_rng(100 * n + d)
+    vectors = [random_vector(rng, n, d) for _ in range(7)]
+    op = random_op(rng, n, d, d)
+    xs = np.stack([x.flat for x in vectors])
+    quads, grams, norms = batched_quadratic(op.flat, xs), batched_gram(xs), batched_norm(xs)
+    assert quads.shape == grams.shape == (len(vectors), n, n)
+    for x, quad, gram, norm in zip(vectors, quads, grams, norms):
+        assert _relative_gap(quad, inner_product(apply(op, x), x).entries) <= 1e-12
+        assert _relative_gap(gram, inner_product(x, x).entries) <= 1e-12
+        assert abs(norm - scalar_norm(x)) <= 1e-12 * scalar_norm(x)

@@ -1,4 +1,4 @@
-"""Property test of the scenario runner over arbitrary instance fields."""
+"""Property tests of the scenario runner over arbitrary scenario and instance fields."""
 
 import json
 import os
@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import gframes
 from gframes import serialize as ser
-from gframes.cli import main
+from gframes.cli import Scenario, main, parse_scenario
+from gframes.errors import ValidationError
 from gframes.registry import THEOREMS
 
 _FAMILIES = [
@@ -74,3 +75,37 @@ def test_run_exits_0_1_or_2_and_writes_strict_json(case):
         if os.path.exists(report):
             with open(report, encoding="utf-8") as handle:
                 json.load(handle, parse_constant=_reject_constant)
+
+
+# Scenario-level values: arbitrary JSON plus integers of any size and
+# the non-finite floats a lenient JSON parser yields.
+_SCALARS = st.one_of(
+    _JSON,
+    st.integers(),
+    st.sampled_from(
+        [10**400, -(10**400), 2**64, 2**63 - 1, float("nan"), float("inf"), -float("inf"), "1e999"]
+    ),
+)
+_TOLERANCES = st.fixed_dictionaries({}, optional={"rel": _SCALARS, "abs": _SCALARS}) | _SCALARS
+
+
+@st.composite
+def _scenario_docs(draw):
+    # The schema is drawn in one case of four and every other field is left
+    # out half the time, so that the checks after a malformed field run too.
+    schema = draw(st.integers(0, 3).flatmap(lambda k: _SCALARS if k == 0 else st.just(1)))
+    doc = {"schema": schema, "theorem": draw(st.sampled_from(["CLASSIFY", "T12_OPERATOR"]))}
+    for key in ("seed", "seed_stride", "repetitions", "tolerance", "name"):
+        if draw(st.booleans()):
+            doc[key] = draw(_TOLERANCES if key == "tolerance" else _SCALARS)
+    return doc
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_scenario_docs())
+@example({"theorem": "CLASSIFY", "schema": 1, "tolerance": {"rel": 10**400}})
+def test_parse_scenario_returns_a_scenario_or_raises_validation_error(doc):
+    try:
+        assert isinstance(parse_scenario(doc), Scenario)
+    except ValidationError:
+        pass
