@@ -38,13 +38,11 @@ from .frames import (
     FrameKind,
     GFrameFamily,
     analysis,
-    analysis_op,
     bound_witnesses,
     classify,
     cross_operator,
     frame_operator,
     is_frame_bounds,
-    lemma_surjectivity_equivalence,
     optimal_bounds,
     scale_family,
     synthesis,
@@ -76,7 +74,6 @@ from .hilbert import (
     zero_op,
 )
 from .stability import (
-    PerturbationReport,
     StabilityId,
     difference_check,
     final_corollary_check,

@@ -119,11 +119,6 @@ def synthesis_op(family: GFrameFamily) -> AdjointableOp:
     return AdjointableOp(flat, family.algebra_dim)
 
 
-def analysis_op(family: GFrameFamily) -> AdjointableOp:
-    """Analysis operator, the adjoint of the synthesis operator."""
-    return adjoint_op(synthesis_op(family))
-
-
 def _paired_products(lefts, rights) -> AdjointableOp:
     """Sum of adjoint(p) . q over paired members p, q of one source module."""
     n = lefts[0].algebra_dim
@@ -277,14 +272,3 @@ def verify_frame_inequality(
         )
     return spectral_ok
 
-
-def lemma_surjectivity_equivalence(
-    family: GFrameFamily, tol: Tolerance = DEFAULT_TOL
-) -> bool:
-    """Self-test: synthesis surjectivity must agree with strict positivity
-    of the frame operator."""
-    from .hilbert import is_surjective
-
-    surjective = is_surjective(synthesis_op(family), tol)
-    frame = is_frame_bounds(optimal_bounds(family), tol)
-    return surjective == frame

@@ -7,14 +7,16 @@ shapes appear verbatim inside scenario files and reports.
 
 from __future__ import annotations
 
+import math
+from dataclasses import fields, is_dataclass
+
 import numpy as np
 
 from .algebra import AlgebraElement
 from .errors import ValidationError
-from .frames import FrameBounds, GFrameFamily
-from .hilbert import AdjointableOp, ModuleVector
-from .sums import CheckItem, ScalarWeights, TheoremReport
-from .stability import PerturbationReport
+from .frames import GFrameFamily
+from .hilbert import AdjointableOp
+from .sums import ScalarWeights, TheoremReport
 
 
 def array_from_json(data, key: str, rank: int) -> np.ndarray:
@@ -46,16 +48,6 @@ def _grid_from_json(rows, key: str) -> tuple[np.ndarray, int]:
     if n != m:
         raise ValidationError(f"{key!r} must hold square blocks, got {n}x{m} blocks")
     return grid.transpose(0, 2, 1, 3).reshape(height * n, width * n), n
-
-
-def vector_to_json(x: ModuleVector) -> dict:
-    return {"components": [element_to_json(c) for c in x.components]}
-
-
-def vector_from_json(data) -> ModuleVector:
-    if not isinstance(data, dict) or "components" not in data:
-        raise ValidationError("module vector needs a 'components' list")
-    return ModuleVector(_grid_from_json([data["components"]], "components")[0])
 
 
 def op_to_json(op: AdjointableOp) -> dict:
@@ -112,62 +104,37 @@ def weights_from_json(data) -> ScalarWeights:
         raise ValidationError(f"malformed weights: {exc}") from exc
 
 
-def bounds_to_json(b: FrameBounds) -> dict:
-    return {
-        "lower": float(b.lower),
-        "upper": float(b.upper),
-        "tight": bool(b.tight),
-        "parseval": bool(b.parseval),
-    }
+# What a report writes between "theorem"/"verdict" and the sorted
+# "details"; a report without a result kind is a perturbation report.
+_SUM_KEYS = (
+    "hypothesis_checks", "predicted_lower", "predicted_upper", "achieved", "result_kind"
+)
+_PERTURBATION_KEYS = (
+    "alphas", "measured_lhs", "allowed_rhs", "claimed_bounds", "achieved",
+    "bound_discrepancy_note",
+)
 
 
-def _check_to_json(c: CheckItem) -> dict:
-    return {
-        "name": c.name,
-        "passed": bool(c.passed),
-        "measured": None if c.measured is None else float(c.measured),
-        "limit": None if c.limit is None else float(c.limit),
-    }
-
-
-def _strict(value):
-    """Report value in strict JSON: tuples as lists, non-finite floats as null."""
-    if isinstance(value, dict):
-        return {key: _strict(item) for key, item in value.items()}
+def _to_json(value):
+    """Strict JSON form of a report value: dataclasses as dicts in field
+    order, tuples as lists, numpy scalars as Python ones and non-finite
+    floats as null."""
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, (list, tuple)):
-        return [_strict(item) for item in value]
-    if isinstance(value, float) and not np.isfinite(value):
+        return [_to_json(item) for item in value]
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
 
 
-def report_to_json(report) -> dict:
-    """Serialize either report flavor to a plain JSON-ready dict."""
-    if isinstance(report, TheoremReport):
-        data = {
-            "theorem": report.theorem_id,
-            "verdict": report.verdict.value,
-            "hypothesis_checks": [
-                _check_to_json(c) for c in report.hypothesis_checks
-            ],
-            "predicted_lower": report.predicted_lower,
-            "predicted_upper": report.predicted_upper,
-            "achieved": bounds_to_json(report.achieved),
-            "result_kind": report.result_kind,
-            "details": {k: report.details[k] for k in sorted(report.details)},
-        }
-    elif isinstance(report, PerturbationReport):
-        data = {
-            "theorem": report.theorem_id,
-            "verdict": report.verdict.value,
-            "alphas": report.alphas,
-            "measured_lhs": report.measured_lhs,
-            "allowed_rhs": report.allowed_rhs,
-            "claimed_bounds": report.claimed_bounds,
-            "achieved": bounds_to_json(report.achieved),
-            "bound_discrepancy_note": report.bound_discrepancy_note,
-            "details": {k: report.details[k] for k in sorted(report.details)},
-        }
-    else:
-        raise TypeError(f"cannot serialize {type(report).__name__}")
-    return _strict(data)
+def report_to_json(report: TheoremReport) -> dict:
+    """A report as a plain JSON-ready dict."""
+    data = {"theorem": report.theorem_id, "verdict": report.verdict.value}
+    keys = _PERTURBATION_KEYS if report.result_kind is None else _SUM_KEYS
+    for key in keys:
+        data[key] = _to_json(getattr(report, key))
+    data["details"] = {k: _to_json(report.details[k]) for k in sorted(report.details)}
+    return data

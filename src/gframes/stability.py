@@ -11,7 +11,6 @@ classifies as a frame).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -40,7 +39,7 @@ from .frames import (
     require_endomorphism,
 )
 from .hilbert import AdjointableOp, adjoint_op, compose
-from .sums import ScalarWeights, Verdict, _verdict, weighted_pair
+from .sums import ScalarWeights, TheoremReport, _verdict, weighted_pair
 
 
 class StabilityId(str, Enum):
@@ -50,26 +49,13 @@ class StabilityId(str, Enum):
     FINAL_COROLLARY = "FINAL_COROLLARY"
 
 
-@dataclass(frozen=True)
-class PerturbationReport:
-    theorem_id: str
-    alphas: tuple[float, float] | None
-    measured_lhs: float
-    allowed_rhs: float
-    claimed_bounds: tuple[float, float] | None
-    achieved: FrameBounds
-    verdict: Verdict
-    bound_discrepancy_note: str
-    details: dict[str, float] = field(default_factory=dict)
-
-
 def _frame_conclusion_report(
     other: GFrameFamily, hypotheses_hold: bool, tol: Tolerance, **fields
-) -> PerturbationReport:
+) -> TheoremReport:
     """Shared tail of the family-based checks: the claim is that the
     perturbed family classifies as a frame; its bounds are the achieved ones."""
     cls = classify(other, tol)
-    return PerturbationReport(
+    return TheoremReport(
         achieved=cls.bounds,
         verdict=_verdict(hypotheses_hold, cls.kind is not FrameKind.BESSEL_ONLY),
         **fields,
@@ -112,7 +98,7 @@ def prop_mixed_check(
     tol: Tolerance = DEFAULT_TOL,
     samples: int = 500,
     seed: int = 0,
-) -> PerturbationReport:
+) -> TheoremReport:
     """Norm-difference perturbation condition, sampled pointwise.
 
     Hypothesis per sample x, with a(x) and b(x) the norms of the two
@@ -172,7 +158,7 @@ def difference_check(
     tol: Tolerance = DEFAULT_TOL,
     samples: int = 500,
     seed: int = 0,
-) -> PerturbationReport:
+) -> TheoremReport:
     """Quadratic-difference perturbation condition.
 
     Hypothesis: the frame operator of the weighted difference family is
@@ -278,7 +264,7 @@ def t12_check(
     family: GFrameFamily,
     delta_ops: list[AdjointableOp],
     tol: Tolerance = DEFAULT_TOL,
-) -> PerturbationReport:
+) -> TheoremReport:
     """Frame-operator perturbation with explicit norm budget.
 
     Hypothesis: over every index subset, the summed deviation between
@@ -357,9 +343,8 @@ def t12_check(
         " overstates it (a Neumann argument yields D/(C(D-1))), so it is"
         f" recorded, not asserted; subset condition: {subset_note}"
     )
-    return PerturbationReport(
+    return TheoremReport(
         theorem_id=StabilityId.T12_OPERATOR.value,
-        alphas=None,
         measured_lhs=measured_lhs,
         allowed_rhs=budget,
         claimed_bounds=claimed,
@@ -383,7 +368,7 @@ def final_corollary_check(
     other: GFrameFamily,
     alpha: float,
     tol: Tolerance = DEFAULT_TOL,
-) -> PerturbationReport:
+) -> TheoremReport:
     """Frame-operator proximity: ||S_F - S_G|| <= alpha < C forces the
     second family to be a frame; the contraction ||I - S_G S_F^-1||
     <= alpha / C is recorded as the proof step."""
@@ -411,10 +396,8 @@ def final_corollary_check(
         hypothesis_ok,
         tol,
         theorem_id=StabilityId.FINAL_COROLLARY.value,
-        alphas=None,
         measured_lhs=measured_lhs,
         allowed_rhs=alpha,
-        claimed_bounds=None,
         bound_discrepancy_note="",
         details={
             "alpha": alpha,

@@ -91,13 +91,22 @@ class CheckItem:
 
 @dataclass(frozen=True)
 class TheoremReport:
+    """The outcome of one checker run.  Perturbation checkers fill
+    ``alphas`` to ``bound_discrepancy_note`` and leave ``result_kind``
+    None; the other checkers fill the fields up to ``result_kind``."""
+
     theorem_id: str
-    hypothesis_checks: tuple[CheckItem, ...]
-    predicted_lower: float | None
-    predicted_upper: float | None
     achieved: FrameBounds
     verdict: Verdict
-    result_kind: str
+    hypothesis_checks: tuple[CheckItem, ...] = ()
+    predicted_lower: float | None = None
+    predicted_upper: float | None = None
+    result_kind: str | None = None
+    alphas: tuple[float, float] | None = None
+    measured_lhs: float | None = None
+    allowed_rhs: float | None = None
+    claimed_bounds: tuple[float, float] | None = None
+    bound_discrepancy_note: str | None = None
     details: dict[str, float] = field(default_factory=dict)
 
     @property
