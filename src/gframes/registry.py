@@ -19,7 +19,7 @@ from . import serialize
 from ._rand import complex_gaussian, haar_unitary, make_rng, sub_seed
 from .algebra import DEFAULT_TOL, Tolerance
 from .errors import GFrameError, ValidationError
-from .frames import GFrameFamily, classify, frame_operator, scale_family
+from .frames import GFrameFamily, classify, optimal_bounds, scale_family
 from .generators import (
     FamilyTarget,
     GenSpec,
@@ -244,9 +244,7 @@ def _bessel_partner(rng, family: GFrameFamily, target_upper: float) -> GFrameFam
     its optimal upper bound equals target_upper."""
     n, d = family.algebra_dim, family.source_len
     raw = gen_family(GenSpec(sub_seed(rng), n, d, family.member_dims))
-    current = float(
-        np.linalg.eigvalsh(frame_operator(raw).flat).max().real
-    )
+    current = optimal_bounds(raw).upper
     if current <= 0.0:
         return raw
     return scale_family(raw, math.sqrt(target_upper / current))
@@ -378,9 +376,7 @@ def _build_t7_scalar(cfg, seed, rng, n, d, dims, tol):
         # Hypothesis headroom: weighted Bessel term at 40% of the
         # weighted frame term.
         ratio = cfg.get("bessel_ratio", 0.4)
-        lower_f = float(
-            np.linalg.eigvalsh(frame_operator(family).flat).min().real
-        )
+        lower_f = optimal_bounds(family).lower
         target = ratio * weights.band_lower * lower_f / weights.band_upper
         other = _bessel_partner(rng, family, target)
     _, report = scalar_weighted_sum(family, other, weights, tol)
@@ -566,9 +562,8 @@ def _build_t12(cfg, seed, rng, n, d, dims, tol):
         delta_ops = operators_from_family(cfg["second_family"])
     else:
         margin = cfg.get("budget_fraction", 0.5)
-        spectrum = np.linalg.eigvalsh(frame_operator(family).flat)
-        lower_f, upper_f = float(spectrum.min().real), float(spectrum.max().real)
-        budget = margin * lower_f / max(upper_f, 1e-12)
+        bounds = optimal_bounds(family)
+        budget = margin * bounds.lower / max(bounds.upper, 1e-12)
         raws = [complex_gaussian(rng, n * d, n * d) for _ in family.members]
         bumps = [r @ r.conj().T for r in raws]
         total = sum(float(np.linalg.norm(b, 2)) for b in bumps)
