@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import reprlib
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -23,6 +24,8 @@ from .registry import THEOREMS, build_and_run, theorem_ids
 from .serialize import report_to_json
 
 SCHEMA_VERSION = 1
+# Inclusive cap on a scenario's repetitions, so that every run ends.
+MAX_REPETITIONS = 1_000_000
 _MASK64 = (1 << 64) - 1
 
 
@@ -64,9 +67,12 @@ def parse_scenario(data: dict, path: str = "<memory>") -> Scenario:
             f"{path}: unknown theorem {theorem!r}; see --list-theorems"
         )
     reps = data.get("repetitions", 1)
-    if not isinstance(reps, int) or isinstance(reps, bool) or reps < 1:
+    if not isinstance(reps, int) or isinstance(reps, bool) or not (
+        0 < reps <= MAX_REPETITIONS
+    ):
         raise ValidationError(
-            f"{path}: 'repetitions' must be a positive integer, got {reps!r}"
+            f"{path}: 'repetitions' must be a positive integer at most"
+            f" {MAX_REPETITIONS}, got {reprlib.repr(reps)}"
         )
     tol_data = data.get("tolerance", {})
     if not isinstance(tol_data, dict):

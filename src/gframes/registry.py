@@ -68,6 +68,19 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# Cap on the flattened sizes n*d and n*d_i of an instance.  The work per
+# repetition grows with these (eigendecompositions of (n*d)-square frame
+# operators), and a size numpy cannot allocate would otherwise crash.
+MAX_FLAT_SIZE = 64
+
+
+_SIZE_FIELDS = ("algebra_dim", "module_len", "member_dims")
+
+
+def _is_size(value) -> bool:
+    return _is_int(value) and 0 < value <= MAX_FLAT_SIZE
+
+
 def _is_positive(value) -> bool:
     # A comparison, not float(): an integer above the float range overflows.
     number = _is_int(value) or isinstance(value, float)
@@ -84,11 +97,11 @@ def _is_object(value) -> bool:
 _FIELD_KINDS = {
     **dict.fromkeys(
         ("algebra_dim", "module_len"),
-        ("a positive integer", lambda v: _is_int(v) and v > 0, int),
+        (f"a positive integer at most {MAX_FLAT_SIZE}", _is_size, int),
     ),
     "member_dims": (
-        "a nonempty list of positive integers",
-        lambda v: isinstance(v, list) and v and all(_is_int(x) and x > 0 for x in v),
+        f"a nonempty list of positive integers at most {MAX_FLAT_SIZE}",
+        lambda v: isinstance(v, list) and v and all(map(_is_size, v)),
         tuple,
     ),
     **dict.fromkeys(
@@ -164,16 +177,28 @@ def validate_instance(theorem: str, instance) -> dict:
     return cfg
 
 
+# The instance fields that set sizes, named when the sizes exceed the cap.
+_SIZE_SOURCES = ("family", "second_family", "weights") + _SIZE_FIELDS
+
+
 def _sizes(
     cfg: dict, rng, *, even_dims: bool = False, min_flat: int = 1
 ) -> tuple[int, int, tuple[int, ...]]:
     """Instance sizes: explicit from the config, otherwise drawn at desk
-    scale; an inline family (else an inline second family) fixes all three.
+    scale; an inline family (else an inline second family) fixes all
+    three, and inline weights fix n and the member count.  The resolved
+    sizes must keep n*d and every n*d_i within ``MAX_FLAT_SIZE``.
 
     ``min_flat`` forces the drawn flattening dimension n*d upward, for
     builders whose targets need room for two distinct bounds.
     """
+    # The sizes are drawn even where inline values fix them: every later
+    # draw then stays what it was for the seeds whose drawn sizes already
+    # fitted those values.
+    weights = cfg.get("weights")
     n = cfg.get("algebra_dim") or int(rng.integers(1, 4))
+    if weights is not None and "algebra_dim" not in cfg:
+        n = weights.algebra_dim
     d = cfg.get("module_len") or int(rng.integers(1, 4))
     if "module_len" not in cfg:
         while n * d < min_flat:
@@ -182,6 +207,8 @@ def _sizes(
         dims = cfg["member_dims"]
     else:
         count = int(rng.integers(2, 6))
+        if weights is not None:
+            count = weights.count
         if even_dims:
             dims = tuple(int(rng.choice((2, 4))) for _ in range(count))
             while sum(dims) < 2 * d:
@@ -190,17 +217,36 @@ def _sizes(
             dims = tuple(int(rng.integers(1, d + 3)) for _ in range(count))
             while sum(dims) < d:
                 dims = dims + (1,)
+        if weights is not None:
+            # Padding members merge into the last one: the count is fixed.
+            dims = dims[: count - 1] + (sum(dims[count - 1 :]),)
     inline = next((key for key in ("family", "second_family") if key in cfg), None)
     if inline is not None:
-        # The sizes are drawn even so: every later draw then stays what it
-        # was for the seeds whose drawn sizes already fitted the family.
         family = cfg[inline]
         n, d, dims = family.algebra_dim, family.source_len, family.member_dims
-        for key, size in zip(("algebra_dim", "module_len", "member_dims"), (n, d, dims)):
+        for key, size in zip(_SIZE_FIELDS, (n, d, dims)):
             if cfg.get(key, size) != size:
                 raise ValidationError(
                     f"instance field {key!r} contradicts the {inline}, which has {size!r}"
                 )
+    if weights is not None:
+        for key, what, size, fixed in (
+            ("algebra_dim", "algebra_dim", n, weights.algebra_dim),
+            ("member_dims", "member count", len(dims), weights.count),
+        ):
+            if size != fixed:
+                source = f"the {inline}" if inline else f"instance field {key!r}"
+                raise ValidationError(
+                    f"instance field 'weights' has {what} {fixed},"
+                    f" which contradicts {source} ({size})"
+                )
+    flat = n * max(d, *dims)
+    if flat > MAX_FLAT_SIZE:
+        named = [key for key in _SIZE_SOURCES if key in cfg]
+        raise ValidationError(
+            f"the sizes from {', '.join(map(repr, named))} give a flattened size"
+            f" n*max(d, d_i) = {flat}, above the cap of {MAX_FLAT_SIZE}"
+        )
     return n, d, dims
 
 

@@ -136,6 +136,8 @@ class ScalarWeights:
             raise BadRange("weight band must satisfy 0 < lower < upper")
         if len(self.thetas) != len(self.deltas) or not self.thetas:
             raise BadRange("weight sequences must be nonempty and equally long")
+        if len({w.dim for w in self.thetas + self.deltas}) != 1:
+            raise DimensionMismatch("weights must all lie in one algebra")
         low, high = math.inf, -math.inf
         for seq_name, seq in (("theta", self.thetas), ("delta", self.deltas)):
             for w in seq:
@@ -151,6 +153,10 @@ class ScalarWeights:
     @property
     def count(self) -> int:
         return len(self.thetas)
+
+    @property
+    def algebra_dim(self) -> int:
+        return self.thetas[0].dim
 
 
 def _verdict(hypotheses_hold: bool, conclusion_holds: bool) -> Verdict:

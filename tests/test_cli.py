@@ -12,6 +12,7 @@ import pytest
 import gframes
 from gframes import serialize as ser
 from gframes.cli import (
+    MAX_REPETITIONS,
     load_scenarios,
     main,
     parse_scenario,
@@ -342,6 +343,17 @@ _MALFORMED = [
     ("PERTURB_LAMBDA", {"tolerance": {"rel": _HUGE}}, {}, "rel"),
     ("PERTURB_LAMBDA", {}, {"family_target": {"tight": _HUGE}}, "family_target"),
     ("T12_OPERATOR", {}, {"family_target": {"tight": "inf"}}, "family_target"),
+    # Sizes above the cap on n*d and n*d_i: beyond numpy's range, beyond the
+    # cap alone, and within it one by one but not as a product.
+    ("CLASSIFY", {}, {"algebra_dim": _HUGE}, "algebra_dim"),
+    ("T3_EQUIV", {}, {"member_dims": [2, _HUGE]}, "member_dims"),
+    ("T12_OPERATOR", {}, {"module_len": 10**6}, "module_len"),
+    ("CLASSIFY", {}, {"algebra_dim": 8, "module_len": 9}, "module_len"),
+    # Inline weights whose member count contradicts the family or a
+    # declared size.
+    ("PROP_MIXED", {}, dict(_inline_pair_instance(), weights=_WEIGHTS,
+                            second_family=_inline_pair_instance()["family"]), "weights"),
+    ("T7_SCALAR", {}, {"weights": _WEIGHTS, "member_dims": [1, 2]}, "member_dims"),
 ]
 
 
@@ -374,6 +386,37 @@ def test_malformed_instance_exits_2_and_names_the_field(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("reps", [MAX_REPETITIONS + 1, _HUGE], ids=["cap_plus_one", "huge"])
+def test_repetitions_above_the_cap_are_rejected(reps):
+    # Rejected while parsing, so that no run loops at the extreme.
+    at_cap = parse_scenario(_basic_scenario(repetitions=MAX_REPETITIONS))
+    assert at_cap.repetitions == MAX_REPETITIONS
+    with pytest.raises(ValidationError, match="'repetitions'"):
+        parse_scenario(_basic_scenario(repetitions=reps))
+
+
+_SUM_SHAPE = [
+    "theorem", "verdict", "hypothesis_checks", "predicted_lower", "predicted_upper",
+    "achieved", "result_kind", "details",
+]
+_PERTURBATION_SHAPE = [
+    "theorem", "verdict", "alphas", "measured_lhs", "allowed_rhs", "claimed_bounds",
+    "achieved", "bound_discrepancy_note", "details",
+]
+
+
+def test_report_keys_keep_their_order_for_every_theorem():
+    perturbation = {s.value for s in gframes.StabilityId}
+    for theorem in sorted(THEOREMS):
+        data = ser.report_to_json(build_and_run(theorem, {}, 0))
+        shape = _PERTURBATION_SHAPE if theorem in perturbation else _SUM_SHAPE
+        assert list(data) == shape, theorem
+        assert list(data["achieved"]) == ["lower", "upper", "tight", "parseval"]
+        for check in data.get("hypothesis_checks", []):
+            assert list(check) == ["name", "passed", "measured", "limit"]
+        assert list(data["details"]) == sorted(data["details"])
+
+
 @pytest.mark.parametrize("theorem", sorted(THEOREMS))
 def test_unknown_instance_field_is_rejected_for_every_theorem(theorem):
     with pytest.raises(ValidationError, match="alpah1"):
@@ -394,10 +437,15 @@ def test_unknown_instance_field_is_rejected_for_every_theorem(theorem):
 def test_inline_family_sets_the_sizes_of_generated_companions(theorem):
     # Only the family, or only the second family, is inline: the generated
     # companions must take its sizes, whatever sizes the seed draws.
-    for key in ("family", "second_family"):
-        if key not in THEOREMS[theorem][2]:
-            continue
-        instance = _inline_pair_instance(key)
+    instances = [
+        _inline_pair_instance(key)
+        for key in ("family", "second_family")
+        if key in THEOREMS[theorem][2]
+    ]
+    if theorem == "T7_SCALAR":
+        # One-member inline weights fix n and the member count the same way.
+        instances.append({"weights": _WEIGHTS})
+    for instance in instances:
         for seed in range(10):
             report = build_and_run(theorem, instance, seed)
             assert report.verdict.value != "ConclusionFails"

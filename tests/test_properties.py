@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import gframes
 from gframes import serialize as ser
-from gframes.cli import Scenario, main, parse_scenario
+from gframes.cli import MAX_REPETITIONS, Scenario, main, parse_scenario
 from gframes.errors import ValidationError
 from gframes.registry import THEOREMS
 
@@ -104,8 +104,12 @@ def _scenario_docs(draw):
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(_scenario_docs())
 @example({"theorem": "CLASSIFY", "schema": 1, "tolerance": {"rel": 10**400}})
+# Repetitions beyond the cap, which would never finish running.
+@example({"theorem": "CLASSIFY", "schema": 1, "repetitions": 10**400})
 def test_parse_scenario_returns_a_scenario_or_raises_validation_error(doc):
     try:
-        assert isinstance(parse_scenario(doc), Scenario)
+        scenario = parse_scenario(doc)
     except ValidationError:
-        pass
+        return
+    assert isinstance(scenario, Scenario)
+    assert 1 <= scenario.repetitions <= MAX_REPETITIONS
