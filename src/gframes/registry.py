@@ -72,9 +72,9 @@ def _is_int(value) -> bool:
 # repetition grows with these (eigendecompositions of (n*d)-square frame
 # operators), and a size numpy cannot allocate would otherwise crash.
 MAX_FLAT_SIZE = 64
-
-
 _SIZE_FIELDS = ("algebra_dim", "module_len", "member_dims")
+# The instance fields that set sizes, named when the sizes exceed the cap.
+_SIZE_SOURCES = ("family", "second_family", "weights") + _SIZE_FIELDS
 
 
 def _is_size(value) -> bool:
@@ -177,10 +177,6 @@ def validate_instance(theorem: str, instance) -> dict:
     return cfg
 
 
-# The instance fields that set sizes, named when the sizes exceed the cap.
-_SIZE_SOURCES = ("family", "second_family", "weights") + _SIZE_FIELDS
-
-
 def _sizes(
     cfg: dict, rng, *, even_dims: bool = False, min_flat: int = 1
 ) -> tuple[int, int, tuple[int, ...]]:
@@ -229,17 +225,13 @@ def _sizes(
                 raise ValidationError(
                     f"instance field {key!r} contradicts the {inline}, which has {size!r}"
                 )
-    if weights is not None:
-        for key, what, size, fixed in (
-            ("algebra_dim", "algebra_dim", n, weights.algebra_dim),
-            ("member_dims", "member count", len(dims), weights.count),
-        ):
-            if size != fixed:
-                source = f"the {inline}" if inline else f"instance field {key!r}"
-                raise ValidationError(
-                    f"instance field 'weights' has {what} {fixed},"
-                    f" which contradicts {source} ({size})"
-                )
+    if weights is not None and (n, len(dims)) != (weights.algebra_dim, weights.count):
+        named = (key for key in (inline, "algebra_dim", "member_dims") if key in cfg)
+        raise ValidationError(
+            f"instance field 'weights' has n = {weights.algebra_dim} and"
+            f" {weights.count} members, which contradicts"
+            f" {' and '.join(map(repr, named))} (n = {n}, {len(dims)} members)"
+        )
     flat = n * max(d, *dims)
     if flat > MAX_FLAT_SIZE:
         named = [key for key in _SIZE_SOURCES if key in cfg]
