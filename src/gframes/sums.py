@@ -111,7 +111,8 @@ class TheoremReport:
 
     @property
     def hypotheses_pass(self) -> bool:
-        return all(c.passed for c in self.hypothesis_checks)
+        # From the verdict: perturbation reports list no hypothesis checks.
+        return self.verdict is not Verdict.HYPOTHESIS_FAILS
 
 
 @dataclass(frozen=True)

@@ -233,6 +233,7 @@ def test_t12_large_family_with_alternating_deviations_fails_hypothesis():
     report = t12_check(family, deltas)
     assert report.allowed_rhs == pytest.approx(1.0)
     assert report.verdict == Verdict.HYPOTHESIS_FAILS
+    assert not report.hypotheses_pass
     assert report.details["subset_sup_upper"] == pytest.approx(1.4)
     assert report.details["subset_sup_lower"] == pytest.approx(1.4)
 
