@@ -104,15 +104,33 @@ def zero(n: int) -> AlgebraElement:
 
 
 def hermitian_part(mat: np.ndarray) -> np.ndarray:
-    """Hermitian part (m + m*)/2 of a square complex matrix."""
-    return (mat + mat.conj().T) / 2.0
+    """Hermitian part (m + m*)/2 of a square complex matrix, or of each
+    matrix in a stack of them."""
+    return (mat + mat.conj().swapaxes(-1, -2)) / 2.0
 
 
 def spectral_norm(mat: np.ndarray) -> float:
     """Largest singular value of a complex matrix."""
     if mat.size == 0:
         return 0.0
-    return float(np.linalg.norm(mat, 2))
+    return float(np.linalg.svd(mat, compute_uv=False)[0])
+
+
+def positivity(
+    mat: np.ndarray, tol: Tolerance = DEFAULT_TOL
+) -> tuple[bool, float, float]:
+    """Spectral positivity test of a square matrix.
+
+    Returns the verdict, the least eigenvalue of the Hermitian part and
+    the margin ``tol.abs + tol.rel * ||mat||``.  The matrix is positive
+    iff it is Hermitian up to the margin and that eigenvalue clears
+    ``-margin``, so near-singular positives on the PSD boundary are
+    accepted.
+    """
+    margin = tol.margin(spectral_norm(mat))
+    least = float(np.linalg.eigvalsh(hermitian_part(mat))[0])
+    hermitian = spectral_norm(mat - mat.conj().T) <= margin
+    return hermitian and least >= -margin, least, margin
 
 
 def adjoint(a: AlgebraElement) -> AlgebraElement:
@@ -126,20 +144,8 @@ def operator_norm(a: AlgebraElement) -> float:
 
 
 def is_positive(a: AlgebraElement, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Decide positivity spectrally.
-
-    True iff ``a`` is Hermitian up to the tolerance margin and every
-    eigenvalue of its Hermitian part clears ``-margin``.  The margin is
-    ``tol.abs + tol.rel * ||a||``, so near-singular positives on the PSD
-    boundary are accepted.
-    """
-    scale = operator_norm(a)
-    margin = tol.margin(scale)
-    herm_dev = spectral_norm(a.entries - a.entries.conj().T)
-    if herm_dev > margin:
-        return False
-    eigs = np.linalg.eigvalsh(hermitian_part(a.entries))
-    return bool(eigs[0] >= -margin)
+    """The verdict of ``positivity`` on the element's entries."""
+    return positivity(a.entries, tol)[0]
 
 
 def sqrt_psd(a: AlgebraElement, tol: Tolerance = DEFAULT_TOL) -> AlgebraElement:

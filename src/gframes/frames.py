@@ -18,7 +18,7 @@ import numpy as np
 from ._rand import make_rng, sample_flat_vectors
 from .algebra import DEFAULT_TOL, Tolerance, hermitian_part
 from .errors import DimensionMismatch, InternalConsistencyError
-from .hilbert import AdjointableOp, ModuleVector, adjoint_op, apply
+from .hilbert import AdjointableOp, ModuleVector, adjoint_op, apply, batched_gram
 
 # Relative margin for deciding that optimal bounds coincide (tightness).
 TIGHTNESS_REL = 1e-8
@@ -39,14 +39,6 @@ class FrameBounds:
     upper: float
     tight: bool
     parseval: bool
-
-    @classmethod
-    def from_spectrum(cls, low: float, high: float) -> "FrameBounds":
-        lower = float(max(low, 0.0))
-        upper = float(max(high, lower))
-        tight = (upper - lower) <= TIGHTNESS_REL * upper
-        parseval = tight and abs(lower - 1.0) <= TIGHTNESS_REL * max(upper, 1.0)
-        return cls(lower=lower, upper=upper, tight=tight, parseval=parseval)
 
 
 @dataclass(frozen=True)
@@ -157,11 +149,21 @@ def cross_operator(left: GFrameFamily, right: GFrameFamily) -> AdjointableOp:
     return _paired_products(left.members, right.members)
 
 
+def spectrum_bounds(flat: np.ndarray) -> FrameBounds:
+    """Bounds read off the extreme eigenvalues of the Hermitian part of a
+    flattened operator, the lower one clipped at zero."""
+    eigs = np.linalg.eigvalsh(hermitian_part(flat))
+    lower = float(max(eigs[0], 0.0))
+    upper = float(max(eigs[-1], lower))
+    tight = (upper - lower) <= TIGHTNESS_REL * upper
+    parseval = tight and abs(lower - 1.0) <= TIGHTNESS_REL * max(upper, 1.0)
+    return FrameBounds(lower=lower, upper=upper, tight=tight, parseval=parseval)
+
+
 def optimal_bounds(family: GFrameFamily) -> FrameBounds:
     """Best constants of the frame inequality: the extreme eigenvalues
     of the flattened frame operator."""
-    eigs = np.linalg.eigvalsh(hermitian_part(frame_operator(family).flat))
-    return FrameBounds.from_spectrum(eigs[0], eigs[-1])
+    return spectrum_bounds(frame_operator(family).flat)
 
 
 def is_frame_bounds(bounds: FrameBounds, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -198,26 +200,22 @@ def bound_witnesses(family: GFrameFamily) -> tuple[ModuleVector, ModuleVector]:
     return ModuleVector(low), ModuleVector(high)
 
 
-def batched_gram(xs: np.ndarray) -> np.ndarray:
-    """Inner products <x, x> = x.x* for a batch of flattened vectors.
-
-    ``xs`` has shape (count, n, n*d); the result has shape (count, n, n).
-    """
-    return xs @ xs.conj().swapaxes(1, 2)
-
-
 def batched_quadratic(flat_op: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Inner products <Tx, x> for a batch of flattened vectors: one GEMM
     for every Tx, then the batched product with the conjugate samples."""
     images = (xs.reshape(-1, xs.shape[-1]) @ flat_op).reshape(xs.shape)
-    return images @ xs.conj().swapaxes(1, 2)
+    return images @ xs.conj().swapaxes(-1, -2)
 
 
-def batched_norm(xs: np.ndarray) -> np.ndarray:
-    """Module norms ||x|| = ||<x, x>||^(1/2) for a batch of flattened
-    vectors: the top eigenvalue of each n x n Gram matrix."""
-    top = np.linalg.eigvalsh(batched_gram(xs))[:, -1]
-    return np.sqrt(np.maximum(top, 0.0))
+def sampled_positive(
+    quads: np.ndarray, grams: np.ndarray, scale: float, tol: Tolerance
+) -> bool:
+    """Whether every sampled quadratic form is positive: the least
+    eigenvalue of each Hermitian part clears the margin of the samples'
+    Gram matrices at the given operator scale."""
+    gram_scales = np.linalg.norm(grams, axis=(-2, -1))
+    margins = tol.abs + tol.rel * scale * np.maximum(gram_scales, 1.0)
+    return bool((np.linalg.eigvalsh(hermitian_part(quads))[:, 0] >= -margins).all())
 
 
 def verify_frame_inequality(
@@ -252,16 +250,9 @@ def verify_frame_inequality(
     s_flat = frame_operator(family).flat
     grams = batched_gram(xs)
     quads = batched_quadratic(s_flat, xs)
-    low_resid = quads - lower * grams
-    high_resid = upper * grams - quads
-    low_eigs = np.linalg.eigvalsh((low_resid + low_resid.conj().swapaxes(1, 2)) / 2)
-    high_eigs = np.linalg.eigvalsh((high_resid + high_resid.conj().swapaxes(1, 2)) / 2)
-    gram_scales = np.linalg.norm(grams, axis=(1, 2))
-    sample_margins = tol.abs + tol.rel * scale * np.maximum(gram_scales, 1.0)
-    sampled_ok = bool(
-        (low_eigs[:, 0] >= -sample_margins).all()
-        and (high_eigs[:, 0] >= -sample_margins).all()
-    )
+    sampled_ok = sampled_positive(
+        quads - lower * grams, grams, scale, tol
+    ) and sampled_positive(upper * grams - quads, grams, scale, tol)
 
     if sampled_ok != spectral_ok:
         raise InternalConsistencyError(

@@ -16,7 +16,7 @@ from ._rand import complex_gaussian, haar_unitary, make_rng
 from .algebra import AlgebraElement, hermitian_part, spectral_norm
 from .errors import BadRange, DegenerateSpec
 from .frames import GFrameFamily, cross_operator, optimal_bounds
-from .hilbert import AdjointableOp
+from .hilbert import AdjointableOp, isometry_defect
 from .sums import ScalarWeights
 
 _REDRAWS = 32
@@ -222,11 +222,11 @@ def gen_orthogonal_pair(spec: GenSpec) -> tuple[GFrameFamily, GFrameFamily]:
 def gen_isometry(seed: int, n: int, d: int) -> AdjointableOp:
     """Haar-random unitary operator on the length-d module."""
     rng = make_rng(seed)
-    flat = haar_unitary(rng, n * d)
-    gram_dev = spectral_norm(flat @ flat.conj().T - np.eye(n * d))
+    op = AdjointableOp(haar_unitary(rng, n * d), n)
+    gram_dev = isometry_defect(op)
     if gram_dev > 1e-10:
         raise RuntimeError(f"unitary draw failed the isometry check: {gram_dev:.3e}")
-    return AdjointableOp(flat, n)
+    return op
 
 
 def gen_weights(

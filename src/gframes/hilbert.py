@@ -183,10 +183,24 @@ def module_scale(a: AlgebraElement, x: ModuleVector) -> ModuleVector:
     return ModuleVector(a.entries @ x.flat)
 
 
+def batched_gram(xs: np.ndarray) -> np.ndarray:
+    """Inner products <x, x> = x.x* for a batch of flattened vectors.
+
+    ``xs`` has shape (count, n, n*d); the result has shape (count, n, n).
+    """
+    return xs @ xs.conj().swapaxes(-1, -2)
+
+
+def batched_norm(xs: np.ndarray) -> np.ndarray:
+    """Module norms ||x|| = ||<x, x>||^(1/2) for a batch of flattened
+    vectors: the top eigenvalue of each n x n Gram matrix."""
+    top = np.linalg.eigvalsh(batched_gram(xs))[:, -1]
+    return np.sqrt(np.maximum(top, 0.0))
+
+
 def scalar_norm(x: ModuleVector) -> float:
-    """Module norm ||x|| = ||<x, x>||^(1/2)."""
-    gram = inner_product(x, x)
-    return float(np.sqrt(max(spectral_norm(gram.entries), 0.0)))
+    """Module norm ||x|| = ||<x, x>||^(1/2): ``batched_norm`` on a batch of one."""
+    return float(batched_norm(x.flat[None])[0])
 
 
 def apply(op: AdjointableOp, x: ModuleVector) -> ModuleVector:
@@ -238,8 +252,12 @@ def is_surjective(op: AdjointableOp, tol: Tolerance = DEFAULT_TOL) -> bool:
     return bool(svals[-1] > tol.margin(svals[0]))
 
 
+def isometry_defect(op: AdjointableOp) -> float:
+    """||adjoint_op(T) . T - I||, which vanishes exactly for an isometry."""
+    gram = compose(adjoint_op(op), op).flat
+    return spectral_norm(gram - np.eye(gram.shape[0], dtype=np.complex128))
+
+
 def is_isometry(op: AdjointableOp, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff adjoint_op(T) . T is the identity within tolerance."""
-    gram = compose(adjoint_op(op), op).flat
-    eye = np.eye(gram.shape[0], dtype=np.complex128)
-    return bool(spectral_norm(gram - eye) <= tol.margin(1.0))
+    return isometry_defect(op) <= tol.margin(1.0)

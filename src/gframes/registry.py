@@ -17,7 +17,7 @@ import numpy as np
 
 from . import serialize
 from ._rand import complex_gaussian, haar_unitary, make_rng, sub_seed
-from .algebra import DEFAULT_TOL, Tolerance
+from .algebra import DEFAULT_TOL, Tolerance, spectral_norm
 from .errors import GFrameError, ValidationError
 from .frames import GFrameFamily, classify, optimal_bounds, scale_family
 from .generators import (
@@ -604,7 +604,7 @@ def _build_t12(cfg, seed, rng, n, d, dims, tol):
         budget = margin * bounds.lower / max(bounds.upper, 1e-12)
         raws = [complex_gaussian(rng, n * d, n * d) for _ in family.members]
         bumps = [r @ r.conj().T for r in raws]
-        total = sum(float(np.linalg.norm(b, 2)) for b in bumps)
+        total = sum(spectral_norm(b) for b in bumps)
         delta_ops = [
             AdjointableOp(
                 m.flat @ m.flat.conj().T + (budget / max(total, 1e-12)) * b, n

@@ -16,20 +16,11 @@ from enum import Enum
 import numpy as np
 
 from ._rand import make_rng, sample_flat_vectors
-from .algebra import (
-    AlgebraElement,
-    DEFAULT_TOL,
-    Tolerance,
-    hermitian_part,
-    is_positive,
-    spectral_norm,
-)
+from .algebra import DEFAULT_TOL, Tolerance, hermitian_part, positivity, spectral_norm
 from .errors import AlphaOutOfRange, DimensionMismatch
 from .frames import (
-    FrameBounds,
     FrameKind,
     GFrameFamily,
-    batched_gram,
     batched_quadratic,
     classify,
     frame_operator,
@@ -37,8 +28,10 @@ from .frames import (
     optimal_bounds,
     require_compatible,
     require_endomorphism,
+    sampled_positive,
+    spectrum_bounds,
 )
-from .hilbert import AdjointableOp, adjoint_op, compose
+from .hilbert import AdjointableOp, adjoint_op, batched_gram, compose
 from .sums import ScalarWeights, TheoremReport, _verdict, weighted_pair
 
 
@@ -186,10 +179,7 @@ def difference_check(
     spectral_ok = float(gap_eigs[-1]) <= tol.margin(scale)
 
     resid = batched_quadratic(combo - s_diff, xs)
-    resid_eigs = np.linalg.eigvalsh((resid + resid.conj().swapaxes(1, 2)) / 2)
-    gram_scale = np.linalg.norm(batched_gram(xs), axis=(1, 2))
-    sample_margins = tol.abs + tol.rel * scale * np.maximum(gram_scale, 1.0)
-    sampled_ok = bool((resid_eigs[:, 0] >= -sample_margins).all())
+    sampled_ok = sampled_positive(resid, batched_gram(xs), scale, tol)
 
     base = optimal_bounds(family)
     input_frame = is_frame_bounds(base, tol)
@@ -244,7 +234,7 @@ def _subset_sup_bracket(deviations: np.ndarray) -> tuple[float, float]:
     the best of the full sum, the singletons and, per sign, the members
     positive along the top eigenvector of that part sum.
     """
-    herm = (deviations + deviations.conj().swapaxes(1, 2)) / 2
+    herm = hermitian_part(deviations)
     eigs, vecs = np.linalg.eigh(herm)
     candidates = [herm.sum(axis=0), *herm]
     upper = 0.0
@@ -271,7 +261,7 @@ def t12_check(
     adjoint(P).P and the candidate summand stays within C/D, where
     (C, D) are the input's optimal bounds and D > 1.  Conclusion: the
     summand total K is positive and invertible; the proof-step
-    contraction ||I - K S^-1|| <= 1/D is verified alongside.
+    contraction ||I - S^-1 K|| <= 1/D is verified alongside.
     """
     n, d = family.algebra_dim, family.source_len
     if len(delta_ops) != family.size:
@@ -285,9 +275,7 @@ def t12_check(
     d_above_one = d_high > 1.0
     budget = c_low / d_high if d_high > 0.0 else math.inf
 
-    summands_pos = all(
-        is_positive(AlgebraElement(op.flat), tol) for op in delta_ops
-    )
+    summands_pos = all(positivity(op.flat, tol)[0] for op in delta_ops)
     deviations = np.stack(
         [
             m.flat @ m.flat.conj().T - op.flat
@@ -302,7 +290,7 @@ def t12_check(
             (np.arange(1, 1 << count)[:, None] >> np.arange(count)) & 1
         ).astype(np.complex128)
         subset_sums = (masks @ deviations.reshape(count, -1)).reshape(-1, size, size)
-        herm = (subset_sums + subset_sums.conj().swapaxes(1, 2)) / 2
+        herm = hermitian_part(subset_sums)
         measured_lhs = float(np.abs(np.linalg.eigvalsh(herm)).max())
         subset_note = "exact over all index subsets"
     else:
@@ -320,12 +308,9 @@ def t12_check(
     )
 
     k_flat = sum(op.flat for op in delta_ops)
-    k_eigs = np.linalg.eigvalsh(hermitian_part(k_flat))
-    achieved = FrameBounds.from_spectrum(k_eigs[0], k_eigs[-1])
-    s_flat = frame_operator(family).flat
-    eye = np.eye(size, dtype=np.complex128)
+    achieved = spectrum_bounds(k_flat)
     if input_frame:
-        contraction = spectral_norm(eye - np.linalg.solve(s_flat, k_flat))
+        contraction = _contraction(frame_operator(family).flat, k_flat)
     else:
         contraction = math.inf
     contraction_limit = 1.0 / d_high if d_high > 0.0 else math.inf
@@ -370,7 +355,7 @@ def final_corollary_check(
     tol: Tolerance = DEFAULT_TOL,
 ) -> TheoremReport:
     """Frame-operator proximity: ||S_F - S_G|| <= alpha < C forces the
-    second family to be a frame; the contraction ||I - S_G S_F^-1||
+    second family to be a frame; the contraction ||I - S_F^-1 S_G||
     <= alpha / C is recorded as the proof step."""
     if family.algebra_dim != other.algebra_dim or family.source_len != other.source_len:
         raise DimensionMismatch("families live on different modules")
@@ -387,10 +372,7 @@ def final_corollary_check(
         is_frame_bounds(base, tol)
         and measured_lhs <= alpha + tol.margin(max(alpha, 1.0))
     )
-    size = s_left.shape[0]
-    contraction = spectral_norm(
-        np.eye(size, dtype=np.complex128) - np.linalg.solve(s_left, s_right)
-    )
+    contraction = _contraction(s_left, s_right)
     return _frame_conclusion_report(
         other,
         hypothesis_ok,
@@ -409,9 +391,13 @@ def final_corollary_check(
     )
 
 
+def _contraction(s_flat: np.ndarray, k_flat: np.ndarray) -> float:
+    """||I - S^-1 K||, the proof-step contraction from S towards K."""
+    eye = np.eye(s_flat.shape[0], dtype=np.complex128)
+    return spectral_norm(eye - np.linalg.solve(s_flat, k_flat))
+
+
 def _batched_psd_norm(flat_op: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Spectral norms of the PSD quadratic forms <Tx, x> over a batch."""
-    quads = batched_quadratic(flat_op, xs)
-    herm = (quads + quads.conj().swapaxes(1, 2)) / 2
-    eigs = np.linalg.eigvalsh(herm)
+    eigs = np.linalg.eigvalsh(hermitian_part(batched_quadratic(flat_op, xs)))
     return np.maximum(eigs[:, -1], 0.0)

@@ -25,7 +25,7 @@ from .algebra import (
     DEFAULT_TOL,
     Tolerance,
     hermitian_part,
-    is_positive,
+    positivity,
     spectral_norm,
 )
 from ._rand import make_rng, sample_flat_vectors
@@ -34,7 +34,6 @@ from .frames import (
     Classification,
     FrameBounds,
     GFrameFamily,
-    batched_norm,
     classify,
     cross_operator,
     frame_operator,
@@ -42,16 +41,18 @@ from .frames import (
     optimal_bounds,
     require_compatible,
     require_endomorphism,
+    spectrum_bounds,
     synthesis_op,
 )
 from .hilbert import (
     AdjointableOp,
     adjoint_op,
+    batched_norm,
     block_diag_op,
     compose,
     identity_op,
-    is_isometry,
     is_surjective,
+    isometry_defect,
     op_norm,
 )
 
@@ -204,19 +205,9 @@ def theorem_report(
     )
 
 
-def _min_eig(flat: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(hermitian_part(flat))[0])
-
-
 def _positivity_check(name: str, op: AdjointableOp, tol: Tolerance) -> CheckItem:
-    flat = op.flat
-    margin = tol.margin(spectral_norm(flat))
-    return CheckItem(
-        name=name,
-        passed=is_positive(AlgebraElement(flat), tol),
-        measured=_min_eig(flat),
-        limit=-margin,
-    )
+    passed, least, margin = positivity(op.flat, tol)
+    return CheckItem(name=name, passed=passed, measured=least, limit=-margin)
 
 
 def _frame_check(name: str, bounds: FrameBounds, tol: Tolerance) -> CheckItem:
@@ -341,8 +332,7 @@ def op_weighted_sum(
     cls = classify(new_family, tol)
     cond_frame = is_frame_bounds(cls.bounds, tol)
     cond_surjective = is_surjective(combined_synthesis, tol)
-    eigs = np.linalg.eigvalsh(hermitian_part(s_formula.flat))
-    cond_positive = eigs[0] > tol.margin(max(eigs[-1], 0.0))
+    cond_positive = is_frame_bounds(spectrum_bounds(s_formula.flat), tol)
     residual = _s_formula_residual(s_formula, new_family)
 
     agree = cond_frame == cond_surjective == cond_positive
@@ -557,15 +547,14 @@ def isometry_sum_check(
     lower bound when the mixed operator is positive."""
     require_compatible(family, other)
     require_endomorphism(lam, family, "lam")
-    n, d = family.algebra_dim, family.source_len
     bounds_left = optimal_bounds(family)
     bounds_right = optimal_bounds(other)
     cross = cross_operator(family, other)
-    gram_dev = spectral_norm(compose(adjoint_op(lam), lam).flat - np.eye(n * d))
+    gram_dev, limit = isometry_defect(lam), tol.margin(1.0)
     checks = (
         _frame_check("first_is_frame", bounds_left, tol),
         _positivity_check("mixed_operator_positive", cross, tol),
-        CheckItem("lam_is_isometry", is_isometry(lam, tol), gram_dev, tol.margin(1.0)),
+        CheckItem("lam_is_isometry", gram_dev <= limit, gram_dev, limit),
     )
     summed = _member_sums(family, other)
     new_family = GFrameFamily(tuple(compose(m, lam) for m in summed.members))
@@ -617,6 +606,7 @@ def lambda_lower_check(
     norms_mx = batched_norm((rows @ m_op.flat).reshape(xs.shape))
     sampled_gap = float(np.min(norms_nx - lam_bound * norms_x))
     dominance_flat = m_op.flat @ m_op.flat.conj().T - n_op.flat @ n_op.flat.conj().T
+    dominance = float(np.linalg.eigvalsh(hermitian_part(dominance_flat))[0])
     dominance_sampled = float(np.min(norms_mx - norms_nx))
     dom_margin = tol.margin(max(op_norm(m_op), op_norm(n_op)) ** 2)
 
@@ -631,9 +621,8 @@ def lambda_lower_check(
         CheckItem("bessel_below_frame_lower", bessel < d_low, bessel, d_low),
         CheckItem(
             "aux_m_dominates_n",
-            _min_eig(dominance_flat) >= -dom_margin
-            and dominance_sampled >= -math.sqrt(dom_margin),
-            _min_eig(dominance_flat),
+            dominance >= -dom_margin and dominance_sampled >= -math.sqrt(dom_margin),
+            dominance,
             -dom_margin,
         ),
     )

@@ -25,14 +25,15 @@ from gframes import (
     operator_norm,
     optimal_bounds,
     psd_order_leq,
-    scalar_norm,
     scale_family,
     synthesis,
     synthesis_op,
     verify_frame_inequality,
     zero_op,
 )
-from gframes.frames import batched_gram, batched_norm, batched_quadratic
+from gframes.algebra import spectral_norm
+from gframes.frames import batched_quadratic
+from gframes.hilbert import batched_gram, batched_norm
 
 
 def _identity_family(n, d, count=1):
@@ -280,4 +281,6 @@ def test_batched_kernels_match_the_per_vector_definitions(n, d):
     for x, quad, gram, norm in zip(vectors, quads, grams, norms):
         assert _relative_gap(quad, inner_product(apply(op, x), x).entries) <= 1e-12
         assert _relative_gap(gram, inner_product(x, x).entries) <= 1e-12
-        assert abs(norm - scalar_norm(x)) <= 1e-12 * scalar_norm(x)
+        # An independent route: the top singular value of the Gram matrix.
+        via_svd = np.sqrt(spectral_norm(inner_product(x, x).entries))
+        assert abs(norm - via_svd) <= 1e-12 * via_svd
