@@ -126,8 +126,9 @@ _FIELD_KINDS = {
          lambda v: isinstance(v, (str, dict)), parse_target),
     ),
     "weight_band": (
-        "a list of two positive numbers",
-        lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_positive, v)),
+        "a list of two positive numbers, the lower one first",
+        lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_positive, v))
+        and v[0] < v[1],
         lambda v: tuple(map(float, v)),
     ),
     **dict.fromkeys(

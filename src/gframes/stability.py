@@ -66,8 +66,15 @@ def _weighted_preamble(
 ) -> tuple[GFrameFamily, GFrameFamily, np.ndarray, np.ndarray, np.ndarray]:
     """The two weighted families, their flattened frame operators and the
     seeded sample batch, after validating the coefficients and the pair."""
-    if not (0.0 < alpha1 < 1.0 and 0.0 < alpha2 < 1.0):
-        raise AlphaOutOfRange("perturbation coefficients must lie in (0, 1)")
+    outside = [
+        f"{name!r} = {value!r}"
+        for name, value in (("alpha1", alpha1), ("alpha2", alpha2))
+        if not 0.0 < value < 1.0
+    ]
+    if outside:
+        raise AlphaOutOfRange(
+            f"perturbation coefficients must lie in (0, 1): {', '.join(outside)}"
+        )
     require_compatible(family, other)
     left, right = weighted_pair(family, other, weights)
     rng = make_rng(seed)
@@ -223,6 +230,9 @@ def operators_from_family(other: GFrameFamily) -> list[AdjointableOp]:
 # Subset enumeration is exact up to this family size; beyond it the
 # supremum over finite subsets is bracketed (see _subset_sup_bracket).
 _SUBSET_LIMIT = 12
+# Subsets summed per step of the enumeration: a block of subset sums takes
+# 16 * _SUBSET_BLOCK * (n*d)^2 bytes, instead of one array for all of them.
+_SUBSET_BLOCK = 256
 
 
 def _subset_sup_bracket(deviations: np.ndarray) -> tuple[float, float]:
@@ -285,13 +295,14 @@ def t12_check(
     size = n * d
     bracket = {}
     if family.size <= _SUBSET_LIMIT:
-        count = family.size
-        masks = (
-            (np.arange(1, 1 << count)[:, None] >> np.arange(count)) & 1
-        ).astype(np.complex128)
-        subset_sums = (masks @ deviations.reshape(count, -1)).reshape(-1, size, size)
-        herm = hermitian_part(subset_sums)
-        measured_lhs = float(np.abs(np.linalg.eigvalsh(herm)).max())
+        count, stop = family.size, 1 << family.size
+        measured_lhs = 0.0
+        for start in range(1, stop, _SUBSET_BLOCK):
+            subsets = np.arange(start, min(start + _SUBSET_BLOCK, stop))
+            masks = ((subsets[:, None] >> np.arange(count)) & 1).astype(np.complex128)
+            sums = (masks @ deviations.reshape(count, -1)).reshape(-1, size, size)
+            eigs = np.linalg.eigvalsh(hermitian_part(sums))
+            measured_lhs = max(measured_lhs, float(np.abs(eigs).max()))
         subset_note = "exact over all index subsets"
     else:
         # Too many subsets to enumerate: the sound upper end is held to

@@ -18,6 +18,7 @@ from gframes import (
     sqrt_psd,
     zero,
 )
+from gframes.algebra import hermitian_part, positivity
 
 
 def test_adjoint_literal_cases():
@@ -55,6 +56,36 @@ def test_is_positive_matches_eigenvalue_oracle_on_gram_matrices():
 
 def test_is_positive_rejects_non_hermitian():
     assert not is_positive(AlgebraElement([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def test_hermitian_part_of_a_stack_is_taken_per_matrix():
+    rng = np.random.default_rng(9)
+    stack = np.stack([random_matrix(rng, 3, 3) for _ in range(4)])
+    parts = hermitian_part(stack)
+    assert parts.shape == stack.shape
+    for mat, part in zip(stack, parts):
+        assert np.array_equal(part, (mat + mat.conj().T) / 2)
+
+
+@pytest.mark.parametrize(
+    "mat, positive",
+    [
+        (np.diag([2.0, 1.0]), True),
+        (np.diag([1.0, 0.0]), True),  # on the boundary
+        (np.diag([1.0, -1e-13]), True),  # negative within the margin
+        (np.diag([1.0, -1e-6]), False),  # negative beyond the margin
+        (np.array([[1.0, 1.0], [0.0, 1.0]]), False),  # positive part, not Hermitian
+        (np.array([[1.0, 1e-13j], [0.0, 1.0]]), True),  # Hermitian within the margin
+    ],
+)
+def test_positivity_returns_the_verdict_least_eigenvalue_and_margin(mat, positive):
+    tol = Tolerance()
+    element = AlgebraElement(mat)
+    entries = element.entries
+    verdict, least, margin = positivity(entries, tol)
+    assert verdict == is_positive(element, tol) == positive
+    assert least == np.linalg.eigvalsh((entries + entries.conj().T) / 2)[0]
+    assert margin == tol.margin(np.linalg.norm(entries, 2))
 
 
 def test_sqrt_psd_literal_cases():

@@ -354,6 +354,12 @@ _MALFORMED = [
     ("PROP_MIXED", {}, dict(_inline_pair_instance(), weights=_WEIGHTS,
                             second_family=_inline_pair_instance()["family"]), "weights"),
     ("T7_SCALAR", {}, {"weights": _WEIGHTS, "member_dims": [1, 2]}, "member_dims"),
+    # A reversed or empty weight band, and perturbation coefficients
+    # outside (0, 1).
+    ("T11_POSITIVE", {}, {"weight_band": [2, 1]}, "weight_band"),
+    ("THM_DIFFERENCE", {}, {"weight_band": [1, 1]}, "weight_band"),
+    ("PROP_MIXED", {}, {"alpha1": 1.5}, "alpha1"),
+    ("THM_DIFFERENCE", {}, {"alpha2": 2.0}, "alpha2"),
 ]
 
 

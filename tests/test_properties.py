@@ -3,6 +3,7 @@
 import json
 import os
 import tempfile
+from datetime import timedelta
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,9 @@ _OPERATORS = [
     ser.op_to_json(gframes.zero_op(2, 1, 1)),
     ser.op_to_json(gframes.AdjointableOp(gframes.identity(2).entries * 0.5j, 1)),
 ]
+# Wall-time bound per example: examples take milliseconds, and the bound
+# leaves room for a slow shared machine while still catching a hang.
+_DEADLINE = timedelta(seconds=10)
 _TARGETS = ["random", "parseval", {"tight": 1.5}, {"bounds": [0.5, 2.0]}]
 _WEIGHTS = [ser.weights_to_json(gframes.gen_weights(4, 1, 2, 0.5, 2.0))]
 
@@ -57,7 +61,7 @@ def _reject_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
 
 
-@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@settings(max_examples=150, derandomize=True, deadline=_DEADLINE, database=None)
 @given(_cases())
 # An inline family whose generated deltas must take its sizes, not drawn ones.
 @example(("T12_OPERATOR", {"family": _FAMILIES[0]}, 2))
@@ -101,7 +105,7 @@ def _scenario_docs(draw):
     return doc
 
 
-@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@settings(max_examples=300, derandomize=True, deadline=_DEADLINE, database=None)
 @given(_scenario_docs())
 @example({"theorem": "CLASSIFY", "schema": 1, "tolerance": {"rel": 10**400}})
 # Repetitions beyond the cap, which would never finish running.

@@ -1,5 +1,7 @@
 """Perturbation checkers: literal cases, exact shifts, failing branches."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -258,3 +260,30 @@ def test_t12_subset_bracket_contains_exact_enumeration():
         lower, upper = _subset_sup_bracket(deviations)
         slack = 1e-9 * max(1.0, exact)
         assert lower - slack <= exact <= upper + slack
+
+
+def test_t12_enumeration_memory_is_bounded_and_matches_one_shot():
+    # 12 members at n*d = 32: all 4095 subset sums at once take about
+    # 200 MB; enumerated in blocks they stay far below that.
+    rng = np.random.default_rng(32)
+    count, size = 12, 32
+    family = _frame(5, 1, size, dims=(size,) * count)
+    deltas = []
+    for m in family.members:
+        raw = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        bump = 1e-3 * (raw @ raw.conj().T) - 1e-3 * np.eye(size)
+        deltas.append(AdjointableOp(m.flat @ m.flat.conj().T + bump, 1))
+    tracemalloc.start()
+    try:
+        report = t12_check(family, deltas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+    deviations = np.stack(
+        [m.flat @ m.flat.conj().T - o.flat for m, o in zip(family.members, deltas)]
+    )
+    masks = ((np.arange(1, 1 << count)[:, None] >> np.arange(count)) & 1).astype(complex)
+    sums = (masks @ deviations.reshape(count, -1)).reshape(-1, size, size)
+    herm = (sums + sums.conj().swapaxes(1, 2)) / 2
+    assert report.measured_lhs == float(np.abs(np.linalg.eigvalsh(herm)).max())
