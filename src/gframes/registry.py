@@ -126,7 +126,7 @@ _FIELD_KINDS = {
          lambda v: isinstance(v, (str, dict)), parse_target),
     ),
     "weight_band": (
-        "a list of two positive numbers, the lower one first",
+        "a list [lower, upper] of positive numbers with lower < upper",
         lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_positive, v))
         and v[0] < v[1],
         lambda v: tuple(map(float, v)),

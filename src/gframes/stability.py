@@ -403,7 +403,7 @@ def final_corollary_check(
 
 
 def _contraction(s_flat: np.ndarray, k_flat: np.ndarray) -> float:
-    """||I - S^-1 K||, the proof-step contraction from S towards K."""
+    """||I - S^-1 K|| for an invertible S; below one, it makes K invertible."""
     eye = np.eye(s_flat.shape[0], dtype=np.complex128)
     return spectral_norm(eye - np.linalg.solve(s_flat, k_flat))
 
