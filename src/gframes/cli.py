@@ -17,16 +17,30 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from functools import cached_property
 
 from .algebra import DEFAULT_TOL, Tolerance
 from .errors import GFrameError, ValidationError
-from .registry import THEOREMS, build_and_run, theorem_ids
+from .registry import THEOREMS, run_decoded, theorem_ids, validate_instance
 from .serialize import report_to_json
 
 SCHEMA_VERSION = 1
 # Inclusive cap on a scenario's repetitions, so that every run ends.
 MAX_REPETITIONS = 1_000_000
 _MASK64 = (1 << 64) - 1
+
+
+@dataclass(frozen=True, eq=False)
+class _Decoded:
+    """A scenario's instance, decoded on first use and then shared by
+    every repetition and by every ``replace`` slice of the scenario."""
+
+    theorem: str
+    instance: dict
+
+    @cached_property
+    def config(self):
+        return validate_instance(self.theorem, self.instance)
 
 
 @dataclass(frozen=True)
@@ -38,6 +52,9 @@ class Scenario:
     repetitions: int = 1
     seed: int = 0
     seed_stride: int = 1
+    # Reused only while it holds this scenario's theorem and instance
+    # object, so the instance must not be changed in place.
+    decoded: _Decoded | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -101,18 +118,27 @@ def parse_scenario(data: dict, path: str = "<memory>") -> Scenario:
         tolerance=tol,
         repetitions=reps,
         **seeds,
+        decoded=_Decoded(theorem, instance),
     )
 
 
 def run_scenario(scenario: Scenario) -> RunReport:
-    """Execute every repetition; deterministic given the scenario."""
+    """Execute every repetition; deterministic given the scenario.  The
+    instance is decoded in the first repetition and the decode is kept."""
     started = time.perf_counter()
+    decoded = scenario.decoded
+    if (
+        decoded is None
+        or decoded.theorem != scenario.theorem
+        or decoded.instance is not scenario.instance
+    ):
+        decoded = _Decoded(scenario.theorem, scenario.instance)
     reports = []
     for rep in range(scenario.repetitions):
         rep_seed = (scenario.seed + scenario.seed_stride * rep) & _MASK64
         reports.append(
-            build_and_run(
-                scenario.theorem, scenario.instance, rep_seed, scenario.tolerance
+            run_decoded(
+                scenario.theorem, decoded.config, rep_seed, scenario.tolerance
             )
         )
     return RunReport(scenario, reports, time.perf_counter() - started)

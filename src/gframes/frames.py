@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -49,7 +50,11 @@ class Classification:
 
 @dataclass(frozen=True, eq=False)
 class GFrameFamily:
-    """Finite indexed family of adjointable operators out of one module."""
+    """Finite indexed family of adjointable operators out of one module.
+
+    The members are read-only, so the frame operator and its bounds are
+    computed on first use and kept (``frame_operator``, ``optimal_bounds``).
+    """
 
     members: tuple[AdjointableOp, ...]
 
@@ -78,6 +83,14 @@ class GFrameFamily:
     @property
     def member_dims(self) -> tuple[int, ...]:
         return tuple(m.target_len for m in self.members)
+
+    @cached_property
+    def operator(self) -> AdjointableOp:
+        return _paired_products(self.members, self.members)
+
+    @cached_property
+    def bounds(self) -> FrameBounds:
+        return spectrum_bounds(self.operator.flat)
 
 
 def scale_family(family: GFrameFamily, factor: complex) -> GFrameFamily:
@@ -123,7 +136,7 @@ def _paired_products(lefts, rights) -> AdjointableOp:
 
 def frame_operator(family: GFrameFamily) -> AdjointableOp:
     """Frame operator: the sum of adjoint(member) . member, acting on the source."""
-    return _paired_products(family.members, family.members)
+    return family.operator
 
 
 def require_compatible(left: GFrameFamily, right: GFrameFamily) -> None:
@@ -163,7 +176,7 @@ def spectrum_bounds(flat: np.ndarray) -> FrameBounds:
 def optimal_bounds(family: GFrameFamily) -> FrameBounds:
     """Best constants of the frame inequality: the extreme eigenvalues
     of the flattened frame operator."""
-    return spectrum_bounds(frame_operator(family).flat)
+    return family.bounds
 
 
 def is_frame_bounds(bounds: FrameBounds, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import reprlib
 import sys
+from types import MappingProxyType
 
 import numpy as np
 
@@ -115,7 +116,7 @@ _FIELD_KINDS = {
     "delta_ops": (
         "a list of operator objects",
         lambda v: isinstance(v, list),
-        lambda v: [serialize.op_from_json(x) for x in v],
+        lambda v: tuple(serialize.op_from_json(x) for x in v),
     ),
     "weights": (
         "a weights object", _is_object, lambda v: serialize.weights_from_json(v)
@@ -152,13 +153,17 @@ def _schema(declared: str) -> dict[str, tuple]:
     return fields
 
 
-def validate_instance(theorem: str, instance) -> dict:
+def validate_instance(theorem: str, instance) -> MappingProxyType:
     """The decoded values of the instance's non-null fields, once every
     field is known to the theorem and well-formed.  Draws nothing from
-    any generator, so generated instances do not depend on validation."""
+    any generator, so generated instances do not depend on validation.
+    The mapping and its values are read-only: one decode may serve every
+    repetition of a scenario."""
+    if theorem not in THEOREMS:
+        raise ValidationError(f"unknown theorem id {theorem!r}")
     fields = THEOREMS[theorem][2]
     cfg = {}
-    for key, value in instance.items():
+    for key, value in (instance or {}).items():
         if key not in fields:
             raise ValidationError(
                 f"unknown instance field {key!r} for {theorem};"
@@ -175,7 +180,7 @@ def validate_instance(theorem: str, instance) -> dict:
             raise ValidationError(
                 f"instance field {key!r} must be {description}: {exc}"
             ) from exc
-    return cfg
+    return MappingProxyType(cfg)
 
 
 def _sizes(
@@ -632,13 +637,16 @@ def theorem_ids() -> list[str]:
     return list(THEOREMS)
 
 
+def run_decoded(theorem: str, cfg, seed: int, tol: Tolerance = DEFAULT_TOL):
+    """Assemble the instance for one repetition from a config that
+    ``validate_instance`` returned, and run its checker."""
+    builder, _, _, sizing = THEOREMS[theorem]
+    rng = make_rng(int(seed))
+    return builder(cfg, int(seed), rng, *_sizes(cfg, rng, **sizing), tol)
+
+
 def build_and_run(
     theorem: str, instance: dict, seed: int, tol: Tolerance = DEFAULT_TOL
 ):
-    """Assemble the instance for one repetition and run its checker."""
-    if theorem not in THEOREMS:
-        raise ValidationError(f"unknown theorem id {theorem!r}")
-    builder, _, _, sizing = THEOREMS[theorem]
-    cfg = validate_instance(theorem, instance or {})
-    rng = make_rng(int(seed))
-    return builder(cfg, int(seed), rng, *_sizes(cfg, rng, **sizing), tol)
+    """Validate and decode the instance, then run one repetition."""
+    return run_decoded(theorem, validate_instance(theorem, instance), seed, tol)

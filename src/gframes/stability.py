@@ -11,6 +11,7 @@ classifies as a frame).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from enum import Enum
 
 import numpy as np
@@ -262,7 +263,7 @@ def _subset_sup_bracket(deviations: np.ndarray) -> tuple[float, float]:
 
 def t12_check(
     family: GFrameFamily,
-    delta_ops: list[AdjointableOp],
+    delta_ops: Sequence[AdjointableOp],
     tol: Tolerance = DEFAULT_TOL,
 ) -> TheoremReport:
     """Frame-operator perturbation with explicit norm budget.

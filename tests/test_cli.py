@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ from gframes.cli import (
     run_scenario,
 )
 from gframes.errors import ValidationError
-from gframes.registry import THEOREMS, build_and_run
+from gframes.registry import THEOREMS, build_and_run, validate_instance
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -471,6 +473,130 @@ def test_inline_families_are_decoded_through_the_serialize_module(monkeypatch):
     family = _inline_pair_instance()["family"]
     build_and_run("T3_COROLLARY", {"family": family, "second_family": family}, 0)
     assert len(calls) == 2
+
+
+def _counting_decoders(monkeypatch) -> Counter:
+    """Calls through the family and operator decoders, by decoder name."""
+    calls = Counter()
+    for name in ("family_from_json", "op_from_json"):
+
+        def counting(data, _original=getattr(ser, name), _name=name):
+            calls[_name] += 1
+            return _original(data)
+
+        monkeypatch.setattr(ser, name, counting)
+    return calls
+
+
+def _t3_inline_instance():
+    family = _inline_pair_instance()["family"]
+    return dict(_IDENTITY_MN, family=family, second_family=family)
+
+
+def test_decoded_instances_are_read_only():
+    op = _IDENTITY_MN["m"]
+    cfg = validate_instance("T12_OPERATOR", {"delta_ops": [op, op], "module_len": 2})
+    assert isinstance(cfg["delta_ops"], tuple)
+    with pytest.raises(TypeError):
+        cfg["module_len"] = 3
+    with pytest.raises(TypeError):
+        cfg["delta_ops"][0] = None
+    with pytest.raises(AttributeError):
+        cfg["delta_ops"].append(None)
+
+
+def test_an_inline_scenario_is_decoded_once_for_all_its_repetitions(monkeypatch):
+    instance = _t3_inline_instance()
+    calls = _counting_decoders(monkeypatch)
+    validate_instance("T3_EQUIV", instance)
+    # Two families of two members each, plus the m and n operators.
+    assert calls == {"family_from_json": 2, "op_from_json": 6}
+    once = dict(calls)
+    calls.clear()
+    scenario = parse_scenario(
+        _basic_scenario(theorem="T3_EQUIV", repetitions=10, instance=instance)
+    )
+    assert not calls
+    run = run_scenario(scenario)
+    assert len(run.reports) == 10
+    assert calls == once
+
+
+def test_one_repetition_slices_of_a_loaded_scenario_share_one_decode(tmp_path, monkeypatch):
+    instance = _t3_inline_instance()
+    doc = _basic_scenario(theorem="T3_EQUIV", repetitions=10, instance=instance)
+    (scenario,) = load_scenarios(_write(tmp_path, "inline.json", doc))
+    calls = _counting_decoders(monkeypatch)
+    slices = [run_scenario(replace(scenario, seed=k, repetitions=1)) for k in range(10)]
+    assert calls == {"family_from_json": 2, "op_from_json": 6}
+    got = [ser.report_to_json(run.reports[0]) for run in slices]
+    want = [ser.report_to_json(build_and_run("T3_EQUIV", instance, k)) for k in range(10)]
+    assert got == want
+
+
+def test_a_replaced_theorem_or_instance_is_decoded_afresh(monkeypatch):
+    family = _inline_pair_instance()["family"]
+    pair = {"family": family, "second_family": family}
+    scenario = parse_scenario(
+        _basic_scenario(theorem="T3_COROLLARY", repetitions=3, instance=pair)
+    )
+    first = [ser.report_to_json(r) for r in run_scenario(scenario).reports]
+    doubled = ser.family_to_json(gframes.scale_family(ser.family_from_json(family), 2.0))
+    calls = _counting_decoders(monkeypatch)
+    for changed in (
+        replace(scenario, instance=dict(pair, second_family=doubled)),
+        replace(scenario, theorem="TIGHT_SUM"),
+    ):
+        calls.clear()
+        got = [ser.report_to_json(r) for r in run_scenario(changed).reports]
+        assert calls["family_from_json"] == 2
+        want = [
+            ser.report_to_json(build_and_run(changed.theorem, changed.instance, seed))
+            for seed in range(changed.seed, changed.seed + 3)
+        ]
+        assert got == want != first
+
+
+def test_a_malformed_instance_exits_2_before_any_report(tmp_path, capsys):
+    good = _write(tmp_path, "good.json", _basic_scenario())
+    bad_instance = {"family": {"members": []}}
+    bad = _write(
+        tmp_path, "bad.json", _basic_scenario(repetitions=5, instance=bad_instance)
+    )
+    assert main(["run", good, bad]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    with pytest.raises(ValidationError) as raised:
+        validate_instance("CLASSIFY", bad_instance)
+    assert err == f"error: {raised.value}\n"
+
+
+def _inline_instance(theorem: str) -> dict:
+    """The inline family, second family and weights that ``theorem`` accepts;
+    the families are tight, as TIGHT_SUM and TIGHT_MN require."""
+    family = gframes.gen_family(
+        gframes.GenSpec(3, 1, 2, (2, 2), gframes.FamilyTarget.parseval())
+    )
+    values = {
+        "family": ser.family_to_json(family),
+        "second_family": ser.family_to_json(gframes.scale_family(family, 0.99)),
+        "weights": ser.weights_to_json(gframes.gen_weights(4, 1, 2, 0.9, 1.1)),
+    }
+    return {k: v for k, v in values.items() if k in THEOREMS[theorem][2]}
+
+
+@pytest.mark.parametrize("theorem", sorted(THEOREMS))
+def test_repetitions_sharing_a_decode_report_what_fresh_runs_report(theorem):
+    for instance in ({}, _inline_instance(theorem)):
+        for seed in range(5):
+            doc = _basic_scenario(theorem=theorem, seed=seed, repetitions=3, instance=instance)
+            run = run_scenario(parse_scenario(doc))
+            got = [json.dumps(ser.report_to_json(r)) for r in run.reports]
+            want = [
+                json.dumps(ser.report_to_json(build_and_run(theorem, instance, s)))
+                for s in range(seed, seed + 3)
+            ]
+            assert got == want
 
 
 def _reject_constant(token):

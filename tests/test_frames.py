@@ -32,7 +32,7 @@ from gframes import (
     zero_op,
 )
 from gframes.algebra import spectral_norm
-from gframes.frames import batched_quadratic
+from gframes.frames import _paired_products, batched_quadratic, spectrum_bounds
 from gframes.hilbert import batched_gram, batched_norm
 
 
@@ -284,3 +284,19 @@ def test_batched_kernels_match_the_per_vector_definitions(n, d):
         # An independent route: the top singular value of the Gram matrix.
         via_svd = np.sqrt(spectral_norm(inner_product(x, x).entries))
         assert abs(norm - via_svd) <= 1e-12 * via_svd
+
+
+@pytest.mark.parametrize("n, d, dims", [(1, 1, (1,)), (1, 3, (2, 1, 3)), (2, 2, (2, 3)), (3, 2, (1, 1, 2, 4))])
+def test_kept_frame_operator_and_bounds_equal_a_fresh_computation(n, d, dims):
+    rng = np.random.default_rng(7 * n + d)
+    for _ in range(5):
+        family = random_family(rng, n, d, dims)
+        fresh = _paired_products(family.members, family.members)
+        assert optimal_bounds(family) == spectrum_bounds(fresh.flat)
+        assert optimal_bounds(family) is optimal_bounds(family)
+        kept = frame_operator(family)
+        assert kept is frame_operator(family)
+        assert np.array_equal(kept.flat, fresh.flat)
+        assert not kept.flat.flags.writeable
+        with pytest.raises(ValueError):
+            kept.flat[0, 0] = 0.0
