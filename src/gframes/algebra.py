@@ -129,7 +129,8 @@ def positivity(
     """
     margin = tol.margin(spectral_norm(mat))
     least = float(np.linalg.eigvalsh(hermitian_part(mat))[0])
-    hermitian = spectral_norm(mat - mat.conj().T) <= margin
+    skew = mat - mat.conj().T
+    hermitian = not skew.any() or spectral_norm(skew) <= margin
     return hermitian and least >= -margin, least, margin
 
 

@@ -215,9 +215,23 @@ def bound_witnesses(family: GFrameFamily) -> tuple[ModuleVector, ModuleVector]:
 
 def batched_quadratic(flat_op: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Inner products <Tx, x> for a batch of flattened vectors: one GEMM
-    for every Tx, then the batched product with the conjugate samples."""
-    images = (xs.reshape(-1, xs.shape[-1]) @ flat_op).reshape(xs.shape)
+    for every Tx, then the batched product with the conjugate samples.
+
+    ``flat_op`` may also be a stack of operators, shape (k, n*d, n*d);
+    the result then has shape (k, count, n, n).
+    """
+    images = (xs.reshape(-1, xs.shape[-1]) @ flat_op).reshape(
+        flat_op.shape[:-2] + xs.shape
+    )
     return images @ xs.conj().swapaxes(-1, -2)
+
+
+# A Cholesky factorization of an n x n matrix A that completes is exact
+# for some A + E with ||E|| below about n(n+1) * eps * ||A|| (Higham,
+# Accuracy and Stability of Numerical Algorithms, Thm 10.5).  A margin
+# above 8 (n+1)^2 * eps * ||H||_F keeps E, and the rounding of the
+# eigenvalue rule, well inside the half margin the shortcut leaves.
+_CHOLESKY_ROUNDING = 8.0 * np.finfo(np.float64).eps
 
 
 def sampled_positive(
@@ -225,10 +239,26 @@ def sampled_positive(
 ) -> bool:
     """Whether every sampled quadratic form is positive: the least
     eigenvalue of each Hermitian part clears the margin of the samples'
-    Gram matrices at the given operator scale."""
+    Gram matrices at the given operator scale.
+
+    When every margin is far above rounding, one batched Cholesky of
+    H + margin/2 decides first: if it completes, each least eigenvalue
+    is above -margin/2 less rounding, so the eigenvalue rule would also
+    pass.  Otherwise the eigenvalues decide.
+    """
     gram_scales = np.linalg.norm(grams, axis=(-2, -1))
     margins = tol.abs + tol.rel * scale * np.maximum(gram_scales, 1.0)
-    return bool((np.linalg.eigvalsh(hermitian_part(quads))[:, 0] >= -margins).all())
+    herm = hermitian_part(quads)
+    n = herm.shape[-1]
+    rounding = _CHOLESKY_ROUNDING * (n + 1) ** 2
+    if (margins > rounding * np.linalg.norm(herm, axis=(-2, -1))).all():
+        shifted = herm + (margins / 2.0)[:, None, None] * np.eye(n)
+        try:
+            np.linalg.cholesky(shifted)
+            return True
+        except np.linalg.LinAlgError:
+            pass
+    return bool((np.linalg.eigvalsh(herm)[:, 0] >= -margins).all())
 
 
 def verify_frame_inequality(

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rand import complex_gaussian, haar_unitary, make_rng
+from ._rand import complex_gaussian, haar_unitary, make_rng, unitaries_from_ginibre
 from .algebra import AlgebraElement, hermitian_part, spectral_norm
 from .errors import BadRange, DegenerateSpec
 from .frames import GFrameFamily, cross_operator, optimal_bounds
@@ -86,11 +86,6 @@ def _needs_span(target: FamilyTarget) -> bool:
     return target.kind != "random"
 
 
-def _inv_sqrt(total: np.ndarray) -> np.ndarray:
-    eigs, vecs = np.linalg.eigh(hermitian_part(total))
-    return (vecs / np.sqrt(eigs)) @ vecs.conj().T
-
-
 def _condition_to_target(
     flats: list[np.ndarray],
     n: int,
@@ -106,10 +101,11 @@ def _condition_to_target(
     if target.kind == "random":
         return flats
     total = sum(p @ p.conj().T for p in flats)
-    eigs = np.linalg.eigvalsh(hermitian_part(total))
+    eigs, vecs = np.linalg.eigh(hermitian_part(total))
     if eigs[0] <= _MIN_CONDITION * max(eigs[-1], 1.0):
         return None
-    whitener = _inv_sqrt(total)
+    # The inverse square root of the frame operator.
+    whitener = (vecs / np.sqrt(eigs)) @ vecs.conj().T
     flats = [whitener @ p for p in flats]
     if target.kind == "parseval":
         return flats
@@ -212,8 +208,8 @@ def gen_orthogonal_pair(spec: GenSpec) -> tuple[GFrameFamily, GFrameFamily]:
         second = GFrameFamily(tuple(AdjointableOp(p, n) for p in right_cond))
         if not (_verify_target(first, spec.target) and _verify_target(second, spec.target)):
             continue
-        cross_norm = spectral_norm(cross_operator(first, second).flat)
-        if cross_norm > 1e-12:
+        cross = cross_operator(first, second).flat
+        if cross.any() and spectral_norm(cross) > 1e-12:
             raise RuntimeError("orthogonal construction leaked a cross term")
         return first, second
     raise RuntimeError(f"generator failed to hit target after {_REDRAWS} draws")
@@ -235,7 +231,10 @@ def gen_weights(
     """Weight sequences with squared spectra strictly inside the band.
 
     Each weight is Hermitian positive, built as U diag(s) U* with
-    eigenvalues drawn from the middle ninety percent of the band.
+    eigenvalues drawn from the middle ninety percent of the band.  The
+    thetas are drawn first, then the deltas; each draw takes its
+    eigenvalues and then its Ginibre matrix from the stream, and all the
+    bases come from one batched QR.
     """
     if not (0.0 < band_lower < band_upper):
         raise BadRange("need 0 < band_lower < band_upper")
@@ -244,12 +243,12 @@ def gen_weights(
     rng = make_rng(seed)
     pad = 0.05 * (band_upper - band_lower)
 
-    def draw() -> AlgebraElement:
-        squared = rng.uniform(band_lower + pad, band_upper - pad, n)
-        basis = haar_unitary(rng, n)
-        mat = (basis * np.sqrt(squared)) @ basis.conj().T
-        return AlgebraElement(mat)
-
-    thetas = tuple(draw() for _ in range(count))
-    deltas = tuple(draw() for _ in range(count))
-    return ScalarWeights(thetas, deltas, band_lower, band_upper)
+    squared = np.empty((2 * count, n))
+    ginibre = np.empty((2 * count, n, n), dtype=np.complex128)
+    for i in range(2 * count):
+        squared[i] = rng.uniform(band_lower + pad, band_upper - pad, n)
+        ginibre[i] = complex_gaussian(rng, n, n)
+    bases = unitaries_from_ginibre(ginibre)
+    mats = (bases * np.sqrt(squared)[:, None, :]) @ bases.conj().swapaxes(-1, -2)
+    weights = tuple(AlgebraElement(mat) for mat in mats)
+    return ScalarWeights(weights[:count], weights[count:], band_lower, band_upper)

@@ -153,17 +153,23 @@ def zero_op(n: int, source_len: int, target_len: int) -> AdjointableOp:
     )
 
 
+def block_diag(entries: np.ndarray, length: int) -> np.ndarray:
+    """Flattening of ``block_diag_op``: ``length`` copies of the n-by-n
+    entries along the diagonal."""
+    n = entries.shape[0]
+    flat = np.zeros((n * length, n * length), dtype=np.complex128)
+    for i in range(length):
+        flat[i * n : (i + 1) * n, i * n : (i + 1) * n] = entries
+    return flat
+
+
 def block_diag_op(a: AlgebraElement, length: int) -> AdjointableOp:
     """Operator acting as the algebra element on every component.
 
     This is the adjointable lift of an algebra coefficient to the whole
     module: each component of the input picks up ``a``.
     """
-    n = a.dim
-    flat = np.zeros((n * length, n * length), dtype=np.complex128)
-    for i in range(length):
-        flat[i * n : (i + 1) * n, i * n : (i + 1) * n] = a.entries
-    return AdjointableOp(flat, n)
+    return AdjointableOp(block_diag(a.entries, length), a.dim)
 
 
 def inner_product(x: ModuleVector, y: ModuleVector) -> AlgebraElement:

@@ -17,7 +17,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import serialize
-from ._rand import complex_gaussian, haar_unitary, make_rng, sub_seed
+from ._rand import complex_gaussian, haar_unitaries, haar_unitary, make_rng, sub_seed
 from .algebra import DEFAULT_TOL, Tolerance, spectral_norm
 from .errors import GFrameError, ValidationError
 from .frames import GFrameFamily, classify, optimal_bounds, scale_family
@@ -338,7 +338,8 @@ def _build_perturb_lambda(cfg, seed, rng, n, d, dims, tol):
     if kind == "expansive":
         family = _family(cfg, "family", rng, n, d, dims, FamilyTarget.parseval())
         stretch = rng.uniform(1.05, 1.8, n * d)
-        expansive = (haar_unitary(rng, n * d) * stretch) @ haar_unitary(rng, n * d)
+        left, right = haar_unitaries(rng, 2, n * d)
+        expansive = (left * stretch) @ right
         lam = AdjointableOp(expansive - np.eye(n * d), n)
     elif kind == "scalar":
         family = _family(cfg, "family", rng, n, d, dims, FamilyTarget.bounds(0.5, 2.0))
@@ -504,11 +505,10 @@ def _build_lambda_lower(cfg, seed, rng, n, d, dims, tol):
         m_op, n_op, lam_bound = inline
     else:
         svals = rng.uniform(0.6, 0.9, n * d)
-        n_op = AdjointableOp(
-            (haar_unitary(rng, n * d) * svals) @ haar_unitary(rng, n * d), n
-        )
+        left, right, m_basis = haar_unitaries(rng, 3, n * d)
+        n_op = AdjointableOp((left * svals) @ right, n)
         lam_bound = 0.9 * float(svals.min())
-        m_op = AdjointableOp(1.05 * float(svals.max()) * haar_unitary(rng, n * d), n)
+        m_op = AdjointableOp(1.05 * float(svals.max()) * m_basis, n)
     return lambda_lower_check(
         family, other, m_op, n_op, lam_bound, tol, seed=sub_seed(rng)
     )
@@ -531,8 +531,9 @@ def _build_tight_mn(cfg, seed, rng, n, d, dims, tol):
         if mode == "scalar":
             s = float(rng.uniform(0.3, 1.2))
             t = float(rng.uniform(0.3, 1.2))
-            m_op = AdjointableOp(s * haar_unitary(rng, n * d), n)
-            n_op = AdjointableOp(t * haar_unitary(rng, n * d), n)
+            m_basis, n_basis = haar_unitaries(rng, 2, n * d)
+            m_op = AdjointableOp(s * m_basis, n)
+            n_op = AdjointableOp(t * n_basis, n)
         else:
             # Distinct Hermitian spectrum: the identity-multiple
             # condition fails and the sum must measure non-tight.

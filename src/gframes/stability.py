@@ -109,8 +109,7 @@ def prop_mixed_check(
     _, _, s_left, s_right, xs = _weighted_preamble(
         family, other, weights, alpha1, alpha2, samples, seed
     )
-    a = _batched_psd_norm(s_left, xs)
-    b = _batched_psd_norm(s_right, xs)
+    a, b = _batched_psd_norm(np.stack((s_left, s_right)), xs)
     lhs = np.sqrt(np.maximum(a - b, 0.0))
     rhs = alpha1 * np.sqrt(a) + alpha2 * np.sqrt(b)
     margins = tol.abs + tol.rel * np.sqrt(np.maximum(np.maximum(a, b), 1.0))
@@ -409,7 +408,8 @@ def _contraction(s_flat: np.ndarray, k_flat: np.ndarray) -> float:
     return spectral_norm(eye - np.linalg.solve(s_flat, k_flat))
 
 
-def _batched_psd_norm(flat_op: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Spectral norms of the PSD quadratic forms <Tx, x> over a batch."""
-    eigs = np.linalg.eigvalsh(hermitian_part(batched_quadratic(flat_op, xs)))
-    return np.maximum(eigs[:, -1], 0.0)
+def _batched_psd_norm(flat_ops: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Spectral norms of the PSD quadratic forms <Tx, x> over a batch,
+    for each of a stack of operators T: shape (k, count)."""
+    eigs = np.linalg.eigvalsh(hermitian_part(batched_quadratic(flat_ops, xs)))
+    return np.maximum(eigs[..., -1], 0.0)

@@ -48,7 +48,7 @@ from .hilbert import (
     AdjointableOp,
     adjoint_op,
     batched_norm,
-    block_diag_op,
+    block_diag,
     compose,
     identity_op,
     is_surjective,
@@ -140,17 +140,20 @@ class ScalarWeights:
             raise BadRange("weight sequences must be nonempty and equally long")
         if len({w.dim for w in self.thetas + self.deltas}) != 1:
             raise DimensionMismatch("weights must all lie in one algebra")
-        low, high = math.inf, -math.inf
-        for seq_name, seq in (("theta", self.thetas), ("delta", self.deltas)):
-            for w in seq:
-                eigs = np.linalg.eigvalsh(w.entries.conj().T @ w.entries)
-                if eigs[0] <= self.band_lower or eigs[-1] >= self.band_upper:
-                    raise BadRange(
-                        f"{seq_name} weight spectrum [{eigs[0]:.6g}, {eigs[-1]:.6g}]"
-                        f" leaves the open band ({self.band_lower}, {self.band_upper})"
-                    )
-                low, high = min(low, float(eigs[0])), max(high, float(eigs[-1]))
-        object.__setattr__(self, "spectrum_range", (low, high))
+        entries = np.stack([w.entries for w in self.thetas + self.deltas])
+        eigs = np.linalg.eigvalsh(entries.conj().swapaxes(-1, -2) @ entries)
+        least, most = eigs[:, 0], eigs[:, -1]
+        outside = np.flatnonzero((least <= self.band_lower) | (most >= self.band_upper))
+        if outside.size:
+            first = int(outside[0])
+            seq_name = "theta" if first < self.count else "delta"
+            raise BadRange(
+                f"{seq_name} weight spectrum [{least[first]:.6g}, {most[first]:.6g}]"
+                f" leaves the open band ({self.band_lower}, {self.band_upper})"
+            )
+        object.__setattr__(
+            self, "spectrum_range", (float(least.min()), float(most.max()))
+        )
 
     @property
     def count(self) -> int:
@@ -228,9 +231,10 @@ def _mn_family(
     family: GFrameFamily, other: GFrameFamily, m_op: AdjointableOp, n_op: AdjointableOp
 ) -> GFrameFamily:
     """Members P_i.M + Q_i.N."""
+    m_flat, n_flat = m_op.flat, n_op.flat
     return GFrameFamily(
         tuple(
-            compose(p, m_op) + compose(q, n_op)
+            AdjointableOp(m_flat @ p.flat + n_flat @ q.flat, p.algebra_dim)
             for p, q in zip(family.members, other.members)
         )
     )
@@ -248,8 +252,10 @@ def weighted_family(family: GFrameFamily, coeffs) -> GFrameFamily:
     coeffs = tuple(coeffs)
     if len(coeffs) != family.size:
         raise DimensionMismatch("one coefficient per family member required")
+    if any(w.dim != family.algebra_dim for w in coeffs):
+        raise DimensionMismatch("coefficients live over a different algebra")
     members = tuple(
-        compose(block_diag_op(w, m.target_len), m)
+        AdjointableOp(m.flat @ block_diag(w.entries, m.target_len), m.algebra_dim)
         for w, m in zip(coeffs, family.members)
     )
     return GFrameFamily(members)
@@ -608,7 +614,8 @@ def lambda_lower_check(
     dominance_flat = m_op.flat @ m_op.flat.conj().T - n_op.flat @ n_op.flat.conj().T
     dominance = float(np.linalg.eigvalsh(hermitian_part(dominance_flat))[0])
     dominance_sampled = float(np.min(norms_mx - norms_nx))
-    dom_margin = tol.margin(max(op_norm(m_op), op_norm(n_op)) ** 2)
+    norm_m, norm_n = op_norm(m_op), float(n_svals[0])
+    dom_margin = tol.margin(max(norm_m, norm_n) ** 2)
 
     checks = (
         _frame_check("input_is_frame", bounds_left, tol),
@@ -631,7 +638,7 @@ def lambda_lower_check(
         classify(_mn_family(family, other, m_op, n_op), tol),
         checks,
         lam_bound**2 * (math.sqrt(d_low) - math.sqrt(bessel)) ** 2,
-        2.0 * (d_high * op_norm(m_op) ** 2 + bessel * op_norm(n_op) ** 2),
+        2.0 * (d_high * norm_m**2 + bessel * norm_n**2),
         tol,
         details={"n_sigma_min": sigma_min, "sampled_lower_gap": sampled_gap},
     )

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randoms import random_family, random_op, random_vector
 from gframes import (
@@ -31,8 +33,13 @@ from gframes import (
     verify_frame_inequality,
     zero_op,
 )
-from gframes.algebra import spectral_norm
-from gframes.frames import _paired_products, batched_quadratic, spectrum_bounds
+from gframes.algebra import DEFAULT_TOL, Tolerance, spectral_norm
+from gframes.frames import (
+    _paired_products,
+    batched_quadratic,
+    sampled_positive,
+    spectrum_bounds,
+)
 from gframes.hilbert import batched_gram, batched_norm
 
 
@@ -300,3 +307,91 @@ def test_kept_frame_operator_and_bounds_equal_a_fresh_computation(n, d, dims):
         assert not kept.flat.flags.writeable
         with pytest.raises(ValueError):
             kept.flat[0, 0] = 0.0
+
+
+def _eigenvalue_rule(quads, grams, scale, tol):
+    """The sampled positivity rule by eigenvalues alone."""
+    gram_scales = np.linalg.norm(grams, axis=(-2, -1))
+    margins = tol.abs + tol.rel * scale * np.maximum(gram_scales, 1.0)
+    herm = (quads + quads.conj().swapaxes(-1, -2)) / 2.0
+    return bool((np.linalg.eigvalsh(herm)[:, 0] >= -margins).all()), margins
+
+
+def _sampled_batch(seed, n, count, shifts, tol, scale=1.0, skew=0.0):
+    """Gram matrices of random samples and quadratic forms whose least
+    eigenvalues sit at ``shifts`` times each sample's margin."""
+    rng = np.random.default_rng(seed)
+    xs = np.stack([random_vector(rng, n, 2).flat for _ in range(count)])
+    grams = batched_gram(xs)
+    _, margins = _eigenvalue_rule(grams, grams, scale, tol)
+    quads = []
+    for i in range(count):
+        basis = np.linalg.qr(random_vector(rng, n, 1).flat)[0]
+        eigs = rng.uniform(0.5, 3.0, n) * scale
+        eigs[0] = shifts[i % len(shifts)] * margins[i]
+        herm = (basis * eigs) @ basis.conj().T
+        noise = random_vector(rng, n, 1).flat
+        quads.append(herm + skew * (noise - noise.conj().T))
+    return np.stack(quads), grams
+
+
+def _raise_if_called(*args, **kwargs):
+    raise AssertionError("this route must not run")
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    count=st.integers(1, 6),
+    shifts=st.lists(
+        st.sampled_from([-4.0, -1.01, -0.99, -0.6, -0.4, 0.0, 0.3, 1e3]), min_size=1, max_size=3
+    ),
+    rel=st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-4]),
+    abs_=st.sampled_from([0.0, 1e-14, 1e-12, 1e-6]),
+    scale=st.sampled_from([1e-3, 1.0, 50.0]),
+    skew=st.sampled_from([0.0, 1e-3]),
+)
+def test_sampled_positive_agrees_with_the_eigenvalue_rule(
+    seed, n, count, shifts, rel, abs_, scale, skew
+):
+    tol = Tolerance(rel=rel, abs=abs_)
+    quads, grams = _sampled_batch(seed, n, count, shifts, tol, scale, skew)
+    assert sampled_positive(quads, grams, scale, tol) == _eigenvalue_rule(
+        quads, grams, scale, tol
+    )[0]
+
+
+def test_sampled_positive_decides_a_clearly_positive_batch_by_cholesky(monkeypatch):
+    quads, grams = _sampled_batch(1, 3, 50, [0.5, 2.0, 1e3], DEFAULT_TOL)
+    monkeypatch.setattr(np.linalg, "eigvalsh", _raise_if_called)
+    assert sampled_positive(quads, grams, 1.0, DEFAULT_TOL)
+
+
+def test_sampled_positive_rejects_a_batch_beyond_the_margin():
+    quads, grams = _sampled_batch(2, 3, 50, [1.0, 1.0, -1.5], DEFAULT_TOL)
+    assert not sampled_positive(quads, grams, 1.0, DEFAULT_TOL)
+    assert not _eigenvalue_rule(quads, grams, 1.0, DEFAULT_TOL)[0]
+
+
+def test_sampled_positive_accepts_a_negative_batch_within_the_margin(monkeypatch):
+    quads, grams = _sampled_batch(3, 2, 50, [-0.9, 0.5], DEFAULT_TOL)
+    assert np.linalg.eigvalsh(quads)[:, 0].min() < 0.0
+    routes = []
+    for name in ("cholesky", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def traced(*args, _name=name, _original=original, **kwargs):
+            routes.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, traced)
+    assert sampled_positive(quads, grams, 1.0, DEFAULT_TOL)
+    assert routes == ["cholesky", "eigvalsh"]
+
+
+def test_sampled_positive_without_slack_decides_by_eigenvalues(monkeypatch):
+    exact = Tolerance(rel=0.0, abs=0.0)
+    quads, grams = _sampled_batch(4, 3, 20, [1e9], DEFAULT_TOL)
+    monkeypatch.setattr(np.linalg, "cholesky", _raise_if_called)
+    assert sampled_positive(quads, grams, 1.0, exact)

@@ -16,9 +16,13 @@ from gframes import (
     gen_isometry,
     gen_orthogonal_pair,
     gen_weights,
+    ScalarWeights,
+    identity,
     op_norm,
     optimal_bounds,
 )
+from gframes._rand import complex_gaussian, haar_unitaries, haar_unitary, make_rng
+from gframes.generators import _condition_to_target
 
 
 def test_gen_family_is_deterministic():
@@ -133,3 +137,86 @@ def test_distinct_seeds_differ():
     a = gen_isometry(1, 2, 2)
     b = gen_isometry(2, 2, 2)
     assert np.linalg.norm(a.flat - b.flat, 2) > 0.01
+
+
+def _haar_reference(rng, m):
+    """One Haar draw as defined per matrix: Ginibre, 2-D QR, phase fix."""
+    re = rng.standard_normal((m, m))
+    im = rng.standard_normal((m, m))
+    q, r = np.linalg.qr((re + 1j * im) / np.sqrt(2.0))
+    diag = np.diagonal(r).copy()
+    diag[diag == 0] = 1.0
+    return q * (diag / np.abs(diag))
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 9])
+@pytest.mark.parametrize("k", [1, 3])
+def test_haar_unitaries_equal_sequential_draws_to_the_bit(m, k):
+    for seed in range(4):
+        batch_rng, seq_rng, ref_rng = make_rng(seed), make_rng(seed), make_rng(seed)
+        batch = haar_unitaries(batch_rng, k, m)
+        sequential = [haar_unitary(seq_rng, m) for _ in range(k)]
+        reference = [_haar_reference(ref_rng, m) for _ in range(k)]
+        assert batch.shape == (k, m, m)
+        for got, seq, ref in zip(batch, sequential, reference):
+            assert np.array_equal(got, seq)
+            assert np.array_equal(got, ref)
+        # The stream is left where the sequential draws leave it.
+        after = batch_rng.standard_normal(3)
+        assert np.array_equal(after, seq_rng.standard_normal(3))
+        assert np.array_equal(after, ref_rng.standard_normal(3))
+
+
+@pytest.mark.parametrize("n, count", [(1, 1), (1, 3), (2, 2), (3, 5), (4, 1)])
+def test_gen_weights_equal_a_per_draw_reference_to_the_bit(n, count):
+    lower, upper = 0.7, 1.4
+    pad = 0.05 * (upper - lower)
+    for seed in range(3):
+        rng = make_rng(seed)
+        expected = []
+        for _ in range(2 * count):
+            squared = rng.uniform(lower + pad, upper - pad, n)
+            basis = _haar_reference(rng, n)
+            expected.append((basis * np.sqrt(squared)) @ basis.conj().T)
+        weights = gen_weights(seed, n, count, lower, upper)
+        got = [w.entries for w in weights.thetas + weights.deltas]
+        assert len(got) == 2 * count
+        for mat, want in zip(got, expected):
+            assert np.array_equal(mat, want)
+
+
+def _counting(monkeypatch, *names):
+    """Count calls of the named numpy.linalg functions."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("n, count", [(1, 1), (2, 4), (3, 5)])
+def test_gen_weights_makes_one_qr_and_one_eigvalsh(monkeypatch, n, count):
+    counts = _counting(monkeypatch, "qr", "eigvalsh", "eigh")
+    gen_weights(11, n, count, 0.8, 1.25)
+    assert counts == {"qr": 1, "eigvalsh": 1, "eigh": 0}
+    eye = identity(n)
+    counts.update(dict.fromkeys(counts, 0))
+    ScalarWeights((eye,) * count, (eye,) * count, 0.5, 2.0)
+    assert counts == {"qr": 0, "eigvalsh": 1, "eigh": 0}
+
+
+@pytest.mark.parametrize(
+    "target", [FamilyTarget.parseval(), FamilyTarget.tight(2.0), FamilyTarget.bounds(0.5, 2.0)]
+)
+def test_condition_to_target_makes_one_eigh_and_no_eigvalsh(monkeypatch, target):
+    rng = make_rng(5)
+    flats = [complex_gaussian(rng, 6, 2 * dz) for dz in (2, 3, 2)]
+    counts = _counting(monkeypatch, "eigh", "eigvalsh")
+    conditioned = _condition_to_target(flats, 2, 3, target, rng)
+    assert conditioned is not None
+    assert counts == {"eigh": 1, "eigvalsh": 0}

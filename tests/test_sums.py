@@ -6,6 +6,7 @@ import pytest
 from randoms import random_op
 from gframes import (
     BadRange,
+    DimensionMismatch,
     FamilyTarget,
     FrameKind,
     GenSpec,
@@ -30,6 +31,7 @@ from gframes import (
     t11_check,
     tight_mn_check,
     tight_sum_check,
+    weighted_family,
     zero_op,
 )
 
@@ -372,3 +374,46 @@ class TestScalarWeightsValidation:
             ScalarWeights((eye,), (eye,), 0.9, 0.5)
         with pytest.raises(BadRange):
             ScalarWeights((), (), 0.5, 2.0)
+
+    def test_a_bad_delta_after_good_thetas_is_named(self):
+        eye = identity(2)
+        with pytest.raises(BadRange, match=r"^delta weight spectrum \[9, 9\]"):
+            ScalarWeights((eye, eye), (eye, 3.0 * eye), 0.5, 2.0)
+
+    def test_a_bad_theta_is_named_before_a_bad_delta(self):
+        eye = identity(2)
+        with pytest.raises(BadRange, match=r"^theta weight spectrum \[0\.25, 0\.25\]"):
+            ScalarWeights((eye, 0.5 * eye), (3.0 * eye, eye), 0.5, 2.0)
+
+    def test_mixed_algebra_dims_raise_before_any_stacking(self):
+        with pytest.raises(DimensionMismatch, match="one algebra"):
+            ScalarWeights((identity(2),), (identity(3),), 0.5, 2.0)
+        with pytest.raises(DimensionMismatch, match="one algebra"):
+            ScalarWeights((identity(1), identity(2)), (identity(1),) * 2, 0.5, 2.0)
+
+    @pytest.mark.parametrize("n, count", [(1, 1), (2, 3), (4, 2)])
+    def test_spectrum_range_is_the_per_weight_extremes(self, n, count):
+        weights = gen_weights(3, n, count, 0.6, 1.7)
+        eigs = [
+            np.linalg.eigvalsh(w.entries.conj().T @ w.entries)
+            for w in weights.thetas + weights.deltas
+        ]
+        low = min(float(e[0]) for e in eigs)
+        high = max(float(e[-1]) for e in eigs)
+        assert weights.spectrum_range == (low, high)
+
+
+def test_coefficients_and_operators_over_another_algebra_raise_dimension_mismatch():
+    family, other = _frame(0), _frame(1)
+    with pytest.raises(DimensionMismatch, match="different algebra"):
+        weighted_family(family, (identity(3), identity(3)))
+    with pytest.raises(DimensionMismatch, match="different algebra"):
+        scalar_weighted_sum(family, other, _unit_weights(2, n=1))
+    wrong_algebra, wrong_length = identity_op(1, 4), identity_op(2, 3)
+    for bad in (wrong_algebra, wrong_length):
+        with pytest.raises(DimensionMismatch, match="m_op must act"):
+            op_weighted_sum(family, other, bad, identity_op(2, 2))
+        with pytest.raises(DimensionMismatch, match="n_op must act"):
+            lambda_lower_check(family, other, identity_op(2, 2), bad, 0.5)
+        with pytest.raises(DimensionMismatch, match="m_op must act"):
+            tight_mn_check(_parseval(2), _parseval(3), bad, identity_op(2, 2))
