@@ -1,8 +1,9 @@
 """Generate families, classify them, and inspect their optimal bounds.
 
 The optimal bounds of a family are the extreme eigenvalues of its
-flattened frame operator; the generators can place that spectrum
-exactly, and eigenvector witnesses attain each bound.
+flattened frame operator S = T*T, where T is the family's analysis
+operator; the generators can place that spectrum exactly, and
+eigenvector witnesses attain each bound.
 """
 
 import numpy as np
@@ -10,8 +11,10 @@ import numpy as np
 from gframes import (
     FamilyTarget,
     GenSpec,
+    adjoint_op,
     bound_witnesses,
     classify,
+    compose,
     frame_operator,
     gen_family,
     gen_orthogonal_pair,
@@ -27,6 +30,16 @@ parseval = gen_family(GenSpec(42, 2, 2, (2, 3), FamilyTarget.parseval()))
 bounds = optimal_bounds(parseval)
 print("kind:", classify(parseval).kind.value)
 print("bounds:", (round(bounds.lower, 12), round(bounds.upper, 12)))
+
+# The family is stored as its analysis operator T: H -> H_1 + H_2, the
+# member flattenings side by side; the frame operator is S = T*T.
+t_op = parseval.analysis
+print("analysis operator T: flattening", t_op.flat.shape,
+      "split by member dims", parseval.member_dims)
+print(np.round(t_op.flat, 3))
+s_from_t = compose(adjoint_op(t_op), t_op).flat
+assert np.array_equal(frame_operator(parseval).flat, s_from_t)
+print("S = T*T:", np.allclose(s_from_t, np.eye(4), atol=1e-12))
 
 print()
 print("== prescribed bounds (0.5, 2.0) ==")

@@ -1,9 +1,11 @@
 """g-frame families and their operators.
 
 A family is a finite list of adjointable operators from one common
-module into per-member target modules.  This module materializes the
-analysis, synthesis and frame operators, computes optimal bounds from
-the spectrum of the flattened frame operator, classifies families, and
+module H into per-member target modules H_j.  It is stored as its
+analysis operator T: H -> H_1 + ... + H_m, whose flattening is the
+member flattenings side by side; the frame operator is T*T and the
+synthesis operator T*.  This module computes optimal bounds from the
+spectrum of the flattened frame operator, classifies families, and
 verifies the two-sided frame inequality both spectrally and on sampled
 vectors.
 """
@@ -19,7 +21,7 @@ import numpy as np
 from ._rand import make_rng, sample_flat_vectors
 from .algebra import DEFAULT_TOL, Tolerance, hermitian_part
 from .errors import DimensionMismatch, InternalConsistencyError
-from .hilbert import AdjointableOp, ModuleVector, adjoint_op, apply, batched_gram
+from .hilbert import AdjointableOp, ModuleVector, adjoint_op, apply, batched_gram, compose
 
 # Relative margin for deciding that optimal bounds coincide (tightness).
 TIGHTNESS_REL = 1e-8
@@ -50,43 +52,60 @@ class Classification:
 
 @dataclass(frozen=True, eq=False)
 class GFrameFamily:
-    """Finite indexed family of adjointable operators out of one module.
+    """Finite indexed family of adjointable operators out of one module,
+    stored as its analysis operator: member j is the block of columns
+    that ``member_dims[j]`` gives it, in order.
 
-    The members are read-only, so the frame operator and its bounds are
-    computed on first use and kept (``frame_operator``, ``optimal_bounds``).
+    The analysis operator is read-only, so the members, the frame
+    operator and its bounds are computed on first use and kept
+    (``members``, ``frame_operator``, ``optimal_bounds``).
     """
 
-    members: tuple[AdjointableOp, ...]
+    analysis: AdjointableOp
+    member_dims: tuple[int, ...]
 
     def __post_init__(self):
-        members = tuple(self.members)
+        dims = tuple(self.member_dims)
+        if not dims or min(dims) < 1 or sum(dims) != self.analysis.target_len:
+            raise DimensionMismatch(f"member dims {dims} do not split the target")
+        object.__setattr__(self, "member_dims", dims)
+
+    @classmethod
+    def of(cls, members) -> "GFrameFamily":
+        """The family of the given member operators, in order."""
+        members = tuple(members)
         if not members:
             raise DimensionMismatch("family needs at least one member")
-        dims = {m.algebra_dim for m in members}
-        lens = {m.source_len for m in members}
-        if len(dims) != 1 or len(lens) != 1:
+        if len({(m.algebra_dim, m.source_len) for m in members}) != 1:
             raise DimensionMismatch("family members disagree on the source module")
-        object.__setattr__(self, "members", members)
+        analysis_flat = np.hstack([m.flat for m in members])
+        return cls(
+            AdjointableOp(analysis_flat, members[0].algebra_dim),
+            tuple(m.target_len for m in members),
+        )
 
     @property
     def algebra_dim(self) -> int:
-        return self.members[0].algebra_dim
+        return self.analysis.algebra_dim
 
     @property
     def source_len(self) -> int:
-        return self.members[0].source_len
+        return self.analysis.source_len
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.member_dims)
 
-    @property
-    def member_dims(self) -> tuple[int, ...]:
-        return tuple(m.target_len for m in self.members)
+    @cached_property
+    def members(self) -> tuple[AdjointableOp, ...]:
+        """The member operators, split off the analysis flattening."""
+        n = self.algebra_dim
+        blocks = np.hsplit(self.analysis.flat, n * np.cumsum(self.member_dims[:-1]))
+        return tuple(AdjointableOp(block, n) for block in blocks)
 
     @cached_property
     def operator(self) -> AdjointableOp:
-        return _paired_products(self.members, self.members)
+        return compose(adjoint_op(self.analysis), self.analysis)
 
     @cached_property
     def bounds(self) -> FrameBounds:
@@ -95,7 +114,7 @@ class GFrameFamily:
 
 def scale_family(family: GFrameFamily, factor: complex) -> GFrameFamily:
     """Family with every member multiplied by the scalar factor."""
-    return GFrameFamily(tuple(factor * m for m in family.members))
+    return GFrameFamily(factor * family.analysis, family.member_dims)
 
 
 def analysis(family: GFrameFamily, x: ModuleVector) -> list[ModuleVector]:
@@ -109,33 +128,19 @@ def synthesis(family: GFrameFamily, ys: list[ModuleVector]) -> ModuleVector:
         raise DimensionMismatch(
             f"expected {family.size} coefficient vectors, got {len(ys)}"
         )
-    total = None
-    for member, y in zip(family.members, ys):
-        if y.length != member.target_len or y.algebra_dim != member.algebra_dim:
+    for dz, y in zip(family.member_dims, ys):
+        if y.length != dz or y.algebra_dim != family.algebra_dim:
             raise DimensionMismatch("coefficient vector does not match member target")
-        term = apply(adjoint_op(member), y)
-        total = term if total is None else total + term
-    return total
+    return apply(synthesis_op(family), ModuleVector(np.hstack([y.flat for y in ys])))
 
 
 def synthesis_op(family: GFrameFamily) -> AdjointableOp:
-    """Synthesis operator materialized on the concatenated target modules."""
-    flat = np.vstack([m.flat.conj().T for m in family.members])
-    return AdjointableOp(flat, family.algebra_dim)
-
-
-def _paired_products(lefts, rights) -> AdjointableOp:
-    """Sum of adjoint(p) . q over paired members p, q of one source module."""
-    n = lefts[0].algebra_dim
-    size = n * lefts[0].source_len
-    total = np.zeros((size, size), dtype=np.complex128)
-    for p, q in zip(lefts, rights):
-        total += q.flat @ p.flat.conj().T
-    return AdjointableOp(total, n)
+    """Synthesis operator T* from the direct sum of the member targets."""
+    return adjoint_op(family.analysis)
 
 
 def frame_operator(family: GFrameFamily) -> AdjointableOp:
-    """Frame operator: the sum of adjoint(member) . member, acting on the source."""
+    """Frame operator T*T: the sum of adjoint(member) . member on the source."""
     return family.operator
 
 
@@ -159,7 +164,7 @@ def require_endomorphism(op: AdjointableOp, family: GFrameFamily, name: str) -> 
 def cross_operator(left: GFrameFamily, right: GFrameFamily) -> AdjointableOp:
     """Mixed operator synthesis(left) . analysis(right) on the source module."""
     require_compatible(left, right)
-    return _paired_products(left.members, right.members)
+    return compose(adjoint_op(left.analysis), right.analysis)
 
 
 def spectrum_bounds(flat: np.ndarray) -> FrameBounds:

@@ -87,31 +87,29 @@ def _needs_span(target: FamilyTarget) -> bool:
 
 
 def _condition_to_target(
-    flats: list[np.ndarray],
+    flat: np.ndarray,
     n: int,
     d: int,
     target: FamilyTarget,
     rng: np.random.Generator,
-) -> list[np.ndarray] | None:
-    """Post-compose raw flats so the frame operator hits the target.
+) -> np.ndarray | None:
+    """Post-compose a raw analysis flattening so its frame operator hits the target.
 
     Returns None when the raw draw is too ill-conditioned to normalize
     accurately (the caller redraws).
     """
     if target.kind == "random":
-        return flats
-    total = sum(p @ p.conj().T for p in flats)
-    eigs, vecs = np.linalg.eigh(hermitian_part(total))
+        return flat
+    eigs, vecs = np.linalg.eigh(hermitian_part(flat @ flat.conj().T))
     if eigs[0] <= _MIN_CONDITION * max(eigs[-1], 1.0):
         return None
     # The inverse square root of the frame operator.
     whitener = (vecs / np.sqrt(eigs)) @ vecs.conj().T
-    flats = [whitener @ p for p in flats]
+    flat = whitener @ flat
     if target.kind == "parseval":
-        return flats
+        return flat
     if target.kind == "tight":
-        root = math.sqrt(target.nu)
-        return [root * p for p in flats]
+        return math.sqrt(target.nu) * flat
     size = n * d
     if size == 1:
         if target.lower != target.upper:
@@ -126,7 +124,7 @@ def _condition_to_target(
         spectrum = np.concatenate([[target.lower], interior, [target.upper]])
     basis = haar_unitary(rng, size)
     shaper = (basis * np.sqrt(spectrum)) @ basis.conj().T
-    return [shaper @ p for p in flats]
+    return shaper @ flat
 
 
 def _verify_target(family: GFrameFamily, target: FamilyTarget) -> bool:
@@ -157,13 +155,13 @@ def gen_family(spec: GenSpec) -> GFrameFamily:
         )
     rng = make_rng(spec.seed)
     for _ in range(_REDRAWS):
-        flats = [
-            complex_gaussian(rng, n * d, n * dz) for dz in spec.member_dims
-        ]
-        conditioned = _condition_to_target(flats, n, d, spec.target, rng)
+        flat = np.hstack(
+            [complex_gaussian(rng, n * d, n * dz) for dz in spec.member_dims]
+        )
+        conditioned = _condition_to_target(flat, n, d, spec.target, rng)
         if conditioned is None:
             continue
-        family = GFrameFamily(tuple(AdjointableOp(p, n) for p in conditioned))
+        family = GFrameFamily(AdjointableOp(conditioned, n), spec.member_dims)
         if _verify_target(family, spec.target):
             return family
     raise RuntimeError(f"generator failed to hit target after {_REDRAWS} draws")
@@ -189,23 +187,20 @@ def gen_orthogonal_pair(spec: GenSpec) -> tuple[GFrameFamily, GFrameFamily]:
             raise DegenerateSpec(
                 "column split cannot span the module for both families"
             )
+    starts = n * np.cumsum((0,) + spec.member_dims[:-1])
     rng = make_rng(spec.seed)
     for _ in range(_REDRAWS):
-        left_flats = []
-        right_flats = []
-        for dz, k in zip(spec.member_dims, splits):
-            left = np.zeros((n * d, n * dz), dtype=np.complex128)
-            right = np.zeros((n * d, n * dz), dtype=np.complex128)
-            left[:, :k] = complex_gaussian(rng, n * d, k)
-            right[:, k:] = complex_gaussian(rng, n * d, n * dz - k)
-            left_flats.append(left)
-            right_flats.append(right)
-        left_cond = _condition_to_target(left_flats, n, d, spec.target, rng)
-        right_cond = _condition_to_target(right_flats, n, d, spec.target, rng)
+        left = np.zeros((n * d, n * sum(spec.member_dims)), dtype=np.complex128)
+        right = np.zeros_like(left)
+        for at, dz, k in zip(starts, spec.member_dims, splits):
+            left[:, at : at + k] = complex_gaussian(rng, n * d, k)
+            right[:, at + k : at + n * dz] = complex_gaussian(rng, n * d, n * dz - k)
+        left_cond = _condition_to_target(left, n, d, spec.target, rng)
+        right_cond = _condition_to_target(right, n, d, spec.target, rng)
         if left_cond is None or right_cond is None:
             continue
-        first = GFrameFamily(tuple(AdjointableOp(p, n) for p in left_cond))
-        second = GFrameFamily(tuple(AdjointableOp(p, n) for p in right_cond))
+        first = GFrameFamily(AdjointableOp(left_cond, n), spec.member_dims)
+        second = GFrameFamily(AdjointableOp(right_cond, n), spec.member_dims)
         if not (_verify_target(first, spec.target) and _verify_target(second, spec.target)):
             continue
         cross = cross_operator(first, second).flat
@@ -225,16 +220,16 @@ def gen_isometry(seed: int, n: int, d: int) -> AdjointableOp:
     return op
 
 
-def gen_weights(
+def weight_matrices(
     seed: int, n: int, count: int, band_lower: float, band_upper: float
-) -> ScalarWeights:
-    """Weight sequences with squared spectra strictly inside the band.
+) -> np.ndarray:
+    """The entries of ``gen_weights``'s thetas, then its deltas: shape
+    (2 * count, n, n).
 
     Each weight is Hermitian positive, built as U diag(s) U* with
-    eigenvalues drawn from the middle ninety percent of the band.  The
-    thetas are drawn first, then the deltas; each draw takes its
-    eigenvalues and then its Ginibre matrix from the stream, and all the
-    bases come from one batched QR.
+    eigenvalues drawn from the middle ninety percent of the band.  Each
+    draw takes its eigenvalues and then its Ginibre matrix from the
+    stream, and all the bases come from one batched QR.
     """
     if not (0.0 < band_lower < band_upper):
         raise BadRange("need 0 < band_lower < band_upper")
@@ -249,6 +244,13 @@ def gen_weights(
         squared[i] = rng.uniform(band_lower + pad, band_upper - pad, n)
         ginibre[i] = complex_gaussian(rng, n, n)
     bases = unitaries_from_ginibre(ginibre)
-    mats = (bases * np.sqrt(squared)[:, None, :]) @ bases.conj().swapaxes(-1, -2)
+    return (bases * np.sqrt(squared)[:, None, :]) @ bases.conj().swapaxes(-1, -2)
+
+
+def gen_weights(
+    seed: int, n: int, count: int, band_lower: float, band_upper: float
+) -> ScalarWeights:
+    """Weight sequences with squared spectra strictly inside the band."""
+    mats = weight_matrices(seed, n, count, band_lower, band_upper)
     weights = tuple(AlgebraElement(mat) for mat in mats)
     return ScalarWeights(weights[:count], weights[count:], band_lower, band_upper)

@@ -8,6 +8,9 @@ flattenings: vectors as n-by-(n*d) row-block matrices, operators as
 The ``components`` and ``blocks`` views slice those matrices.  Under
 this convention the flattened adjoint is the conjugate transpose, and
 ``flat(compose(T2, T1)) == flat(T1) @ flat(T2)`` holds to the bit.
+A g-frame family (``frames.GFrameFamily``) is stored the same way, as
+one operator: its analysis operator into the direct sum of the member
+targets.
 """
 
 from __future__ import annotations
@@ -153,23 +156,13 @@ def zero_op(n: int, source_len: int, target_len: int) -> AdjointableOp:
     )
 
 
-def block_diag(entries: np.ndarray, length: int) -> np.ndarray:
-    """Flattening of ``block_diag_op``: ``length`` copies of the n-by-n
-    entries along the diagonal."""
-    n = entries.shape[0]
-    flat = np.zeros((n * length, n * length), dtype=np.complex128)
-    for i in range(length):
-        flat[i * n : (i + 1) * n, i * n : (i + 1) * n] = entries
-    return flat
-
-
 def block_diag_op(a: AlgebraElement, length: int) -> AdjointableOp:
     """Operator acting as the algebra element on every component.
 
     This is the adjointable lift of an algebra coefficient to the whole
     module: each component of the input picks up ``a``.
     """
-    return AdjointableOp(block_diag(a.entries, length), a.dim)
+    return AdjointableOp(np.kron(np.eye(length), a.entries), a.dim)
 
 
 def inner_product(x: ModuleVector, y: ModuleVector) -> AlgebraElement:

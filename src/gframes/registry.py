@@ -18,7 +18,7 @@ import numpy as np
 
 from . import serialize
 from ._rand import complex_gaussian, haar_unitaries, haar_unitary, make_rng, sub_seed
-from .algebra import DEFAULT_TOL, Tolerance, spectral_norm
+from .algebra import DEFAULT_TOL, AlgebraElement, Tolerance, spectral_norm
 from .errors import GFrameError, ValidationError
 from .frames import GFrameFamily, classify, optimal_bounds, scale_family
 from .generators import (
@@ -28,6 +28,7 @@ from .generators import (
     gen_isometry,
     gen_orthogonal_pair,
     gen_weights,
+    weight_matrices,
 )
 from .hilbert import AdjointableOp, identity_op, zero_op
 from .sums import (
@@ -277,10 +278,12 @@ def _gen_weights(rng, n, count, band, shared=False) -> ScalarWeights:
     """Weights drawn inside ``band``.  With ``shared`` the thetas serve as
     the deltas too: a shared coefficient sequence keeps the weighted mixed
     term positive whenever the unweighted one is."""
-    drawn = gen_weights(sub_seed(rng), n, count, *band)
+    seed = sub_seed(rng)
     if not shared:
-        return drawn
-    return ScalarWeights(drawn.thetas, drawn.thetas, drawn.band_lower, drawn.band_upper)
+        return gen_weights(seed, n, count, *band)
+    mats = weight_matrices(seed, n, count, *band)
+    thetas = tuple(AlgebraElement(mat) for mat in mats[:count])
+    return ScalarWeights(thetas, thetas, *band)
 
 
 def _bessel_partner(rng, family: GFrameFamily, target_upper: float) -> GFrameFamily:
@@ -583,11 +586,9 @@ def _build_difference(cfg, seed, rng, n, d, dims, tol):
 
     def shrunk(family):
         shrink = rng.uniform(0.0, 0.02, family.size)
+        columns = np.repeat(1.0 - shrink, n * np.array(family.member_dims))
         return GFrameFamily(
-            tuple(
-                (1.0 - float(eps)) * m
-                for eps, m in zip(shrink, family.members)
-            )
+            AdjointableOp(family.analysis.flat * columns, n), family.member_dims
         )
 
     args = _perturbation_args(cfg, rng, n, d, dims, shrunk, shared=True)
@@ -609,7 +610,7 @@ def _build_t12(cfg, seed, rng, n, d, dims, tol):
         margin = cfg.get("budget_fraction", 0.5)
         bounds = optimal_bounds(family)
         budget = margin * bounds.lower / max(bounds.upper, 1e-12)
-        raws = [complex_gaussian(rng, n * d, n * d) for _ in family.members]
+        raws = [complex_gaussian(rng, n * d, n * d) for _ in range(family.size)]
         bumps = [r @ r.conj().T for r in raws]
         total = sum(spectral_norm(b) for b in bumps)
         delta_ops = [

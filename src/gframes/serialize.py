@@ -80,7 +80,7 @@ def family_to_json(family: GFrameFamily) -> dict:
 def family_from_json(data) -> GFrameFamily:
     if not isinstance(data, dict) or not isinstance(data.get("members"), list):
         raise ValidationError("family needs a 'members' list")
-    return GFrameFamily(tuple(op_from_json(m) for m in data["members"]))
+    return GFrameFamily.of(op_from_json(m) for m in data["members"])
 
 
 def weights_to_json(w: ScalarWeights) -> dict:

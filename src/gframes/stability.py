@@ -170,9 +170,7 @@ def difference_check(
     left, right, s_left, s_right, xs = _weighted_preamble(
         family, other, weights, alpha1, alpha2, samples, seed
     )
-    diff = GFrameFamily(
-        tuple(p - q for p, q in zip(left.members, right.members))
-    )
+    diff = GFrameFamily(left.analysis - right.analysis, left.member_dims)
     s_diff = frame_operator(diff).flat
     combo = alpha1 * s_left + alpha2 * s_right
 

@@ -48,7 +48,6 @@ from .hilbert import (
     AdjointableOp,
     adjoint_op,
     batched_norm,
-    block_diag,
     compose,
     identity_op,
     is_surjective,
@@ -223,20 +222,17 @@ def _frame_check(name: str, bounds: FrameBounds, tol: Tolerance) -> CheckItem:
 
 
 def _member_sums(family: GFrameFamily, other: GFrameFamily) -> GFrameFamily:
-    """Members P_i + Q_i."""
-    return GFrameFamily(tuple(p + q for p, q in zip(family.members, other.members)))
+    """Members P_i + Q_i: analysis operator T_P + T_Q."""
+    return GFrameFamily(family.analysis + other.analysis, family.member_dims)
 
 
 def _mn_family(
     family: GFrameFamily, other: GFrameFamily, m_op: AdjointableOp, n_op: AdjointableOp
 ) -> GFrameFamily:
-    """Members P_i.M + Q_i.N."""
-    m_flat, n_flat = m_op.flat, n_op.flat
+    """Members P_i.M + Q_i.N: analysis operator T_P.M + T_Q.N."""
     return GFrameFamily(
-        tuple(
-            AdjointableOp(m_flat @ p.flat + n_flat @ q.flat, p.algebra_dim)
-            for p, q in zip(family.members, other.members)
-        )
+        compose(family.analysis, m_op) + compose(other.analysis, n_op),
+        family.member_dims,
     )
 
 
@@ -248,17 +244,19 @@ def _s_formula_residual(formula: AdjointableOp, family: GFrameFamily) -> float:
 
 def weighted_family(family: GFrameFamily, coeffs) -> GFrameFamily:
     """Family whose members are the originals composed with the lifted
-    algebra coefficients on their target modules."""
+    algebra coefficients on their target modules: every n-column block
+    of the analysis flattening times its member's coefficient."""
     coeffs = tuple(coeffs)
     if len(coeffs) != family.size:
         raise DimensionMismatch("one coefficient per family member required")
-    if any(w.dim != family.algebra_dim for w in coeffs):
+    n = family.algebra_dim
+    if any(w.dim != n for w in coeffs):
         raise DimensionMismatch("coefficients live over a different algebra")
-    members = tuple(
-        AdjointableOp(m.flat @ block_diag(w.entries, m.target_len), m.algebra_dim)
-        for w, m in zip(coeffs, family.members)
-    )
-    return GFrameFamily(members)
+    rows = n * family.source_len
+    blocks = family.analysis.flat.reshape(rows, -1, n).swapaxes(0, 1)
+    lifted = np.repeat([w.entries for w in coeffs], family.member_dims, axis=0)
+    weighted = (blocks @ lifted).swapaxes(0, 1).reshape(rows, -1)
+    return GFrameFamily(AdjointableOp(weighted, n), family.member_dims)
 
 
 def weighted_pair(
@@ -282,7 +280,7 @@ def perturb_lambda(
     conjugated frame operator dominates the original."""
     require_endomorphism(lam, family, "lam")
     shifted = identity_op(family.algebra_dim, family.source_len) + lam
-    new_family = GFrameFamily(tuple(compose(m, shifted) for m in family.members))
+    new_family = GFrameFamily(compose(family.analysis, shifted), family.member_dims)
 
     base = optimal_bounds(family)
     s_op = frame_operator(family)
@@ -562,8 +560,8 @@ def isometry_sum_check(
         _positivity_check("mixed_operator_positive", cross, tol),
         CheckItem("lam_is_isometry", gram_dev <= limit, gram_dev, limit),
     )
-    summed = _member_sums(family, other)
-    new_family = GFrameFamily(tuple(compose(m, lam) for m in summed.members))
+    summed = family.analysis + other.analysis
+    new_family = GFrameFamily(compose(summed, lam), family.member_dims)
     return theorem_report(
         TheoremId.ISOMETRY_SUM.value,
         classify(new_family, tol),

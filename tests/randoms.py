@@ -22,4 +22,4 @@ def random_op(rng, n, source_len, target_len):
 
 
 def random_family(rng, n, d, dims):
-    return GFrameFamily(tuple(random_op(rng, n, d, dz) for dz in dims))
+    return GFrameFamily.of(random_op(rng, n, d, dz) for dz in dims)

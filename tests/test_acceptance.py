@@ -117,7 +117,7 @@ def _mixed_family(rng, index):
     mask = np.ones(n * d)
     mask[0] = 0.0
     proj = AdjointableOp(np.diag(mask).astype(np.complex128), n)
-    return GFrameFamily(tuple(compose(m, proj) for m in base.members))
+    return GFrameFamily.of(compose(m, proj) for m in base.members)
 
 
 def test_criterion_2_equivalence_suite():

@@ -81,7 +81,7 @@ def test_classify_parseval_reports_parseval_kind():
 
 def test_inline_t3_mirrors_classification(tmp_path):
     two = gframes.AdjointableOp(np.array([[2.0 + 0j]]), 1)
-    family = gframes.GFrameFamily((two,))
+    family = gframes.GFrameFamily.of((two,))
     doc = {
         "schema": 1,
         "name": "inline",
@@ -607,7 +607,7 @@ def test_reports_are_strict_json_with_null_for_non_finite(tmp_path):
     # A rank-deficient (Bessel-only) family: its lower bound is zero, so
     # the inverse and contraction norms and a claimed bound are infinite.
     member = gframes.AdjointableOp(np.array([[1.0 + 0j], [0.0 + 0j]]), 1)
-    family = ser.family_to_json(gframes.GFrameFamily((member,)))
+    family = ser.family_to_json(gframes.GFrameFamily.of((member,)))
     doc = _basic_scenario(
         theorem="T12_OPERATOR",
         repetitions=1,

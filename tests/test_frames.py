@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randoms import random_family, random_op, random_vector
+from randoms import random_element, random_family, random_op, random_vector
 from gframes import (
     AdjointableOp,
     AlgebraElement,
+    DimensionMismatch,
     FrameKind,
     GFrameFamily,
     adjoint_op,
     analysis,
     apply,
+    block_diag_op,
     bound_witnesses,
     classify,
     compose,
@@ -26,25 +28,27 @@ from gframes import (
     is_surjective,
     operator_norm,
     optimal_bounds,
+    perturb_lambda,
     psd_order_leq,
     scale_family,
     synthesis,
     synthesis_op,
     verify_frame_inequality,
+    weighted_family,
     zero_op,
 )
 from gframes.algebra import DEFAULT_TOL, Tolerance, spectral_norm
 from gframes.frames import (
-    _paired_products,
     batched_quadratic,
     sampled_positive,
     spectrum_bounds,
 )
 from gframes.hilbert import batched_gram, batched_norm
+from gframes.sums import _member_sums, _mn_family
 
 
 def _identity_family(n, d, count=1):
-    return GFrameFamily(tuple(identity_op(n, d) for _ in range(count)))
+    return GFrameFamily.of(identity_op(n, d) for _ in range(count))
 
 
 def test_analysis_literal_cases():
@@ -157,7 +161,7 @@ def test_bound_witnesses_attain_extremes():
 
 def test_classify_literal_cases():
     assert classify(_identity_family(2, 2)).kind is FrameKind.PARSEVAL_FRAME
-    zero_family = GFrameFamily((zero_op(2, 2, 2),))
+    zero_family = GFrameFamily.of((zero_op(2, 2, 2),))
     assert classify(zero_family).kind is FrameKind.BESSEL_ONLY
     triple = _identity_family(2, 2, count=3)
     assert classify(triple).kind is FrameKind.TIGHT_FRAME
@@ -169,7 +173,7 @@ def test_classify_rank_deficient_embedding():
     proj = np.zeros((4, 4), dtype=np.complex128)
     proj[:2, :2] = np.eye(2)
     member = compose(random_op(rng, 2, 2, 2), AdjointableOp(proj, 2))
-    family = GFrameFamily((member,))
+    family = GFrameFamily.of((member,))
     cls = classify(family)
     assert cls.kind is FrameKind.BESSEL_ONLY
     assert cls.bounds.lower <= 1e-12
@@ -195,7 +199,7 @@ def test_no_positive_lower_bound_for_deficient_family():
     proj = np.zeros((4, 4), dtype=np.complex128)
     proj[:2, :2] = np.eye(2)
     member = compose(random_op(rng, 2, 2, 3), AdjointableOp(proj, 2))
-    family = GFrameFamily((member,))
+    family = GFrameFamily.of((member,))
     assert classify(family).kind is FrameKind.BESSEL_ONLY
     # The low witness defeats any positive candidate constant.
     witness, _ = bound_witnesses(family)
@@ -246,7 +250,7 @@ def _surjectivity_matches_frame(family):
 
 def test_surjectivity_equivalence_selftest():
     assert _surjectivity_matches_frame(_identity_family(2, 2))
-    assert _surjectivity_matches_frame(GFrameFamily((zero_op(2, 2, 2),)))
+    assert _surjectivity_matches_frame(GFrameFamily.of((zero_op(2, 2, 2),)))
     rng = np.random.default_rng(43)
     for _ in range(100):
         n = int(rng.integers(1, 3))
@@ -298,12 +302,13 @@ def test_kept_frame_operator_and_bounds_equal_a_fresh_computation(n, d, dims):
     rng = np.random.default_rng(7 * n + d)
     for _ in range(5):
         family = random_family(rng, n, d, dims)
-        fresh = _paired_products(family.members, family.members)
-        assert optimal_bounds(family) == spectrum_bounds(fresh.flat)
+        a = family.analysis.flat
+        fresh = a @ a.conj().T
+        assert optimal_bounds(family) == spectrum_bounds(fresh)
         assert optimal_bounds(family) is optimal_bounds(family)
         kept = frame_operator(family)
         assert kept is frame_operator(family)
-        assert np.array_equal(kept.flat, fresh.flat)
+        assert np.array_equal(kept.flat, fresh)
         assert not kept.flat.flags.writeable
         with pytest.raises(ValueError):
             kept.flat[0, 0] = 0.0
@@ -395,3 +400,89 @@ def test_sampled_positive_without_slack_decides_by_eigenvalues(monkeypatch):
     quads, grams = _sampled_batch(4, 3, 20, [1e9], DEFAULT_TOL)
     monkeypatch.setattr(np.linalg, "cholesky", _raise_if_called)
     assert sampled_positive(quads, grams, 1.0, exact)
+
+
+# Per-member loop references for the operations on the analysis operator.
+_FAMILY_SHAPES = [(1, 1, (1,)), (1, 3, (2, 1, 3)), (2, 2, (2, 3)), (3, 2, (1, 1, 2, 4))]
+
+
+def _assert_close(got, want):
+    scale = max(np.abs(want).max(), 1.0)
+    assert np.abs(got - want).max() <= 1e-12 * scale
+
+
+def _assert_members(family, expected):
+    assert family.member_dims == tuple(m.target_len for m in expected)
+    for got, want in zip(family.members, expected, strict=True):
+        _assert_close(got.flat, want.flat)
+
+
+@pytest.mark.parametrize("n, d, dims", _FAMILY_SHAPES)
+def test_family_operators_match_per_member_loops(n, d, dims):
+    rng = np.random.default_rng(11 * n + d)
+    left, right = random_family(rng, n, d, dims), random_family(rng, n, d, dims)
+    frame_ref = sum(compose(adjoint_op(m), m).flat for m in left.members)
+    _assert_close(frame_operator(left).flat, frame_ref)
+    cross_ref = sum(
+        compose(adjoint_op(p), q).flat for p, q in zip(left.members, right.members)
+    )
+    _assert_close(cross_operator(left, right).flat, cross_ref)
+    synthesis_ref = np.vstack([adjoint_op(m).flat for m in left.members])
+    _assert_close(synthesis_op(left).flat, synthesis_ref)
+
+
+@pytest.mark.parametrize("n, d, dims", _FAMILY_SHAPES)
+def test_derived_families_match_per_member_loops(n, d, dims):
+    rng = np.random.default_rng(13 * n + d)
+    family, other = random_family(rng, n, d, dims), random_family(rng, n, d, dims)
+    pairs = list(zip(family.members, other.members))
+    m_op, n_op, lam = (random_op(rng, n, d, d) for _ in range(3))
+
+    _assert_members(_member_sums(family, other), [p + q for p, q in pairs])
+    _assert_members(
+        _mn_family(family, other, m_op, n_op),
+        [compose(p, m_op) + compose(q, n_op) for p, q in pairs],
+    )
+    coeffs = [random_element(rng, n) for _ in dims]
+    _assert_members(
+        weighted_family(family, coeffs),
+        [
+            compose(block_diag_op(w, m.target_len), m)
+            for w, m in zip(coeffs, family.members)
+        ],
+    )
+    factor = 0.7 - 0.4j
+    _assert_members(scale_family(family, factor), [factor * m for m in family.members])
+    shifted = identity_op(n, d) + lam
+    moved, _ = perturb_lambda(family, lam)
+    _assert_members(moved, [compose(m, shifted) for m in family.members])
+
+
+@pytest.mark.parametrize("n, d, dims", _FAMILY_SHAPES)
+def test_family_of_round_trips_its_members_to_the_bit(n, d, dims):
+    rng = np.random.default_rng(17 * n + d)
+    ms = [random_op(rng, n, d, dz) for dz in dims]
+    family = GFrameFamily.of(ms)
+    assert family.member_dims == dims and family.size == len(dims)
+    assert (family.algebra_dim, family.source_len) == (n, d)
+    assert family.members is family.members
+    for got, want in zip(family.members, ms, strict=True):
+        assert np.array_equal(got.flat, want.flat)
+        assert not got.flat.flags.writeable
+        with pytest.raises(ValueError):
+            got.flat[0, 0] = 0.0
+    assert not family.analysis.flat.flags.writeable
+
+
+def test_malformed_families_raise_dimension_mismatch():
+    rng = np.random.default_rng(19)
+    with pytest.raises(DimensionMismatch):
+        GFrameFamily.of([])
+    with pytest.raises(DimensionMismatch):
+        GFrameFamily.of([random_op(rng, 2, 2, 1), random_op(rng, 2, 3, 1)])
+    with pytest.raises(DimensionMismatch):
+        GFrameFamily.of([random_op(rng, 1, 2, 1), random_op(rng, 2, 1, 1)])
+    analysis_op = random_op(rng, 2, 2, 5)
+    for dims in [(), (2, 2), (2, 4), (5, 0), (6, -1)]:
+        with pytest.raises(DimensionMismatch):
+            GFrameFamily(analysis_op, dims)

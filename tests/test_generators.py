@@ -21,8 +21,15 @@ from gframes import (
     op_norm,
     optimal_bounds,
 )
-from gframes._rand import complex_gaussian, haar_unitaries, haar_unitary, make_rng
+from gframes._rand import (
+    complex_gaussian,
+    haar_unitaries,
+    haar_unitary,
+    make_rng,
+    sub_seed,
+)
 from gframes.generators import _condition_to_target
+from gframes.registry import _gen_weights, build_and_run
 
 
 def test_gen_family_is_deterministic():
@@ -105,7 +112,7 @@ def test_gen_isometry_postcondition():
 def test_isometry_preserves_parseval():
     family = gen_family(GenSpec(3, 2, 2, (2, 2), FamilyTarget.parseval()))
     lam = gen_isometry(4, 2, 2)
-    moved = type(family)(tuple(compose(m, lam) for m in family.members))
+    moved = type(family).of(compose(m, lam) for m in family.members)
     bounds = optimal_bounds(moved)
     assert bounds.lower == pytest.approx(1.0, abs=1e-8)
     assert bounds.upper == pytest.approx(1.0, abs=1e-8)
@@ -210,13 +217,42 @@ def test_gen_weights_makes_one_qr_and_one_eigvalsh(monkeypatch, n, count):
     assert counts == {"qr": 0, "eigvalsh": 1, "eigh": 0}
 
 
+@pytest.mark.parametrize("theorem", ["THM_DIFFERENCE", "T11_POSITIVE"])
+def test_shared_weights_are_validated_once(monkeypatch, theorem):
+    built = []
+    original = ScalarWeights.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(ScalarWeights, "__post_init__", counted)
+    # Seed 1 draws T11_POSITIVE in its shared-weight ("same") mode.
+    build_and_run(theorem, {}, 1)
+    assert len(built) == 1
+    assert all(t is d for t, d in zip(built[0].thetas, built[0].deltas))
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_registry_weights_are_gen_weights_and_keep_the_stream(shared):
+    for seed in range(3):
+        rng, ref = make_rng(seed), make_rng(seed)
+        got = _gen_weights(rng, 2, 4, (0.7, 1.4), shared)
+        want = gen_weights(sub_seed(ref), 2, 4, 0.7, 1.4)
+        deltas = want.thetas if shared else want.deltas
+        for a, b in zip(got.thetas + got.deltas, want.thetas + deltas):
+            assert np.array_equal(a.entries, b.entries)
+        assert (got.band_lower, got.band_upper) == (0.7, 1.4)
+        assert rng.integers(1 << 62) == ref.integers(1 << 62)
+
+
 @pytest.mark.parametrize(
     "target", [FamilyTarget.parseval(), FamilyTarget.tight(2.0), FamilyTarget.bounds(0.5, 2.0)]
 )
 def test_condition_to_target_makes_one_eigh_and_no_eigvalsh(monkeypatch, target):
     rng = make_rng(5)
-    flats = [complex_gaussian(rng, 6, 2 * dz) for dz in (2, 3, 2)]
+    flat = np.hstack([complex_gaussian(rng, 6, 2 * dz) for dz in (2, 3, 2)])
     counts = _counting(monkeypatch, "eigh", "eigvalsh")
-    conditioned = _condition_to_target(flats, 2, 3, target, rng)
+    conditioned = _condition_to_target(flat, 2, 3, target, rng)
     assert conditioned is not None
     assert counts == {"eigh": 1, "eigvalsh": 0}

@@ -40,7 +40,7 @@ def _unit_weights(count, n=2, band=(0.5, 2.0)):
 
 
 def _zero_family(n, d, dims):
-    return GFrameFamily(tuple(zero_op(n, d, dz) for dz in dims))
+    return GFrameFamily.of(zero_op(n, d, dz) for dz in dims)
 
 
 class TestPropMixed:
@@ -92,7 +92,7 @@ class TestDifference:
         family = _frame(6)
         members = list(family.members)
         members[0] = (1.0 - 1e-3) * members[0]
-        other = GFrameFamily(tuple(members))
+        other = GFrameFamily.of(members)
         weights = _unit_weights(family.size)
         report = difference_check(family, other, weights, 0.5, 0.5)
         assert report.verdict is Verdict.CONCLUSION_HOLDS
@@ -213,7 +213,7 @@ class TestWeightedStabilityInstances:
                 (1.0 - 0.01 * ((i + seed) % 3)) * m
                 for i, m in enumerate(family.members)
             )
-            other = GFrameFamily(members)
+            other = GFrameFamily.of(members)
             drawn = gen_weights(seed, 2, family.size, 0.9, 1.1)
             weights = ScalarWeights(
                 drawn.thetas, drawn.thetas, drawn.band_lower, drawn.band_upper
@@ -227,7 +227,7 @@ def test_t12_large_family_with_alternating_deviations_fails_hypothesis():
     # alternate +0.2 and -0.2: the full sum has norm 0.2, but the seven
     # positive deviations together have norm 1.4 > 1.
     one = AdjointableOp(np.array([[1.0 + 0j]]), 1)
-    family = GFrameFamily((one,) * 13)
+    family = GFrameFamily.of((one,) * 13)
     deltas = [
         AdjointableOp(np.array([[1.0 - (0.2 if i % 2 == 0 else -0.2) + 0j]]), 1)
         for i in range(13)

@@ -45,7 +45,7 @@ def _parseval(seed, n=2, d=2, dims=(2, 2)):
 
 
 def _zero_family(n, d, dims):
-    return GFrameFamily(tuple(zero_op(n, d, dz) for dz in dims))
+    return GFrameFamily.of(zero_op(n, d, dz) for dz in dims)
 
 
 def _unit_weights(count, n=2, band=(0.5, 2.0)):
