@@ -29,8 +29,9 @@ drifted = scale_family(family, 1.03)
 weights = gen_weights(12, 2, family.size, 0.9, 1.1)
 report = prop_mixed_check(family, drifted, weights, 0.5, 0.5)
 print("verdict:", report.verdict.value)
-print("worst sampled margin:",
-      f"{report.details['worst_sample_margin']:.3e}", "(<= 0 passes)")
+print("margin at the pencil witness:",
+      f"{report.details['witness_margin']:.3e}", "(<= 0 passes)")
+print(f"least pencil eigenvalue kappa: {report.details['kappa']:.6f}")
 print("claimed bounds (recorded only):",
       tuple(round(v, 4) for v in report.claimed_bounds))
 print("achieved bounds of the drifted family:",

@@ -167,6 +167,18 @@ def cross_operator(left: GFrameFamily, right: GFrameFamily) -> AdjointableOp:
     return compose(adjoint_op(left.analysis), right.analysis)
 
 
+def member_grams(family: GFrameFamily) -> np.ndarray:
+    """Flattened summands adjoint(T_j).T_j of the frame operator, one per
+    member, shape (m, n*d, n*d): one batched product of the analysis
+    flattening, copy j masked to member j's column block, with its
+    conjugate transpose."""
+    flat = family.analysis.flat
+    index = np.arange(family.size)
+    owner = np.repeat(index, family.algebra_dim * np.array(family.member_dims))
+    blocks = np.where(owner == index[:, None, None], flat, 0.0)
+    return blocks @ flat.conj().T
+
+
 def spectrum_bounds(flat: np.ndarray) -> FrameBounds:
     """Bounds read off the extreme eigenvalues of the Hermitian part of a
     flattened operator, the lower one clipped at zero."""
@@ -231,39 +243,15 @@ def batched_quadratic(flat_op: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return images @ xs.conj().swapaxes(-1, -2)
 
 
-# A Cholesky factorization of an n x n matrix A that completes is exact
-# for some A + E with ||E|| below about n(n+1) * eps * ||A|| (Higham,
-# Accuracy and Stability of Numerical Algorithms, Thm 10.5).  A margin
-# above 8 (n+1)^2 * eps * ||H||_F keeps E, and the rounding of the
-# eigenvalue rule, well inside the half margin the shortcut leaves.
-_CHOLESKY_ROUNDING = 8.0 * np.finfo(np.float64).eps
-
-
 def sampled_positive(
     quads: np.ndarray, grams: np.ndarray, scale: float, tol: Tolerance
 ) -> bool:
     """Whether every sampled quadratic form is positive: the least
     eigenvalue of each Hermitian part clears the margin of the samples'
-    Gram matrices at the given operator scale.
-
-    When every margin is far above rounding, one batched Cholesky of
-    H + margin/2 decides first: if it completes, each least eigenvalue
-    is above -margin/2 less rounding, so the eigenvalue rule would also
-    pass.  Otherwise the eigenvalues decide.
-    """
+    Gram matrices at the given operator scale."""
     gram_scales = np.linalg.norm(grams, axis=(-2, -1))
     margins = tol.abs + tol.rel * scale * np.maximum(gram_scales, 1.0)
-    herm = hermitian_part(quads)
-    n = herm.shape[-1]
-    rounding = _CHOLESKY_ROUNDING * (n + 1) ** 2
-    if (margins > rounding * np.linalg.norm(herm, axis=(-2, -1))).all():
-        shifted = herm + (margins / 2.0)[:, None, None] * np.eye(n)
-        try:
-            np.linalg.cholesky(shifted)
-            return True
-        except np.linalg.LinAlgError:
-            pass
-    return bool((np.linalg.eigvalsh(herm)[:, 0] >= -margins).all())
+    return bool((np.linalg.eigvalsh(hermitian_part(quads))[:, 0] >= -margins).all())
 
 
 def verify_frame_inequality(

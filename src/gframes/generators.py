@@ -223,13 +223,13 @@ def gen_isometry(seed: int, n: int, d: int) -> AdjointableOp:
 def weight_matrices(
     seed: int, n: int, count: int, band_lower: float, band_upper: float
 ) -> np.ndarray:
-    """The entries of ``gen_weights``'s thetas, then its deltas: shape
-    (2 * count, n, n).
+    """``count`` weight matrices drawn inside the band: shape (count, n, n).
 
     Each weight is Hermitian positive, built as U diag(s) U* with
     eigenvalues drawn from the middle ninety percent of the band.  Each
     draw takes its eigenvalues and then its Ginibre matrix from the
-    stream, and all the bases come from one batched QR.
+    stream, and all the bases come from one batched QR, so the first k
+    of ``count`` draws equal the k draws of the same seed.
     """
     if not (0.0 < band_lower < band_upper):
         raise BadRange("need 0 < band_lower < band_upper")
@@ -238,9 +238,9 @@ def weight_matrices(
     rng = make_rng(seed)
     pad = 0.05 * (band_upper - band_lower)
 
-    squared = np.empty((2 * count, n))
-    ginibre = np.empty((2 * count, n, n), dtype=np.complex128)
-    for i in range(2 * count):
+    squared = np.empty((count, n))
+    ginibre = np.empty((count, n, n), dtype=np.complex128)
+    for i in range(count):
         squared[i] = rng.uniform(band_lower + pad, band_upper - pad, n)
         ginibre[i] = complex_gaussian(rng, n, n)
     bases = unitaries_from_ginibre(ginibre)
@@ -250,7 +250,9 @@ def weight_matrices(
 def gen_weights(
     seed: int, n: int, count: int, band_lower: float, band_upper: float
 ) -> ScalarWeights:
-    """Weight sequences with squared spectra strictly inside the band."""
-    mats = weight_matrices(seed, n, count, band_lower, band_upper)
+    """Weight sequences with squared spectra strictly inside the band:
+    the first ``count`` of ``weight_matrices`` are the thetas, the next
+    ``count`` the deltas."""
+    mats = weight_matrices(seed, n, 2 * count, band_lower, band_upper)
     weights = tuple(AlgebraElement(mat) for mat in mats)
     return ScalarWeights(weights[:count], weights[count:], band_lower, band_upper)

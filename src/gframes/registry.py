@@ -20,7 +20,7 @@ from . import serialize
 from ._rand import complex_gaussian, haar_unitaries, haar_unitary, make_rng, sub_seed
 from .algebra import DEFAULT_TOL, AlgebraElement, Tolerance, spectral_norm
 from .errors import GFrameError, ValidationError
-from .frames import GFrameFamily, classify, optimal_bounds, scale_family
+from .frames import GFrameFamily, classify, member_grams, optimal_bounds, scale_family
 from .generators import (
     FamilyTarget,
     GenSpec,
@@ -282,7 +282,7 @@ def _gen_weights(rng, n, count, band, shared=False) -> ScalarWeights:
     if not shared:
         return gen_weights(seed, n, count, *band)
     mats = weight_matrices(seed, n, count, *band)
-    thetas = tuple(AlgebraElement(mat) for mat in mats[:count])
+    thetas = tuple(AlgebraElement(mat) for mat in mats)
     return ScalarWeights(thetas, thetas, *band)
 
 
@@ -577,7 +577,7 @@ def _build_prop_mixed(cfg, seed, rng, n, d, dims, tol):
         return scale_family(family, float(rng.uniform(0.95, 1.05)))
 
     args = _perturbation_args(cfg, rng, n, d, dims, rescaled, shared=False)
-    return prop_mixed_check(*args, tol, seed=sub_seed(rng))
+    return prop_mixed_check(*args, tol)
 
 
 @_theorem("THM_DIFFERENCE", "family second_family weights alpha1 alpha2 weight_band")
@@ -592,7 +592,7 @@ def _build_difference(cfg, seed, rng, n, d, dims, tol):
         )
 
     args = _perturbation_args(cfg, rng, n, d, dims, shrunk, shared=True)
-    return difference_check(*args, tol, seed=sub_seed(rng))
+    return difference_check(*args, tol)
 
 
 @_theorem(
@@ -614,10 +614,8 @@ def _build_t12(cfg, seed, rng, n, d, dims, tol):
         bumps = [r @ r.conj().T for r in raws]
         total = sum(spectral_norm(b) for b in bumps)
         delta_ops = [
-            AdjointableOp(
-                m.flat @ m.flat.conj().T + (budget / max(total, 1e-12)) * b, n
-            )
-            for m, b in zip(family.members, bumps)
+            AdjointableOp(gram + (budget / max(total, 1e-12)) * b, n)
+            for gram, b in zip(member_grams(family), bumps)
         ]
     return t12_check(family, delta_ops, tol)
 

@@ -1,11 +1,11 @@
 """Perturbation-stability checkers.
 
-Hypotheses stated "for all x" are evaluated spectrally whenever an
-exact operator reformulation exists, and on seeded sample batches where
-only the pointwise form exists.  Numeric bound formulas quoted from the
-source derivations are recorded for comparison but never asserted; the
-verdict concerns only the qualitative conclusion (the perturbed family
-classifies as a frame).
+Hypotheses stated "for all x" are decided exactly through a spectral
+reformulation: an operator inequality, or the least eigenvalue of a
+Hermitian-definite pencil, whose eigenvector gives a witness vector.
+Numeric bound formulas quoted from the source derivations are recorded
+for comparison but never asserted; the verdict concerns only the
+qualitative conclusion (the perturbed family classifies as a frame).
 """
 
 from __future__ import annotations
@@ -16,23 +16,21 @@ from enum import Enum
 
 import numpy as np
 
-from ._rand import make_rng, sample_flat_vectors
 from .algebra import DEFAULT_TOL, Tolerance, hermitian_part, positivity, spectral_norm
 from .errors import AlphaOutOfRange, DimensionMismatch
 from .frames import (
     FrameKind,
     GFrameFamily,
-    batched_quadratic,
     classify,
     frame_operator,
     is_frame_bounds,
+    member_grams,
     optimal_bounds,
     require_compatible,
     require_endomorphism,
-    sampled_positive,
     spectrum_bounds,
 )
-from .hilbert import AdjointableOp, adjoint_op, batched_gram, compose
+from .hilbert import AdjointableOp
 from .sums import ScalarWeights, TheoremReport, _verdict, weighted_pair
 
 
@@ -62,11 +60,9 @@ def _weighted_preamble(
     weights: ScalarWeights,
     alpha1: float,
     alpha2: float,
-    samples: int,
-    seed: int,
-) -> tuple[GFrameFamily, GFrameFamily, np.ndarray, np.ndarray, np.ndarray]:
-    """The two weighted families, their flattened frame operators and the
-    seeded sample batch, after validating the coefficients and the pair."""
+) -> tuple[GFrameFamily, GFrameFamily, np.ndarray, np.ndarray]:
+    """The two weighted families and their flattened frame operators,
+    after validating the coefficients and the pair."""
     outside = [
         f"{name!r} = {value!r}"
         for name, value in (("alpha1", alpha1), ("alpha2", alpha2))
@@ -78,9 +74,7 @@ def _weighted_preamble(
         )
     require_compatible(family, other)
     left, right = weighted_pair(family, other, weights)
-    rng = make_rng(seed)
-    xs = sample_flat_vectors(rng, samples, family.algebra_dim, family.source_len)
-    return left, right, frame_operator(left).flat, frame_operator(right).flat, xs
+    return left, right, frame_operator(left).flat, frame_operator(right).flat
 
 
 _NOTE_RECORDED_ONLY = (
@@ -97,26 +91,42 @@ def prop_mixed_check(
     alpha1: float,
     alpha2: float,
     tol: Tolerance = DEFAULT_TOL,
-    samples: int = 500,
-    seed: int = 0,
 ) -> TheoremReport:
-    """Norm-difference perturbation condition, sampled pointwise.
+    """Norm-difference perturbation condition, decided exactly.
 
-    Hypothesis per sample x, with a(x) and b(x) the norms of the two
+    Hypothesis for every x, with a(x) and b(x) the norms of the two
     weighted sums: sqrt(max(a - b, 0)) <= alpha1 sqrt(a) + alpha2 sqrt(b).
     Conclusion: the second family is a frame.
+
+    Divided by a, the condition reads g(b/a) >= 0 with
+    g(r) = alpha1 + alpha2 sqrt(r) - sqrt(max(1 - r, 0)), which increases
+    in r.  With kappa the least eigenvalue of S_L^-1/2 S_R S_L^-1/2,
+    S_R >= kappa S_L, so b(x) >= kappa a(x) for every x, and the rank-one
+    vector e_1 u* with u = S_L^-1/2 v (v the least eigenvector) attains
+    b/a = kappa.  The condition holds for all x exactly when it holds at
+    that witness.  An S_L too close to singular to whiten fails it.
     """
-    _, _, s_left, s_right, xs = _weighted_preamble(
-        family, other, weights, alpha1, alpha2, samples, seed
+    _, _, s_left, s_right = _weighted_preamble(family, other, weights, alpha1, alpha2)
+    left_eigs, left_vecs = np.linalg.eigh(hermitian_part(s_left))
+    whitened = bool(left_eigs[0] > tol.margin(left_eigs[-1]))
+    if whitened:
+        whitener = (left_vecs / np.sqrt(left_eigs)) @ left_vecs.conj().T
+        pencil = hermitian_part(whitener @ s_right @ whitener)
+        pencil_eigs, pencil_vecs = np.linalg.eigh(pencil)
+        kappa = float(pencil_eigs[0])
+        witness = whitener @ pencil_vecs[:, 0]
+    else:
+        kappa = math.nan
+        witness = left_vecs[:, 0]
+    witness = witness / np.linalg.norm(witness)
+    a, b = (
+        max(float((witness.conj() @ s @ witness).real), 0.0) for s in (s_left, s_right)
     )
-    a, b = _batched_psd_norm(np.stack((s_left, s_right)), xs)
-    lhs = np.sqrt(np.maximum(a - b, 0.0))
-    rhs = alpha1 * np.sqrt(a) + alpha2 * np.sqrt(b)
-    margins = tol.abs + tol.rel * np.sqrt(np.maximum(np.maximum(a, b), 1.0))
-    worst = int(np.argmax(lhs - rhs))
-    measured_lhs = float(lhs[worst])
-    allowed_rhs = float(rhs[worst])
-    hypothesis_ok = bool((lhs <= rhs + margins).all())
+    measured_lhs = math.sqrt(max(a - b, 0.0))
+    allowed_rhs = alpha1 * math.sqrt(a) + alpha2 * math.sqrt(b)
+    hypothesis_ok = whitened and measured_lhs <= allowed_rhs + tol.margin(
+        math.sqrt(max(a, b, 1.0))
+    )
 
     base = optimal_bounds(family)
     input_frame = is_frame_bounds(base, tol)
@@ -144,7 +154,8 @@ def prop_mixed_check(
             "input_lower": base.lower,
             "input_upper": base.upper,
             "input_is_frame": float(input_frame),
-            "worst_sample_margin": float(measured_lhs - allowed_rhs),
+            "witness_margin": measured_lhs - allowed_rhs,
+            "kappa": kappa,
         },
     )
 
@@ -156,19 +167,16 @@ def difference_check(
     alpha1: float,
     alpha2: float,
     tol: Tolerance = DEFAULT_TOL,
-    samples: int = 500,
-    seed: int = 0,
 ) -> TheoremReport:
     """Quadratic-difference perturbation condition.
 
     Hypothesis: the frame operator of the weighted difference family is
     dominated by alpha1 and alpha2 times the two weighted frame
-    operators.  This has an exact spectral form, which is checked
-    together with a sampled pointwise corroboration.  Conclusion: the
-    second family is a frame.
+    operators, decided by the top eigenvalue of the difference of the
+    two sides.  Conclusion: the second family is a frame.
     """
-    left, right, s_left, s_right, xs = _weighted_preamble(
-        family, other, weights, alpha1, alpha2, samples, seed
+    left, right, s_left, s_right = _weighted_preamble(
+        family, other, weights, alpha1, alpha2
     )
     diff = GFrameFamily(left.analysis - right.analysis, left.member_dims)
     s_diff = frame_operator(diff).flat
@@ -182,9 +190,6 @@ def difference_check(
     allowed_rhs = float((worst_vec.conj() @ combo @ worst_vec).real)
     scale = max(spectral_norm(combo), spectral_norm(s_diff), 1.0)
     spectral_ok = float(gap_eigs[-1]) <= tol.margin(scale)
-
-    resid = batched_quadratic(combo - s_diff, xs)
-    sampled_ok = sampled_positive(resid, batched_gram(xs), scale, tol)
 
     base = optimal_bounds(family)
     input_frame = is_frame_bounds(base, tol)
@@ -202,7 +207,7 @@ def difference_check(
     )
     return _frame_conclusion_report(
         other,
-        spectral_ok and sampled_ok and input_frame,
+        spectral_ok and input_frame,
         tol,
         theorem_id=StabilityId.THM_DIFFERENCE.value,
         alphas=(alpha1, alpha2),
@@ -214,7 +219,6 @@ def difference_check(
             "input_lower": base.lower,
             "input_upper": base.upper,
             "input_is_frame": float(input_frame),
-            "sampled_ok": float(sampled_ok),
             "domination_gap": float(gap_eigs[-1]),
         },
     )
@@ -222,7 +226,7 @@ def difference_check(
 
 def operators_from_family(other: GFrameFamily) -> list[AdjointableOp]:
     """Lift a family to candidate frame-operator summands adjoint(Q).Q."""
-    return [compose(adjoint_op(q), q) for q in other.members]
+    return [AdjointableOp(gram, other.algebra_dim) for gram in member_grams(other)]
 
 
 # Subset enumeration is exact up to this family size; beyond it the
@@ -284,12 +288,7 @@ def t12_check(
     budget = c_low / d_high if d_high > 0.0 else math.inf
 
     summands_pos = all(positivity(op.flat, tol)[0] for op in delta_ops)
-    deviations = np.stack(
-        [
-            m.flat @ m.flat.conj().T - op.flat
-            for m, op in zip(family.members, delta_ops)
-        ]
-    )
+    deviations = member_grams(family) - np.stack([op.flat for op in delta_ops])
     size = n * d
     bracket = {}
     if family.size <= _SUBSET_LIMIT:
@@ -404,10 +403,3 @@ def _contraction(s_flat: np.ndarray, k_flat: np.ndarray) -> float:
     """||I - S^-1 K|| for an invertible S; below one, it makes K invertible."""
     eye = np.eye(s_flat.shape[0], dtype=np.complex128)
     return spectral_norm(eye - np.linalg.solve(s_flat, k_flat))
-
-
-def _batched_psd_norm(flat_ops: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Spectral norms of the PSD quadratic forms <Tx, x> over a batch,
-    for each of a stack of operators T: shape (k, count)."""
-    eigs = np.linalg.eigvalsh(hermitian_part(batched_quadratic(flat_ops, xs)))
-    return np.maximum(eigs[..., -1], 0.0)

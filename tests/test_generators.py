@@ -233,6 +233,20 @@ def test_shared_weights_are_validated_once(monkeypatch, theorem):
     assert all(t is d for t, d in zip(built[0].thetas, built[0].deltas))
 
 
+def test_shared_weights_factor_only_the_thetas(monkeypatch):
+    stacks = []
+    original = np.linalg.qr
+
+    def recorded(z, *args, **kwargs):
+        stacks.append(z.shape)
+        return original(z, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", recorded)
+    weights = _gen_weights(make_rng(3), 2, 4, (0.7, 1.4), shared=True)
+    assert stacks == [(4, 2, 2)]
+    assert len(weights.thetas) == 4
+
+
 @pytest.mark.parametrize("shared", [False, True])
 def test_registry_weights_are_gen_weights_and_keep_the_stream(shared):
     for seed in range(3):

@@ -1,16 +1,21 @@
 """Perturbation checkers: literal cases, exact shifts, failing branches."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from randoms import random_family
 from gframes import (
     AdjointableOp,
     AlphaOutOfRange,
     FamilyTarget,
     GenSpec,
     GFrameFamily,
+    ModuleVector,
     ScalarWeights,
     Verdict,
     compose,
@@ -19,15 +24,23 @@ from gframes import (
     final_corollary_check,
     gen_family,
     gen_weights,
+    apply,
+    frame_operator,
     identity,
+    inner_product,
+    is_frame_bounds,
     operators_from_family,
     optimal_bounds,
     prop_mixed_check,
+    registry,
+    scalar_norm,
     scale_family,
     t12_check,
     zero_op,
 )
+from gframes.algebra import DEFAULT_TOL, spectral_norm
 from gframes.stability import _subset_sup_bracket
+from gframes.sums import weighted_pair
 
 
 def _frame(seed, n=2, d=2, dims=(2, 2), lo=1.0, hi=2.0):
@@ -287,3 +300,108 @@ def test_t12_enumeration_memory_is_bounded_and_matches_one_shot():
     sums = (masks @ deviations.reshape(count, -1)).reshape(-1, size, size)
     herm = (sums + sums.conj().swapaxes(1, 2)) / 2
     assert report.measured_lhs == float(np.abs(np.linalg.eigvalsh(herm)).max())
+
+
+# The PROP_MIXED hypothesis, sqrt(max(a - b, 0)) <= alpha1 sqrt(a) +
+# alpha2 sqrt(b) with a(x), b(x) the norms of <S_L x, x> and <S_R x, x>,
+# evaluated without the checker's whitening: rank-one witnesses come
+# from np.linalg.eig of S_L^-1 S_R, samples are plain random vectors.
+
+
+def _weighted_operators(family, other, weights):
+    left, right = weighted_pair(family, other, weights)
+    return left, frame_operator(left).flat, frame_operator(right).flat
+
+
+def _violations(a, b, alpha1, alpha2):
+    """Amount by which each (a, b) breaks the inequality beyond the margin."""
+    lhs = np.sqrt(np.maximum(a - b, 0.0))
+    rhs = alpha1 * np.sqrt(a) + alpha2 * np.sqrt(b)
+    margins = DEFAULT_TOL.abs + DEFAULT_TOL.rel * np.sqrt(np.maximum(np.maximum(a, b), 1.0))
+    return lhs - rhs - margins
+
+
+def _eig_witness(s_left, s_right, n):
+    """Rank-one module vector e_1 v* at the least eigenpair of S_L^-1 S_R."""
+    eigs, vecs = np.linalg.eig(np.linalg.solve(s_left, s_right))
+    v = vecs[:, np.argmin(eigs.real)]
+    return ModuleVector(np.outer(np.eye(n)[0], v.conj()))
+
+
+def test_prop_mixed_fails_where_the_pencil_witness_breaks_the_inequality(monkeypatch):
+    # The violating directions here are few enough that 500 random
+    # samples miss them all; the hypothesis "for all x" is still false.
+    captured = []
+    original = registry.prop_mixed_check
+
+    def recorder(*args, **kwargs):
+        captured.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(registry, "prop_mixed_check", recorder)
+    report = registry.build_and_run("PROP_MIXED", {"alpha1": 0.2, "alpha2": 0.2}, 87)
+    assert report.verdict is Verdict.HYPOTHESIS_FAILS
+
+    ((family, other, weights, alpha1, alpha2, _),) = captured
+    assert is_frame_bounds(optimal_bounds(family))
+    left, s_left, s_right = _weighted_operators(family, other, weights)
+    x = _eig_witness(s_left, s_right, family.algebra_dim)
+    a, b = (
+        spectral_norm(inner_product(apply(AdjointableOp(s, x.algebra_dim), x), x).entries)
+        for s in (s_left, s_right)
+    )
+    assert a == pytest.approx(scalar_norm(apply(left.analysis, x)) ** 2, rel=1e-10)
+    assert _violations(a, b, alpha1, alpha2) > 0.0
+    # The report's pair is the same point, up to the witness's scale.
+    assert report.measured_lhs / report.allowed_rhs == pytest.approx(
+        math.sqrt(max(a - b, 0.0)) / (alpha1 * math.sqrt(a) + alpha2 * math.sqrt(b)),
+        rel=1e-8,
+    )
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 2),
+    d=st.integers(1, 2),
+    count=st.integers(1, 3),
+    drift=st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]),
+    alpha=st.sampled_from([0.05, 0.2, 0.5]),
+)
+def test_prop_mixed_exact_verdict_agrees_with_samples_and_witness(
+    seed, n, d, count, drift, alpha
+):
+    rng = np.random.default_rng(seed)
+    dims = tuple(int(k) for k in rng.integers(d, d + 2, count))
+    family = random_family(rng, n, d, dims)
+    noise = random_family(rng, n, d, dims)
+    other = GFrameFamily(family.analysis + drift * noise.analysis, dims)
+    weights = gen_weights(int(rng.integers(1 << 62)), n, count, 0.5, 2.0)
+    report = prop_mixed_check(family, other, weights, alpha, alpha)
+    assert is_frame_bounds(optimal_bounds(family))
+    _, s_left, s_right = _weighted_operators(family, other, weights)
+    if report.verdict is Verdict.HYPOTHESIS_FAILS:
+        x = _eig_witness(s_left, s_right, n).flat
+        xs = x[None]
+    else:
+        shape = (2000, n, n * d)
+        xs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    a, b = (
+        np.linalg.eigvalsh(xs @ s @ xs.conj().swapaxes(-1, -2))[:, -1]
+        for s in (s_left, s_right)
+    )
+    violations = _violations(np.maximum(a, 0.0), np.maximum(b, 0.0), alpha, alpha)
+    if report.verdict is Verdict.HYPOTHESIS_FAILS:
+        assert violations[0] > 0.0
+    else:
+        assert (violations <= 0.0).all()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_perturbation_reports_name_their_exact_decisions(seed):
+    mixed = registry.build_and_run("PROP_MIXED", {}, seed).details
+    assert {"witness_margin", "kappa"} <= set(mixed)
+    assert "worst_sample_margin" not in mixed
+    difference = registry.build_and_run("THM_DIFFERENCE", {}, seed).details
+    assert "domination_gap" in difference
+    assert "sampled_ok" not in difference
