@@ -74,9 +74,11 @@ def _is_int(value) -> bool:
 # repetition grows with these (eigendecompositions of (n*d)-square frame
 # operators), and a size numpy cannot allocate would otherwise crash.
 MAX_FLAT_SIZE = 64
-_SIZE_FIELDS = ("algebra_dim", "module_len", "member_dims")
-# The instance fields that set sizes, named when the sizes exceed the cap.
-_SIZE_SOURCES = ("family", "second_family", "weights") + _SIZE_FIELDS
+# The size fields, by the size each sets.
+_SIZE_FIELDS = {"algebra_dim": "n", "module_len": "d", "member_dims": "dims"}
+_OPERATOR_FIELDS = ("lambda", "m", "n", "delta_ops")
+# The instance fields that set sizes, in order of precedence.
+_SIZE_SOURCES = (*_SIZE_FIELDS, "family", "second_family", "weights", *_OPERATOR_FIELDS)
 
 
 def _is_size(value) -> bool:
@@ -115,8 +117,8 @@ _FIELD_KINDS = {
         ("an operator object", _is_object, lambda v: serialize.op_from_json(v)),
     ),
     "delta_ops": (
-        "a list of operator objects",
-        lambda v: isinstance(v, list),
+        "a nonempty list of operator objects",
+        lambda v: isinstance(v, list) and v,
         lambda v: tuple(serialize.op_from_json(x) for x in v),
     ),
     "weights": (
@@ -184,66 +186,81 @@ def validate_instance(theorem: str, instance) -> MappingProxyType:
     return MappingProxyType(cfg)
 
 
+def _fixed_sizes(cfg) -> list[tuple[str, str, object]]:
+    """(field, size, value) for each size a present field fixes, by precedence."""
+    fixed = []
+    for key, value in ((key, cfg[key]) for key in _SIZE_SOURCES if key in cfg):
+        if key in _SIZE_FIELDS:
+            fixed.append((key, _SIZE_FIELDS[key], value))
+        elif key in ("family", "second_family"):
+            shape = (value.algebra_dim, value.source_len, value.member_dims)
+            fixed += zip([key] * 3, ("n", "d", "dims"), shape)
+        elif key == "weights":
+            fixed += [(key, "n", value.algebra_dim), (key, "members", value.count)]
+        else:
+            ops = value if key == "delta_ops" else (value,)
+            for op in ops:
+                # An operator maps a module of length d to itself.
+                shape = (op.algebra_dim, op.source_len, op.target_len)
+                fixed += zip([key] * 3, ("n", "d", "d"), shape)
+            if key == "delta_ops":
+                fixed.append((key, "members", len(ops)))
+    return fixed
+
+
 def _sizes(
     cfg: dict, rng, *, even_dims: bool = False, min_flat: int = 1
 ) -> tuple[int, int, tuple[int, ...]]:
-    """Instance sizes: explicit from the config, otherwise drawn at desk
-    scale; an inline family (else an inline second family) fixes all
-    three, and inline weights fix n and the member count.  The resolved
-    sizes must keep n*d and every n*d_i within ``MAX_FLAT_SIZE``.
+    """Instance sizes: explicit, else drawn at desk scale.  An inline family
+    fixes all three, weights fix n and the member count, an operator n and
+    d (``delta_ops`` the count too).  Every field must agree with the
+    resolved sizes, which must keep n*d and every n*d_i within ``MAX_FLAT_SIZE``.
 
     ``min_flat`` forces the drawn flattening dimension n*d upward, for
     builders whose targets need room for two distinct bounds.
     """
-    # The sizes are drawn even where inline values fix them: every later
-    # draw then stays what it was for the seeds whose drawn sizes already
-    # fitted those values.
-    weights = cfg.get("weights")
+    fixed = _fixed_sizes(cfg)
+    values = {size: value for _, size, value in reversed(fixed)}
+    # The sizes are drawn even where inline values fix them, and only the
+    # weights, or ``delta_ops`` where no family fixes the members, act
+    # before the last draw: every later draw then stays what it was for
+    # the seeds whose drawn sizes already fitted those values.
     n = cfg.get("algebra_dim") or int(rng.integers(1, 4))
-    if weights is not None and "algebra_dim" not in cfg:
-        n = weights.algebra_dim
+    n = values["n"] if "weights" in cfg else n
     d = cfg.get("module_len") or int(rng.integers(1, 4))
     if "module_len" not in cfg:
         while n * d < min_flat:
             d += 1
-    if "member_dims" in cfg:
-        dims = cfg["member_dims"]
-    else:
+    if "member_dims" not in cfg:
         count = int(rng.integers(2, 6))
-        if weights is not None:
-            count = weights.count
+        if "weights" in cfg or "dims" not in values:
+            count = values.get("members", count)
         if even_dims:
             dims = tuple(int(rng.choice((2, 4))) for _ in range(count))
-            while sum(dims) < 2 * d:
-                dims = dims + (2,)
         else:
             dims = tuple(int(rng.integers(1, d + 3)) for _ in range(count))
-            while sum(dims) < d:
-                dims = dims + (1,)
-        if weights is not None:
+    n, d = values.get("n", n), values.get("d", d)
+    if "dims" in values:
+        dims = values["dims"]
+    else:
+        pad = 2 if even_dims else 1
+        while sum(dims) < pad * d:
+            dims = dims + (pad,)
+        if "members" in values:
             # Padding members merge into the last one: the count is fixed.
             dims = dims[: count - 1] + (sum(dims[count - 1 :]),)
-    inline = next((key for key in ("family", "second_family") if key in cfg), None)
-    if inline is not None:
-        family = cfg[inline]
-        n, d, dims = family.algebra_dim, family.source_len, family.member_dims
-        for key, size in zip(_SIZE_FIELDS, (n, d, dims)):
-            if cfg.get(key, size) != size:
-                raise ValidationError(
-                    f"instance field {key!r} contradicts the {inline}, which has {size!r}"
-                )
-    if weights is not None and (n, len(dims)) != (weights.algebra_dim, weights.count):
-        named = (key for key in (inline, "algebra_dim", "member_dims") if key in cfg)
-        raise ValidationError(
-            f"instance field 'weights' has n = {weights.algebra_dim} and"
-            f" {weights.count} members, which contradicts"
-            f" {' and '.join(map(repr, named))} (n = {n}, {len(dims)} members)"
-        )
+    named = ", ".join(repr(key) for key in _SIZE_SOURCES if key in cfg)
+    resolved = {"n": n, "d": d, "dims": dims, "members": len(dims)}
+    for key, size, value in fixed:
+        if value != resolved[size]:
+            raise ValidationError(
+                f"instance field {key!r} gives {size} = {value!r}, but the sizes"
+                f" from {named} give {size} = {resolved[size]!r}"
+            )
     flat = n * max(d, *dims)
     if flat > MAX_FLAT_SIZE:
-        named = [key for key in _SIZE_SOURCES if key in cfg]
         raise ValidationError(
-            f"the sizes from {', '.join(map(repr, named))} give a flattened size"
+            f"the sizes from {named} give a flattened size"
             f" n*max(d, d_i) = {flat}, above the cap of {MAX_FLAT_SIZE}"
         )
     return n, d, dims
@@ -512,9 +529,7 @@ def _build_lambda_lower(cfg, seed, rng, n, d, dims, tol):
         n_op = AdjointableOp((left * svals) @ right, n)
         lam_bound = 0.9 * float(svals.min())
         m_op = AdjointableOp(1.05 * float(svals.max()) * m_basis, n)
-    return lambda_lower_check(
-        family, other, m_op, n_op, lam_bound, tol, seed=sub_seed(rng)
-    )
+    return lambda_lower_check(family, other, m_op, n_op, lam_bound, tol)
 
 
 @_theorem(

@@ -278,10 +278,11 @@ def _inline_pair_instance(key="family"):
     return {key: ser.family_to_json(family)}
 
 
-_IDENTITY_MN = {
-    "m": ser.op_to_json(gframes.identity_op(1, 2)),
-    "n": ser.op_to_json(gframes.identity_op(1, 2)),
-}
+def _op(n, d):
+    return ser.op_to_json(gframes.identity_op(n, d))
+
+
+_IDENTITY_MN = {"m": _op(1, 2), "n": _op(1, 2)}
 
 
 # JSON forms of the blocks [1], [inf], [1 0] (not square) and the 2x2 identity.
@@ -362,6 +363,16 @@ _MALFORMED = [
     ("THM_DIFFERENCE", {}, {"weight_band": [1, 1]}, "weight_band"),
     ("PROP_MIXED", {}, {"alpha1": 1.5}, "alpha1"),
     ("THM_DIFFERENCE", {}, {"alpha2": 2.0}, "alpha2"),
+    # Inline operators that contradict the family, a size field or each
+    # other, that do not map a module to itself, or whose count differs
+    # from the family's member count.
+    ("PERTURB_LAMBDA", {}, dict(_inline_pair_instance(), **{"lambda": _op(2, 2)}), "lambda"),
+    ("LAMBDA_LOWER", {}, dict(_IDENTITY_MN, lambda_bound=0.5, module_len=3), "m"),
+    ("TIGHT_MN", {}, dict(_IDENTITY_MN, algebra_dim=2), "m"),
+    ("T3_EQUIV", {}, {"m": _op(1, 2), "n": _op(1, 3)}, "n"),
+    ("ISOMETRY_SUM", {}, {"lambda": ser.op_to_json(gframes.zero_op(1, 2, 3))}, "lambda"),
+    ("T12_OPERATOR", {}, dict(_inline_pair_instance(), delta_ops=[_op(1, 2)] * 3), "family"),
+    ("T12_OPERATOR", {}, {"delta_ops": []}, "delta_ops"),
 ]
 
 
@@ -423,6 +434,8 @@ def test_report_keys_keep_their_order_for_every_theorem():
         for check in data.get("hypothesis_checks", []):
             assert list(check) == ["name", "passed", "measured", "limit"]
         assert list(data["details"]) == sorted(data["details"])
+        # LAMBDA_LOWER decides its hypotheses spectrally, without samples.
+        assert "sampled_lower_gap" not in data["details"], theorem
 
 
 @pytest.mark.parametrize("theorem", sorted(THEOREMS))
@@ -457,6 +470,17 @@ def test_inline_family_sets_the_sizes_of_generated_companions(theorem):
         for seed in range(10):
             report = build_and_run(theorem, instance, seed)
             assert report.verdict.value != "ConclusionFails"
+
+
+@pytest.mark.parametrize(
+    "theorem, key", [("ISOMETRY_SUM", "lambda"), ("PERTURB_LAMBDA", "lambda"), ("T3_EQUIV", "m")]
+)
+def test_an_inline_operator_fixes_the_sizes_it_carries(theorem, key):
+    # The operator alone sets n = 2 and d = 3, whatever sizes the seed draws.
+    instance = {key: _op(2, 3)}
+    for seed in range(40):
+        report = build_and_run(theorem, instance, seed)
+        assert report.verdict.value != "ConclusionFails"
 
 
 def test_inline_families_are_decoded_through_the_serialize_module(monkeypatch):

@@ -2,18 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from randoms import random_op
+import gframes.stability
+import gframes.sums
+from randoms import random_matrix, random_op
 from gframes import (
+    AdjointableOp,
     BadRange,
     DimensionMismatch,
     FamilyTarget,
     FrameKind,
     GenSpec,
     GFrameFamily,
+    ModuleVector,
     NotTight,
     ScalarWeights,
     Verdict,
+    apply,
     gen_family,
     gen_isometry,
     gen_orthogonal_pair,
@@ -25,6 +32,7 @@ from gframes import (
     op_weighted_sum,
     optimal_bounds,
     perturb_lambda,
+    scalar_norm,
     scalar_weighted_sum,
     scale_family,
     t3_corollary_check,
@@ -330,6 +338,69 @@ class TestLambdaLower:
             lambda_lower_check(
                 family, family, identity_op(2, 2), identity_op(2, 2), 0.0
             )
+
+
+def _rank_one(row, n):
+    """The module vector whose flattening has ``row`` as its first row and
+    zeros elsewhere: its module norm is the Euclidean norm of ``row``."""
+    flat = np.zeros((n, row.size), dtype=complex)
+    flat[0] = row
+    return ModuleVector(flat)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 2),
+    d=st.integers(1, 2),
+    lam_scale=st.sampled_from([0.5, 0.9, 1.1, 2.0]),
+    stretch=st.sampled_from([0.8, 1.0, 1.5]),
+    drift=st.sampled_from([0.0, 0.1, 1.0]),
+)
+def test_lambda_lower_spectral_checks_agree_with_module_norms(
+    seed, n, d, lam_scale, stretch, drift
+):
+    # M = stretch * N W + drift * G, with W unitary: MM* = stretch^2 NN*
+    # when drift is 0, so dominance holds exactly when stretch >= 1.
+    rng = np.random.default_rng(seed)
+    size = n * d
+    n_flat = random_matrix(rng, size, size)
+    unitary, _ = np.linalg.qr(random_matrix(rng, size, size))
+    m_flat = stretch * n_flat @ unitary + drift * random_matrix(rng, size, size)
+    m_op, n_op = AdjointableOp(m_flat, n), AdjointableOp(n_flat, n)
+    left, svals, _ = np.linalg.svd(n_flat)
+    lam = lam_scale * float(svals[-1])
+    family = _parseval(seed, n, d, (d, d))
+    report = lambda_lower_check(family, family, m_op, n_op, lam)
+    checks = {c.name: c for c in report.hypothesis_checks}
+    xs = [ModuleVector(random_matrix(rng, n, size)) for _ in range(100)]
+    sq_m, sq_n = (
+        np.array([scalar_norm(apply(op, x)) ** 2 for x in xs]) for op in (m_op, n_op)
+    )
+    sq_x = np.array([scalar_norm(x) ** 2 for x in xs])
+    # The dominance check allows -(1e-9 * scale + 1e-12) for its eigenvalue.
+    scale = max(np.linalg.norm(m_flat, 2), svals[0]) ** 2
+    slack = (2e-9 * scale + 1e-12) * sq_x
+    if checks["n_bounded_below"].passed:
+        assert (sq_n >= lam**2 * sq_x - slack).all()
+    else:
+        # x = (u*, 0, ...) for N's least left singular vector u: flat(Nx)
+        # has first row sigma_min v*, so ||Nx|| = sigma_min ||x|| < lam ||x||.
+        witness = _rank_one(left[:, -1].conj(), n)
+        assert scalar_norm(apply(n_op, witness)) < lam * scalar_norm(witness)
+    if checks["aux_m_dominates_n"].passed:
+        assert (sq_m >= sq_n - slack).all()
+    else:
+        # x = (w*, 0, ...) for the least eigenvector w of MM* - NN*:
+        # ||Mx||^2 - ||Nx||^2 is that (negative) eigenvalue.
+        gap = m_flat @ m_flat.conj().T - n_flat @ n_flat.conj().T
+        witness = _rank_one(np.linalg.eigh(gap)[1][:, 0].conj(), n)
+        assert scalar_norm(apply(m_op, witness)) < scalar_norm(apply(n_op, witness))
+
+
+def test_no_checker_module_binds_a_sampler():
+    for module in (gframes.sums, gframes.stability):
+        assert not {"make_rng", "sample_flat_vectors"} & set(vars(module)), module
 
 
 class TestTightMN:
