@@ -187,9 +187,13 @@ def validate_instance(theorem: str, instance) -> MappingProxyType:
 
 
 def _fixed_sizes(cfg) -> list[tuple[str, str, object]]:
-    """(field, size, value) for each size a present field fixes, by precedence."""
+    """(field, size, value) for each size a present field fixes, by precedence.
+    Beside an inline family a second family fixes none: how two inline
+    families fit together is the checker's to decide."""
     fixed = []
-    for key, value in ((key, cfg[key]) for key in _SIZE_SOURCES if key in cfg):
+    for key, value in ((key, cfg.get(key)) for key in _SIZE_SOURCES):
+        if value is None or key == "second_family" and "family" in cfg:
+            continue
         if key in _SIZE_FIELDS:
             fixed.append((key, _SIZE_FIELDS[key], value))
         elif key in ("family", "second_family"):
@@ -212,9 +216,10 @@ def _sizes(
     cfg: dict, rng, *, even_dims: bool = False, min_flat: int = 1
 ) -> tuple[int, int, tuple[int, ...]]:
     """Instance sizes: explicit, else drawn at desk scale.  An inline family
-    fixes all three, weights fix n and the member count, an operator n and
-    d (``delta_ops`` the count too).  Every field must agree with the
-    resolved sizes, which must keep n*d and every n*d_i within ``MAX_FLAT_SIZE``.
+    (else an inline second family) fixes all three, weights fix n and the
+    member count, an operator n and d (``delta_ops`` the count too).  Every
+    field must agree with the resolved sizes, which must keep n*d and every
+    n*d_i within ``MAX_FLAT_SIZE``.
 
     ``min_flat`` forces the drawn flattening dimension n*d upward, for
     builders whose targets need room for two distinct bounds.
@@ -249,16 +254,20 @@ def _sizes(
         if "members" in values:
             # Padding members merge into the last one: the count is fixed.
             dims = dims[: count - 1] + (sum(dims[count - 1 :]),)
-    named = ", ".join(repr(key) for key in _SIZE_SOURCES if key in cfg)
     resolved = {"n": n, "d": d, "dims": dims, "members": len(dims)}
     for key, size, value in fixed:
         if value != resolved[size]:
-            raise ValidationError(
-                f"instance field {key!r} gives {size} = {value!r}, but the sizes"
-                f" from {named} give {size} = {resolved[size]!r}"
-            )
+            # A field that fixes the member dims fixes the count and comes first.
+            setters = ("dims", "members") if size == "members" else (size,)
+            source = next(field for field, fixes, _ in fixed if fixes in setters)
+            first, second = f"{size} = {resolved[size]!r}", f"{size} = {value!r}"
+            said = f"{second}, but {source!r} gives {first}"
+            if source == key:
+                said = f"both {first} and {second}"
+            raise ValidationError(f"instance field {key!r} gives {said}")
     flat = n * max(d, *dims)
     if flat > MAX_FLAT_SIZE:
+        named = ", ".join(repr(key) for key in _SIZE_SOURCES if key in cfg)
         raise ValidationError(
             f"the sizes from {named} give a flattened size"
             f" n*max(d, d_i) = {flat}, above the cap of {MAX_FLAT_SIZE}"

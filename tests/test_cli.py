@@ -363,16 +363,24 @@ _MALFORMED = [
     ("THM_DIFFERENCE", {}, {"weight_band": [1, 1]}, "weight_band"),
     ("PROP_MIXED", {}, {"alpha1": 1.5}, "alpha1"),
     ("THM_DIFFERENCE", {}, {"alpha2": 2.0}, "alpha2"),
-    # Inline operators that contradict the family, a size field or each
-    # other, that do not map a module to itself, or whose count differs
-    # from the family's member count.
-    ("PERTURB_LAMBDA", {}, dict(_inline_pair_instance(), **{"lambda": _op(2, 2)}), "lambda"),
-    ("LAMBDA_LOWER", {}, dict(_IDENTITY_MN, lambda_bound=0.5, module_len=3), "m"),
-    ("TIGHT_MN", {}, dict(_IDENTITY_MN, algebra_dim=2), "m"),
-    ("T3_EQUIV", {}, {"m": _op(1, 2), "n": _op(1, 3)}, "n"),
-    ("ISOMETRY_SUM", {}, {"lambda": ser.op_to_json(gframes.zero_op(1, 2, 3))}, "lambda"),
-    ("T12_OPERATOR", {}, dict(_inline_pair_instance(), delta_ops=[_op(1, 2)] * 3), "family"),
     ("T12_OPERATOR", {}, {"delta_ops": []}, "delta_ops"),
+]
+
+
+# (theorem, instance, the field that contradicts, the field that set the
+# size it contradicts): inline operators that contradict the family, a size
+# field or each other, that do not map a module to itself, or whose count
+# differs from the family's member count; weights and a family against a
+# size field.
+_CONTRADICTIONS = [
+    ("PERTURB_LAMBDA", dict(_inline_pair_instance(), **{"lambda": _op(2, 2)}), "lambda", "family"),
+    ("LAMBDA_LOWER", dict(_IDENTITY_MN, lambda_bound=0.5, module_len=3), "m", "module_len"),
+    ("TIGHT_MN", dict(_IDENTITY_MN, algebra_dim=2), "m", "algebra_dim"),
+    ("T3_EQUIV", {"m": _op(1, 2), "n": _op(1, 3)}, "n", "m"),
+    ("ISOMETRY_SUM", {"lambda": ser.op_to_json(gframes.zero_op(1, 2, 3))}, "lambda", "lambda"),
+    ("T12_OPERATOR", dict(_inline_pair_instance(), delta_ops=[_op(1, 2)] * 3), "delta_ops", "family"),
+    ("T7_SCALAR", {"weights": _WEIGHTS, "member_dims": [1, 2]}, "weights", "member_dims"),
+    ("CLASSIFY", dict(_inline_pair_instance(), algebra_dim=2), "family", "algebra_dim"),
 ]
 
 
@@ -470,6 +478,47 @@ def test_inline_family_sets_the_sizes_of_generated_companions(theorem):
         for seed in range(10):
             report = build_and_run(theorem, instance, seed)
             assert report.verdict.value != "ConclusionFails"
+
+
+@pytest.mark.parametrize(
+    "theorem, instance, field, source",
+    _CONTRADICTIONS,
+    ids=[f"{case[0]}-{case[2]}" for case in _CONTRADICTIONS],
+)
+def test_contradicting_sizes_exit_2_and_name_the_fields(
+    tmp_path, capsys, theorem, instance, field, source
+):
+    doc = _basic_scenario(theorem=theorem, repetitions=1, instance=instance)
+    assert main(["run", _write(tmp_path, "bad.json", doc)]) == 2
+    err = capsys.readouterr().err
+    if source == field:
+        assert f"instance field {field!r} gives both " in err
+    else:
+        assert f"instance field {field!r} gives " in err
+        assert f", but {source!r} gives " in err
+    # Only the field that set the size is blamed besides.
+    assert not [key for key in instance if repr(key) in err and key not in (field, source)]
+
+
+_PAIR = {"family": _inline_pair_instance()["family"]}
+# A second family with the first one's n and d but other member dimensions.
+_OTHER_DIMS = ser.family_to_json(
+    gframes.gen_family(gframes.GenSpec(2, 1, 2, (1, 3), gframes.FamilyTarget.parseval()))
+)
+
+
+@pytest.mark.parametrize(
+    "theorem, instance",
+    [
+        ("FINAL_COROLLARY", dict(_PAIR, second_family=_OTHER_DIMS)),
+        ("T12_OPERATOR", dict(_PAIR, second_family=_OTHER_DIMS)),
+        ("T12_OPERATOR", dict(_PAIR, second_family=_OTHER_DIMS, delta_ops=[_op(1, 2)] * 2)),
+    ],
+)
+def test_a_second_family_leaves_the_sizes_to_the_first(theorem, instance):
+    # How the two families fit together is the checker's to decide.
+    for seed in range(5):
+        build_and_run(theorem, instance, seed)
 
 
 @pytest.mark.parametrize(
