@@ -28,6 +28,18 @@ SCHEMA_VERSION = 1
 # Inclusive cap on a scenario's repetitions, so that every run ends.
 MAX_REPETITIONS = 1_000_000
 _MASK64 = (1 << 64) - 1
+# The keys a scenario object and its tolerance object may hold.
+_SCENARIO_KEYS = "schema name theorem seed seed_stride repetitions tolerance instance"
+_TOLERANCE_KEYS = ("rel", "abs")
+
+
+def _check_keys(data: dict, accepted, what: str, path: str) -> None:
+    for key in data:
+        if key not in accepted:
+            raise ValidationError(
+                f"{path}: unknown {what} key {key!r};"
+                f" accepted: {', '.join(sorted(accepted))}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,6 +90,7 @@ def parse_scenario(data: dict, path: str = "<memory>") -> Scenario:
         raise ValidationError(
             f"{path}: expected \"schema\": {SCHEMA_VERSION}, got {data.get('schema')!r}"
         )
+    _check_keys(data, _SCENARIO_KEYS.split(), "scenario", path)
     theorem = data.get("theorem")
     if theorem not in THEOREMS:
         raise ValidationError(
@@ -94,11 +107,18 @@ def parse_scenario(data: dict, path: str = "<memory>") -> Scenario:
     tol_data = data.get("tolerance", {})
     if not isinstance(tol_data, dict):
         raise ValidationError(f"{path}: tolerance must be an object")
+    _check_keys(tol_data, _TOLERANCE_KEYS, "tolerance", path)
     bounds = {}
-    for key in ("rel", "abs"):
+    for key in _TOLERANCE_KEYS:
+        value = tol_data.get(key, getattr(DEFAULT_TOL, key))
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ValidationError(
+                f"{path}: tolerance {key!r} must be a number,"
+                f" got {reprlib.repr(value)}"
+            )
         try:
-            bounds[key] = float(tol_data.get(key, getattr(DEFAULT_TOL, key)))
-        except (TypeError, ValueError, OverflowError) as exc:
+            bounds[key] = float(value)
+        except OverflowError as exc:
             raise ValidationError(f"{path}: tolerance {key!r}: {exc}") from exc
     try:
         tol = Tolerance(**bounds)
@@ -111,8 +131,13 @@ def parse_scenario(data: dict, path: str = "<memory>") -> Scenario:
     for key, value in seeds.items():
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValidationError(f"{path}: {key!r} must be an integer, got {value!r}")
+    name = data.get("name", theorem)
+    if not isinstance(name, str):
+        raise ValidationError(
+            f"{path}: 'name' must be a string, got {reprlib.repr(name)}"
+        )
     return Scenario(
-        name=str(data.get("name", theorem)),
+        name=name,
         theorem=theorem,
         instance=instance,
         tolerance=tol,

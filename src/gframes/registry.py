@@ -19,7 +19,7 @@ import numpy as np
 from . import serialize
 from ._rand import complex_gaussian, haar_unitaries, haar_unitary, make_rng, sub_seed
 from .algebra import DEFAULT_TOL, AlgebraElement, Tolerance, spectral_norm
-from .errors import GFrameError, ValidationError
+from .errors import DegenerateSpec, GFrameError, ValidationError
 from .frames import GFrameFamily, classify, member_grams, optimal_bounds, scale_family
 from .generators import (
     FamilyTarget,
@@ -143,28 +143,33 @@ _FIELD_KINDS = {
 }
 
 
-def _schema(declared: str) -> dict[str, tuple]:
+def _schema(declared: str) -> tuple[dict[str, tuple], tuple[tuple[str, ...], ...]]:
     """Kinds of the size fields and of the space-separated ``declared``
-    fields; ``key=x|y`` restricts a field to the listed values."""
+    fields, and the groups of fields joined by ``+``, which must come
+    together; ``key=x|y`` restricts a field to the listed values."""
+    declared = f"algebra_dim module_len member_dims {declared}"
+    groups = tuple(tuple(t.split("+")) for t in declared.split() if "+" in t)
     fields = {}
-    for token in f"algebra_dim module_len member_dims {declared}".split():
+    for token in declared.replace("+", " ").split():
         key, _, options = token.partition("=")
         fields[key] = _FIELD_KINDS.get(key)
         if options:
             choices = tuple(options.split("|"))
             fields[key] = (" or ".join(map(repr, choices)), choices.__contains__, str)
-    return fields
+    return fields, groups
 
 
 def validate_instance(theorem: str, instance) -> MappingProxyType:
     """The decoded values of the instance's non-null fields, once every
-    field is known to the theorem and well-formed.  Draws nothing from
-    any generator, so generated instances do not depend on validation.
-    The mapping and its values are read-only: one decode may serve every
-    repetition of a scenario."""
+    instance rule holds: each field is known to the theorem and
+    well-formed, each size a field fixes agrees with the first field that
+    fixes it, and the fields of each ``+`` group come all or none.  Draws
+    nothing from any generator, so generated instances do not depend on
+    validation.  The mapping and its values are read-only: one decode may
+    serve every repetition of a scenario."""
     if theorem not in THEOREMS:
         raise ValidationError(f"unknown theorem id {theorem!r}")
-    fields = THEOREMS[theorem][2]
+    _, _, fields, groups, _ = THEOREMS[theorem]
     cfg = {}
     for key, value in (instance or {}).items():
         if key not in fields:
@@ -183,13 +188,35 @@ def validate_instance(theorem: str, instance) -> MappingProxyType:
             raise ValidationError(
                 f"instance field {key!r} must be {description}: {exc}"
             ) from exc
+    fixed = _fixed_sizes(cfg)
+    sources = {size: (key, value) for key, size, value in reversed(fixed)}
+    if "dims" in sources:
+        # A field that fixes the member dims fixes the count and comes first.
+        setter, dims = sources["dims"]
+        sources["members"] = (setter, len(dims))
+    for key, size, value in fixed:
+        source, given = sources[size]
+        if value != given:
+            first, second = f"{size} = {given!r}", f"{size} = {value!r}"
+            said = f"{second}, but {source!r} gives {first}"
+            if source == key:
+                said = f"both {first} and {second}"
+            raise ValidationError(f"instance field {key!r} gives {said}")
+    for group in groups:
+        missing = [key for key in group if key not in cfg]
+        if 0 < len(missing) < len(group):
+            raise ValidationError(
+                f"instance field {missing[0]!r} is required together with"
+                f" {', '.join(repr(key) for key in group if key in cfg)}"
+            )
     return MappingProxyType(cfg)
 
 
 def _fixed_sizes(cfg) -> list[tuple[str, str, object]]:
-    """(field, size, value) for each size a present field fixes, by precedence.
-    Beside an inline family a second family fixes none: how two inline
-    families fit together is the checker's to decide."""
+    """(field, size, value) for each size a present field fixes, by
+    precedence: the first field that fixes a size sets it.  Beside an
+    inline family a second family fixes none: how two inline families fit
+    together is the checker's to decide."""
     fixed = []
     for key, value in ((key, cfg.get(key)) for key in _SIZE_SOURCES):
         if value is None or key == "second_family" and "family" in cfg:
@@ -215,56 +242,34 @@ def _fixed_sizes(cfg) -> list[tuple[str, str, object]]:
 def _sizes(
     cfg: dict, rng, *, even_dims: bool = False, min_flat: int = 1
 ) -> tuple[int, int, tuple[int, ...]]:
-    """Instance sizes: explicit, else drawn at desk scale.  An inline family
-    (else an inline second family) fixes all three, weights fix n and the
-    member count, an operator n and d (``delta_ops`` the count too).  Every
-    field must agree with the resolved sizes, which must keep n*d and every
-    n*d_i within ``MAX_FLAT_SIZE``.
+    """Instance sizes: each from the first field that fixes it, else drawn
+    at desk scale in the order n, d, member count, member dims.  The
+    fields agree, as ``validate_instance`` has checked; the sizes must
+    keep n*d and every n*d_i within ``MAX_FLAT_SIZE``.
 
-    ``min_flat`` forces the drawn flattening dimension n*d upward, for
+    ``min_flat`` forces a drawn flattening dimension n*d upward, for
     builders whose targets need room for two distinct bounds.
     """
-    fixed = _fixed_sizes(cfg)
-    values = {size: value for _, size, value in reversed(fixed)}
-    # The sizes are drawn even where inline values fix them, and only the
-    # weights, or ``delta_ops`` where no family fixes the members, act
-    # before the last draw: every later draw then stays what it was for
-    # the seeds whose drawn sizes already fitted those values.
-    n = cfg.get("algebra_dim") or int(rng.integers(1, 4))
-    n = values["n"] if "weights" in cfg else n
-    d = cfg.get("module_len") or int(rng.integers(1, 4))
-    if "module_len" not in cfg:
+    fixed = {size: value for _, size, value in reversed(_fixed_sizes(cfg))}
+    n = fixed.get("n") or int(rng.integers(1, 4))
+    d = fixed.get("d")
+    if d is None:
+        d = int(rng.integers(1, 4))
         while n * d < min_flat:
             d += 1
-    if "member_dims" not in cfg:
-        count = int(rng.integers(2, 6))
-        if "weights" in cfg or "dims" not in values:
-            count = values.get("members", count)
+    dims = fixed.get("dims")
+    if dims is None:
+        count = fixed.get("members") or int(rng.integers(2, 6))
         if even_dims:
             dims = tuple(int(rng.choice((2, 4))) for _ in range(count))
         else:
             dims = tuple(int(rng.integers(1, d + 3)) for _ in range(count))
-    n, d = values.get("n", n), values.get("d", d)
-    if "dims" in values:
-        dims = values["dims"]
-    else:
         pad = 2 if even_dims else 1
         while sum(dims) < pad * d:
             dims = dims + (pad,)
-        if "members" in values:
+        if "members" in fixed:
             # Padding members merge into the last one: the count is fixed.
             dims = dims[: count - 1] + (sum(dims[count - 1 :]),)
-    resolved = {"n": n, "d": d, "dims": dims, "members": len(dims)}
-    for key, size, value in fixed:
-        if value != resolved[size]:
-            # A field that fixes the member dims fixes the count and comes first.
-            setters = ("dims", "members") if size == "members" else (size,)
-            source = next(field for field, fixes, _ in fixed if fixes in setters)
-            first, second = f"{size} = {resolved[size]!r}", f"{size} = {value!r}"
-            said = f"{second}, but {source!r} gives {first}"
-            if source == key:
-                said = f"both {first} and {second}"
-            raise ValidationError(f"instance field {key!r} gives {said}")
     flat = n * max(d, *dims)
     if flat > MAX_FLAT_SIZE:
         named = ", ".join(repr(key) for key in _SIZE_SOURCES if key in cfg)
@@ -273,20 +278,6 @@ def _sizes(
             f" n*max(d, d_i) = {flat}, above the cap of {MAX_FLAT_SIZE}"
         )
     return n, d, dims
-
-
-def _inline(cfg: dict, *keys: str) -> tuple | None:
-    """Values of inline fields that only make sense together, or
-    None when the instance leaves all of them to the generator."""
-    missing = [key for key in keys if key not in cfg]
-    if len(missing) == len(keys):
-        return None
-    if missing:
-        raise ValidationError(
-            f"instance field {missing[0]!r} is required together with"
-            f" {', '.join(repr(key) for key in keys if key in cfg)}"
-        )
-    return tuple(cfg[key] for key in keys)
 
 
 def _family(cfg, key, rng, n, d, dims, default_target) -> GFrameFamily:
@@ -324,7 +315,8 @@ def _bessel_partner(rng, family: GFrameFamily, target_upper: float) -> GFrameFam
 
 
 # Each theorem: its builder, a description (the builder's docstring), its
-# declared instance schema and the ``_sizes`` options it draws with.
+# declared instance schema, its groups of fields that come together and
+# the ``_sizes`` options it draws with.
 THEOREMS: dict[str, tuple] = {}
 
 
@@ -334,7 +326,7 @@ def _theorem(theorem_id: str, fields: str, min_flat: int = 2, even_dims=False):
 
     def register(builder):
         sizing = {"min_flat": min_flat, "even_dims": even_dims}
-        THEOREMS[theorem_id] = (builder, builder.__doc__, _schema(fields), sizing)
+        THEOREMS[theorem_id] = (builder, builder.__doc__, *_schema(fields), sizing)
         return builder
 
     return register
@@ -423,12 +415,13 @@ def _positive_mixed_pair(rng, n, d, dims, orthogonal, ranges=((0.2, 1.5), (0.3, 
     return family, other
 
 
-@_theorem("T3_COROLLARY", "family second_family mode=scaled|orthogonal")
+@_theorem("T3_COROLLARY", "family+second_family mode=scaled|orthogonal")
 def _build_t3_corollary(cfg, seed, rng, n, d, dims, tol):
     """plain member sums with positive mixed operator"""
+    if "family" in cfg:
+        return t3_corollary_check(cfg["family"], cfg["second_family"], tol)
     mode = cfg.get("mode", "scaled" if seed % 2 == 0 else "orthogonal")
-    pair = _inline(cfg, "family", "second_family")
-    family, other = pair or _positive_mixed_pair(rng, n, d, dims, mode == "orthogonal")
+    family, other = _positive_mixed_pair(rng, n, d, dims, mode == "orthogonal")
     return t3_corollary_check(family, other, tol)
 
 
@@ -459,14 +452,13 @@ def _build_t7_scalar(cfg, seed, rng, n, d, dims, tol):
 
 @_theorem(
     "T11_POSITIVE",
-    "family second_family weights weight_band mode=orthogonal|same",
+    "family+second_family+weights weight_band mode=orthogonal|same",
 )
 def _build_t11(cfg, seed, rng, n, d, dims, tol):
     """coefficient-weighted sums of two frames with positive mixed operator"""
     band = cfg.get("weight_band", (0.7, 1.4))
-    inline = _inline(cfg, "family", "second_family", "weights")
-    if inline is not None:
-        return t11_check(*inline, tol)
+    if "family" in cfg:
+        return t11_check(cfg["family"], cfg["second_family"], cfg["weights"], tol)
     mode = cfg.get("mode", "orthogonal" if seed % 2 == 0 else "same")
     orthogonal = mode == "orthogonal"
     ranges = ((0.8, 2.0), (0.3, 1.2))
@@ -488,9 +480,8 @@ def _orthogonal_pair(rng, n, d, dims) -> tuple[GFrameFamily, GFrameFamily]:
 
 def _tight_pair(cfg, rng, n, d, dims):
     """The inline pair, or an orthogonal pair with tight constants alpha1, alpha2."""
-    pair = _inline(cfg, "family", "second_family")
-    if pair is not None:
-        return pair
+    if "family" in cfg:
+        return cfg["family"], cfg["second_family"]
     first, second = _orthogonal_pair(rng, n, d, dims)
     return (
         scale_family(first, math.sqrt(cfg.get("alpha1", 1.0))),
@@ -498,19 +489,21 @@ def _tight_pair(cfg, rng, n, d, dims):
     )
 
 
-@_theorem("TIGHT_SUM", "family second_family alpha1 alpha2", min_flat=1, even_dims=True)
+@_theorem("TIGHT_SUM", "family+second_family alpha1 alpha2", min_flat=1, even_dims=True)
 def _build_tight_sum(cfg, seed, rng, n, d, dims, tol):
     """sum of two tight families with vanishing mixed operator"""
     family, other = _tight_pair(cfg, rng, n, d, dims)
     return tight_sum_check(family, other, tol)
 
 
-@_theorem("ISOMETRY_SUM", "family second_family lambda mode=scaled|orthogonal")
+@_theorem("ISOMETRY_SUM", "family+second_family lambda mode=scaled|orthogonal")
 def _build_isometry_sum(cfg, seed, rng, n, d, dims, tol):
     """member sums composed with an isometry"""
-    mode = cfg.get("mode", "scaled" if seed % 2 == 0 else "orthogonal")
-    pair = _inline(cfg, "family", "second_family")
-    family, other = pair or _positive_mixed_pair(rng, n, d, dims, mode == "orthogonal")
+    if "family" in cfg:
+        family, other = cfg["family"], cfg["second_family"]
+    else:
+        mode = cfg.get("mode", "scaled" if seed % 2 == 0 else "orthogonal")
+        family, other = _positive_mixed_pair(rng, n, d, dims, mode == "orthogonal")
     if "lambda" in cfg:
         lam = cfg["lambda"]
     else:
@@ -520,7 +513,7 @@ def _build_isometry_sum(cfg, seed, rng, n, d, dims, tol):
 
 @_theorem(
     "LAMBDA_LOWER",
-    "family family_target second_family bessel_upper m n lambda_bound",
+    "family family_target second_family bessel_upper m+n+lambda_bound",
 )
 def _build_lambda_lower(cfg, seed, rng, n, d, dims, tol):
     """members P.M + Q.N with N bounded below"""
@@ -529,9 +522,8 @@ def _build_lambda_lower(cfg, seed, rng, n, d, dims, tol):
         other = cfg["second_family"]
     else:
         other = _bessel_partner(rng, family, cfg.get("bessel_upper", 0.2))
-    inline = _inline(cfg, "m", "n", "lambda_bound")
-    if inline is not None:
-        m_op, n_op, lam_bound = inline
+    if "m" in cfg:
+        m_op, n_op, lam_bound = cfg["m"], cfg["n"], cfg["lambda_bound"]
     else:
         svals = rng.uniform(0.6, 0.9, n * d)
         left, right, m_basis = haar_unitaries(rng, 3, n * d)
@@ -543,16 +535,15 @@ def _build_lambda_lower(cfg, seed, rng, n, d, dims, tol):
 
 @_theorem(
     "TIGHT_MN",
-    "family second_family alpha1 alpha2 m n mode=scalar|violating",
+    "family+second_family alpha1 alpha2 m+n mode=scalar|violating",
     min_flat=1,
     even_dims=True,
 )
 def _build_tight_mn(cfg, seed, rng, n, d, dims, tol):
     """tightness characterization for members P.M + Q.N"""
     family, other = _tight_pair(cfg, rng, n, d, dims)
-    inline = _inline(cfg, "m", "n")
-    if inline is not None:
-        m_op, n_op = inline
+    if "m" in cfg:
+        m_op, n_op = cfg["m"], cfg["n"]
     else:
         mode = cfg.get("mode", "scalar" if seed % 2 == 0 else "violating")
         if mode == "scalar":
@@ -582,18 +573,18 @@ def _perturbation_args(cfg, rng, n, d, dims, perturb, shared) -> tuple:
     """Checker arguments of the weighted perturbation theorems: the inline
     family, second family and weights, or a generated frame, its
     ``perturb``-ed copy and drawn weights; then alpha1 and alpha2."""
-    inline = _inline(cfg, "family", "second_family", "weights")
-    if inline is None:
-        family = gen_family(
-            GenSpec(sub_seed(rng), n, d, dims, FamilyTarget.bounds(1.0, 2.0))
-        )
-        other = perturb(family)
-        band = cfg.get("weight_band", (0.9, 1.1))
-        inline = (family, other, _gen_weights(rng, n, family.size, band, shared))
-    return (*inline, cfg.get("alpha1", 0.5), cfg.get("alpha2", 0.5))
+    alphas = (cfg.get("alpha1", 0.5), cfg.get("alpha2", 0.5))
+    if "family" in cfg:
+        return (cfg["family"], cfg["second_family"], cfg["weights"], *alphas)
+    family = gen_family(
+        GenSpec(sub_seed(rng), n, d, dims, FamilyTarget.bounds(1.0, 2.0))
+    )
+    other = perturb(family)
+    band = cfg.get("weight_band", (0.9, 1.1))
+    return (family, other, _gen_weights(rng, n, family.size, band, shared), *alphas)
 
 
-@_theorem("PROP_MIXED", "family second_family weights alpha1 alpha2 weight_band")
+@_theorem("PROP_MIXED", "family+second_family+weights alpha1 alpha2 weight_band")
 def _build_prop_mixed(cfg, seed, rng, n, d, dims, tol):
     """norm-difference perturbation implies the second family is a frame"""
 
@@ -604,7 +595,7 @@ def _build_prop_mixed(cfg, seed, rng, n, d, dims, tol):
     return prop_mixed_check(*args, tol)
 
 
-@_theorem("THM_DIFFERENCE", "family second_family weights alpha1 alpha2 weight_band")
+@_theorem("THM_DIFFERENCE", "family+second_family+weights alpha1 alpha2 weight_band")
 def _build_difference(cfg, seed, rng, n, d, dims, tol):
     """quadratic-difference perturbation implies the second family is a frame"""
 
@@ -663,10 +654,23 @@ def theorem_ids() -> list[str]:
 
 def run_decoded(theorem: str, cfg, seed: int, tol: Tolerance = DEFAULT_TOL):
     """Assemble the instance for one repetition from a config that
-    ``validate_instance`` returned, and run its checker."""
-    builder, _, _, sizing = THEOREMS[theorem]
+    ``validate_instance`` returned, and run its checker.  Sizes that a
+    generator cannot use are blamed on the fields that fixed them."""
+    builder, _, _, _, sizing = THEOREMS[theorem]
     rng = make_rng(int(seed))
-    return builder(cfg, int(seed), rng, *_sizes(cfg, rng, **sizing), tol)
+    sizes = _sizes(cfg, rng, **sizing)
+    try:
+        return builder(cfg, int(seed), rng, *sizes, tol)
+    except DegenerateSpec as exc:
+        setters = {size: key for key, size, _ in reversed(_fixed_sizes(cfg))}
+        # The fields in order, each once: a family fixes all three sizes.
+        named = {setters[size]: 0 for size in ("n", "d", "dims") if size in setters}
+        if not named:
+            raise
+        raise ValidationError(
+            f"the sizes fixed by {', '.join(map(repr, named))} are too small"
+            f" for the {theorem} generator: {exc}"
+        ) from exc
 
 
 def build_and_run(

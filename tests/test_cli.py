@@ -22,7 +22,8 @@ from gframes.cli import (
     run_scenario,
 )
 from gframes.errors import ValidationError
-from gframes.registry import THEOREMS, build_and_run, validate_instance
+from gframes._rand import make_rng
+from gframes.registry import THEOREMS, _sizes, build_and_run, validate_instance
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -364,6 +365,14 @@ _MALFORMED = [
     ("PROP_MIXED", {}, {"alpha1": 1.5}, "alpha1"),
     ("THM_DIFFERENCE", {}, {"alpha2": 2.0}, "alpha2"),
     ("T12_OPERATOR", {}, {"delta_ops": []}, "delta_ops"),
+    # Scenario and tolerance keys that are misspelt, tolerances that are not
+    # JSON numbers, and a name that is not a string.
+    ("CLASSIFY", {"repititions": 50}, {}, "repititions"),
+    ("CLASSIFY", {"sead": 7}, {}, "sead"),
+    ("CLASSIFY", {"tolerance": {"rell": 0.5}}, {}, "rell"),
+    ("T12_OPERATOR", {"tolerance": {"rel": "1e-6"}}, {}, "rel"),
+    ("T12_OPERATOR", {"tolerance": {"abs": True}}, {}, "abs"),
+    ("CLASSIFY", {"name": {"a": [1, 2]}}, {}, "name"),
 ]
 
 
@@ -695,3 +704,71 @@ def test_reports_are_strict_json_with_null_for_non_finite(tmp_path):
     assert rep["claimed_bounds"][0] is None
     assert rep["details"]["contraction_norm"] is None
     assert rep["details"]["inverse_norm"] is None
+
+
+def test_sizes_that_an_inline_family_fixes_are_not_drawn():
+    cfg = validate_instance("T3_EQUIV", _inline_pair_instance())
+    for seed in range(5):
+        rng = make_rng(seed)
+        assert _sizes(cfg, rng, min_flat=2) == (1, 2, (2, 2))
+        assert repr(rng.bit_generator.state) == repr(make_rng(seed).bit_generator.state)
+
+
+# _MALFORMED cases that hold some but not all fields of a group that must
+# come together.
+_PARTIAL_GROUPS = [
+    case
+    for case in _MALFORMED
+    if any(0 < len(set(group) & set(case[2])) < len(group) for group in THEOREMS[case[0]][3])
+]
+
+
+@pytest.mark.parametrize(
+    "theorem, instance, field",
+    [case[:3] for case in _CONTRADICTIONS] + [(t, i, f) for t, _, i, f in _PARTIAL_GROUPS],
+    ids=[f"{case[0]}-{case[2]}" for case in _CONTRADICTIONS]
+    + [f"{case[0]}-{case[3]}" for case in _PARTIAL_GROUPS],
+)
+def test_instance_rules_are_checked_at_decode(theorem, instance, field):
+    with pytest.raises(ValidationError, match=repr(field)):
+        validate_instance(theorem, instance)
+
+
+def test_the_partial_group_cases_cover_every_kind_of_group():
+    assert {case[3] for case in _PARTIAL_GROUPS} >= {"second_family", "n", "lambda_bound"}
+
+
+@pytest.mark.parametrize(
+    "theorem, instance, seeds, fields",
+    [
+        ("T7_SCALAR", {"algebra_dim": 1, "module_len": 1}, (0, 1, 2),
+         ("algebra_dim", "module_len")),
+        ("ISOMETRY_SUM", {"lambda": _op(1, 1)}, (0, 2), ("lambda",)),
+        ("CLASSIFY", {"module_len": 3, "member_dims": [1]}, (0, 1, 2),
+         ("module_len", "member_dims")),
+    ],
+)
+def test_sizes_too_small_for_the_generator_name_their_fields(theorem, instance, seeds, fields):
+    validate_instance(theorem, instance)
+    for seed in seeds:
+        with pytest.raises(ValidationError) as raised:
+            build_and_run(theorem, instance, seed)
+        message = str(raised.value)
+        assert message.startswith(f"the sizes fixed by {', '.join(map(repr, fields))} ")
+        assert theorem in message
+
+
+def test_a_one_by_one_family_still_runs_beside_generated_or_inline_companions():
+    family = gframes.gen_family(
+        gframes.GenSpec(3, 1, 1, (1, 1), gframes.FamilyTarget.random())
+    )
+    weights = gframes.gen_weights(4, 1, 2, 0.9, 1.1)
+    alone = {"family": ser.family_to_json(family)}
+    inline = dict(
+        alone,
+        second_family=ser.family_to_json(gframes.scale_family(family, 0.5)),
+        weights=ser.weights_to_json(weights),
+    )
+    for instance in (alone, inline):
+        for seed in range(3):
+            build_and_run("T7_SCALAR", instance, seed)
