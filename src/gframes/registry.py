@@ -248,8 +248,12 @@ def _sizes(
     keep n*d and every n*d_i within ``MAX_FLAT_SIZE``.
 
     ``min_flat`` forces a drawn flattening dimension n*d upward, for
-    builders whose targets need room for two distinct bounds.
+    builders whose targets need room for two distinct bounds; a declared
+    bounds target with lower < upper needs it as well.
     """
+    targets = (cfg.get("family_target"), cfg.get("second_family_target"))
+    if any(t is not None and t.kind == "bounds" and t.lower < t.upper for t in targets):
+        min_flat = max(min_flat, 2)
     fixed = {size: value for _, size, value in reversed(_fixed_sizes(cfg))}
     n = fixed.get("n") or int(rng.integers(1, 4))
     d = fixed.get("d")
@@ -357,19 +361,21 @@ def _build_perturb_lambda(cfg, seed, rng, n, d, dims, tol):
     """members composed with (I + L) under the conjugation-dominance hypothesis"""
     kind = cfg.get("lambda_kind", "expansive" if seed % 2 == 0 else "scalar")
     if kind == "expansive":
-        family = _family(cfg, "family", rng, n, d, dims, FamilyTarget.parseval())
+        target = FamilyTarget.parseval()
+    else:
+        target = FamilyTarget.bounds(0.5, 2.0)
+    family = _family(cfg, "family", rng, n, d, dims, target)
+    if "lambda" in cfg:
+        lam = cfg["lambda"]
+    elif kind == "expansive":
         stretch = rng.uniform(1.05, 1.8, n * d)
         left, right = haar_unitaries(rng, 2, n * d)
         expansive = (left * stretch) @ right
         lam = AdjointableOp(expansive - np.eye(n * d), n)
     elif kind == "scalar":
-        family = _family(cfg, "family", rng, n, d, dims, FamilyTarget.bounds(0.5, 2.0))
         lam = float(rng.uniform(0.0, 1.0)) * identity_op(n, d)
     else:
-        family = _family(cfg, "family", rng, n, d, dims, FamilyTarget.bounds(0.5, 2.0))
         lam = zero_op(n, d, d)
-    if "lambda" in cfg:
-        lam = cfg["lambda"]
     _, report = perturb_lambda(family, lam, tol)
     return report
 
@@ -652,12 +658,32 @@ def theorem_ids() -> list[str]:
     return list(THEOREMS)
 
 
+class _LazyRng:
+    """The seed's Philox generator, keyed on its first use, so that a
+    repetition that draws nothing (a fully inline instance) keys none:
+    ``Philox(key=...)`` gathers OS entropy first, which costs tens of
+    microseconds."""
+
+    def __init__(self, seed: int):
+        self._seed = seed
+
+    def __getattr__(self, name):
+        # Reached once per name: ``_rng`` itself, then each generator
+        # method, which is kept on the wrapper for the next call.
+        if name == "_rng":
+            value = make_rng(self._seed)
+        else:
+            value = getattr(self._rng, name)
+        setattr(self, name, value)
+        return value
+
+
 def run_decoded(theorem: str, cfg, seed: int, tol: Tolerance = DEFAULT_TOL):
     """Assemble the instance for one repetition from a config that
     ``validate_instance`` returned, and run its checker.  Sizes that a
     generator cannot use are blamed on the fields that fixed them."""
     builder, _, _, _, sizing = THEOREMS[theorem]
-    rng = make_rng(int(seed))
+    rng = _LazyRng(int(seed))
     sizes = _sizes(cfg, rng, **sizing)
     try:
         return builder(cfg, int(seed), rng, *sizes, tol)

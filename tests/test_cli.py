@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import gframes
+from gframes import registry
 from gframes import serialize as ser
 from gframes.cli import (
     MAX_REPETITIONS,
@@ -772,3 +773,63 @@ def test_a_one_by_one_family_still_runs_beside_generated_or_inline_companions():
     for instance in (alone, inline):
         for seed in range(3):
             build_and_run("T7_SCALAR", instance, seed)
+
+
+def _counting_generators(monkeypatch) -> list:
+    """The seeds of the generators the registry keys, in order."""
+    seeds = []
+
+    def counting(seed):
+        seeds.append(seed)
+        return make_rng(seed)
+
+    monkeypatch.setattr(registry, "make_rng", counting)
+    return seeds
+
+
+@pytest.mark.parametrize(
+    "theorem, instance",
+    [
+        ("CLASSIFY", _PAIR),
+        ("T12_OPERATOR", dict(_PAIR, delta_ops=[_op(1, 2), _op(1, 2)])),
+        ("T3_COROLLARY", dict(_PAIR, second_family=_PAIR["family"])),
+    ],
+)
+def test_a_fully_inline_repetition_builds_no_generator(monkeypatch, theorem, instance):
+    seeds = _counting_generators(monkeypatch)
+    for seed in range(10):
+        build_and_run(theorem, instance, seed)
+    assert seeds == []
+
+
+@pytest.mark.parametrize("theorem", sorted(THEOREMS))
+def test_a_generated_repetition_builds_its_seeds_generator(monkeypatch, theorem):
+    seeds = _counting_generators(monkeypatch)
+    for seed in range(10):
+        build_and_run(theorem, {}, seed)
+        assert seeds[-1:] == [seed]
+    assert len(seeds) == 10
+
+
+def test_an_inline_lambda_leaves_perturb_lambda_drawing_nothing(monkeypatch):
+    def refuse(seed):
+        raise AssertionError(f"a generator was keyed with seed {seed}")
+
+    monkeypatch.setattr(registry, "make_rng", refuse)
+    instance = dict(_PAIR, **{"lambda": _op(1, 2)})
+    for seed in range(10):
+        build_and_run("PERTURB_LAMBDA", instance, seed)
+
+
+@pytest.mark.parametrize(
+    "theorem, key",
+    [
+        ("CLASSIFY", "family_target"),
+        ("T3_EQUIV", "family_target"),
+        ("T3_EQUIV", "second_family_target"),
+    ],
+)
+def test_a_bounds_target_is_never_drawn_a_one_dimensional_flattening(theorem, key):
+    for seed in range(40):
+        report = build_and_run(theorem, {key: {"bounds": [1, 2]}}, seed)
+        assert report.verdict.value in ("ConclusionHolds", "HypothesisFails")

@@ -1,16 +1,18 @@
 """Property tests of the scenario runner over arbitrary scenario and instance fields."""
 
 import json
+import math
 import os
 import tempfile
 from datetime import timedelta
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gframes
 from gframes import serialize as ser
-from gframes.cli import MAX_REPETITIONS, Scenario, main, parse_scenario
+from gframes.cli import MAX_REPETITIONS, Scenario, _write_json, main, parse_scenario
 from gframes.errors import ValidationError
 from gframes.registry import THEOREMS
 
@@ -117,3 +119,35 @@ def test_parse_scenario_returns_a_scenario_or_raises_validation_error(doc):
         return
     assert isinstance(scenario, Scenario)
     assert 1 <= scenario.repetitions <= MAX_REPETITIONS
+
+
+# Report-like JSON values: str keys, any text (control characters and
+# lone surrogates included), wide integers and awkward floats.
+_TEXT = st.text(st.characters(exclude_categories=()), max_size=6)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 1e16, 1e-7]
+)
+_REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**30), 10**30) | _FINITE | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _written(value) -> str:
+    out = []
+    _write_json(value, "\n", out)
+    return "".join(out)
+
+
+@settings(max_examples=300, derandomize=True, deadline=_DEADLINE, database=None)
+@given(_REPORT_VALUES)
+def test_the_report_writer_writes_what_json_dumps_writes(value):
+    assert _written(value) == json.dumps(value, indent=2, allow_nan=False)
+
+
+@settings(max_examples=100, derandomize=True, deadline=_DEADLINE, database=None)
+@given(_REPORT_VALUES, st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_the_report_writer_refuses_non_finite_floats(value, bad):
+    with pytest.raises(ValueError):
+        _written({"value": [value, bad]})
