@@ -27,7 +27,6 @@ from .errors import (
     DegenerateSpec,
     DimensionMismatch,
     GFrameError,
-    InternalConsistencyError,
     NotPositive,
     NotTight,
     ValidationError,
@@ -47,7 +46,6 @@ from .frames import (
     scale_family,
     synthesis,
     synthesis_op,
-    verify_frame_inequality,
 )
 from .generators import (
     FamilyTarget,
@@ -62,7 +60,6 @@ from .hilbert import (
     ModuleVector,
     adjoint_op,
     apply,
-    block_diag_op,
     compose,
     identity_op,
     inner_product,

@@ -40,14 +40,6 @@ def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarr
     )
 
 
-def sample_flat_vectors(
-    rng: np.random.Generator, count: int, n: int, length: int
-) -> np.ndarray:
-    """Batch of flattened module vectors, shape (count, n, n*length)."""
-    shape = (count, n, n * length)
-    return _complex_normal(rng.standard_normal(shape), rng.standard_normal(shape))
-
-
 def unitaries_from_ginibre(z: np.ndarray) -> np.ndarray:
     """Haar-distributed unitaries from a stack of complex Ginibre
     matrices: one batched QR, with each R's diagonal phase-fixed so the

@@ -29,9 +29,5 @@ class AlphaOutOfRange(GFrameError):
     """A perturbation coefficient lies outside its admissible interval."""
 
 
-class InternalConsistencyError(GFrameError):
-    """Two redundant evaluation routes disagreed; likely a bug or an extreme input."""
-
-
 class ValidationError(GFrameError):
     """A scenario document does not conform to the schema."""

@@ -5,9 +5,7 @@ module H into per-member target modules H_j.  It is stored as its
 analysis operator T: H -> H_1 + ... + H_m, whose flattening is the
 member flattenings side by side; the frame operator is T*T and the
 synthesis operator T*.  This module computes optimal bounds from the
-spectrum of the flattened frame operator, classifies families, and
-verifies the two-sided frame inequality both spectrally and on sampled
-vectors.
+spectrum of the flattened frame operator, and classifies families.
 """
 
 from __future__ import annotations
@@ -18,10 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
-from ._rand import make_rng, sample_flat_vectors
 from .algebra import DEFAULT_TOL, Tolerance, hermitian_part
-from .errors import DimensionMismatch, InternalConsistencyError
-from .hilbert import AdjointableOp, ModuleVector, adjoint_op, apply, batched_gram, compose
+from .errors import DimensionMismatch
+from .hilbert import AdjointableOp, ModuleVector, adjoint_op, apply, compose
 
 # Relative margin for deciding that optimal bounds coincide (tightness).
 TIGHTNESS_REL = 1e-8
@@ -197,8 +194,9 @@ def optimal_bounds(family: GFrameFamily) -> FrameBounds:
 
 
 def is_frame_bounds(bounds: FrameBounds, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Scale-invariant reading of "frame operator strictly positive"."""
-    return bounds.lower > tol.margin(bounds.upper)
+    """Scale-invariant reading of "frame operator strictly positive": the
+    lower bound exceeds ``tol.rel`` times the upper one, never at zero."""
+    return bounds.lower > tol.rel * bounds.upper
 
 
 def classify(family: GFrameFamily, tol: Tolerance = DEFAULT_TOL) -> Classification:
@@ -228,74 +226,3 @@ def bound_witnesses(family: GFrameFamily) -> tuple[ModuleVector, ModuleVector]:
     low = np.outer(basis, vecs[:, 0].conj())
     high = np.outer(basis, vecs[:, -1].conj())
     return ModuleVector(low), ModuleVector(high)
-
-
-def batched_quadratic(flat_op: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Inner products <Tx, x> for a batch of flattened vectors: one GEMM
-    for every Tx, then the batched product with the conjugate samples.
-
-    ``flat_op`` may also be a stack of operators, shape (k, n*d, n*d);
-    the result then has shape (k, count, n, n).
-    """
-    images = (xs.reshape(-1, xs.shape[-1]) @ flat_op).reshape(
-        flat_op.shape[:-2] + xs.shape
-    )
-    return images @ xs.conj().swapaxes(-1, -2)
-
-
-def sampled_positive(
-    quads: np.ndarray, grams: np.ndarray, scale: float, tol: Tolerance
-) -> bool:
-    """Whether every sampled quadratic form is positive: the least
-    eigenvalue of each Hermitian part clears the margin of the samples'
-    Gram matrices at the given operator scale."""
-    gram_scales = np.linalg.norm(grams, axis=(-2, -1))
-    margins = tol.abs + tol.rel * scale * np.maximum(gram_scales, 1.0)
-    return bool((np.linalg.eigvalsh(hermitian_part(quads))[:, 0] >= -margins).all())
-
-
-def verify_frame_inequality(
-    family: GFrameFamily,
-    lower: float,
-    upper: float,
-    samples: int = 500,
-    tol: Tolerance = DEFAULT_TOL,
-    seed: int = 0,
-) -> bool:
-    """Check the two-sided frame inequality for the given constants.
-
-    Runs a spectral check against the optimal bounds and a sampled
-    positive-semidefinite check on random vectors plus the extreme
-    eigenvector witnesses; the two routes must agree, otherwise an
-    InternalConsistencyError is raised.
-    """
-    if lower > upper:
-        raise ValueError("lower bound exceeds upper bound")
-    bounds = optimal_bounds(family)
-    scale = max(bounds.upper, abs(lower), abs(upper), 1.0)
-    margin = tol.margin(scale)
-    spectral_ok = (lower <= bounds.lower + margin) and (
-        bounds.upper <= upper + margin
-    )
-
-    n, d = family.algebra_dim, family.source_len
-    rng = make_rng(seed)
-    xs = sample_flat_vectors(rng, samples, n, d)
-    lo, hi = bound_witnesses(family)
-    xs = np.concatenate([xs, np.stack([lo.flat, hi.flat])])
-    s_flat = frame_operator(family).flat
-    grams = batched_gram(xs)
-    quads = batched_quadratic(s_flat, xs)
-    sampled_ok = sampled_positive(
-        quads - lower * grams, grams, scale, tol
-    ) and sampled_positive(upper * grams - quads, grams, scale, tol)
-
-    if sampled_ok != spectral_ok:
-        raise InternalConsistencyError(
-            "sampled and spectral frame-inequality checks disagree:"
-            f" sampled={sampled_ok} spectral={spectral_ok}"
-            f" for bounds ({lower}, {upper}) vs optimal"
-            f" ({bounds.lower}, {bounds.upper})"
-        )
-    return spectral_ok
-

@@ -156,15 +156,6 @@ def zero_op(n: int, source_len: int, target_len: int) -> AdjointableOp:
     )
 
 
-def block_diag_op(a: AlgebraElement, length: int) -> AdjointableOp:
-    """Operator acting as the algebra element on every component.
-
-    This is the adjointable lift of an algebra coefficient to the whole
-    module: each component of the input picks up ``a``.
-    """
-    return AdjointableOp(np.kron(np.eye(length), a.entries), a.dim)
-
-
 def inner_product(x: ModuleVector, y: ModuleVector) -> AlgebraElement:
     """Algebra-valued inner product, linear in the first argument.
 
@@ -182,24 +173,10 @@ def module_scale(a: AlgebraElement, x: ModuleVector) -> ModuleVector:
     return ModuleVector(a.entries @ x.flat)
 
 
-def batched_gram(xs: np.ndarray) -> np.ndarray:
-    """Inner products <x, x> = x.x* for a batch of flattened vectors.
-
-    ``xs`` has shape (count, n, n*d); the result has shape (count, n, n).
-    """
-    return xs @ xs.conj().swapaxes(-1, -2)
-
-
-def batched_norm(xs: np.ndarray) -> np.ndarray:
-    """Module norms ||x|| = ||<x, x>||^(1/2) for a batch of flattened
-    vectors: the top eigenvalue of each n x n Gram matrix."""
-    top = np.linalg.eigvalsh(batched_gram(xs))[:, -1]
-    return np.sqrt(np.maximum(top, 0.0))
-
-
 def scalar_norm(x: ModuleVector) -> float:
-    """Module norm ||x|| = ||<x, x>||^(1/2): ``batched_norm`` on a batch of one."""
-    return float(batched_norm(x.flat[None])[0])
+    """Module norm ||x|| = ||<x, x>||^(1/2), the largest singular value
+    of the flattening, since <x, x> = x.x* flattened."""
+    return spectral_norm(x.flat)
 
 
 def apply(op: AdjointableOp, x: ModuleVector) -> ModuleVector:
@@ -240,15 +217,17 @@ def is_surjective(op: AdjointableOp, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Surjectivity via the flattened adjoint being bounded below.
 
     The adjoint is bounded below exactly when the target is no larger
-    than the source and the smallest of the n*target_len singular values
-    clears a tolerance-scaled threshold.
+    than the source and the least of the n*target_len singular values
+    exceeds sqrt(``tol.rel``) times the largest: the rule of
+    ``frames.is_frame_bounds`` on the eigenvalues of T T*, so a synthesis
+    operator is surjective exactly when its family is a frame, at any scale.
     """
     if op.target_len > op.source_len:
         return False
     svals = np.linalg.svd(op.flat, compute_uv=False)
     if svals.size == 0:
         return False
-    return bool(svals[-1] > tol.margin(svals[0]))
+    return bool(svals[-1] > tol.rel**0.5 * svals[0])
 
 
 def isometry_defect(op: AdjointableOp) -> float:

@@ -77,8 +77,10 @@ MAX_FLAT_SIZE = 64
 # The size fields, by the size each sets.
 _SIZE_FIELDS = {"algebra_dim": "n", "module_len": "d", "member_dims": "dims"}
 _OPERATOR_FIELDS = ("lambda", "m", "n", "delta_ops")
-# The instance fields that set sizes, in order of precedence.
-_SIZE_SOURCES = (*_SIZE_FIELDS, "family", "second_family", "weights", *_OPERATOR_FIELDS)
+# The inline array fields, and the instance fields that set sizes, in
+# order of precedence.
+_ARRAY_FIELDS = ("family", "second_family", "weights", *_OPERATOR_FIELDS)
+_SIZE_SOURCES = (*_SIZE_FIELDS, *_ARRAY_FIELDS)
 
 
 def _is_size(value) -> bool:
@@ -681,12 +683,22 @@ class _LazyRng:
 def run_decoded(theorem: str, cfg, seed: int, tol: Tolerance = DEFAULT_TOL):
     """Assemble the instance for one repetition from a config that
     ``validate_instance`` returned, and run its checker.  Sizes that a
-    generator cannot use are blamed on the fields that fixed them."""
+    generator cannot use are blamed on the fields that fixed them, and an
+    overflow in the checker's products on the inline arrays, if any."""
     builder, _, _, _, sizing = THEOREMS[theorem]
     rng = _LazyRng(int(seed))
     sizes = _sizes(cfg, rng, **sizing)
     try:
-        return builder(cfg, int(seed), rng, *sizes, tol)
+        with np.errstate(over="raise", invalid="raise"):
+            return builder(cfg, int(seed), rng, *sizes, tol)
+    except FloatingPointError as exc:
+        # Blame the inline arrays, else the scalar fields that scale them.
+        named = [key for key in _ARRAY_FIELDS if key in cfg]
+        named = named or [key for key in cfg if key not in _SIZE_FIELDS]
+        raise ValidationError(
+            f"the values of {', '.join(map(repr, named))} are too large for the"
+            f" products the {theorem} checker forms: {exc}"
+        ) from exc
     except DegenerateSpec as exc:
         setters = {size: key for key, size, _ in reversed(_fixed_sizes(cfg))}
         # The fields in order, each once: a family fixes all three sizes.

@@ -108,7 +108,7 @@ def prop_mixed_check(
     """
     _, _, s_left, s_right = _weighted_preamble(family, other, weights, alpha1, alpha2)
     left_eigs, left_vecs = np.linalg.eigh(hermitian_part(s_left))
-    whitened = bool(left_eigs[0] > tol.margin(left_eigs[-1]))
+    whitened = bool(left_eigs[0] > tol.rel * left_eigs[-1])
     if whitened:
         whitener = (left_vecs / np.sqrt(left_eigs)) @ left_vecs.conj().T
         pencil = hermitian_part(whitener @ s_right @ whitener)
@@ -323,7 +323,7 @@ def t12_check(
         contraction = math.inf
     contraction_limit = 1.0 / d_high if d_high > 0.0 else math.inf
     contraction_ok = contraction <= contraction_limit + tol.margin(1.0)
-    k_invertible = achieved.lower > tol.margin(max(achieved.upper, 1.0))
+    k_invertible = is_frame_bounds(achieved, tol)
     conclusion = k_invertible and contraction_ok
 
     claimed = (

@@ -215,7 +215,7 @@ def _frame_check(name: str, bounds: FrameBounds, tol: Tolerance) -> CheckItem:
         name=name,
         passed=is_frame_bounds(bounds, tol),
         measured=bounds.lower,
-        limit=tol.margin(bounds.upper),
+        limit=tol.rel * bounds.upper,
     )
 
 

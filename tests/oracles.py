@@ -1,0 +1,112 @@
+"""Sampled oracles for the frame inequality, kept apart from the package.
+
+The package decides the two-sided frame inequality one way, from the
+extreme eigenvalues of the flattened frame operator.  The functions here
+decide it a second, independent way, on random module vectors plus the
+eigenvector witnesses, through batched Gram matrices and quadratic
+forms, so that the tests can hold the two routes against each other.
+"""
+
+import numpy as np
+
+from gframes import (
+    AdjointableOp,
+    AlgebraElement,
+    GFrameFamily,
+    bound_witnesses,
+    frame_operator,
+    optimal_bounds,
+)
+from gframes.algebra import DEFAULT_TOL, Tolerance, hermitian_part
+
+
+def block_diag_op(a: AlgebraElement, length: int) -> AdjointableOp:
+    """Operator acting as the algebra element on every component.
+
+    This is the adjointable lift of an algebra coefficient to the whole
+    module: each component of the input picks up ``a``.
+    """
+    return AdjointableOp(np.kron(np.eye(length), a.entries), a.dim)
+
+
+def sample_flat_vectors(rng: np.random.Generator, count: int, n: int, length: int) -> np.ndarray:
+    """Batch of standard complex Gaussian flattened module vectors,
+    shape (count, n, n*length)."""
+    shape = (count, n, n * length)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def batched_gram(xs: np.ndarray) -> np.ndarray:
+    """Inner products <x, x> = x.x* for a batch of flattened vectors.
+
+    ``xs`` has shape (count, n, n*d); the result has shape (count, n, n).
+    """
+    return xs @ xs.conj().swapaxes(-1, -2)
+
+
+def batched_norm(xs: np.ndarray) -> np.ndarray:
+    """Module norms ||x|| = ||<x, x>||^(1/2) for a batch of flattened
+    vectors: the top eigenvalue of each n x n Gram matrix."""
+    top = np.linalg.eigvalsh(batched_gram(xs))[:, -1]
+    return np.sqrt(np.maximum(top, 0.0))
+
+
+def batched_quadratic(flat_op: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Inner products <Tx, x> for a batch of flattened vectors: one GEMM
+    for every Tx, then the batched product with the conjugate samples.
+
+    ``flat_op`` may also be a stack of operators, shape (k, n*d, n*d);
+    the result then has shape (k, count, n, n).
+    """
+    images = (xs.reshape(-1, xs.shape[-1]) @ flat_op).reshape(flat_op.shape[:-2] + xs.shape)
+    return images @ xs.conj().swapaxes(-1, -2)
+
+
+def sampled_positive(quads: np.ndarray, grams: np.ndarray, scale: float, tol: Tolerance) -> bool:
+    """Whether every sampled quadratic form is positive: the least
+    eigenvalue of each Hermitian part clears the margin of the samples'
+    Gram matrices at the given operator scale."""
+    gram_scales = np.linalg.norm(grams, axis=(-2, -1))
+    margins = tol.abs + tol.rel * scale * np.maximum(gram_scales, 1.0)
+    return bool((np.linalg.eigvalsh(hermitian_part(quads))[:, 0] >= -margins).all())
+
+
+def verify_frame_inequality(
+    family: GFrameFamily,
+    lower: float,
+    upper: float,
+    samples: int = 500,
+    tol: Tolerance = DEFAULT_TOL,
+    seed: int = 0,
+) -> bool:
+    """Check the two-sided frame inequality for the given constants.
+
+    Runs a spectral check against the optimal bounds and a sampled
+    positive-semidefinite check on random vectors plus the extreme
+    eigenvector witnesses; the two routes must agree, otherwise an
+    AssertionError is raised.
+    """
+    if lower > upper:
+        raise ValueError("lower bound exceeds upper bound")
+    bounds = optimal_bounds(family)
+    scale = max(bounds.upper, abs(lower), abs(upper), 1.0)
+    margin = tol.margin(scale)
+    spectral_ok = (lower <= bounds.lower + margin) and (bounds.upper <= upper + margin)
+
+    n, d = family.algebra_dim, family.source_len
+    xs = sample_flat_vectors(np.random.default_rng(seed), samples, n, d)
+    lo, hi = bound_witnesses(family)
+    xs = np.concatenate([xs, np.stack([lo.flat, hi.flat])])
+    s_flat = frame_operator(family).flat
+    grams = batched_gram(xs)
+    quads = batched_quadratic(s_flat, xs)
+    sampled_ok = sampled_positive(quads - lower * grams, grams, scale, tol) and sampled_positive(
+        upper * grams - quads, grams, scale, tol
+    )
+
+    assert sampled_ok == spectral_ok, (
+        "sampled and spectral frame-inequality checks disagree:"
+        f" sampled={sampled_ok} spectral={spectral_ok}"
+        f" for bounds ({lower}, {upper}) vs optimal ({bounds.lower}, {bounds.upper})"
+    )
+    return spectral_ok

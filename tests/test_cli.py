@@ -374,6 +374,10 @@ _MALFORMED = [
     ("T12_OPERATOR", {"tolerance": {"rel": "1e-6"}}, {}, "rel"),
     ("T12_OPERATOR", {"tolerance": {"abs": True}}, {}, "abs"),
     ("CLASSIFY", {"name": {"a": [1, 2]}}, {}, "name"),
+    # Finite numbers that overflow in the products the checker forms.
+    ("TIGHT_MN", {}, {"alpha1": sys.float_info.max}, "alpha1"),
+    ("T3_EQUIV", {}, {"second_family_target": {"bounds": [1, sys.float_info.max]}},
+     "second_family_target"),
 ]
 
 
@@ -833,3 +837,33 @@ def test_a_bounds_target_is_never_drawn_a_one_dimensional_flattening(theorem, ke
     for seed in range(40):
         report = build_and_run(theorem, {key: {"bounds": [1, 2]}}, seed)
         assert report.verdict.value in ("ConclusionHolds", "HypothesisFails")
+
+
+@pytest.mark.parametrize("theorem", sorted(THEOREMS))
+def test_an_inline_family_that_overflows_exits_2_and_names_the_field(tmp_path, capsys, theorem):
+    # Finite entries near 1e160 overflow in the frame operator T*T.
+    instance = _inline_instance(theorem)
+    family = ser.family_from_json(instance["family"])
+    instance["family"] = ser.family_to_json(gframes.scale_family(family, 1e160))
+    doc = _basic_scenario(theorem=theorem, repetitions=1, instance=instance)
+    code = main(["run", _write(tmp_path, "huge.json", doc)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "'family'" in err and "too large" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("k", [-60, -40, -20, 20, 40, 60])
+def test_classify_reads_a_scaled_parseval_family_as_tight(k):
+    parseval = gframes.gen_family(
+        gframes.GenSpec(1, 2, 2, (2, 3), gframes.FamilyTarget.parseval())
+    )
+    base = build_and_run("CLASSIFY", {"family": ser.family_to_json(parseval)}, 0)
+    assert base.result_kind == "ParsevalFrame"
+    # A power of two scales every product exactly, short of under- or overflow.
+    scaled = gframes.scale_family(parseval, 2.0**k)
+    report = build_and_run("CLASSIFY", {"family": ser.family_to_json(scaled)}, 0)
+    assert report.result_kind == "TightFrame"
+    for got, want in ((report.achieved.lower, base.achieved.lower),
+                      (report.achieved.upper, base.achieved.upper)):
+        assert abs(got - 4.0**k * want) <= 1e-12 * 4.0**k * want

@@ -5,6 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    batched_gram,
+    batched_norm,
+    batched_quadratic,
+    block_diag_op,
+    sampled_positive,
+    verify_frame_inequality,
+)
 from randoms import random_element, random_family, random_op, random_vector
 from gframes import (
     AdjointableOp,
@@ -15,7 +23,6 @@ from gframes import (
     adjoint_op,
     analysis,
     apply,
-    block_diag_op,
     bound_witnesses,
     classify,
     compose,
@@ -33,18 +40,11 @@ from gframes import (
     scale_family,
     synthesis,
     synthesis_op,
-    verify_frame_inequality,
     weighted_family,
     zero_op,
 )
 from gframes.algebra import DEFAULT_TOL, Tolerance, spectral_norm
-from gframes.frames import (
-    batched_quadratic,
-    member_grams,
-    sampled_positive,
-    spectrum_bounds,
-)
-from gframes.hilbert import batched_gram, batched_norm
+from gframes.frames import member_grams, spectrum_bounds
 from gframes.sums import _member_sums, _mn_family
 
 

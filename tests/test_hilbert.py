@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import block_diag_op
 from randoms import random_element, random_op, random_vector
 from gframes import (
     AdjointableOp,
@@ -13,7 +14,6 @@ from gframes import (
     adjoint,
     adjoint_op,
     apply,
-    block_diag_op,
     compose,
     identity_op,
     inner_product,
@@ -211,6 +211,13 @@ def test_is_surjective_literal_cases():
     assert not is_surjective(zero_op(2, 3, 3))
     # A wide target cannot be covered from a narrow source.
     assert not is_surjective(zero_op(2, 1, 3))
+
+
+@pytest.mark.parametrize("k", [-60, -20, 20, 60])
+def test_is_surjective_does_not_depend_on_the_scale(k):
+    wide = random_op(np.random.default_rng(26), 2, 3, 2)
+    assert is_surjective(wide) and is_surjective(2.0**k * wide)
+    assert not is_surjective(2.0**k * zero_op(2, 3, 2))
 
 
 def _bounded_below_routes(op, tol, rng, samples=500):

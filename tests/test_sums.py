@@ -133,6 +133,16 @@ class TestOpWeightedSum:
             }
             assert len(conditions) == 1
 
+    @pytest.mark.parametrize("lo", [1e-15, 1e-12, 1e-6])
+    def test_the_conditions_agree_on_an_ill_conditioned_family(self, lo):
+        # The singular values of the synthesis operator are the square
+        # roots of the frame operator's eigenvalues.
+        family = _frame(3, n=1, lo=lo, hi=1.0)
+        other = _zero_family(1, 2, family.member_dims)
+        _, report = op_weighted_sum(family, other, identity_op(1, 2), zero_op(1, 2, 2))
+        assert report.verdict is Verdict.CONCLUSION_HOLDS
+        assert report.details["condition_frame"] == report.details["condition_surjective"]
+
     def test_zero_operators_agree_on_failure(self):
         family = _frame(6)
         _, report = op_weighted_sum(
@@ -399,7 +409,7 @@ def test_lambda_lower_spectral_checks_agree_with_module_norms(
 
 
 def test_no_checker_module_binds_a_sampler():
-    for module in (gframes.sums, gframes.stability):
+    for module in (gframes.sums, gframes.stability, gframes.frames, gframes.hilbert):
         assert not {"make_rng", "sample_flat_vectors"} & set(vars(module)), module
 
 
