@@ -109,29 +109,34 @@ def hermitian_part(mat: np.ndarray) -> np.ndarray:
     return (mat + mat.conj().swapaxes(-1, -2)) / 2.0
 
 
-def spectral_norm(mat: np.ndarray) -> float:
-    """Largest singular value of a complex matrix."""
+def spectral_norm(mat: np.ndarray):
+    """Largest singular value of a complex matrix, as a float, or of each
+    matrix in a stack of them, as an array."""
     if mat.size == 0:
         return 0.0
-    return float(np.linalg.svd(mat, compute_uv=False)[0])
+    top = np.linalg.svd(mat, compute_uv=False)[..., 0]
+    return float(top) if mat.ndim == 2 else top
 
 
-def positivity(
-    mat: np.ndarray, tol: Tolerance = DEFAULT_TOL
-) -> tuple[bool, float, float]:
-    """Spectral positivity test of a square matrix.
+def positivity(mat: np.ndarray, tol: Tolerance = DEFAULT_TOL):
+    """Spectral positivity test of a square matrix, or of each matrix in a
+    stack of them (then each result below is an array over the stack).
 
     Returns the verdict, the least eigenvalue of the Hermitian part and
     the margin ``tol.abs + tol.rel * ||mat||``.  The matrix is positive
     iff it is Hermitian up to the margin and that eigenvalue clears
     ``-margin``, so near-singular positives on the PSD boundary are
-    accepted.
+    accepted.  Skew parts are measured only if one is nonzero.
     """
-    margin = tol.margin(spectral_norm(mat))
-    least = float(np.linalg.eigvalsh(hermitian_part(mat))[0])
-    skew = mat - mat.conj().T
-    hermitian = not skew.any() or spectral_norm(skew) <= margin
-    return hermitian and least >= -margin, least, margin
+    stack = mat[None] if mat.ndim == 2 else mat
+    margin = tol.abs + tol.rel * spectral_norm(stack)
+    least = np.linalg.eigvalsh(hermitian_part(stack))[:, 0]
+    skew = stack - stack.conj().swapaxes(-1, -2)
+    hermitian = spectral_norm(skew) <= margin if skew.any() else True
+    passed = hermitian & (least >= -margin)
+    if mat.ndim == 2:
+        return bool(passed[0]), float(least[0]), float(margin[0])
+    return passed, least, margin
 
 
 def adjoint(a: AlgebraElement) -> AlgebraElement:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import DEFAULT_TOL, Tolerance, hermitian_part
 from .errors import DimensionMismatch
-from .hilbert import AdjointableOp, ModuleVector, adjoint_op, apply, compose
+from .hilbert import AdjointableOp, ModuleVector, _op, adjoint_op, apply, compose
 
 # Relative margin for deciding that optimal bounds coincide (tightness).
 TIGHTNESS_REL = 1e-8
@@ -73,13 +73,11 @@ class GFrameFamily:
         members = tuple(members)
         if not members:
             raise DimensionMismatch("family needs at least one member")
-        if len({(m.algebra_dim, m.source_len) for m in members}) != 1:
+        if len({(m.algebra_dim, m._flat.shape[0]) for m in members}) != 1:
             raise DimensionMismatch("family members disagree on the source module")
-        analysis_flat = np.hstack([m.flat for m in members])
-        return cls(
-            AdjointableOp(analysis_flat, members[0].algebra_dim),
-            tuple(m.target_len for m in members),
-        )
+        n = members[0].algebra_dim
+        analysis = _op(np.hstack([m._flat for m in members]), n)
+        return cls(analysis, tuple(m._flat.shape[1] // n for m in members))
 
     @property
     def algebra_dim(self) -> int:
@@ -97,8 +95,8 @@ class GFrameFamily:
     def members(self) -> tuple[AdjointableOp, ...]:
         """The member operators, split off the analysis flattening."""
         n = self.algebra_dim
-        blocks = np.hsplit(self.analysis.flat, n * np.cumsum(self.member_dims[:-1]))
-        return tuple(AdjointableOp(block, n) for block in blocks)
+        blocks = np.hsplit(self.analysis._flat, n * np.cumsum(self.member_dims[:-1]))
+        return tuple(_op(np.ascontiguousarray(block), n) for block in blocks)
 
     @cached_property
     def operator(self) -> AdjointableOp:
@@ -106,7 +104,7 @@ class GFrameFamily:
 
     @cached_property
     def bounds(self) -> FrameBounds:
-        return spectrum_bounds(self.operator.flat)
+        return spectrum_bounds(self.operator._flat)
 
 
 def scale_family(family: GFrameFamily, factor: complex) -> GFrameFamily:
@@ -169,7 +167,7 @@ def member_grams(family: GFrameFamily) -> np.ndarray:
     member, shape (m, n*d, n*d): one batched product of the analysis
     flattening, copy j masked to member j's column block, with its
     conjugate transpose."""
-    flat = family.analysis.flat
+    flat = family.analysis._flat
     index = np.arange(family.size)
     owner = np.repeat(index, family.algebra_dim * np.array(family.member_dims))
     blocks = np.where(owner == index[:, None, None], flat, 0.0)

@@ -11,6 +11,12 @@ this convention the flattened adjoint is the conjugate transpose, and
 A g-frame family (``frames.GFrameFamily``) is stored the same way, as
 one operator: its analysis operator into the direct sum of the member
 targets.
+
+Arrays are validated where they enter: the public constructors, which
+the ``serialize`` decoders and the generators use, copy and check them.
+Kernels trust the operators they are given and wrap their fresh results
+with ``_op``; those that can overflow (``compose``, ``+``, ``-``, scalar
+``*``, weighted members and member Grams) still scan for non-finite entries.
 """
 
 from __future__ import annotations
@@ -33,6 +39,17 @@ def _frozen_matrix(data, what: str) -> np.ndarray:
         raise ValueError(f"{what} entries must be finite")
     arr.setflags(write=False)
     return arr
+
+
+def _op(arr: np.ndarray, n: int, scan: bool = False) -> "AdjointableOp":
+    """Read-only wrap, with no copy or shape check, of a fresh C-contiguous
+    complex128 2-D array made from valid operators; ``scan`` checks finiteness."""
+    if scan and not np.isfinite(arr).all():
+        raise ValueError("operator entries must be finite")
+    arr.flags.writeable = False
+    op = object.__new__(AdjointableOp)
+    vars(op).update(_flat=arr, algebra_dim=n)
+    return op
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,17 +132,20 @@ class AdjointableOp:
 
     def __add__(self, other: "AdjointableOp") -> "AdjointableOp":
         _check_op_shapes(self, other)
-        return AdjointableOp(self.flat + other.flat, self.algebra_dim)
+        return _op(self._flat + other._flat, self.algebra_dim, scan=True)
 
     def __sub__(self, other: "AdjointableOp") -> "AdjointableOp":
         _check_op_shapes(self, other)
-        return AdjointableOp(self.flat - other.flat, self.algebra_dim)
+        return _op(self._flat - other._flat, self.algebra_dim, scan=True)
 
     def __neg__(self) -> "AdjointableOp":
-        return AdjointableOp(-self.flat, self.algebra_dim)
+        return _op(-self._flat, self.algebra_dim)
 
     def __mul__(self, scalar: complex) -> "AdjointableOp":
-        return AdjointableOp(self.flat * scalar, self.algebra_dim)
+        arr = (self._flat * scalar).astype(np.complex128, copy=False)
+        if arr.shape != self._flat.shape:
+            raise DimensionMismatch(f"cannot scale an operator by shape {np.shape(scalar)}")
+        return _op(arr, self.algebra_dim, scan=True)
 
     __rmul__ = __mul__
 
@@ -140,7 +160,7 @@ def _check_vectors(x: ModuleVector, y: ModuleVector) -> None:
 
 
 def _check_op_shapes(a: AdjointableOp, b: AdjointableOp) -> None:
-    if a.algebra_dim != b.algebra_dim or a.flat.shape != b.flat.shape:
+    if a.algebra_dim != b.algebra_dim or a._flat.shape != b._flat.shape:
         raise DimensionMismatch("operator shapes differ")
 
 
@@ -194,18 +214,18 @@ def adjoint_op(op: AdjointableOp) -> AdjointableOp:
     Satisfies <apply(T, x), y> = <x, apply(adjoint_op(T), y)> and
     flattens to the exact conjugate transpose of flat(T).
     """
-    return AdjointableOp(op.flat.conj().T, op.algebra_dim)
+    return _op(np.conjugate(op._flat.T, order="C"), op.algebra_dim)
 
 
 def compose(second: AdjointableOp, first: AdjointableOp) -> AdjointableOp:
     """Composition second . first (apply ``first``, then ``second``)."""
     if first.algebra_dim != second.algebra_dim:
         raise DimensionMismatch("operators live over different algebras")
-    if first.target_len != second.source_len:
+    if first._flat.shape[1] != second._flat.shape[0]:
         raise DimensionMismatch(
             f"cannot compose: inner lengths {first.target_len} vs {second.source_len}"
         )
-    return AdjointableOp(first.flat @ second.flat, first.algebra_dim)
+    return _op(first._flat @ second._flat, first.algebra_dim, scan=True)
 
 
 def op_norm(op: AdjointableOp) -> float:

@@ -632,10 +632,11 @@ def _build_t12(cfg, seed, rng, n, d, dims, tol):
     else:
         margin = cfg.get("budget_fraction", 0.5)
         bounds = optimal_bounds(family)
-        budget = margin * bounds.lower / max(bounds.upper, 1e-12)
+        # numpy floats, so that an overflow reaches the runner's errstate guard.
+        budget = np.float64(margin) * bounds.lower / max(bounds.upper, 1e-12)
         raws = [complex_gaussian(rng, n * d, n * d) for _ in range(family.size)]
         bumps = [r @ r.conj().T for r in raws]
-        total = sum(spectral_norm(b) for b in bumps)
+        total = sum(spectral_norm(np.stack(bumps)).tolist())
         delta_ops = [
             AdjointableOp(gram + (budget / max(total, 1e-12)) * b, n)
             for gram, b in zip(member_grams(family), bumps)

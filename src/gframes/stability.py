@@ -30,7 +30,7 @@ from .frames import (
     require_endomorphism,
     spectrum_bounds,
 )
-from .hilbert import AdjointableOp
+from .hilbert import AdjointableOp, _op
 from .sums import ScalarWeights, TheoremReport, _verdict, weighted_pair
 
 
@@ -226,7 +226,7 @@ def difference_check(
 
 def operators_from_family(other: GFrameFamily) -> list[AdjointableOp]:
     """Lift a family to candidate frame-operator summands adjoint(Q).Q."""
-    return [AdjointableOp(gram, other.algebra_dim) for gram in member_grams(other)]
+    return [_op(gram, other.algebra_dim, scan=True) for gram in member_grams(other)]
 
 
 # Subset enumeration is exact up to this family size; beyond it the
@@ -287,8 +287,9 @@ def t12_check(
     d_above_one = d_high > 1.0
     budget = c_low / d_high if d_high > 0.0 else math.inf
 
-    summands_pos = all(positivity(op.flat, tol)[0] for op in delta_ops)
-    deviations = member_grams(family) - np.stack([op.flat for op in delta_ops])
+    summands = np.stack([op.flat for op in delta_ops])
+    summands_pos = bool(positivity(summands, tol)[0].all())
+    deviations = member_grams(family) - summands
     size = n * d
     bracket = {}
     if family.size <= _SUBSET_LIMIT:

@@ -45,6 +45,7 @@ from .frames import (
 )
 from .hilbert import (
     AdjointableOp,
+    _op,
     adjoint_op,
     compose,
     identity_op,
@@ -254,7 +255,7 @@ def weighted_family(family: GFrameFamily, coeffs) -> GFrameFamily:
     blocks = family.analysis.flat.reshape(rows, -1, n).swapaxes(0, 1)
     lifted = np.repeat([w.entries for w in coeffs], family.member_dims, axis=0)
     weighted = (blocks @ lifted).swapaxes(0, 1).reshape(rows, -1)
-    return GFrameFamily(AdjointableOp(weighted, n), family.member_dims)
+    return GFrameFamily(_op(weighted, n, scan=True), family.member_dims)
 
 
 def weighted_pair(

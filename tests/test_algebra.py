@@ -18,7 +18,7 @@ from gframes import (
     sqrt_psd,
     zero,
 )
-from gframes.algebra import hermitian_part, positivity
+from gframes.algebra import DEFAULT_TOL, hermitian_part, positivity, spectral_norm
 
 
 def test_adjoint_literal_cases():
@@ -202,3 +202,41 @@ def test_element_validation():
     entries = identity(2).entries
     with pytest.raises(ValueError):
         entries[0, 0] = 5.0
+
+
+def _psd_stack(rng, count, size):
+    raws = np.stack([random_matrix(rng, size, size) for _ in range(count)])
+    return raws @ raws.conj().swapaxes(-1, -2)
+
+
+_BREAKS = {
+    "negative": lambda m: m - 2.0 * np.linalg.eigvalsh(m)[-1] * np.eye(len(m)),
+    "within_margin": lambda m: m - 1e-13 * np.eye(len(m)),
+    "not_hermitian": lambda m: m + np.triu(np.ones_like(m), 1),
+    "hermitian_within_margin": lambda m: m + 1e-13j * np.triu(np.ones_like(m), 1),
+    "singular": lambda m: np.zeros_like(m),
+}
+
+
+@pytest.mark.parametrize("brk", sorted(_BREAKS))
+def test_stacked_positivity_is_the_per_matrix_positivity(brk):
+    rng = np.random.default_rng(7)
+    loose = Tolerance(rel=1e-3, abs=1e-3)
+    for count, size in ((1, 1), (1, 3), (4, 2), (7, 6)):
+        stack = _psd_stack(rng, count, size)
+        assert positivity(stack)[0].all()
+        for at in range(count):
+            broken = stack.copy()
+            broken[at] = _BREAKS[brk](stack[at])
+            for tol in (DEFAULT_TOL, loose):
+                verdicts, least, margins = positivity(broken, tol)
+                singles = [positivity(m, tol) for m in broken]
+                assert verdicts.tolist() == [v for v, _, _ in singles]
+                assert least.tolist() == [lo for _, lo, _ in singles]
+                assert margins.tolist() == [mg for _, _, mg in singles]
+
+
+def test_stacked_spectral_norm_is_the_per_matrix_norm():
+    stack = _psd_stack(np.random.default_rng(3), 5, 4) + 1j
+    assert spectral_norm(stack).tolist() == [spectral_norm(m) for m in stack]
+    assert isinstance(spectral_norm(stack[0]), float)

@@ -20,6 +20,7 @@ from gframes.cli import (
     main,
     parse_scenario,
     render_csv,
+    render_json,
     run_scenario,
 )
 from gframes.errors import ValidationError
@@ -867,3 +868,45 @@ def test_classify_reads_a_scaled_parseval_family_as_tight(k):
     for got, want in ((report.achieved.lower, base.achieved.lower),
                       (report.achieved.upper, base.achieved.upper)):
         assert abs(got - 4.0**k * want) <= 1e-12 * 4.0**k * want
+
+
+def _default_reports():
+    runs = [
+        run_scenario(parse_scenario(_basic_scenario(theorem=theorem, seed=seed,
+                                                    repetitions=1, instance={})))
+        for theorem in sorted(THEOREMS)
+        for seed in range(10)
+    ]
+    return render_json(runs, with_timing=False), render_csv(runs)
+
+
+def test_trusted_kernel_results_change_no_report(monkeypatch):
+    # The same reports when every kernel result goes through the checking
+    # public constructor instead of the trusted wrap.
+    shipped = _default_reports()
+    trusted = gframes.hilbert._op
+    checked = []
+
+    def checking(arr, n, scan=False):
+        checked.append(n)
+        return gframes.AdjointableOp(arr, n)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gframes") and getattr(module, "_op", None) is trusted:
+            monkeypatch.setattr(module, "_op", checking)
+    assert _default_reports() == shipped
+    assert len(checked) > 1000
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_huge_budget_fraction_exits_2_and_names_the_field(tmp_path, capsys, seed):
+    # Python float arithmetic overflows without a numpy flag; the budget is
+    # a numpy float, so the runner's overflow guard sees it.
+    doc = _basic_scenario(theorem="T12_OPERATOR", seed=seed, repetitions=1,
+                          instance={"budget_fraction": sys.float_info.max})
+    code = main(["run", _write(tmp_path, "budget.json", doc), "--no-timestamp"])
+    err = capsys.readouterr().err
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert "'budget_fraction'" in err

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from oracles import block_diag_op
-from randoms import random_element, random_op, random_vector
+from randoms import random_element, random_family, random_matrix, random_op, random_vector
 from gframes import (
     AdjointableOp,
     AlgebraElement,
     DimensionMismatch,
+    GFrameFamily,
     ModuleVector,
     Tolerance,
     adjoint,
@@ -21,10 +22,12 @@ from gframes import (
     is_positive,
     is_surjective,
     module_scale,
+    operators_from_family,
     op_norm,
     operator_norm,
     psd_order_leq,
     scalar_norm,
+    weighted_family,
     zero,
     zero_op,
 )
@@ -291,3 +294,79 @@ def test_dimension_mismatches_raise():
         compose(random_op(rng, 2, 2, 2), random_op(rng, 2, 2, 3))
     with pytest.raises(DimensionMismatch):
         ModuleVector(np.zeros((2, 3)))
+    with pytest.raises(DimensionMismatch):
+        random_op(rng, 2, 2, 2) * np.ones((3, 4, 4))
+
+
+def _kernel_results(rng):
+    """Every result that a kernel wraps without the public constructor."""
+    a, b = random_op(rng, 2, 2, 3), random_op(rng, 2, 2, 3)
+    family = random_family(rng, 2, 2, (1, 3, 2))
+    weights = tuple(random_element(rng, 2) for _ in range(family.size))
+    results = {
+        "compose": compose(adjoint_op(a), b),
+        "adjoint_op": adjoint_op(a),
+        "add": a + b,
+        "sub": a - b,
+        "neg": -a,
+        "scale_float": a * 2.5,
+        "scale_int": 3 * a,
+        "scale_complex": a * (1 - 2j),
+        "scale_float32": a * np.float32(0.5),
+        "of": GFrameFamily.of((a, b)).analysis,
+        "weighted_family": weighted_family(family, weights).analysis,
+    }
+    results.update({f"member_{j}": m for j, m in enumerate(family.members)})
+    results.update(
+        {f"gram_{j}": g for j, g in enumerate(operators_from_family(family))}
+    )
+    return results
+
+
+def test_kernel_results_are_read_only_complex_c_contiguous_matrices():
+    rng = np.random.default_rng(26)
+    for name, op in _kernel_results(rng).items():
+        flat = op.flat
+        assert flat.dtype == np.complex128, name
+        assert flat.ndim == 2 and flat.flags.c_contiguous, name
+        assert not flat.flags.writeable, name
+        with pytest.raises(ValueError):
+            flat[0, 0] = 1.0
+
+
+def test_the_public_constructor_copies_its_input():
+    rng = np.random.default_rng(28)
+    data = random_matrix(rng, 4, 6)
+    kept = data.copy()
+    op = AdjointableOp(data, 2)
+    assert not np.shares_memory(op.flat, data)
+    data[0, 0] = 99.0
+    data[1:, :] = np.nan
+    assert np.array_equal(op.flat, kept)
+    vec = ModuleVector(data[:1])
+    data[0, 1] = 7.0
+    assert vec.flat[0, 1] == kept[0, 1]
+
+
+def test_overflowing_kernel_products_raise_outside_the_runner():
+    # Outside ``run_decoded`` no errstate guard raises; the finite scan does.
+    big = AdjointableOp(np.full((2, 2), 1e200 + 1e200j), 1)
+    huge = AdjointableOp(np.full((2, 2), 1.5e308), 1)
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            compose(big, big)
+        with pytest.raises(ValueError, match="finite"):
+            huge + huge
+        with pytest.raises(ValueError, match="finite"):
+            huge - (-huge)
+        with pytest.raises(ValueError, match="finite"):
+            big * 1e200
+        with pytest.raises(ValueError, match="finite"):
+            1e200 * big
+        with pytest.raises(ValueError, match="finite"):
+            big * np.inf
+        with pytest.raises(ValueError, match="finite"):
+            big * np.nan
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            huge + huge

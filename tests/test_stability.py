@@ -38,7 +38,7 @@ from gframes import (
     t12_check,
     zero_op,
 )
-from gframes.algebra import DEFAULT_TOL, spectral_norm
+from gframes.algebra import DEFAULT_TOL, positivity, spectral_norm
 from gframes.stability import _subset_sup_bracket
 from gframes.sums import weighted_pair
 
@@ -153,6 +153,27 @@ class TestT12:
         ]
         report = t12_check(family, deltas)
         assert report.verdict is Verdict.HYPOTHESIS_FAILS
+
+    @pytest.mark.parametrize("kind", ["negative", "not_hermitian", "hermitian_within_margin"])
+    def test_stacked_summand_positivity_is_the_per_summand_verdict(self, kind):
+        family = _frame(13)
+        n = family.algebra_dim
+        grams = [m.flat @ m.flat.conj().T for m in family.members]
+        size = grams[0].shape[0]
+        upper = np.triu(np.ones((size, size)), 1)
+        breaks = {
+            "negative": lambda g: g - 2.0 * np.linalg.eigvalsh(g)[-1] * np.eye(size),
+            "not_hermitian": lambda g: g + upper,
+            "hermitian_within_margin": lambda g: g + 1e-14j * upper,
+        }
+        for at in range(family.size):
+            flats = [breaks[kind](g) if j == at else g for j, g in enumerate(grams)]
+            report = t12_check(family, [AdjointableOp(f, n) for f in flats])
+            expected = all(positivity(f)[0] for f in flats)
+            assert expected is (kind == "hermitian_within_margin")
+            assert report.details["summands_positive"] == float(expected)
+            if not expected:
+                assert report.verdict is Verdict.HYPOTHESIS_FAILS
 
     def test_family_lift_covers_square_sum_reading(self):
         family = _frame(11)
