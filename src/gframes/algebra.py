@@ -126,13 +126,21 @@ def positivity(mat: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     the margin ``tol.abs + tol.rel * ||mat||``.  The matrix is positive
     iff it is Hermitian up to the margin and that eigenvalue clears
     ``-margin``, so near-singular positives on the PSD boundary are
-    accepted.  Skew parts are measured only if one is nonzero.
+    accepted.  When every matrix is exactly Hermitian, its norm is read
+    off the eigenvalues as max|lambda|; otherwise one singular-value
+    call measures the matrices and their skew parts together.
     """
     stack = mat[None] if mat.ndim == 2 else mat
-    margin = tol.abs + tol.rel * spectral_norm(stack)
-    least = np.linalg.eigvalsh(hermitian_part(stack))[:, 0]
+    eigs = np.linalg.eigvalsh(hermitian_part(stack))
+    least = eigs[:, 0]
     skew = stack - stack.conj().swapaxes(-1, -2)
-    hermitian = spectral_norm(skew) <= margin if skew.any() else True
+    if skew.any():
+        top, skew_top = np.split(spectral_norm(np.concatenate([stack, skew])), 2)
+        margin = tol.abs + tol.rel * top
+        hermitian = skew_top <= margin
+    else:
+        margin = tol.abs + tol.rel * np.maximum(-least, eigs[:, -1])
+        hermitian = True
     passed = hermitian & (least >= -margin)
     if mat.ndim == 2:
         return bool(passed[0]), float(least[0]), float(margin[0])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import fields, is_dataclass
+from functools import cache
 
 import numpy as np
 
@@ -115,12 +116,19 @@ _PERTURBATION_KEYS = (
 )
 
 
+@cache
+def _field_names(kind: type) -> tuple[str, ...] | None:
+    """Field names of a dataclass type, in field order; None for other types."""
+    return tuple(f.name for f in fields(kind)) if is_dataclass(kind) else None
+
+
 def _to_json(value):
     """Strict JSON form of a report value: dataclasses as dicts in field
     order, tuples as lists, numpy scalars as Python ones and non-finite
     floats as null."""
-    if is_dataclass(value):
-        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    names = _field_names(type(value))
+    if names is not None:
+        return {name: _to_json(getattr(value, name)) for name in names}
     if isinstance(value, (list, tuple)):
         return [_to_json(item) for item in value]
     if isinstance(value, np.generic):

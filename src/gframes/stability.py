@@ -188,7 +188,7 @@ def difference_check(
     worst_vec = gap_vecs[:, -1]
     measured_lhs = float((worst_vec.conj() @ s_diff @ worst_vec).real)
     allowed_rhs = float((worst_vec.conj() @ combo @ worst_vec).real)
-    scale = max(spectral_norm(combo), spectral_norm(s_diff), 1.0)
+    scale = max(*spectral_norm(np.stack([combo, s_diff])).tolist(), 1.0)
     spectral_ok = float(gap_eigs[-1]) <= tol.margin(scale)
 
     base = optimal_bounds(family)
@@ -319,7 +319,7 @@ def t12_check(
     k_flat = sum(op.flat for op in delta_ops)
     achieved = spectrum_bounds(k_flat)
     if input_frame:
-        contraction = _contraction(frame_operator(family).flat, k_flat)
+        contraction = spectral_norm(_contraction(frame_operator(family).flat, k_flat))
     else:
         contraction = math.inf
     contraction_limit = 1.0 / d_high if d_high > 0.0 else math.inf
@@ -376,12 +376,13 @@ def final_corollary_check(
         )
     s_left = frame_operator(family).flat
     s_right = frame_operator(other).flat
-    measured_lhs = spectral_norm(s_left - s_right)
+    measured_lhs, contraction = spectral_norm(
+        np.stack([s_left - s_right, _contraction(s_left, s_right)])
+    ).tolist()
     hypothesis_ok = (
         is_frame_bounds(base, tol)
         and measured_lhs <= alpha + tol.margin(max(alpha, 1.0))
     )
-    contraction = _contraction(s_left, s_right)
     return _frame_conclusion_report(
         other,
         hypothesis_ok,
@@ -400,7 +401,7 @@ def final_corollary_check(
     )
 
 
-def _contraction(s_flat: np.ndarray, k_flat: np.ndarray) -> float:
-    """||I - S^-1 K|| for an invertible S; below one, it makes K invertible."""
+def _contraction(s_flat: np.ndarray, k_flat: np.ndarray) -> np.ndarray:
+    """I - S^-1 K for an invertible S; a norm below one makes K invertible."""
     eye = np.eye(s_flat.shape[0], dtype=np.complex128)
-    return spectral_norm(eye - np.linalg.solve(s_flat, k_flat))
+    return eye - np.linalg.solve(s_flat, k_flat)

@@ -237,7 +237,7 @@ def _mn_family(
 
 def _s_formula_residual(formula: AdjointableOp, family: GFrameFamily) -> float:
     direct = frame_operator(family).flat
-    denom = max(spectral_norm(direct), 1.0)
+    denom = max(optimal_bounds(family).upper, 1.0)
     return spectral_norm(formula.flat - direct) / denom
 
 
@@ -339,9 +339,9 @@ def op_weighted_sum(
     residual = _s_formula_residual(s_formula, new_family)
 
     agree = cond_frame == cond_surjective == cond_positive
+    norm_m, norm_n = spectral_norm(np.stack([m_op.flat, n_op.flat])).tolist()
     predicted_upper = 2.0 * (
-        optimal_bounds(family).upper * op_norm(m_op) ** 2
-        + optimal_bounds(other).upper * op_norm(n_op) ** 2
+        optimal_bounds(family).upper * norm_m**2 + optimal_bounds(other).upper * norm_n**2
     )
     slack = _bound_slack(cls.bounds, tol)
     conclusion = agree and residual <= FORMULA_AGREEMENT_REL and (
@@ -500,7 +500,7 @@ def _tight_pair(
                 f" ({bounds.lower:.6g}, {bounds.upper:.6g})"
             )
     cross_norm = op_norm(cross_operator(family, other))
-    limit = tol.margin(max(1.0, left.upper, right.upper))
+    limit = tol.rel * max(left.upper, right.upper)
     checks = (
         CheckItem("mixed_operator_vanishes", cross_norm <= limit, cross_norm, limit),
     )
@@ -603,11 +603,10 @@ def lambda_lower_check(
     d_low, d_high = bounds_left.lower, bounds_left.upper
     bessel = bounds_right.upper
 
-    n_svals = np.linalg.svd(n_op.flat, compute_uv=False)
-    sigma_min = float(n_svals[-1])
+    svals = np.linalg.svd(np.stack([n_op.flat, m_op.flat]), compute_uv=False).tolist()
+    sigma_min, norm_n, norm_m = svals[0][-1], svals[0][0], svals[1][0]
     dominance_flat = m_op.flat @ m_op.flat.conj().T - n_op.flat @ n_op.flat.conj().T
     dominance = float(np.linalg.eigvalsh(hermitian_part(dominance_flat))[0])
-    norm_m, norm_n = op_norm(m_op), float(n_svals[0])
     dom_margin = tol.margin(max(norm_m, norm_n) ** 2)
 
     checks = (
@@ -649,8 +648,10 @@ def tight_mn_check(
     combo = alpha1 * (adjoint_op(m_op) @ m_op) + alpha2 * (adjoint_op(n_op) @ n_op)
     size = family.algebra_dim * family.source_len
     alpha = float(np.trace(combo.flat).real) / size
-    residual = spectral_norm(combo.flat - alpha * np.eye(size))
-    combo_margin = tol.margin(max(1.0, spectral_norm(combo.flat)))
+    residual, combo_norm = spectral_norm(
+        np.stack([combo.flat - alpha * np.eye(size), combo.flat])
+    ).tolist()
+    combo_margin = tol.margin(max(1.0, combo_norm))
     condition_holds = residual <= combo_margin and alpha > combo_margin
 
     cls = classify(_mn_family(family, other, m_op, n_op), tol)

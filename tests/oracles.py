@@ -1,11 +1,17 @@
-"""Sampled oracles for the frame inequality, kept apart from the package.
+"""Oracles kept apart from the package.
 
 The package decides the two-sided frame inequality one way, from the
 extreme eigenvalues of the flattened frame operator.  The functions here
 decide it a second, independent way, on random module vectors plus the
 eigenvector witnesses, through batched Gram matrices and quadratic
 forms, so that the tests can hold the two routes against each other.
+Two more oracles keep slower forms of package rules: positivity with
+every norm taken by a singular-value call, and the report encoding that
+asks each value whether it is a dataclass.
 """
+
+import math
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -17,6 +23,7 @@ from gframes import (
     frame_operator,
     optimal_bounds,
 )
+from gframes import serialize
 from gframes.algebra import DEFAULT_TOL, Tolerance, hermitian_part
 
 
@@ -110,3 +117,36 @@ def verify_frame_inequality(
         f" for bounds ({lower}, {upper}) vs optimal ({bounds.lower}, {bounds.upper})"
     )
     return spectral_ok
+
+
+def svd_positivity(mat: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float, float]:
+    """The positivity rule on one square matrix, with its norm and the
+    norm of its skew part each taken by its own singular-value call."""
+    margin = tol.margin(np.linalg.svd(mat, compute_uv=False)[0])
+    least = float(np.linalg.eigvalsh(hermitian_part(mat))[0])
+    skew = np.linalg.svd(mat - mat.conj().T, compute_uv=False)[0]
+    return bool(skew <= margin and least >= -margin), least, float(margin)
+
+
+def walk_to_json(value):
+    """Strict JSON form of a report value, asking each value whether it
+    is a dataclass and listing its fields anew."""
+    if is_dataclass(value):
+        return {f.name: walk_to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [walk_to_json(item) for item in value]
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def walk_report_to_json(report) -> dict:
+    """``serialize.report_to_json`` with every value encoded by ``walk_to_json``."""
+    data = {"theorem": report.theorem_id, "verdict": report.verdict.value}
+    keys = serialize._PERTURBATION_KEYS if report.result_kind is None else serialize._SUM_KEYS
+    for key in keys:
+        data[key] = walk_to_json(getattr(report, key))
+    data["details"] = {k: walk_to_json(report.details[k]) for k in sorted(report.details)}
+    return data

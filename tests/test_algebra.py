@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import svd_positivity
 from randoms import random_element, random_matrix
 from gframes import (
     AlgebraElement,
@@ -240,3 +241,67 @@ def test_stacked_spectral_norm_is_the_per_matrix_norm():
     stack = _psd_stack(np.random.default_rng(3), 5, 4) + 1j
     assert spectral_norm(stack).tolist() == [spectral_norm(m) for m in stack]
     assert isinstance(spectral_norm(stack[0]), float)
+
+
+def _hermitian_stack(rng, count, size):
+    stack = hermitian_part(np.stack([random_matrix(rng, size, size) for _ in range(count)]))
+    assert np.array_equal(stack, stack.conj().swapaxes(-1, -2))
+    return stack
+
+
+def test_hermitian_positivity_agrees_with_the_svd_rule():
+    rng = np.random.default_rng(11)
+    for size in range(1, 13):
+        for count in (1, 5):
+            # Shifted by a random multiple of I, so that some pass and some fail.
+            stack = _hermitian_stack(rng, count, size) + rng.uniform(-1, 3) * np.eye(size)
+            verdicts, least, margins = positivity(stack)
+            for at, mat in enumerate(stack):
+                want = svd_positivity(mat)
+                for got in ((verdicts[at], least[at], margins[at]), positivity(mat)):
+                    assert (got[0], got[1]) == want[:2]
+                    assert abs(got[2] - want[2]) <= 1e-14 * want[2]
+
+
+def test_an_exactly_hermitian_stack_takes_no_singular_values(monkeypatch):
+    stack = _hermitian_stack(np.random.default_rng(5), 4, 6)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    positivity(stack)
+    positivity(stack[0])
+
+
+def test_a_non_hermitian_stack_keeps_the_per_matrix_svd_rule():
+    rng = np.random.default_rng(13)
+    for size in range(1, 13):
+        stack = _hermitian_stack(rng, 4, size) + 2.0 * np.eye(size)
+        stack[1] += 1e-13j * np.eye(size)  # Hermitian within the margin
+        stack[2] += 0.5j * np.eye(size)  # beyond it
+        verdicts, least, margins = positivity(stack)
+        want = [svd_positivity(mat) for mat in stack]
+        assert verdicts.tolist() == [w[0] for w in want]
+        assert least.tolist() == [w[1] for w in want]
+        assert margins.tolist() == [w[2] for w in want]
+
+
+@pytest.mark.parametrize("beyond", [False, True])
+def test_a_least_eigenvalue_at_the_margin_is_decided_by_its_side(beyond):
+    rng = np.random.default_rng(17)
+    offset = 1e-6 if beyond else -1e-6
+    # Diagonal matrices have exact eigenvalues at the default tolerance;
+    # rotated ones are decided at a margin far above their round-off.
+    loose = Tolerance(rel=1e-3, abs=1e-6)
+    for size in (2, 5, 12):
+        for tol, rotate in ((DEFAULT_TOL, False), (loose, True)):
+            low = -tol.margin(1.0) * (1.0 + offset)
+            mat = np.diag(rng.permutation(np.linspace(low, 1.0, size))).astype(complex)
+            if rotate:
+                basis = np.linalg.qr(random_matrix(rng, size, size))[0]
+                mat = hermitian_part((basis * np.diag(mat)) @ basis.conj().T)
+            verdict, least, margin = positivity(mat, tol)
+            assert verdict is (not beyond)
+            assert verdict == svd_positivity(mat, tol)[0]
+            assert abs(margin - tol.margin(1.0)) <= 1e-14 * margin

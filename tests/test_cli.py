@@ -1,6 +1,7 @@
 """Scenario runner: schema validation, determinism, exit-code contract."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 
 import gframes
 from gframes import registry
+from oracles import walk_report_to_json
 from gframes import serialize as ser
 from gframes.cli import (
     MAX_REPETITIONS,
@@ -910,3 +912,69 @@ def test_a_huge_budget_fraction_exits_2_and_names_the_field(tmp_path, capsys, se
     assert "Traceback" not in err
     if code == 2:
         assert "'budget_fraction'" in err
+
+
+def _hand_made_reports():
+    """A sum report and a perturbation report holding numpy scalars,
+    non-finite floats and nested tuples."""
+    bounds = gframes.FrameBounds(np.float64(0.5), math.inf, np.bool_(False), False)
+    checks = (
+        gframes.CheckItem("numpy", np.bool_(True), np.float64(-0.0), math.nan),
+        gframes.CheckItem("bare", False),
+    )
+    details = {"z": np.float64(math.nan), "a": (1.0, (np.float32(2.5), [math.inf, -math.inf]))}
+    verdict = gframes.Verdict.CONCLUSION_HOLDS
+    return (
+        gframes.TheoremReport("HAND_SUM", bounds, verdict, checks, np.float64(math.inf), 1,
+                              "Frame", details=details),
+        gframes.TheoremReport("HAND_PERTURBATION", bounds, verdict, alphas=(np.float64(0.1), 0.2),
+                              measured_lhs=math.nan, allowed_rhs=np.float64(-math.inf),
+                              claimed_bounds=(math.inf, np.float64(1.0)),
+                              bound_discrepancy_note="", details=details),
+    )
+
+
+def test_report_encoding_is_the_dataclass_walk():
+    reports = [build_and_run(theorem, {}, seed) for theorem in sorted(THEOREMS) for seed in range(10)]
+    for report in reports + list(_hand_made_reports()):
+        # repr shows key order and value types as well as values.
+        assert repr(ser.report_to_json(report)) == repr(walk_report_to_json(report))
+
+
+def _nonorthogonal_parseval_pair(seed):
+    """Two Parseval families with a non-zero mixed operator."""
+    return tuple(
+        gframes.gen_family(gframes.GenSpec(s, 2, 2, (2, 2, 2), gframes.FamilyTarget.parseval()))
+        for s in (seed, seed + 100)
+    )
+
+
+def _scaled_pair_instance(seed, k):
+    # A power of two scales every product exactly, short of under- or overflow.
+    return {
+        key: ser.family_to_json(gframes.scale_family(family, 2.0**k))
+        for key, family in zip(("family", "second_family"), _nonorthogonal_parseval_pair(seed))
+    }
+
+
+@pytest.mark.parametrize("theorem", ["TIGHT_SUM", "TIGHT_MN"])
+@pytest.mark.parametrize("seed", range(3))
+def test_a_tight_pair_reads_the_same_at_every_scale(theorem, seed):
+    def outcome(k):
+        report = build_and_run(theorem, _scaled_pair_instance(seed, k), 0)
+        return report.verdict, [check.passed for check in report.hypothesis_checks]
+
+    base = outcome(0)
+    assert base[0] is gframes.Verdict.HYPOTHESIS_FAILS
+    for k in (-60, -40, -20, 20, 40, 60):
+        assert outcome(k) == base, k
+
+
+def test_a_tight_pair_far_below_unit_scale_exits_0(tmp_path):
+    doc = _basic_scenario(theorem="TIGHT_SUM", repetitions=1, instance=_scaled_pair_instance(0, -40))
+    report_path = tmp_path / "out.json"
+    code = main(["run", _write(tmp_path, "tiny.json", doc), "--no-timestamp",
+                 "--report", str(report_path)])
+    assert code == 0
+    payload = json.loads(report_path.read_text())
+    assert payload["runs"][0]["aggregate"]["HypothesisFails"] == 1
