@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import math
-import reprlib
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -24,24 +23,28 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from .algebra import DEFAULT_TOL, Tolerance
 from .errors import GFrameError, ValidationError
 from .registry import THEOREMS, run_decoded, theorem_ids, validate_instance
-from .serialize import report_to_json
+from .serialize import decode_fields, is_int, is_number, report_to_json
 
 SCHEMA_VERSION = 1
 # Inclusive cap on a scenario's repetitions, so that every run ends.
 MAX_REPETITIONS = 1_000_000
 _MASK64 = (1 << 64) - 1
-# The keys a scenario object and its tolerance object may hold.
-_SCENARIO_KEYS = "schema name theorem seed seed_stride repetitions tolerance instance"
-_TOLERANCE_KEYS = ("rel", "abs")
-
-
-def _check_keys(data: dict, accepted, what: str, path: str) -> None:
-    for key in data:
-        if key not in accepted:
-            raise ValidationError(
-                f"{path}: unknown {what} key {key!r};"
-                f" accepted: {', '.join(sorted(accepted))}"
-            )
+# The fields of a scenario object and of its tolerance object, as
+# ``serialize.decode_fields`` reads them; an absent field takes the
+# ``Scenario`` or ``Tolerance`` default.
+_NONNEGATIVE = ("a finite nonnegative number", lambda v: is_number(v) and v >= 0, float)
+_TOLERANCE_FIELDS = {"rel": _NONNEGATIVE, "abs": _NONNEGATIVE}
+_SCENARIO_FIELDS = {
+    "schema": (str(SCHEMA_VERSION), lambda v: is_int(v) and v == SCHEMA_VERSION, int),
+    "name": ("a string", lambda v: isinstance(v, str), str),
+    "theorem": ("a theorem id; see --list-theorems", lambda v: v in theorem_ids(), str),
+    **dict.fromkeys(("seed", "seed_stride"), ("an integer", is_int, int)),
+    "repetitions": (f"a positive integer at most {MAX_REPETITIONS}",
+                    lambda v: is_int(v) and 0 < v <= MAX_REPETITIONS, int),
+    "tolerance": ("a tolerance object", lambda v: isinstance(v, dict),
+                  lambda v: Tolerance(**decode_fields(v, _TOLERANCE_FIELDS, "tolerance"))),
+    "instance": ("an instance object", lambda v: isinstance(v, dict), lambda v: v),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,67 +89,15 @@ class RunReport:
 
 
 def parse_scenario(data: dict, path: str = "<memory>") -> Scenario:
-    if not isinstance(data, dict):
-        raise ValidationError(f"{path}: scenario must be a JSON object")
-    if data.get("schema") != SCHEMA_VERSION:
-        raise ValidationError(
-            f"{path}: expected \"schema\": {SCHEMA_VERSION}, got {data.get('schema')!r}"
-        )
-    _check_keys(data, _SCENARIO_KEYS.split(), "scenario", path)
-    theorem = data.get("theorem")
-    if theorem not in THEOREMS:
-        raise ValidationError(
-            f"{path}: unknown theorem {theorem!r}; see --list-theorems"
-        )
-    reps = data.get("repetitions", 1)
-    if not isinstance(reps, int) or isinstance(reps, bool) or not (
-        0 < reps <= MAX_REPETITIONS
-    ):
-        raise ValidationError(
-            f"{path}: 'repetitions' must be a positive integer at most"
-            f" {MAX_REPETITIONS}, got {reprlib.repr(reps)}"
-        )
-    tol_data = data.get("tolerance", {})
-    if not isinstance(tol_data, dict):
-        raise ValidationError(f"{path}: tolerance must be an object")
-    _check_keys(tol_data, _TOLERANCE_KEYS, "tolerance", path)
-    bounds = {}
-    for key in _TOLERANCE_KEYS:
-        value = tol_data.get(key, getattr(DEFAULT_TOL, key))
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ValidationError(
-                f"{path}: tolerance {key!r} must be a number,"
-                f" got {reprlib.repr(value)}"
-            )
-        try:
-            bounds[key] = float(value)
-        except OverflowError as exc:
-            raise ValidationError(f"{path}: tolerance {key!r}: {exc}") from exc
     try:
-        tol = Tolerance(**bounds)
-    except ValueError as exc:
-        raise ValidationError(f"{path}: bad tolerance: {exc}") from exc
-    instance = data.get("instance", {})
-    if not isinstance(instance, dict):
-        raise ValidationError(f"{path}: instance must be an object")
-    seeds = {"seed": data.get("seed", 0), "seed_stride": data.get("seed_stride", 1)}
-    for key, value in seeds.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValidationError(f"{path}: {key!r} must be an integer, got {value!r}")
-    name = data.get("name", theorem)
-    if not isinstance(name, str):
-        raise ValidationError(
-            f"{path}: 'name' must be a string, got {reprlib.repr(name)}"
-        )
-    return Scenario(
-        name=name,
-        theorem=theorem,
-        instance=instance,
-        tolerance=tol,
-        repetitions=reps,
-        **seeds,
-        decoded=_Decoded(theorem, instance),
-    )
+        fields = decode_fields(data, _SCENARIO_FIELDS, "scenario", ("schema", "theorem"))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+    del fields["schema"]
+    theorem = fields["theorem"]
+    fields.setdefault("name", theorem)
+    instance = fields.setdefault("instance", {})
+    return Scenario(**fields, decoded=_Decoded(theorem, instance))
 
 
 def run_scenario(scenario: Scenario) -> RunReport:

@@ -10,8 +10,6 @@ one thing throughout the repository.
 from __future__ import annotations
 
 import math
-import reprlib
-import sys
 from types import MappingProxyType
 
 import numpy as np
@@ -19,7 +17,7 @@ import numpy as np
 from . import serialize
 from ._rand import complex_gaussian, haar_unitaries, haar_unitary, make_rng, sub_seed
 from .algebra import DEFAULT_TOL, AlgebraElement, Tolerance, spectral_norm
-from .errors import DegenerateSpec, GFrameError, ValidationError
+from .errors import DegenerateSpec, ValidationError
 from .frames import GFrameFamily, classify, member_grams, optimal_bounds, scale_family
 from .generators import (
     FamilyTarget,
@@ -31,6 +29,7 @@ from .generators import (
     weight_matrices,
 )
 from .hilbert import AdjointableOp, identity_op, zero_op
+from .serialize import BAND, decode_fields, is_int, is_pair, is_positive_number
 from .sums import (
     ScalarWeights,
     isometry_sum_check,
@@ -53,21 +52,23 @@ from .stability import (
 )
 
 
+# The object forms of a family target, each alone in its object.
+_TARGET_FIELDS = {
+    "tight": ("a positive number", is_positive_number,
+              lambda v: FamilyTarget.tight(float(v))),
+    "bounds": ("a list [lower, upper] of positive numbers with lower <= upper", is_pair,
+               lambda v: FamilyTarget.bounds(*map(float, v))),
+}
+
+
 def parse_target(data) -> FamilyTarget:
     """Accepts "random" | "parseval" | {"tight": nu} | {"bounds": [lo, hi]}."""
     if data in ("random", "parseval"):
         return FamilyTarget(data)
-    try:
-        if "tight" in data:
-            return FamilyTarget.tight(float(data["tight"]))
-        lo, hi = data["bounds"]
-        return FamilyTarget.bounds(float(lo), float(hi))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"unparseable family target {data!r}") from exc
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    targets = list(decode_fields(data, _TARGET_FIELDS, "family target").values())
+    if len(targets) != 1:
+        raise ValidationError('a family target object holds one of "tight" and "bounds"')
+    return targets[0]
 
 
 # Cap on the flattened sizes n*d and n*d_i of an instance.  The work per
@@ -84,22 +85,10 @@ _SIZE_SOURCES = (*_SIZE_FIELDS, *_ARRAY_FIELDS)
 
 
 def _is_size(value) -> bool:
-    return _is_int(value) and 0 < value <= MAX_FLAT_SIZE
+    return is_int(value) and 0 < value <= MAX_FLAT_SIZE
 
 
-def _is_positive(value) -> bool:
-    # A comparison, not float(): an integer above the float range overflows.
-    number = _is_int(value) or isinstance(value, float)
-    return number and 0 < value <= sys.float_info.max
-
-
-def _is_object(value) -> bool:
-    return isinstance(value, dict)
-
-
-# What a present instance field must hold: a description, a predicate, and
-# the decoder that builds its value.  Decoders look ``serialize`` functions
-# up when called, because span tracing rebinds them on the module.
+# The kinds of the instance fields, as ``serialize.decode_fields`` reads them.
 _FIELD_KINDS = {
     **dict.fromkeys(
         ("algebra_dim", "module_len"),
@@ -110,37 +99,20 @@ _FIELD_KINDS = {
         lambda v: isinstance(v, list) and v and all(map(_is_size, v)),
         tuple,
     ),
-    **dict.fromkeys(
-        ("family", "second_family"),
-        ("a family object", _is_object, lambda v: serialize.family_from_json(v)),
-    ),
-    **dict.fromkeys(
-        ("lambda", "m", "n"),
-        ("an operator object", _is_object, lambda v: serialize.op_from_json(v)),
-    ),
-    "delta_ops": (
-        "a nonempty list of operator objects",
-        lambda v: isinstance(v, list) and v,
-        lambda v: tuple(serialize.op_from_json(x) for x in v),
-    ),
-    "weights": (
-        "a weights object", _is_object, lambda v: serialize.weights_from_json(v)
-    ),
+    **dict.fromkeys(("family", "second_family"), serialize.FAMILY),
+    **dict.fromkeys(("lambda", "m", "n"), serialize.OPERATOR),
+    "delta_ops": serialize.OPERATORS,
+    "weights": serialize.WEIGHTS,
     **dict.fromkeys(
         ("family_target", "second_family_target"),
         ('"random", "parseval", {"tight": nu} or {"bounds": [lo, hi]}',
          lambda v: isinstance(v, (str, dict)), parse_target),
     ),
-    "weight_band": (
-        "a list [lower, upper] of positive numbers with lower < upper",
-        lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_positive, v))
-        and v[0] < v[1],
-        lambda v: tuple(map(float, v)),
-    ),
+    "weight_band": BAND,
     **dict.fromkeys(
         ("alpha", "alpha1", "alpha2", "bessel_ratio", "bessel_upper")
         + ("budget_fraction", "lambda_bound"),
-        ("a positive number", _is_positive, float),
+        ("a positive number", is_positive_number, float),
     ),
 }
 
@@ -154,10 +126,9 @@ def _schema(declared: str) -> tuple[dict[str, tuple], tuple[tuple[str, ...], ...
     fields = {}
     for token in declared.replace("+", " ").split():
         key, _, options = token.partition("=")
-        fields[key] = _FIELD_KINDS.get(key)
-        if options:
-            choices = tuple(options.split("|"))
-            fields[key] = (" or ".join(map(repr, choices)), choices.__contains__, str)
+        choices = tuple(options.split("|"))
+        kind = (" or ".join(map(repr, choices)), choices.__contains__, str)
+        fields[key] = kind if options else _FIELD_KINDS[key]
     return fields, groups
 
 
@@ -172,24 +143,7 @@ def validate_instance(theorem: str, instance) -> MappingProxyType:
     if theorem not in THEOREMS:
         raise ValidationError(f"unknown theorem id {theorem!r}")
     _, _, fields, groups, _ = THEOREMS[theorem]
-    cfg = {}
-    for key, value in (instance or {}).items():
-        if key not in fields:
-            raise ValidationError(
-                f"unknown instance field {key!r} for {theorem};"
-                f" accepted: {', '.join(sorted(fields))}"
-            )
-        if value is None:
-            continue
-        description, valid, decode = fields[key]
-        try:
-            if not valid(value):
-                raise ValidationError(f"got {reprlib.repr(value)}")
-            cfg[key] = decode(value)
-        except GFrameError as exc:
-            raise ValidationError(
-                f"instance field {key!r} must be {description}: {exc}"
-            ) from exc
+    cfg = decode_fields({} if instance is None else instance, fields, f"{theorem} instance")
     fixed = _fixed_sizes(cfg)
     sources = {size: (key, value) for key, size, value in reversed(fixed)}
     if "dims" in sources:

@@ -2,39 +2,119 @@
 
 Complex scalars are [re, im] pairs; matrices are nested lists of those;
 operators carry their block grid; families list their members.  These
-shapes appear verbatim inside scenario files and reports.
+shapes appear verbatim inside scenario files and reports.  Every JSON
+object the runner reads decodes through ``decode_fields``, by its table.
 """
 
 from __future__ import annotations
 
 import math
+import reprlib
+import sys
 from dataclasses import fields, is_dataclass
 from functools import cache
 
 import numpy as np
 
 from .algebra import AlgebraElement
-from .errors import ValidationError
+from .errors import GFrameError, ValidationError
 from .frames import GFrameFamily
 from .hilbert import AdjointableOp
 from .sums import ScalarWeights, TheoremReport
 
 
-def array_from_json(data, key: str, rank: int) -> np.ndarray:
+def is_int(value) -> bool:
+    """A JSON integer, which a bool is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """A JSON number within the float range, found by comparison: float()
+    of a larger integer overflows."""
+    return (is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+
+
+def is_positive_number(value) -> bool:
+    return is_number(value) and value > 0
+
+
+def _is_list(value) -> bool:
+    return isinstance(value, list)
+
+
+def is_pair(value) -> bool:
+    """A list [lower, upper] of positive numbers."""
+    return _is_list(value) and len(value) == 2 and all(map(is_positive_number, value))
+
+
+def _is_object(value) -> bool:
+    return isinstance(value, dict)
+
+
+# A field's kind: its description, the predicate a present value must
+# meet and its decoder.  The band of weights and of ``weight_band``:
+BAND = (
+    "a list [lower, upper] of positive numbers with lower < upper",
+    lambda v: is_pair(v) and v[0] < v[1],
+    lambda v: tuple(map(float, v)),
+)
+# A size label beside an object's contents.
+_LABEL = ("a positive integer", lambda v: is_int(v) and v > 0, int)
+
+
+def decode_fields(data, kinds: dict, what: str, required=()) -> dict:
+    """The decoded values of the non-null fields of the JSON object
+    ``data``, once each of its keys is declared in ``kinds`` and each
+    value meets its kind; a null reads as absent, and each key in
+    ``required`` must be present.  Every error names the field."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {reprlib.repr(data)}")
+    for key in data:
+        if key not in kinds:
+            accepted = ", ".join(sorted(kinds))
+            raise ValidationError(f"unknown {what} field {key!r}; accepted: {accepted}")
+    decoded = {}
+    for key, value in data.items():
+        if value is None:
+            continue
+        description, valid, decode = kinds[key]
+        try:
+            if not valid(value):
+                raise ValidationError(f"got {reprlib.repr(value)}")
+            decoded[key] = decode(value)
+        except GFrameError as exc:
+            message = f"{what} field {key!r} must be {description}: {exc}"
+            raise ValidationError(message) from exc
+    for key in required:
+        if key not in decoded:
+            raise ValidationError(f"{what} field {key!r} is required")
+    return decoded
+
+
+def _labelled(data, kinds: dict, what: str, contents: str):
+    """The decoded ``contents`` field of ``data``, once the size labels
+    beside it agree with the sizes it has."""
+    labels = decode_fields(data, kinds, what, (contents,))
+    value = labels.pop(contents)
+    sizes = {key: getattr(value, key) for key in labels}
+    if labels != sizes:
+        raise ValidationError(f"{what} labels {labels}, but its {contents} give {sizes}")
+    return value
+
+
+def array_from_json(data, rank: int) -> np.ndarray:
     """Finite complex array of the given rank from nested [re, im] pairs,
-    converted in one call; errors name ``key``."""
+    converted in one call."""
     try:
         pairs = np.array(data)
     except (ValueError, OverflowError) as exc:
-        raise ValidationError(f"malformed complex array in {key!r}: {exc}") from exc
+        raise ValidationError(f"malformed complex array: {exc}") from exc
     # Entries must be JSON numbers: a string such as "1.5" makes a text
     # array and a null, an object or a huge integer an object array.
     if pairs.dtype.kind not in "biuf" or pairs.ndim != rank + 1 or pairs.shape[-1] != 2:
-        raise ValidationError(
-            f"{key!r} must be a rank-{rank} array of [re, im] number pairs"
-        )
+        raise ValidationError(f"need a rank-{rank} array of [re, im] number pairs")
     if not np.isfinite(pairs).all():
-        raise ValidationError(f"non-finite complex matrix entry in {key!r}")
+        raise ValidationError("non-finite complex entry")
     return pairs.astype(np.float64).view(np.complex128)[..., 0]
 
 
@@ -42,13 +122,13 @@ def element_to_json(a: AlgebraElement) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in a.entries]
 
 
-def _grid_from_json(rows, key: str) -> tuple[np.ndarray, int]:
-    """Flattening and block size of a grid of equal-sized square blocks."""
-    grid = array_from_json(rows, key, 4)
+def _op_from_grid(rows) -> AdjointableOp:
+    """The operator of a grid of equal-sized square blocks."""
+    grid = array_from_json(rows, 4)
     height, width, n, m = grid.shape
     if n != m:
-        raise ValidationError(f"{key!r} must hold square blocks, got {n}x{m} blocks")
-    return grid.transpose(0, 2, 1, 3).reshape(height * n, width * n), n
+        raise ValidationError(f"need square blocks, got {n}x{m} blocks")
+    return AdjointableOp(grid.transpose(0, 2, 1, 3).reshape(height * n, width * n), n)
 
 
 def op_to_json(op: AdjointableOp) -> dict:
@@ -60,14 +140,14 @@ def op_to_json(op: AdjointableOp) -> dict:
     }
 
 
+_OPERATOR_FIELDS = {
+    "blocks": ("a grid of equal-sized square blocks", _is_list, _op_from_grid),
+    **dict.fromkeys(("algebra_dim", "source_len", "target_len"), _LABEL),
+}
+
+
 def op_from_json(data) -> AdjointableOp:
-    if not isinstance(data, dict) or "blocks" not in data:
-        raise ValidationError("operator needs a 'blocks' grid")
-    op = AdjointableOp(*_grid_from_json(data["blocks"], "blocks"))
-    for key in ("algebra_dim", "source_len", "target_len"):
-        if key in data and data[key] != getattr(op, key):
-            raise ValidationError(f"operator {key!r} disagrees with its blocks")
-    return op
+    return _labelled(data, _OPERATOR_FIELDS, "operator", "blocks")
 
 
 def family_to_json(family: GFrameFamily) -> dict:
@@ -78,10 +158,16 @@ def family_to_json(family: GFrameFamily) -> dict:
     }
 
 
+# Members decode through the module's ``op_from_json`` when called.
+_FAMILY_FIELDS = {
+    "members": ("a nonempty list of operator objects", _is_list,
+                lambda v: GFrameFamily.of(op_from_json(m) for m in v)),
+    **dict.fromkeys(("algebra_dim", "source_len"), _LABEL),
+}
+
+
 def family_from_json(data) -> GFrameFamily:
-    if not isinstance(data, dict) or not isinstance(data.get("members"), list):
-        raise ValidationError("family needs a 'members' list")
-    return GFrameFamily.of(op_from_json(m) for m in data["members"])
+    return _labelled(data, _FAMILY_FIELDS, "family", "members")
 
 
 def weights_to_json(w: ScalarWeights) -> dict:
@@ -92,17 +178,23 @@ def weights_to_json(w: ScalarWeights) -> dict:
     }
 
 
+_COEFFICIENTS = ("a list of square [re, im] matrices", _is_list,
+                 lambda v: tuple(map(AlgebraElement, array_from_json(v, 3))))
+_WEIGHTS_FIELDS = {"thetas": _COEFFICIENTS, "deltas": _COEFFICIENTS, "band": BAND}
+
+
 def weights_from_json(data) -> ScalarWeights:
-    try:
-        band = data["band"]
-        return ScalarWeights(
-            tuple(map(AlgebraElement, array_from_json(data["thetas"], "thetas", 3))),
-            tuple(map(AlgebraElement, array_from_json(data["deltas"], "deltas", 3))),
-            float(band[0]),
-            float(band[1]),
-        )
-    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"malformed weights: {exc}") from exc
+    fields = decode_fields(data, _WEIGHTS_FIELDS, "weights", tuple(_WEIGHTS_FIELDS))
+    return ScalarWeights(fields["thetas"], fields["deltas"], *fields["band"])
+
+
+# The kinds of the inline values of an instance.  Each looks its decoder
+# up on the module when called, because span tracing rebinds it there.
+FAMILY = ("a family object", _is_object, lambda v: family_from_json(v))
+OPERATOR = ("an operator object", _is_object, lambda v: op_from_json(v))
+OPERATORS = ("a nonempty list of operator objects", lambda v: _is_list(v) and v,
+             lambda v: tuple(op_from_json(x) for x in v))
+WEIGHTS = ("a weights object", _is_object, lambda v: weights_from_json(v))
 
 
 # What a report writes between "theorem"/"verdict" and the sorted

@@ -30,6 +30,7 @@ from .algebra import (
 )
 from .errors import BadRange, DimensionMismatch, NotTight
 from .frames import (
+    TIGHTNESS_REL,
     Classification,
     FrameBounds,
     GFrameFamily,
@@ -169,7 +170,7 @@ def _verdict(hypotheses_hold: bool, conclusion_holds: bool) -> Verdict:
 
 
 def _bound_slack(achieved: FrameBounds, tol: Tolerance) -> float:
-    return tol.margin(max(1.0, achieved.upper))
+    return tol.rel * achieved.upper
 
 
 def theorem_report(
@@ -508,11 +509,11 @@ def _tight_pair(
 
 
 def _tight_at(achieved: FrameBounds, constant: float, tol: Tolerance) -> bool:
-    """A tight frame whose constant matches ``constant`` to 1e-8 relative."""
+    """A tight frame whose constant matches ``constant`` to TIGHTNESS_REL."""
     return (
         is_frame_bounds(achieved, tol)
         and achieved.tight
-        and abs(_tight_constant(achieved) - constant) <= 1e-8 * max(1.0, constant)
+        and abs(_tight_constant(achieved) - constant) <= TIGHTNESS_REL * constant
     )
 
 
@@ -651,7 +652,7 @@ def tight_mn_check(
     residual, combo_norm = spectral_norm(
         np.stack([combo.flat - alpha * np.eye(size), combo.flat])
     ).tolist()
-    combo_margin = tol.margin(max(1.0, combo_norm))
+    combo_margin = tol.rel * combo_norm
     condition_holds = residual <= combo_margin and alpha > combo_margin
 
     cls = classify(_mn_family(family, other, m_op, n_op), tol)

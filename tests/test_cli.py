@@ -381,6 +381,17 @@ _MALFORMED = [
     ("TIGHT_MN", {}, {"alpha1": sys.float_info.max}, "alpha1"),
     ("T3_EQUIV", {}, {"second_family_target": {"bounds": [1, sys.float_info.max]}},
      "second_family_target"),
+    # Every object accepts only its declared keys, and the size labels of a
+    # family or an operator must agree with its contents; a band has two
+    # entries, and a family target object holds one form.
+    ("CLASSIFY", {}, {"family": dict(_inline_pair_instance()["family"], source_len=5)},
+     "source_len"),
+    ("T3_EQUIV", {}, {"m": dict(_IDENTITY_MN["m"], colour=1)}, "colour"),
+    ("CLASSIFY", {}, {"family": dict(_inline_pair_instance()["family"], colour=1)}, "colour"),
+    ("T7_SCALAR", {}, {"weights": dict(_WEIGHTS, colour=1)}, "colour"),
+    ("T7_SCALAR", {}, {"weights": dict(_WEIGHTS, band=[0.5, 2, 3])}, "band"),
+    ("LAMBDA_LOWER", {}, {"family_target": {"tight": 2, "bounds": [1, 2]}}, "family_target"),
+    ("FINAL_COROLLARY", {}, {"family_target": {"tight": 2, "x": 1}}, "x"),
 ]
 
 
@@ -978,3 +989,140 @@ def test_a_tight_pair_far_below_unit_scale_exits_0(tmp_path):
     assert code == 0
     payload = json.loads(report_path.read_text())
     assert payload["runs"][0]["aggregate"]["HypothesisFails"] == 1
+
+
+def _orthogonal_tight_pair_instance(seed, k):
+    # A power of two scales every product exactly, short of under- or overflow.
+    pair = gframes.gen_orthogonal_pair(
+        gframes.GenSpec(seed, 2, 2, (2, 2, 2, 2), gframes.FamilyTarget.parseval())
+    )
+    return {
+        key: ser.family_to_json(gframes.scale_family(family, 2.0**k))
+        for key, family in zip(("family", "second_family"), pair)
+    }
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_tight_mn_holds_for_an_orthogonal_pair_at_every_scale(seed):
+    # Run seed 0 draws scalar multiples of unitaries for M and N, so the
+    # combination is a multiple of the identity and the sum is tight.
+    for k in (-60, -40, -20, 0, 20, 40, 60):
+        report = build_and_run("TIGHT_MN", _orthogonal_tight_pair_instance(seed, k), 0)
+        assert report.verdict is gframes.Verdict.CONCLUSION_HOLDS, k
+        assert report.details["condition_holds"] == 1.0, k
+
+
+def test_a_tight_mn_pair_far_below_unit_scale_exits_0(tmp_path):
+    instance = _orthogonal_tight_pair_instance(0, -40)
+    doc = _basic_scenario(theorem="TIGHT_MN", repetitions=1, instance=instance)
+    report_path = tmp_path / "out.json"
+    code = main(["run", _write(tmp_path, "tiny.json", doc), "--no-timestamp",
+                 "--report", str(report_path)])
+    assert code == 0
+    payload = json.loads(report_path.read_text())
+    assert payload["runs"][0]["aggregate"]["ConclusionHolds"] == 1
+
+
+@pytest.mark.parametrize(
+    "key", ["name", "seed", "seed_stride", "repetitions", "tolerance", "instance"]
+)
+def test_a_null_scenario_field_reads_as_absent(key):
+    bare = {"schema": 1, "theorem": "CLASSIFY"}
+    assert parse_scenario(dict(bare, **{key: None})) == parse_scenario(bare)
+
+
+def test_a_null_tolerance_field_reads_as_absent():
+    doc = {"schema": 1, "theorem": "CLASSIFY", "tolerance": {"rel": None, "abs": 0.5}}
+    assert parse_scenario(doc).tolerance == gframes.Tolerance(abs=0.5)
+
+
+def _encoded(value):
+    """The JSON form of one decoded instance value."""
+    if isinstance(value, gframes.GFrameFamily):
+        return ser.family_to_json(value)
+    if isinstance(value, gframes.AdjointableOp):
+        return ser.op_to_json(value)
+    if isinstance(value, gframes.ScalarWeights):
+        return ser.weights_to_json(value)
+    if isinstance(value, tuple):
+        return [_encoded(item) for item in value]
+    return value
+
+
+def _reencoded(theorem, instance):
+    return {key: _encoded(value) for key, value in validate_instance(theorem, instance).items()}
+
+
+@pytest.mark.parametrize("theorem", sorted(THEOREMS))
+def test_captured_bench_instances_decode_and_reencode_identically(monkeypatch, theorem):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    for sizes, seed in ({}, 1), workloads.inline_source(theorem, np.random.default_rng(5)):
+        instance = workloads.capture_instance(theorem, sizes, seed)
+        assert _reencoded(theorem, instance) == instance
+
+
+@pytest.mark.parametrize("name", ["t3_inline_identity.json", "t7_inline_family.json"])
+def test_bundled_inline_scenarios_decode_and_reencode_identically(name):
+    (scenario,) = load_scenarios(str(SCENARIO_DIR / name))
+    assert _reencoded(scenario.theorem, scenario.instance) == scenario.instance
+
+
+# One value of each JSON type; a field is given each value its kind rejects.
+_JSON_SAMPLES = ("text", True, 1.5, 7, [7], {"k": 7})
+_OBJECT_TABLES = {
+    # table: (its declared fields, the scenario document that holds a value)
+    "scenario": (
+        gframes.cli._SCENARIO_FIELDS,
+        lambda key, value: dict(_basic_scenario(repetitions=1), **{key: value}),
+    ),
+    "tolerance": (
+        gframes.cli._TOLERANCE_FIELDS,
+        lambda key, value: _basic_scenario(repetitions=1, tolerance={key: value}),
+    ),
+    "operator": (
+        ser._OPERATOR_FIELDS,
+        lambda key, value: _basic_scenario(
+            theorem="T3_EQUIV", repetitions=1, instance={"m": dict(_IDENTITY_MN["m"], **{key: value})}
+        ),
+    ),
+    "family": (
+        ser._FAMILY_FIELDS,
+        lambda key, value: _basic_scenario(
+            repetitions=1, instance={"family": dict(_inline_pair_instance()["family"], **{key: value})}
+        ),
+    ),
+    "weights": (
+        ser._WEIGHTS_FIELDS,
+        lambda key, value: _basic_scenario(
+            theorem="T7_SCALAR", repetitions=1, instance={"weights": dict(_WEIGHTS, **{key: value})}
+        ),
+    ),
+    "family_target": (
+        registry._TARGET_FIELDS,
+        lambda key, value: _basic_scenario(repetitions=1, instance={"family_target": {key: value}}),
+    ),
+    **{
+        theorem: (
+            THEOREMS[theorem][2],
+            lambda key, value, theorem=theorem: _basic_scenario(
+                theorem=theorem, repetitions=1, instance={key: value}
+            ),
+        )
+        for theorem in sorted(THEOREMS)
+    },
+}
+
+
+@pytest.mark.parametrize("table", list(_OBJECT_TABLES))
+def test_a_value_of_the_wrong_json_type_exits_2_and_names_the_field(tmp_path, capsys, table):
+    kinds, document = _OBJECT_TABLES[table]
+    for key, (_, valid, _) in kinds.items():
+        rejected = [value for value in _JSON_SAMPLES if not valid(value)]
+        assert rejected, key
+        for value in rejected:
+            path = _write(tmp_path, "bad.json", document(key, value))
+            assert main(["run", path]) == 2, (key, value)
+            err = capsys.readouterr().err
+            assert repr(key) in err and "Traceback" not in err, (key, value)

@@ -498,3 +498,20 @@ def test_coefficients_and_operators_over_another_algebra_raise_dimension_mismatc
             lambda_lower_check(family, other, identity_op(2, 2), bad, 0.5)
         with pytest.raises(DimensionMismatch, match="m_op must act"):
             tight_mn_check(_parseval(2), _parseval(3), bad, identity_op(2, 2))
+
+
+def test_predicted_bounds_are_checked_at_the_scale_of_the_bounds():
+    # Achieved bounds (1e-12, 2e-12) miss a predicted lower bound of 1.5e-12
+    # by a third of the upper bound, far beyond rel * upper.
+    bounds = gframes.frames.FrameBounds(1e-12, 2e-12, tight=False, parseval=False)
+    classification = gframes.frames.Classification(FrameKind.FRAME, bounds)
+    report = gframes.sums.theorem_report("T", classification, (), 1.5e-12, None, gframes.DEFAULT_TOL)
+    assert report.verdict is Verdict.CONCLUSION_FAILS
+    report = gframes.sums.theorem_report("T", classification, (), 1e-12, 2e-12, gframes.DEFAULT_TOL)
+    assert report.verdict is Verdict.CONCLUSION_HOLDS
+
+
+def test_a_tight_constant_is_matched_at_its_own_scale():
+    tight = gframes.frames.FrameBounds(1e-12, 1e-12, tight=True, parseval=False)
+    assert gframes.sums._tight_at(tight, 1e-12, gframes.DEFAULT_TOL)
+    assert not gframes.sums._tight_at(tight, 2e-12, gframes.DEFAULT_TOL)
