@@ -241,7 +241,7 @@ def render_csv(runs: list[RunReport]) -> str:
 
 def _list_theorems() -> str:
     width = max(len(name) for name in theorem_ids())
-    lines = [f"{name:<{width}}  {THEOREMS[name][1]}" for name in theorem_ids()]
+    lines = [f"{name:<{width}}  {THEOREMS[name].description}" for name in theorem_ids()]
     return "\n".join(lines) + "\n"
 
 

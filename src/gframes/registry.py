@@ -1,16 +1,18 @@
 """Theorem registry and instance construction.
 
-Maps theorem identifiers to builders that assemble a checkable instance
-(either generated from a seed or deserialized inline) and run the
-corresponding checker.  The same builders back both the scenario runner
-and the acceptance suites, so "hypothesis-satisfying generator" means
-one thing throughout the repository.
+Declares each theorem once: its checker and the instance fields it
+takes, the defaults of absent fields, and the generation steps that
+fill the rest from a seed.  One loop assembles every instance, inline
+values first, so the scenario runner and the acceptance suites share
+one meaning of "hypothesis-satisfying generator".
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,21 +119,6 @@ _FIELD_KINDS = {
 }
 
 
-def _schema(declared: str) -> tuple[dict[str, tuple], tuple[tuple[str, ...], ...]]:
-    """Kinds of the size fields and of the space-separated ``declared``
-    fields, and the groups of fields joined by ``+``, which must come
-    together; ``key=x|y`` restricts a field to the listed values."""
-    declared = f"algebra_dim module_len member_dims {declared}"
-    groups = tuple(tuple(t.split("+")) for t in declared.split() if "+" in t)
-    fields = {}
-    for token in declared.replace("+", " ").split():
-        key, _, options = token.partition("=")
-        choices = tuple(options.split("|"))
-        kind = (" or ".join(map(repr, choices)), choices.__contains__, str)
-        fields[key] = kind if options else _FIELD_KINDS[key]
-    return fields, groups
-
-
 def validate_instance(theorem: str, instance) -> MappingProxyType:
     """The decoded values of the instance's non-null fields, once every
     instance rule holds: each field is known to the theorem and
@@ -142,8 +129,8 @@ def validate_instance(theorem: str, instance) -> MappingProxyType:
     serve every repetition of a scenario."""
     if theorem not in THEOREMS:
         raise ValidationError(f"unknown theorem id {theorem!r}")
-    _, _, fields, groups, _ = THEOREMS[theorem]
-    cfg = decode_fields({} if instance is None else instance, fields, f"{theorem} instance")
+    spec = THEOREMS[theorem]
+    cfg = decode_fields({} if instance is None else instance, spec.fields, f"{theorem} instance")
     fixed = _fixed_sizes(cfg)
     sources = {size: (key, value) for key, size, value in reversed(fixed)}
     if "dims" in sources:
@@ -158,7 +145,7 @@ def validate_instance(theorem: str, instance) -> MappingProxyType:
             if source == key:
                 said = f"both {first} and {second}"
             raise ValidationError(f"instance field {key!r} gives {said}")
-    for group in groups:
+    for group in spec.groups:
         missing = [key for key in group if key not in cfg]
         if 0 < len(missing) < len(group):
             raise ValidationError(
@@ -240,13 +227,6 @@ def _sizes(
     return n, d, dims
 
 
-def _family(cfg, key, rng, n, d, dims, default_target) -> GFrameFamily:
-    if key in cfg:
-        return cfg[key]
-    target = cfg.get(f"{key}_target", default_target)
-    return gen_family(GenSpec(sub_seed(rng), n, d, dims, target))
-
-
 def _random_endo(rng, n, d, scale=1.0) -> AdjointableOp:
     return AdjointableOp(scale * complex_gaussian(rng, n * d, n * d), n)
 
@@ -274,93 +254,6 @@ def _bessel_partner(rng, family: GFrameFamily, target_upper: float) -> GFrameFam
     return scale_family(raw, math.sqrt(target_upper / current))
 
 
-# Each theorem: its builder, a description (the builder's docstring), its
-# declared instance schema, its groups of fields that come together and
-# the ``_sizes`` options it draws with.
-THEOREMS: dict[str, tuple] = {}
-
-
-def _theorem(theorem_id: str, fields: str, min_flat: int = 2, even_dims=False):
-    """Register a builder under ``theorem_id`` with the instance fields
-    it reads, declared as ``_schema`` parses them."""
-
-    def register(builder):
-        sizing = {"min_flat": min_flat, "even_dims": even_dims}
-        THEOREMS[theorem_id] = (builder, builder.__doc__, *_schema(fields), sizing)
-        return builder
-
-    return register
-
-
-# Builders.  Each receives the validated instance config, the seed, its
-# generator with the sizes already drawn, and a tolerance, assembles
-# inputs (inline values win over generation), and runs the checker.
-# Generated instances satisfy the theorem hypotheses by construction so
-# that seeded suites exercise the asserted branch.
-
-
-@_theorem("CLASSIFY", "family family_target", min_flat=1)
-def _build_classify(cfg, seed, rng, n, d, dims, tol):
-    """classify a family and report its optimal bounds"""
-    family = _family(cfg, "family", rng, n, d, dims, FamilyTarget.parseval())
-    # Classifying asserts no claim, so every family concludes.
-    return theorem_report(
-        "CLASSIFY", classify(family, tol), (), None, None, tol, conclusion=True
-    )
-
-
-@_theorem(
-    "PERTURB_LAMBDA",
-    "family family_target lambda lambda_kind=expansive|scalar|zero",
-)
-def _build_perturb_lambda(cfg, seed, rng, n, d, dims, tol):
-    """members composed with (I + L) under the conjugation-dominance hypothesis"""
-    kind = cfg.get("lambda_kind", "expansive" if seed % 2 == 0 else "scalar")
-    if kind == "expansive":
-        target = FamilyTarget.parseval()
-    else:
-        target = FamilyTarget.bounds(0.5, 2.0)
-    family = _family(cfg, "family", rng, n, d, dims, target)
-    if "lambda" in cfg:
-        lam = cfg["lambda"]
-    elif kind == "expansive":
-        stretch = rng.uniform(1.05, 1.8, n * d)
-        left, right = haar_unitaries(rng, 2, n * d)
-        expansive = (left * stretch) @ right
-        lam = AdjointableOp(expansive - np.eye(n * d), n)
-    elif kind == "scalar":
-        lam = float(rng.uniform(0.0, 1.0)) * identity_op(n, d)
-    else:
-        lam = zero_op(n, d, d)
-    _, report = perturb_lambda(family, lam, tol)
-    return report
-
-
-@_theorem(
-    "T3_EQUIV",
-    "family family_target second_family second_family_target m n",
-    min_flat=1,
-)
-def _build_t3_equiv(cfg, seed, rng, n, d, dims, tol):
-    """three-way equivalence for members P.M + Q.N"""
-    family = _family(cfg, "family", rng, n, d, dims, FamilyTarget.random())
-    other = _family(cfg, "second_family", rng, n, d, dims, FamilyTarget.random())
-    if "m" in cfg:
-        m_op = cfg["m"]
-    elif seed % 7 == 0:
-        m_op = identity_op(n, d)
-    else:
-        m_op = _random_endo(rng, n, d)
-    if "n" in cfg:
-        n_op = cfg["n"]
-    elif seed % 5 == 0:
-        n_op = zero_op(n, d, d)
-    else:
-        n_op = _random_endo(rng, n, d)
-    _, report = op_weighted_sum(family, other, m_op, n_op, tol)
-    return report
-
-
 def _positive_mixed_pair(rng, n, d, dims, orthogonal, ranges=((0.2, 1.5), (0.3, 1.3))):
     """A pair with positive mixed operator: on complementary columns (zero
     mixed operator), or a scaled copy.  The second family's squared scale
@@ -377,58 +270,6 @@ def _positive_mixed_pair(rng, n, d, dims, orthogonal, ranges=((0.2, 1.5), (0.3, 
     return family, other
 
 
-@_theorem("T3_COROLLARY", "family+second_family mode=scaled|orthogonal")
-def _build_t3_corollary(cfg, seed, rng, n, d, dims, tol):
-    """plain member sums with positive mixed operator"""
-    if "family" in cfg:
-        return t3_corollary_check(cfg["family"], cfg["second_family"], tol)
-    mode = cfg.get("mode", "scaled" if seed % 2 == 0 else "orthogonal")
-    family, other = _positive_mixed_pair(rng, n, d, dims, mode == "orthogonal")
-    return t3_corollary_check(family, other, tol)
-
-
-@_theorem(
-    "T7_SCALAR",
-    "family family_target second_family weights weight_band bessel_ratio",
-)
-def _build_t7_scalar(cfg, seed, rng, n, d, dims, tol):
-    """coefficient-weighted sums with a dominated Bessel term"""
-    band = cfg.get("weight_band", (0.8, 1.25))
-    family = _family(cfg, "family", rng, n, d, dims, FamilyTarget.bounds(1.0, 2.5))
-    if "weights" in cfg:
-        weights = cfg["weights"]
-    else:
-        weights = _gen_weights(rng, n, family.size, band)
-    if "second_family" in cfg:
-        other = cfg["second_family"]
-    else:
-        # Hypothesis headroom: weighted Bessel term at 40% of the
-        # weighted frame term.
-        ratio = cfg.get("bessel_ratio", 0.4)
-        lower_f = optimal_bounds(family).lower
-        target = ratio * weights.band_lower * lower_f / weights.band_upper
-        other = _bessel_partner(rng, family, target)
-    _, report = scalar_weighted_sum(family, other, weights, tol)
-    return report
-
-
-@_theorem(
-    "T11_POSITIVE",
-    "family+second_family+weights weight_band mode=orthogonal|same",
-)
-def _build_t11(cfg, seed, rng, n, d, dims, tol):
-    """coefficient-weighted sums of two frames with positive mixed operator"""
-    band = cfg.get("weight_band", (0.7, 1.4))
-    if "family" in cfg:
-        return t11_check(cfg["family"], cfg["second_family"], cfg["weights"], tol)
-    mode = cfg.get("mode", "orthogonal" if seed % 2 == 0 else "same")
-    orthogonal = mode == "orthogonal"
-    ranges = ((0.8, 2.0), (0.3, 1.2))
-    family, other = _positive_mixed_pair(rng, n, d, dims, orthogonal, ranges)
-    weights = _gen_weights(rng, n, family.size, band, shared=not orthogonal)
-    return t11_check(family, other, weights, tol)
-
-
 def _orthogonal_pair(rng, n, d, dims) -> tuple[GFrameFamily, GFrameFamily]:
     """Two Parseval families on complementary columns (zero mixed operator),
     with member dims evened so that the column halves can span the module."""
@@ -440,175 +281,317 @@ def _orthogonal_pair(rng, n, d, dims) -> tuple[GFrameFamily, GFrameFamily]:
     )
 
 
-def _tight_pair(cfg, rng, n, d, dims):
-    """The inline pair, or an orthogonal pair with tight constants alpha1, alpha2."""
-    if "family" in cfg:
-        return cfg["family"], cfg["second_family"]
+# Generation steps.  Each receives the instance values so far (inline,
+# declared default or generated by an earlier step), the seed, its
+# generator and the sizes, and returns the value of its field, or one
+# value per field of its ``+`` group.  Generated instances satisfy the
+# theorem hypotheses by construction so that seeded suites exercise the
+# asserted branch.
+
+
+def _drawn(key: str):
+    """The step that draws a family to the target in ``{key}_target``."""
+
+    def step(v, seed, rng, n, d, dims):
+        return gen_family(GenSpec(sub_seed(rng), n, d, dims, v[f"{key}_target"]))
+
+    return step
+
+
+def _perturb_target(v, *_) -> FamilyTarget:
+    """An expansive lambda perturbs a Parseval family, the others a frame."""
+    if v["lambda_kind"] == "expansive":
+        return FamilyTarget.parseval()
+    return FamilyTarget.bounds(0.5, 2.0)
+
+
+def _lambda_op(v, seed, rng, n, d, dims) -> AdjointableOp:
+    """L with I + L expansive, a scalar multiple of I, or zero."""
+    kind = v["lambda_kind"]
+    if kind == "expansive":
+        stretch = rng.uniform(1.05, 1.8, n * d)
+        left, right = haar_unitaries(rng, 2, n * d)
+        expansive = (left * stretch) @ right
+        return AdjointableOp(expansive - np.eye(n * d), n)
+    if kind == "scalar":
+        return float(rng.uniform(0.0, 1.0)) * identity_op(n, d)
+    return zero_op(n, d, d)
+
+
+# Every seventh seed takes M = I and every fifth N = 0.
+def _t3_m(v, seed, rng, n, d, dims) -> AdjointableOp:
+    return identity_op(n, d) if seed % 7 == 0 else _random_endo(rng, n, d)
+
+
+def _t3_n(v, seed, rng, n, d, dims) -> AdjointableOp:
+    return zero_op(n, d, d) if seed % 5 == 0 else _random_endo(rng, n, d)
+
+
+def _mixed_pair(v, seed, rng, n, d, dims):
+    return _positive_mixed_pair(rng, n, d, dims, v["mode"] == "orthogonal")
+
+
+def _weights(v, seed, rng, n, d, dims) -> ScalarWeights:
+    return _gen_weights(rng, n, v["family"].size, v["weight_band"])
+
+
+def _dominated_partner(v, seed, rng, n, d, dims) -> GFrameFamily:
+    """Hypothesis headroom: the weighted Bessel term at ``bessel_ratio`` of
+    the weighted frame term."""
+    weights, lower_f = v["weights"], optimal_bounds(v["family"]).lower
+    target = v["bessel_ratio"] * weights.band_lower * lower_f / weights.band_upper
+    return _bessel_partner(rng, v["family"], target)
+
+
+def _t11_inputs(v, seed, rng, n, d, dims) -> tuple:
+    orthogonal = v["mode"] == "orthogonal"
+    ranges = ((0.8, 2.0), (0.3, 1.2))
+    family, other = _positive_mixed_pair(rng, n, d, dims, orthogonal, ranges)
+    weights = _gen_weights(rng, n, family.size, v["weight_band"], shared=not orthogonal)
+    return family, other, weights
+
+
+def _tight_pair(v, seed, rng, n, d, dims) -> tuple:
+    """An orthogonal pair with tight constants alpha1, alpha2."""
     first, second = _orthogonal_pair(rng, n, d, dims)
     return (
-        scale_family(first, math.sqrt(cfg.get("alpha1", 1.0))),
-        scale_family(second, math.sqrt(cfg.get("alpha2", 1.0))),
+        scale_family(first, math.sqrt(v["alpha1"])),
+        scale_family(second, math.sqrt(v["alpha2"])),
     )
 
 
-@_theorem("TIGHT_SUM", "family+second_family alpha1 alpha2", min_flat=1, even_dims=True)
-def _build_tight_sum(cfg, seed, rng, n, d, dims, tol):
-    """sum of two tight families with vanishing mixed operator"""
-    family, other = _tight_pair(cfg, rng, n, d, dims)
-    return tight_sum_check(family, other, tol)
+def _isometry(v, seed, rng, n, d, dims) -> AdjointableOp:
+    return gen_isometry(sub_seed(rng), n, d)
 
 
-@_theorem("ISOMETRY_SUM", "family+second_family lambda mode=scaled|orthogonal")
-def _build_isometry_sum(cfg, seed, rng, n, d, dims, tol):
-    """member sums composed with an isometry"""
-    if "family" in cfg:
-        family, other = cfg["family"], cfg["second_family"]
-    else:
-        mode = cfg.get("mode", "scaled" if seed % 2 == 0 else "orthogonal")
-        family, other = _positive_mixed_pair(rng, n, d, dims, mode == "orthogonal")
-    if "lambda" in cfg:
-        lam = cfg["lambda"]
-    else:
-        lam = gen_isometry(sub_seed(rng), n, d)
-    return isometry_sum_check(family, other, lam, tol)
+def _bessel_upper_partner(v, seed, rng, n, d, dims) -> GFrameFamily:
+    return _bessel_partner(rng, v["family"], v["bessel_upper"])
 
 
-@_theorem(
-    "LAMBDA_LOWER",
-    "family family_target second_family bessel_upper m+n+lambda_bound",
-)
-def _build_lambda_lower(cfg, seed, rng, n, d, dims, tol):
-    """members P.M + Q.N with N bounded below"""
-    family = _family(cfg, "family", rng, n, d, dims, FamilyTarget.bounds(1.0, 2.0))
-    if "second_family" in cfg:
-        other = cfg["second_family"]
-    else:
-        other = _bessel_partner(rng, family, cfg.get("bessel_upper", 0.2))
-    if "m" in cfg:
-        m_op, n_op, lam_bound = cfg["m"], cfg["n"], cfg["lambda_bound"]
-    else:
-        svals = rng.uniform(0.6, 0.9, n * d)
-        left, right, m_basis = haar_unitaries(rng, 3, n * d)
-        n_op = AdjointableOp((left * svals) @ right, n)
-        lam_bound = 0.9 * float(svals.min())
-        m_op = AdjointableOp(1.05 * float(svals.max()) * m_basis, n)
-    return lambda_lower_check(family, other, m_op, n_op, lam_bound, tol)
+def _bounded_below(v, seed, rng, n, d, dims) -> tuple:
+    """N with singular values in [0.6, 0.9], a lower bound for it, and M
+    with norm above N's."""
+    svals = rng.uniform(0.6, 0.9, n * d)
+    left, right, m_basis = haar_unitaries(rng, 3, n * d)
+    n_op = AdjointableOp((left * svals) @ right, n)
+    m_op = AdjointableOp(1.05 * float(svals.max()) * m_basis, n)
+    return m_op, n_op, 0.9 * float(svals.min())
 
 
-@_theorem(
-    "TIGHT_MN",
-    "family+second_family alpha1 alpha2 m+n mode=scalar|violating",
-    min_flat=1,
-    even_dims=True,
-)
-def _build_tight_mn(cfg, seed, rng, n, d, dims, tol):
-    """tightness characterization for members P.M + Q.N"""
-    family, other = _tight_pair(cfg, rng, n, d, dims)
-    if "m" in cfg:
-        m_op, n_op = cfg["m"], cfg["n"]
-    else:
-        mode = cfg.get("mode", "scalar" if seed % 2 == 0 else "violating")
-        if mode == "scalar":
-            s = float(rng.uniform(0.3, 1.2))
-            t = float(rng.uniform(0.3, 1.2))
-            m_basis, n_basis = haar_unitaries(rng, 2, n * d)
-            m_op = AdjointableOp(s * m_basis, n)
-            n_op = AdjointableOp(t * n_basis, n)
-        else:
-            # Distinct Hermitian spectrum: the identity-multiple
-            # condition fails and the sum must measure non-tight.
-            basis = haar_unitary(rng, n * d)
-            spread = np.linspace(0.5, 1.5, n * d) if n * d > 1 else np.array([1.0])
-            m_flat = (basis * spread) @ basis.conj().T
-            m_op = AdjointableOp(m_flat, n)
-            n_op = AdjointableOp(
-                float(rng.uniform(0.4, 1.1)) * haar_unitary(rng, n * d), n
-            )
-            if n * d == 1:
-                # Degenerate size: every operator is a scalar, so fall
-                # back to the consistent tight branch.
-                m_op = AdjointableOp(np.array([[0.7 + 0j]]), n)
-    return tight_mn_check(family, other, m_op, n_op, tol)
+def _tight_mn_ops(v, seed, rng, n, d, dims) -> tuple:
+    if v["mode"] == "scalar":
+        s = float(rng.uniform(0.3, 1.2))
+        t = float(rng.uniform(0.3, 1.2))
+        m_basis, n_basis = haar_unitaries(rng, 2, n * d)
+        return AdjointableOp(s * m_basis, n), AdjointableOp(t * n_basis, n)
+    # Distinct Hermitian spectrum: the identity-multiple condition fails
+    # and the sum must measure non-tight.
+    basis = haar_unitary(rng, n * d)
+    spread = np.linspace(0.5, 1.5, n * d) if n * d > 1 else np.array([1.0])
+    m_flat = (basis * spread) @ basis.conj().T
+    m_op = AdjointableOp(m_flat, n)
+    n_op = AdjointableOp(float(rng.uniform(0.4, 1.1)) * haar_unitary(rng, n * d), n)
+    if n * d == 1:
+        # Degenerate size: every operator is a scalar, so fall back to
+        # the consistent tight branch.
+        m_op = AdjointableOp(np.array([[0.7 + 0j]]), n)
+    return m_op, n_op
 
 
-def _perturbation_args(cfg, rng, n, d, dims, perturb, shared) -> tuple:
-    """Checker arguments of the weighted perturbation theorems: the inline
-    family, second family and weights, or a generated frame, its
-    ``perturb``-ed copy and drawn weights; then alpha1 and alpha2."""
-    alphas = (cfg.get("alpha1", 0.5), cfg.get("alpha2", 0.5))
-    if "family" in cfg:
-        return (cfg["family"], cfg["second_family"], cfg["weights"], *alphas)
-    family = gen_family(
-        GenSpec(sub_seed(rng), n, d, dims, FamilyTarget.bounds(1.0, 2.0))
-    )
-    other = perturb(family)
-    band = cfg.get("weight_band", (0.9, 1.1))
-    return (family, other, _gen_weights(rng, n, family.size, band, shared), *alphas)
-
-
-@_theorem("PROP_MIXED", "family+second_family+weights alpha1 alpha2 weight_band")
-def _build_prop_mixed(cfg, seed, rng, n, d, dims, tol):
-    """norm-difference perturbation implies the second family is a frame"""
-
-    def rescaled(family):
-        return scale_family(family, float(rng.uniform(0.95, 1.05)))
-
-    args = _perturbation_args(cfg, rng, n, d, dims, rescaled, shared=False)
-    return prop_mixed_check(*args, tol)
-
-
-@_theorem("THM_DIFFERENCE", "family+second_family+weights alpha1 alpha2 weight_band")
-def _build_difference(cfg, seed, rng, n, d, dims, tol):
-    """quadratic-difference perturbation implies the second family is a frame"""
-
-    def shrunk(family):
+def _perturbed(v, seed, rng, n, d, dims, shrunk=False) -> tuple:
+    """A drawn frame, a copy rescaled or with shrunk columns, and weights
+    inside ``weight_band``, whose thetas serve as deltas for shrunk copies."""
+    family = gen_family(GenSpec(sub_seed(rng), n, d, dims, FamilyTarget.bounds(1.0, 2.0)))
+    if shrunk:
         shrink = rng.uniform(0.0, 0.02, family.size)
         columns = np.repeat(1.0 - shrink, n * np.array(family.member_dims))
-        return GFrameFamily(
-            AdjointableOp(family.analysis.flat * columns, n), family.member_dims
-        )
+        flat = family.analysis.flat * columns
+        other = GFrameFamily(AdjointableOp(flat, n), family.member_dims)
+    else:
+        other = scale_family(family, float(rng.uniform(0.95, 1.05)))
+    return family, other, _gen_weights(rng, n, family.size, v["weight_band"], shrunk)
 
-    args = _perturbation_args(cfg, rng, n, d, dims, shrunk, shared=True)
-    return difference_check(*args, tol)
+
+def _budget_deltas(v, seed, rng, n, d, dims) -> list:
+    """The inline second family's operators, else each member's Gram
+    operator plus a positive bump, the bumps' norms summing to the
+    ``budget_fraction`` of the C/D budget."""
+    if "second_family" in v:
+        return operators_from_family(v["second_family"])
+    family = v["family"]
+    bounds = optimal_bounds(family)
+    # numpy floats, so that an overflow reaches the runner's errstate guard.
+    budget = np.float64(v["budget_fraction"]) * bounds.lower / max(bounds.upper, 1e-12)
+    raws = [complex_gaussian(rng, n * d, n * d) for _ in range(family.size)]
+    bumps = [r @ r.conj().T for r in raws]
+    total = sum(spectral_norm(np.stack(bumps)).tolist())
+    return [
+        AdjointableOp(gram + (budget / max(total, 1e-12)) * b, n)
+        for gram, b in zip(member_grams(family), bumps)
+    ]
 
 
-@_theorem(
-    "T12_OPERATOR",
-    "family family_target second_family delta_ops budget_fraction",
+def _near_copy(v, seed, rng, n, d, dims) -> GFrameFamily:
+    return scale_family(v["family"], 1.0 - float(rng.uniform(0.01, 0.1)))
+
+
+def _classify(family: GFrameFamily, tol: Tolerance):
+    """``classify`` as a report: classifying asserts no claim, so every
+    family concludes."""
+    return theorem_report(
+        "CLASSIFY", classify(family, tol), (), None, None, tol, conclusion=True
+    )
+
+
+class Theorem(NamedTuple):
+    """One registered theorem.  ``checker`` names the checker's binding
+    in this module, looked up per call so that it can be rebound;
+    ``inputs`` are the instance fields it takes, in order, before the
+    tolerance.  ``fields`` and ``groups`` are the instance schema that
+    ``validate_instance`` enforces, ``sizing`` the ``_sizes`` options,
+    ``defaults`` the values of absent fields that no step fills, and
+    ``steps`` the (fields, step) pairs in draw order."""
+
+    checker: str
+    description: str
+    fields: dict
+    groups: tuple
+    sizing: dict
+    inputs: tuple
+    defaults: dict
+    steps: tuple
+
+
+THEOREMS: dict[str, Theorem] = {}
+
+
+def _theorem(
+    theorem_id: str,
+    description: str,
+    check: str,
+    steps: dict,
+    defaults: dict | None = None,
+    also: str = "",
+    min_flat: int = 2,
+    even_dims: bool = False,
+) -> None:
+    """Register a theorem.  ``check`` is the checker's name, then its
+    input fields.  Its instance fields are the size fields, those of
+    ``steps`` (a field, or a ``+`` group of fields that come together),
+    of ``defaults``, and of ``also``: fields read only inline, and
+    ``key=x|y`` fields restricted to the listed values, which when absent
+    take the first value at even seeds and the second at odd ones."""
+    defaults = defaults or {}
+    fields = {key: _FIELD_KINDS[key] for key in _SIZE_FIELDS}
+    choices = {}
+    for token in also.split():
+        key, _, options = token.partition("=")
+        if not options:
+            fields[key] = _FIELD_KINDS[key]
+            continue
+        listed = tuple(options.split("|"))
+        fields[key] = (" or ".join(map(repr, listed)), listed.__contains__, str)
+        choices[key] = lambda v, seed, *_, listed=listed: listed[seed % 2]
+    for token in (*steps, *defaults):
+        fields.update((key, _FIELD_KINDS[key]) for key in token.split("+"))
+    checker, *inputs = check.split()
+    THEOREMS[theorem_id] = Theorem(
+        checker,
+        description,
+        fields,
+        tuple(tuple(token.split("+")) for token in steps if "+" in token),
+        {"min_flat": min_flat, "even_dims": even_dims},
+        tuple(inputs),
+        defaults,
+        tuple((tuple(token.split("+")), step) for token, step in {**choices, **steps}.items()),
+    )
+
+
+_theorem(
+    "CLASSIFY", "classify a family and report its optimal bounds", "_classify family",
+    {"family": _drawn("family")}, {"family_target": FamilyTarget.parseval()}, min_flat=1,
 )
-def _build_t12(cfg, seed, rng, n, d, dims, tol):
-    """frame-operator perturbation within the C/D budget"""
-    family = _family(cfg, "family", rng, n, d, dims, FamilyTarget.bounds(1.0, 2.0))
-    if "delta_ops" in cfg:
-        delta_ops = cfg["delta_ops"]
-    elif "second_family" in cfg:
-        delta_ops = operators_from_family(cfg["second_family"])
-    else:
-        margin = cfg.get("budget_fraction", 0.5)
-        bounds = optimal_bounds(family)
-        # numpy floats, so that an overflow reaches the runner's errstate guard.
-        budget = np.float64(margin) * bounds.lower / max(bounds.upper, 1e-12)
-        raws = [complex_gaussian(rng, n * d, n * d) for _ in range(family.size)]
-        bumps = [r @ r.conj().T for r in raws]
-        total = sum(spectral_norm(np.stack(bumps)).tolist())
-        delta_ops = [
-            AdjointableOp(gram + (budget / max(total, 1e-12)) * b, n)
-            for gram, b in zip(member_grams(family), bumps)
-        ]
-    return t12_check(family, delta_ops, tol)
-
-
-@_theorem("FINAL_COROLLARY", "family family_target second_family alpha")
-def _build_final_corollary(cfg, seed, rng, n, d, dims, tol):
-    """frame-operator proximity below the lower bound"""
-    alpha = cfg.get("alpha", 0.5)
-    family = _family(cfg, "family", rng, n, d, dims, FamilyTarget.bounds(1.0, 2.0))
-    if "second_family" in cfg:
-        other = cfg["second_family"]
-    else:
-        eps = float(rng.uniform(0.01, 0.1))
-        other = scale_family(family, 1.0 - eps)
-    return final_corollary_check(family, other, alpha, tol)
+_theorem(
+    "PERTURB_LAMBDA",
+    "members composed with (I + L) under the conjugation-dominance hypothesis",
+    "perturb_lambda family lambda",
+    {"family_target": _perturb_target, "family": _drawn("family"), "lambda": _lambda_op},
+    also="lambda_kind=expansive|scalar|zero",
+)
+_theorem(
+    "T3_EQUIV", "three-way equivalence for members P.M + Q.N",
+    "op_weighted_sum family second_family m n",
+    {"family": _drawn("family"), "second_family": _drawn("second_family"), "m": _t3_m, "n": _t3_n},
+    {"family_target": FamilyTarget.random(), "second_family_target": FamilyTarget.random()},
+    min_flat=1,
+)
+_theorem(
+    "T3_COROLLARY", "plain member sums with positive mixed operator",
+    "t3_corollary_check family second_family",
+    {"family+second_family": _mixed_pair}, also="mode=scaled|orthogonal",
+)
+_theorem(
+    "T7_SCALAR", "coefficient-weighted sums with a dominated Bessel term",
+    "scalar_weighted_sum family second_family weights",
+    {"family": _drawn("family"), "weights": _weights, "second_family": _dominated_partner},
+    {"family_target": FamilyTarget.bounds(1.0, 2.5), "weight_band": (0.8, 1.25),
+     "bessel_ratio": 0.4},
+)
+_theorem(
+    "T11_POSITIVE", "coefficient-weighted sums of two frames with positive mixed operator",
+    "t11_check family second_family weights",
+    {"family+second_family+weights": _t11_inputs}, {"weight_band": (0.7, 1.4)},
+    also="mode=orthogonal|same",
+)
+_theorem(
+    "TIGHT_SUM", "sum of two tight families with vanishing mixed operator",
+    "tight_sum_check family second_family",
+    {"family+second_family": _tight_pair}, {"alpha1": 1.0, "alpha2": 1.0},
+    min_flat=1, even_dims=True,
+)
+_theorem(
+    "ISOMETRY_SUM", "member sums composed with an isometry",
+    "isometry_sum_check family second_family lambda",
+    {"family+second_family": _mixed_pair, "lambda": _isometry}, also="mode=scaled|orthogonal",
+)
+_theorem(
+    "LAMBDA_LOWER", "members P.M + Q.N with N bounded below",
+    "lambda_lower_check family second_family m n lambda_bound",
+    {"family": _drawn("family"), "second_family": _bessel_upper_partner,
+     "m+n+lambda_bound": _bounded_below},
+    {"family_target": FamilyTarget.bounds(1.0, 2.0), "bessel_upper": 0.2},
+)
+_theorem(
+    "TIGHT_MN", "tightness characterization for members P.M + Q.N",
+    "tight_mn_check family second_family m n",
+    {"family+second_family": _tight_pair, "m+n": _tight_mn_ops}, {"alpha1": 1.0, "alpha2": 1.0},
+    also="mode=scalar|violating", min_flat=1, even_dims=True,
+)
+_theorem(
+    "PROP_MIXED", "norm-difference perturbation implies the second family is a frame",
+    "prop_mixed_check family second_family weights alpha1 alpha2",
+    {"family+second_family+weights": _perturbed},
+    {"alpha1": 0.5, "alpha2": 0.5, "weight_band": (0.9, 1.1)},
+)
+_theorem(
+    "THM_DIFFERENCE", "quadratic-difference perturbation implies the second family is a frame",
+    "difference_check family second_family weights alpha1 alpha2",
+    {"family+second_family+weights": partial(_perturbed, shrunk=True)},
+    {"alpha1": 0.5, "alpha2": 0.5, "weight_band": (0.9, 1.1)},
+)
+_theorem(
+    "T12_OPERATOR", "frame-operator perturbation within the C/D budget",
+    "t12_check family delta_ops",
+    {"family": _drawn("family"), "delta_ops": _budget_deltas},
+    {"family_target": FamilyTarget.bounds(1.0, 2.0), "budget_fraction": 0.5},
+    also="second_family",
+)
+_theorem(
+    "FINAL_COROLLARY", "frame-operator proximity below the lower bound",
+    "final_corollary_check family second_family alpha",
+    {"family": _drawn("family"), "second_family": _near_copy},
+    {"family_target": FamilyTarget.bounds(1.0, 2.0), "alpha": 0.5},
+)
 
 
 def theorem_ids() -> list[str]:
@@ -637,15 +620,24 @@ class _LazyRng:
 
 def run_decoded(theorem: str, cfg, seed: int, tol: Tolerance = DEFAULT_TOL):
     """Assemble the instance for one repetition from a config that
-    ``validate_instance`` returned, and run its checker.  Sizes that a
-    generator cannot use are blamed on the fields that fixed them, and an
-    overflow in the checker's products on the inline arrays, if any."""
-    builder, _, _, _, sizing = THEOREMS[theorem]
-    rng = _LazyRng(int(seed))
-    sizes = _sizes(cfg, rng, **sizing)
+    ``validate_instance`` returned, and run its checker.  Each value is
+    the inline one, else the declared default, else generated by the
+    step that fills it.  Sizes that a generator cannot use are blamed on
+    the fields that fixed them, and an overflow in the checker's products
+    on the inline arrays, if any."""
+    spec, seed = THEOREMS[theorem], int(seed)
+    rng = _LazyRng(seed)
+    sizes = _sizes(cfg, rng, **spec.sizing)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return builder(cfg, int(seed), rng, *sizes, tol)
+            v = {**spec.defaults, **cfg}
+            for keys, step in spec.steps:
+                if keys[0] not in v:
+                    drawn = step(v, seed, rng, *sizes)
+                    v.update(zip(keys, drawn) if len(keys) > 1 else {keys[0]: drawn})
+            result = globals()[spec.checker](*(v[key] for key in spec.inputs), tol)
+        # Three checkers return (family, report).
+        return result[1] if isinstance(result, tuple) else result
     except FloatingPointError as exc:
         # Blame the inline arrays, else the scalar fields that scale them.
         named = [key for key in _ARRAY_FIELDS if key in cfg]
