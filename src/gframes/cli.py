@@ -133,8 +133,9 @@ def load_scenarios(path: str) -> list[Scenario]:
         raise ValidationError(
             f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"
         ) from exc
-    except ValueError as exc:
-        # Bytes that are not UTF-8, or an integer past Python's digit limit.
+    except (ValueError, RecursionError) as exc:
+        # Bytes that are not UTF-8, an integer past Python's digit limit,
+        # or arrays and objects nested past the decoder's recursion limit.
         raise ValidationError(f"{path}: {exc}") from exc
     items = data if isinstance(data, list) else [data]
     return [parse_scenario(item, path) for item in items]
@@ -298,8 +299,12 @@ def main(argv=None) -> int:
     else:
         text = render_json(runs, with_timing=not args.no_timestamp)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.report, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: {args.report}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
 

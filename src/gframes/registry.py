@@ -32,6 +32,7 @@ from .generators import (
 )
 from .hilbert import AdjointableOp, identity_op, zero_op
 from .serialize import BAND, decode_fields, is_int, is_pair, is_positive_number
+# The checkers are bound here and looked up by name per call: ``Theorem.checker``.
 from .sums import (
     ScalarWeights,
     isometry_sum_check,

@@ -140,8 +140,10 @@ def test_serialization_roundtrip():
     [
         b'{"schema": 1, "theorem": "CLASSIFY", "seed": ' + b"1" * 5000 + b"}",
         b'{"schema": 1, "theorem": "CLASSIFY", "name": "\xff"}',
+        b'{"schema": 1, "theorem": "CLASSIFY", "instance": {"family": '
+        + b"[" * 100_000 + b"]" * 100_000 + b"}}",
     ],
-    ids=["integer-past-digit-limit", "not-utf8"],
+    ids=["integer-past-digit-limit", "not-utf8", "nested-past-recursion-limit"],
 )
 def test_unreadable_scenario_file_exits_2(tmp_path, capsys, text):
     path = tmp_path / "unreadable.json"
@@ -1126,3 +1128,12 @@ def test_a_value_of_the_wrong_json_type_exits_2_and_names_the_field(tmp_path, ca
             assert main(["run", path]) == 2, (key, value)
             err = capsys.readouterr().err
             assert repr(key) in err and "Traceback" not in err, (key, value)
+
+
+@pytest.mark.parametrize("where", ["directory", "missing_directory"])
+def test_a_report_path_that_cannot_be_written_exits_2(tmp_path, capsys, where):
+    report = tmp_path if where == "directory" else tmp_path / "missing" / "out.json"
+    scenario = str(SCENARIO_DIR / "tight_sum.json")
+    assert main(["run", scenario, "--no-timestamp", "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {report}: ") and "Traceback" not in err
