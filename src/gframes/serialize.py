@@ -197,14 +197,9 @@ OPERATORS = ("a nonempty list of operator objects", lambda v: _is_list(v) and v,
 WEIGHTS = ("a weights object", _is_object, lambda v: weights_from_json(v))
 
 
-# What a report writes between "theorem"/"verdict" and the sorted
-# "details"; a report without a result kind is a perturbation report.
-_SUM_KEYS = (
+# What a report writes between "theorem"/"verdict" and the sorted "details".
+_REPORT_KEYS = (
     "hypothesis_checks", "predicted_lower", "predicted_upper", "achieved", "result_kind"
-)
-_PERTURBATION_KEYS = (
-    "alphas", "measured_lhs", "allowed_rhs", "claimed_bounds", "achieved",
-    "bound_discrepancy_note",
 )
 
 
@@ -233,8 +228,7 @@ def _to_json(value):
 def report_to_json(report: TheoremReport) -> dict:
     """A report as a plain JSON-ready dict."""
     data = {"theorem": report.theorem_id, "verdict": report.verdict.value}
-    keys = _PERTURBATION_KEYS if report.result_kind is None else _SUM_KEYS
-    for key in keys:
+    for key in _REPORT_KEYS:
         data[key] = _to_json(getattr(report, key))
     data["details"] = {k: _to_json(report.details[k]) for k in sorted(report.details)}
     return data

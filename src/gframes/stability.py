@@ -3,8 +3,9 @@
 Hypotheses stated "for all x" are decided exactly through a spectral
 reformulation: an operator inequality, or the least eigenvalue of a
 Hermitian-definite pencil, whose eigenvector gives a witness vector.
-Numeric bound formulas quoted from the source derivations are recorded
-for comparison but never asserted; the verdict concerns only the
+Each hypothesis is one check.  Numeric bound formulas quoted from the
+source derivations are recorded in ``details`` as ``claimed_lower`` and
+``claimed_upper`` but never asserted; the verdict concerns only the
 qualitative conclusion (the perturbed family classifies as a frame).
 """
 
@@ -31,7 +32,15 @@ from .frames import (
     spectrum_bounds,
 )
 from .hilbert import AdjointableOp, _op
-from .sums import ScalarWeights, TheoremReport, _verdict, weighted_pair
+from .sums import (
+    CheckItem,
+    ScalarWeights,
+    TheoremReport,
+    _frame_check,
+    _verdict,
+    check,
+    weighted_pair,
+)
 
 
 class StabilityId(str, Enum):
@@ -42,15 +51,17 @@ class StabilityId(str, Enum):
 
 
 def _frame_conclusion_report(
-    other: GFrameFamily, hypotheses_hold: bool, tol: Tolerance, **fields
+    theorem: StabilityId, other: GFrameFamily, checks: tuple, tol: Tolerance, details: dict
 ) -> TheoremReport:
     """Shared tail of the family-based checks: the claim is that the
     perturbed family classifies as a frame; its bounds are the achieved ones."""
     cls = classify(other, tol)
     return TheoremReport(
+        theorem_id=theorem.value,
         achieved=cls.bounds,
-        verdict=_verdict(hypotheses_hold, cls.kind is not FrameKind.BESSEL_ONLY),
-        **fields,
+        verdict=_verdict(checks, cls.kind is not FrameKind.BESSEL_ONLY),
+        hypothesis_checks=checks,
+        details=details,
     )
 
 
@@ -77,13 +88,6 @@ def _weighted_preamble(
     return left, right, frame_operator(left).flat, frame_operator(right).flat
 
 
-_NOTE_RECORDED_ONLY = (
-    "claimed constants recorded from the source derivation; direction and"
-    " coefficients there are inconsistent, so only the qualitative frame"
-    " conclusion is asserted"
-)
-
-
 def prop_mixed_check(
     family: GFrameFamily,
     other: GFrameFamily,
@@ -108,8 +112,10 @@ def prop_mixed_check(
     """
     _, _, s_left, s_right = _weighted_preamble(family, other, weights, alpha1, alpha2)
     left_eigs, left_vecs = np.linalg.eigh(hermitian_part(s_left))
-    whitened = bool(left_eigs[0] > tol.rel * left_eigs[-1])
-    if whitened:
+    whitened = check(
+        "first_weighted_is_frame", float(left_eigs[0]), ">", tol.rel * float(left_eigs[-1])
+    )
+    if whitened.passed:
         whitener = (left_vecs / np.sqrt(left_eigs)) @ left_vecs.conj().T
         pencil = hermitian_part(whitener @ s_right @ whitener)
         pencil_eigs, pencil_vecs = np.linalg.eigh(pencil)
@@ -122,42 +128,28 @@ def prop_mixed_check(
     a, b = (
         max(float((witness.conj() @ s @ witness).real), 0.0) for s in (s_left, s_right)
     )
-    measured_lhs = math.sqrt(max(a - b, 0.0))
-    allowed_rhs = alpha1 * math.sqrt(a) + alpha2 * math.sqrt(b)
-    hypothesis_ok = whitened and measured_lhs <= allowed_rhs + tol.margin(
-        math.sqrt(max(a, b, 1.0))
-    )
-
+    measured = math.sqrt(max(a - b, 0.0))
+    allowed = alpha1 * math.sqrt(a) + alpha2 * math.sqrt(b)
+    slack = tol.margin(math.sqrt(max(a, b, 1.0)))
     base = optimal_bounds(family)
-    input_frame = is_frame_bounds(base, tol)
-    claimed = (
-        base.lower
-        * weights.band_lower
-        * (1.0 - alpha1) ** 2
-        / (weights.band_upper * (1.0 + alpha2) ** 2),
-        weights.band_upper
-        * base.upper
-        * (1.0 + alpha2) ** 2
-        / (weights.band_lower * (1.0 - alpha1) ** 2),
+    checks = (
+        _frame_check("input_is_frame", base, tol),
+        whitened,
+        check("norm_difference_within", measured, "<=", allowed + slack),
     )
-    return _frame_conclusion_report(
-        other,
-        hypothesis_ok and input_frame,
-        tol,
-        theorem_id=StabilityId.PROP_MIXED.value,
-        alphas=(alpha1, alpha2),
-        measured_lhs=measured_lhs,
-        allowed_rhs=allowed_rhs,
-        claimed_bounds=claimed,
-        bound_discrepancy_note=_NOTE_RECORDED_ONLY,
-        details={
-            "input_lower": base.lower,
-            "input_upper": base.upper,
-            "input_is_frame": float(input_frame),
-            "witness_margin": measured_lhs - allowed_rhs,
-            "kappa": kappa,
-        },
-    )
+    ratio = (1.0 + alpha2) ** 2 / (1.0 - alpha1) ** 2
+    band = weights.band_upper / weights.band_lower
+    details = {
+        "alpha1": alpha1,
+        "alpha2": alpha2,
+        "claimed_lower": base.lower / (band * ratio),
+        "claimed_upper": band * base.upper * ratio,
+        "input_lower": base.lower,
+        "input_upper": base.upper,
+        "witness_margin": measured - allowed,
+        "kappa": kappa,
+    }
+    return _frame_conclusion_report(StabilityId.PROP_MIXED, other, checks, tol, details)
 
 
 def difference_check(
@@ -181,47 +173,30 @@ def difference_check(
     diff = GFrameFamily(left.analysis - right.analysis, left.member_dims)
     s_diff = frame_operator(diff).flat
     combo = alpha1 * s_left + alpha2 * s_right
-
-    # Worst direction of the spectral form: quadratic values there give
-    # the measured/allowed pair, and domination is their comparison.
-    gap_eigs, gap_vecs = np.linalg.eigh(hermitian_part(s_diff - combo))
-    worst_vec = gap_vecs[:, -1]
-    measured_lhs = float((worst_vec.conj() @ s_diff @ worst_vec).real)
-    allowed_rhs = float((worst_vec.conj() @ combo @ worst_vec).real)
+    gap = float(np.linalg.eigh(hermitian_part(s_diff - combo))[0][-1])
     scale = max(*spectral_norm(np.stack([combo, s_diff])).tolist(), 1.0)
-    spectral_ok = float(gap_eigs[-1]) <= tol.margin(scale)
 
     base = optimal_bounds(family)
-    input_frame = is_frame_bounds(base, tol)
-    claimed = (
-        base.lower
-        * weights.band_lower
-        * (1.0 + 2.0 * math.sqrt(alpha2)) ** 2
-        / (weights.band_upper * (1.0 - math.sqrt(alpha1)) ** 2),
-        base.upper
-        * weights.band_upper
-        * (1.0 + 2.0 * math.sqrt(alpha2)) ** 2
-        / (base.lower * (1.0 - math.sqrt(alpha1)) ** 2)
-        if base.lower > 0.0
-        else math.inf,
+    checks = (
+        _frame_check("input_is_frame", base, tol),
+        check("difference_dominated", gap, "<=", tol.margin(scale)),
     )
-    return _frame_conclusion_report(
-        other,
-        spectral_ok and input_frame,
-        tol,
-        theorem_id=StabilityId.THM_DIFFERENCE.value,
-        alphas=(alpha1, alpha2),
-        measured_lhs=measured_lhs,
-        allowed_rhs=allowed_rhs,
-        claimed_bounds=claimed,
-        bound_discrepancy_note=_NOTE_RECORDED_ONLY,
-        details={
-            "input_lower": base.lower,
-            "input_upper": base.upper,
-            "input_is_frame": float(input_frame),
-            "domination_gap": float(gap_eigs[-1]),
-        },
-    )
+    ratio = (1.0 + 2.0 * math.sqrt(alpha2)) ** 2 / (1.0 - math.sqrt(alpha1)) ** 2
+    band = weights.band_upper / weights.band_lower
+    details = {
+        "alpha1": alpha1,
+        "alpha2": alpha2,
+        "claimed_lower": base.lower * ratio / band,
+        "claimed_upper": (
+            weights.band_upper * base.upper * ratio / base.lower
+            if base.lower > 0.0
+            else math.inf
+        ),
+        "input_lower": base.lower,
+        "input_upper": base.upper,
+        "domination_gap": gap,
+    }
+    return _frame_conclusion_report(StabilityId.THM_DIFFERENCE, other, checks, tol, details)
 
 
 def operators_from_family(other: GFrameFamily) -> list[AdjointableOp]:
@@ -283,42 +258,42 @@ def t12_check(
 
     base = optimal_bounds(family)
     c_low, d_high = base.lower, base.upper
-    input_frame = is_frame_bounds(base, tol)
-    d_above_one = d_high > 1.0
+    input_frame = _frame_check("input_is_frame", base, tol)
     budget = c_low / d_high if d_high > 0.0 else math.inf
 
     summands = np.stack([op.flat for op in delta_ops])
-    summands_pos = bool(positivity(summands, tol)[0].all())
+    positive, least, margin = positivity(summands, tol)
+    # The first summand that fails, else the one nearest its margin.
+    worst = int(np.argmin(np.where(positive, least + margin, -np.inf)))
     deviations = member_grams(family) - summands
     size = n * d
     bracket = {}
     if family.size <= _SUBSET_LIMIT:
         count, stop = family.size, 1 << family.size
-        measured_lhs = 0.0
+        subset_sup = 0.0
         for start in range(1, stop, _SUBSET_BLOCK):
             subsets = np.arange(start, min(start + _SUBSET_BLOCK, stop))
             masks = ((subsets[:, None] >> np.arange(count)) & 1).astype(np.complex128)
             sums = (masks @ deviations.reshape(count, -1)).reshape(-1, size, size)
             eigs = np.linalg.eigvalsh(hermitian_part(sums))
-            measured_lhs = max(measured_lhs, float(np.abs(eigs).max()))
-        subset_note = "exact over all index subsets"
+            subset_sup = max(subset_sup, float(np.abs(eigs).max()))
     else:
         # Too many subsets to enumerate: the sound upper end is held to
         # the budget, so the check errs only towards HypothesisFails.
-        sup_lower, measured_lhs = _subset_sup_bracket(deviations)
-        bracket = {"subset_sup_lower": sup_lower, "subset_sup_upper": measured_lhs}
-        subset_note = "bracketed; the upper end of the bracket is measured"
-
-    hypothesis_ok = (
-        input_frame
-        and d_above_one
-        and summands_pos
-        and measured_lhs <= budget + tol.margin(max(budget, 1.0))
+        sup_lower, subset_sup = _subset_sup_bracket(deviations)
+        bracket = {"subset_sup_lower": sup_lower, "subset_sup_upper": subset_sup}
+    checks = (
+        input_frame,
+        check("upper_above_one", d_high, ">", 1.0),
+        CheckItem(
+            "summands_positive", bool(positive.all()), float(least[worst]), -float(margin[worst])
+        ),
+        check("subset_sup_within_budget", subset_sup, "<=", budget + tol.margin(max(budget, 1.0))),
     )
 
     k_flat = sum(op.flat for op in delta_ops)
     achieved = spectrum_bounds(k_flat)
-    if input_frame:
+    if input_frame.passed:
         contraction = spectral_norm(_contraction(frame_operator(family).flat, k_flat))
     else:
         contraction = math.inf
@@ -327,29 +302,21 @@ def t12_check(
     k_invertible = is_frame_bounds(achieved, tol)
     conclusion = k_invertible and contraction_ok
 
-    claimed = (
-        (1.0 / c_low) * ((d_high + 1.0) / d_high) if c_low > 0.0 else math.inf,
-        budget + d_high,
-    )
-    inverse_norm = 1.0 / achieved.lower if achieved.lower > 0.0 else math.inf
-    note = (
-        "first claimed value reads as a bound on ||K^-1||; the derivation"
-        " overstates it (a Neumann argument yields D/(C(D-1))), so it is"
-        f" recorded, not asserted; subset condition: {subset_note}"
-    )
     return TheoremReport(
         theorem_id=StabilityId.T12_OPERATOR.value,
-        measured_lhs=measured_lhs,
-        allowed_rhs=budget,
-        claimed_bounds=claimed,
         achieved=achieved,
-        verdict=_verdict(hypothesis_ok, conclusion),
-        bound_discrepancy_note=note,
+        verdict=_verdict(checks, conclusion),
+        hypothesis_checks=checks,
         details={
+            # The first claimed value reads as a bound on ||K^-1||, which a
+            # Neumann argument puts at D/(C(D-1)): recorded, not asserted.
+            "claimed_lower": (
+                (1.0 / c_low) * ((d_high + 1.0) / d_high) if c_low > 0.0 else math.inf
+            ),
+            "claimed_upper": budget + d_high,
             "contraction_norm": contraction,
             "contraction_limit": contraction_limit,
-            "inverse_norm": inverse_norm,
-            "summands_positive": float(summands_pos),
+            "inverse_norm": 1.0 / achieved.lower if achieved.lower > 0.0 else math.inf,
             "input_lower": c_low,
             "input_upper": d_high,
             **bracket,
@@ -376,29 +343,21 @@ def final_corollary_check(
         )
     s_left = frame_operator(family).flat
     s_right = frame_operator(other).flat
-    measured_lhs, contraction = spectral_norm(
+    distance, contraction = spectral_norm(
         np.stack([s_left - s_right, _contraction(s_left, s_right)])
     ).tolist()
-    hypothesis_ok = (
-        is_frame_bounds(base, tol)
-        and measured_lhs <= alpha + tol.margin(max(alpha, 1.0))
+    checks = (
+        _frame_check("input_is_frame", base, tol),
+        check("proximity_within_alpha", distance, "<=", alpha + tol.margin(max(alpha, 1.0))),
     )
-    return _frame_conclusion_report(
-        other,
-        hypothesis_ok,
-        tol,
-        theorem_id=StabilityId.FINAL_COROLLARY.value,
-        measured_lhs=measured_lhs,
-        allowed_rhs=alpha,
-        bound_discrepancy_note="",
-        details={
-            "alpha": alpha,
-            "contraction_norm": contraction,
-            "contraction_limit": alpha / c_low,
-            "input_lower": c_low,
-            "input_upper": base.upper,
-        },
-    )
+    details = {
+        "alpha": alpha,
+        "contraction_norm": contraction,
+        "contraction_limit": alpha / c_low,
+        "input_lower": c_low,
+        "input_upper": base.upper,
+    }
+    return _frame_conclusion_report(StabilityId.FINAL_COROLLARY, other, checks, tol, details)
 
 
 def _contraction(s_flat: np.ndarray, k_flat: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ Checkers never raise on hypothesis failure, only on malformed inputs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -89,11 +90,21 @@ class CheckItem:
     limit: float | None = None
 
 
+_SENSES = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def check(name: str, measured: float, sense: str, limit: float) -> CheckItem:
+    """The hypothesis ``measured <sense> limit``, ``sense`` one of
+    ``<``, ``<=``, ``>`` and ``>=``; ``limit`` carries whatever slack the
+    check allows."""
+    return CheckItem(name, bool(_SENSES[sense](measured, limit)), measured, limit)
+
+
 @dataclass(frozen=True)
 class TheoremReport:
-    """The outcome of one checker run.  Perturbation checkers fill
-    ``alphas`` to ``bound_discrepancy_note`` and leave ``result_kind``
-    None; the other checkers fill the fields up to ``result_kind``."""
+    """The outcome of one checker run.  The perturbation checkers predict
+    no bounds and leave ``result_kind`` None; their inputs and recorded
+    constants sit in ``details``."""
 
     theorem_id: str
     achieved: FrameBounds
@@ -102,16 +113,10 @@ class TheoremReport:
     predicted_lower: float | None = None
     predicted_upper: float | None = None
     result_kind: str | None = None
-    alphas: tuple[float, float] | None = None
-    measured_lhs: float | None = None
-    allowed_rhs: float | None = None
-    claimed_bounds: tuple[float, float] | None = None
-    bound_discrepancy_note: str | None = None
     details: dict[str, float] = field(default_factory=dict)
 
     @property
     def hypotheses_pass(self) -> bool:
-        # From the verdict: perturbation reports list no hypothesis checks.
         return self.verdict is not Verdict.HYPOTHESIS_FAILS
 
 
@@ -163,8 +168,8 @@ class ScalarWeights:
         return self.thetas[0].dim
 
 
-def _verdict(hypotheses_hold: bool, conclusion_holds: bool) -> Verdict:
-    if not hypotheses_hold:
+def _verdict(checks: tuple[CheckItem, ...], conclusion_holds: bool) -> Verdict:
+    if not all(c.passed for c in checks):
         return Verdict.HYPOTHESIS_FAILS
     return Verdict.CONCLUSION_HOLDS if conclusion_holds else Verdict.CONCLUSION_FAILS
 
@@ -201,7 +206,7 @@ def theorem_report(
         predicted_lower=predicted_lower,
         predicted_upper=predicted_upper,
         achieved=achieved,
-        verdict=_verdict(all(c.passed for c in checks), conclusion),
+        verdict=_verdict(checks, conclusion),
         result_kind=cls.kind.value,
         details=details or {},
     )
@@ -213,12 +218,8 @@ def _positivity_check(name: str, op: AdjointableOp, tol: Tolerance) -> CheckItem
 
 
 def _frame_check(name: str, bounds: FrameBounds, tol: Tolerance) -> CheckItem:
-    return CheckItem(
-        name=name,
-        passed=is_frame_bounds(bounds, tol),
-        measured=bounds.lower,
-        limit=tol.rel * bounds.upper,
-    )
+    """``is_frame_bounds`` as a check."""
+    return check(name, bounds.lower, ">", tol.rel * bounds.upper)
 
 
 def _member_sums(family: GFrameFamily, other: GFrameFamily) -> GFrameFamily:
@@ -435,7 +436,7 @@ def scalar_weighted_sum(
     checks = (
         _frame_check("input_is_frame", bounds_left, tol),
         _weight_band_check(weights),
-        CheckItem("weighted_bessel_below_weighted_frame", lhs < rhs, lhs, rhs),
+        check("weighted_bessel_below_weighted_frame", lhs, "<", rhs),
     )
     predicted_lower = (
         math.sqrt(weights.band_lower * d_low) - math.sqrt(weights.band_upper * bessel)
@@ -502,9 +503,7 @@ def _tight_pair(
             )
     cross_norm = op_norm(cross_operator(family, other))
     limit = tol.rel * max(left.upper, right.upper)
-    checks = (
-        CheckItem("mixed_operator_vanishes", cross_norm <= limit, cross_norm, limit),
-    )
+    checks = (check("mixed_operator_vanishes", cross_norm, "<=", limit),)
     return _tight_constant(left), _tight_constant(right), checks
 
 
@@ -558,7 +557,7 @@ def isometry_sum_check(
     checks = (
         _frame_check("first_is_frame", bounds_left, tol),
         _positivity_check("mixed_operator_positive", cross, tol),
-        CheckItem("lam_is_isometry", gram_dev <= limit, gram_dev, limit),
+        check("lam_is_isometry", gram_dev, "<=", limit),
     )
     summed = family.analysis + other.analysis
     new_family = GFrameFamily(compose(summed, lam), family.member_dims)
@@ -612,9 +611,9 @@ def lambda_lower_check(
 
     checks = (
         _frame_check("input_is_frame", bounds_left, tol),
-        CheckItem("n_bounded_below", sigma_min > lam_bound, sigma_min, lam_bound),
-        CheckItem("bessel_below_frame_lower", bessel < d_low, bessel, d_low),
-        CheckItem("aux_m_dominates_n", dominance >= -dom_margin, dominance, -dom_margin),
+        check("n_bounded_below", sigma_min, ">", lam_bound),
+        check("bessel_below_frame_lower", bessel, "<", d_low),
+        check("aux_m_dominates_n", dominance, ">=", -dom_margin),
     )
     return theorem_report(
         TheoremId.LAMBDA_LOWER.value,

@@ -145,8 +145,7 @@ def walk_to_json(value):
 def walk_report_to_json(report) -> dict:
     """``serialize.report_to_json`` with every value encoded by ``walk_to_json``."""
     data = {"theorem": report.theorem_id, "verdict": report.verdict.value}
-    keys = serialize._PERTURBATION_KEYS if report.result_kind is None else serialize._SUM_KEYS
-    for key in keys:
+    for key in serialize._REPORT_KEYS:
         data[key] = walk_to_json(getattr(report, key))
     data["details"] = {k: walk_to_json(report.details[k]) for k in sorted(report.details)}
     return data

@@ -260,7 +260,8 @@ def test_inline_delta_ops_for_operator_budget(tmp_path):
     assert main(["run", path, "--no-timestamp", "--report", str(report_path)]) == 0
     rep = json.loads(report_path.read_text())["runs"][0]["reports"][0]
     assert rep["verdict"] == "ConclusionHolds"
-    assert rep["measured_lhs"] <= 1e-12
+    checks = {c["name"]: c for c in rep["hypothesis_checks"]}
+    assert checks["subset_sup_within_budget"]["measured"] <= 1e-12
 
 
 def test_scenario_list_in_one_file(tmp_path):
@@ -452,24 +453,18 @@ def test_repetitions_above_the_cap_are_rejected(reps):
         parse_scenario(_basic_scenario(repetitions=reps))
 
 
-_SUM_SHAPE = [
+_REPORT_SHAPE = [
     "theorem", "verdict", "hypothesis_checks", "predicted_lower", "predicted_upper",
     "achieved", "result_kind", "details",
-]
-_PERTURBATION_SHAPE = [
-    "theorem", "verdict", "alphas", "measured_lhs", "allowed_rhs", "claimed_bounds",
-    "achieved", "bound_discrepancy_note", "details",
 ]
 
 
 def test_report_keys_keep_their_order_for_every_theorem():
-    perturbation = {s.value for s in gframes.StabilityId}
     for theorem in sorted(THEOREMS):
         data = ser.report_to_json(build_and_run(theorem, {}, 0))
-        shape = _PERTURBATION_SHAPE if theorem in perturbation else _SUM_SHAPE
-        assert list(data) == shape, theorem
+        assert list(data) == _REPORT_SHAPE, theorem
         assert list(data["achieved"]) == ["lower", "upper", "tight", "parseval"]
-        for check in data.get("hypothesis_checks", []):
+        for check in data["hypothesis_checks"]:
             assert list(check) == ["name", "passed", "measured", "limit"]
         assert list(data["details"]) == sorted(data["details"])
         # LAMBDA_LOWER decides its hypotheses spectrally, without samples.
@@ -722,7 +717,7 @@ def test_reports_are_strict_json_with_null_for_non_finite(tmp_path):
     payload = json.loads(report_path.read_text(), parse_constant=_reject_constant)
     rep = payload["runs"][0]["reports"][0]
     assert rep["verdict"] == "HypothesisFails"
-    assert rep["claimed_bounds"][0] is None
+    assert rep["details"]["claimed_lower"] is None
     assert rep["details"]["contraction_norm"] is None
     assert rep["details"]["inverse_norm"] is None
 
@@ -929,7 +924,8 @@ def test_a_huge_budget_fraction_exits_2_and_names_the_field(tmp_path, capsys, se
 
 def _hand_made_reports():
     """A sum report and a perturbation report holding numpy scalars,
-    non-finite floats and nested tuples."""
+    non-finite floats and nested tuples; the perturbation report has no
+    predicted bounds or result kind, and claimed constants in its details."""
     bounds = gframes.FrameBounds(np.float64(0.5), math.inf, np.bool_(False), False)
     checks = (
         gframes.CheckItem("numpy", np.bool_(True), np.float64(-0.0), math.nan),
@@ -940,10 +936,11 @@ def _hand_made_reports():
     return (
         gframes.TheoremReport("HAND_SUM", bounds, verdict, checks, np.float64(math.inf), 1,
                               "Frame", details=details),
-        gframes.TheoremReport("HAND_PERTURBATION", bounds, verdict, alphas=(np.float64(0.1), 0.2),
-                              measured_lhs=math.nan, allowed_rhs=np.float64(-math.inf),
-                              claimed_bounds=(math.inf, np.float64(1.0)),
-                              bound_discrepancy_note="", details=details),
+        gframes.TheoremReport(
+            "HAND_PERTURBATION", bounds, verdict,
+            (gframes.CheckItem("within", np.bool_(False), math.nan, np.float64(-math.inf)),),
+            details={**details, "claimed_lower": math.inf, "claimed_upper": np.float64(1.0)},
+        ),
     )
 
 

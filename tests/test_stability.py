@@ -56,13 +56,19 @@ def _zero_family(n, d, dims):
     return GFrameFamily.of(zero_op(n, d, dz) for dz in dims)
 
 
+def _check(report, name):
+    """The report's hypothesis check of that name."""
+    (item,) = [c for c in report.hypothesis_checks if c.name == name]
+    return item
+
+
 class TestPropMixed:
     def test_identical_families_trivially_hold(self):
         family = _frame(0)
         weights = _unit_weights(family.size)
         report = prop_mixed_check(family, family, weights, 0.5, 0.5)
         assert report.verdict is Verdict.CONCLUSION_HOLDS
-        assert report.measured_lhs <= 0.0
+        assert _check(report, "norm_difference_within").measured <= 0.0
 
     def test_slightly_scaled_copy_holds(self):
         family = _frame(1)
@@ -89,8 +95,9 @@ class TestPropMixed:
         family = _frame(4)
         weights = _unit_weights(family.size)
         report = prop_mixed_check(family, family, weights, 0.5, 0.5)
-        assert report.claimed_bounds is not None
-        assert report.bound_discrepancy_note
+        claimed = report.details["claimed_lower"], report.details["claimed_upper"]
+        assert all(math.isfinite(v) and v > 0.0 for v in claimed)
+        assert report.predicted_lower is None and report.predicted_upper is None
 
 
 class TestDifference:
@@ -99,7 +106,7 @@ class TestDifference:
         weights = _unit_weights(family.size)
         report = difference_check(family, family, weights, 0.5, 0.5)
         assert report.verdict is Verdict.CONCLUSION_HOLDS
-        assert report.measured_lhs <= 1e-12
+        assert _check(report, "difference_dominated").measured <= 1e-12
 
     def test_member_scaled_copy_holds(self):
         family = _frame(6)
@@ -124,7 +131,7 @@ class TestT12:
         deltas = [compose(adjoint_op(m), m) for m in family.members]
         report = t12_check(family, deltas)
         assert report.verdict is Verdict.CONCLUSION_HOLDS
-        assert report.measured_lhs <= 1e-12
+        assert _check(report, "subset_sup_within_budget").measured <= 1e-12
         base = optimal_bounds(family)
         assert report.achieved.lower == pytest.approx(base.lower, rel=1e-9)
         assert report.achieved.upper == pytest.approx(base.upper, rel=1e-9)
@@ -140,7 +147,9 @@ class TestT12:
         ]
         report = t12_check(family, deltas)
         assert report.verdict is Verdict.CONCLUSION_HOLDS
-        assert report.measured_lhs == pytest.approx(eps, abs=1e-9)
+        assert _check(report, "subset_sup_within_budget").measured == pytest.approx(
+            eps, abs=1e-9
+        )
         assert report.achieved.lower == pytest.approx(1.0 + eps, abs=1e-8)
         assert report.details["contraction_norm"] <= report.details["contraction_limit"] + 1e-9
 
@@ -171,7 +180,7 @@ class TestT12:
             report = t12_check(family, [AdjointableOp(f, n) for f in flats])
             expected = all(positivity(f)[0] for f in flats)
             assert expected is (kind == "hermitian_within_margin")
-            assert report.details["summands_positive"] == float(expected)
+            assert _check(report, "summands_positive").passed is expected
             if not expected:
                 assert report.verdict is Verdict.HYPOTHESIS_FAILS
 
@@ -195,8 +204,9 @@ class TestT12:
             deltas.append(AdjointableOp(flat, n))
         report = t12_check(family, deltas)
         full_sum_norm = 0.0 if family.size % 2 == 0 else 0.2
-        assert report.measured_lhs >= 0.2 - 1e-12
-        assert report.measured_lhs >= full_sum_norm
+        subset_sup = _check(report, "subset_sup_within_budget").measured
+        assert subset_sup >= 0.2 - 1e-12
+        assert subset_sup >= full_sum_norm
 
 
 class TestFinalCorollary:
@@ -204,7 +214,7 @@ class TestFinalCorollary:
         family = _frame(13)
         report = final_corollary_check(family, family, 0.5)
         assert report.verdict is Verdict.CONCLUSION_HOLDS
-        assert report.measured_lhs <= 1e-12
+        assert _check(report, "proximity_within_alpha").measured <= 1e-12
 
     def test_shrunk_copy_holds_with_scaled_bounds(self):
         family = _frame(14)
@@ -267,7 +277,7 @@ def test_t12_large_family_with_alternating_deviations_fails_hypothesis():
         for i in range(13)
     ]
     report = t12_check(family, deltas)
-    assert report.allowed_rhs == pytest.approx(1.0)
+    assert _check(report, "subset_sup_within_budget").limit == pytest.approx(1.0)
     assert report.verdict == Verdict.HYPOTHESIS_FAILS
     assert not report.hypotheses_pass
     assert report.details["subset_sup_upper"] == pytest.approx(1.4)
@@ -287,7 +297,7 @@ def test_t12_subset_bracket_contains_exact_enumeration():
             )
             bump = 0.1 * (raw @ raw.conj().T) - 0.05 * np.eye(n * d)
             deltas.append(AdjointableOp(m.flat @ m.flat.conj().T + bump, n))
-        exact = t12_check(family, deltas).measured_lhs
+        exact = _check(t12_check(family, deltas), "subset_sup_within_budget").measured
         deviations = np.stack(
             [m.flat @ m.flat.conj().T - o.flat for m, o in zip(family.members, deltas)]
         )
@@ -320,7 +330,8 @@ def test_t12_enumeration_memory_is_bounded_and_matches_one_shot():
     masks = ((np.arange(1, 1 << count)[:, None] >> np.arange(count)) & 1).astype(complex)
     sums = (masks @ deviations.reshape(count, -1)).reshape(-1, size, size)
     herm = (sums + sums.conj().swapaxes(1, 2)) / 2
-    assert report.measured_lhs == float(np.abs(np.linalg.eigvalsh(herm)).max())
+    measured = _check(report, "subset_sup_within_budget").measured
+    assert measured == float(np.abs(np.linalg.eigvalsh(herm)).max())
 
 
 # The PROP_MIXED hypothesis, sqrt(max(a - b, 0)) <= alpha1 sqrt(a) +
@@ -374,7 +385,9 @@ def test_prop_mixed_fails_where_the_pencil_witness_breaks_the_inequality(monkeyp
     assert a == pytest.approx(scalar_norm(apply(left.analysis, x)) ** 2, rel=1e-10)
     assert _violations(a, b, alpha1, alpha2) > 0.0
     # The report's pair is the same point, up to the witness's scale.
-    assert report.measured_lhs / report.allowed_rhs == pytest.approx(
+    measured = _check(report, "norm_difference_within").measured
+    allowed = measured - report.details["witness_margin"]
+    assert measured / allowed == pytest.approx(
         math.sqrt(max(a - b, 0.0)) / (alpha1 * math.sqrt(a) + alpha2 * math.sqrt(b)),
         rel=1e-8,
     )
