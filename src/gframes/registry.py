@@ -639,14 +639,16 @@ def run_decoded(theorem: str, cfg, seed: int, tol: Tolerance = DEFAULT_TOL):
             result = globals()[spec.checker](*(v[key] for key in spec.inputs), tol)
         # Three checkers return (family, report).
         return result[1] if isinstance(result, tuple) else result
-    except FloatingPointError as exc:
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
         # Blame the inline arrays, else the scalar fields that scale them.
         named = [key for key in _ARRAY_FIELDS if key in cfg]
         named = named or [key for key in cfg if key not in _SIZE_FIELDS]
-        raise ValidationError(
-            f"the values of {', '.join(map(repr, named))} are too large for the"
-            f" products the {theorem} checker forms: {exc}"
-        ) from exc
+        if isinstance(exc, FloatingPointError):
+            fault = f"too large for the products the {theorem} checker forms"
+        else:
+            fault = f"out of the range where the {theorem} checker's linear algebra converges"
+        named = ", ".join(map(repr, named))
+        raise ValidationError(f"the values of {named} are {fault}: {exc}") from exc
     except DegenerateSpec as exc:
         setters = {size: key for key, size, _ in reversed(_fixed_sizes(cfg))}
         # The fields in order, each once: a family fixes all three sizes.

@@ -346,9 +346,13 @@ def final_corollary_check(
     distance, contraction = spectral_norm(
         np.stack([s_left - s_right, _contraction(s_left, s_right)])
     ).tolist()
+    # The second family's lower bound is at least C - ||S_F - S_G||, so the
+    # distance plus the slack that the alpha check allows must stay below C.
+    slack = tol.margin(max(alpha, 1.0))
     checks = (
         _frame_check("input_is_frame", base, tol),
-        check("proximity_within_alpha", distance, "<=", alpha + tol.margin(max(alpha, 1.0))),
+        check("proximity_within_alpha", distance, "<=", alpha + slack),
+        check("proximity_below_lower", distance, "<", c_low - slack),
     )
     details = {
         "alpha": alpha,

@@ -1134,3 +1134,67 @@ def test_a_report_path_that_cannot_be_written_exits_2(tmp_path, capsys, where):
     assert main(["run", scenario, "--no-timestamp", "--report", str(report)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {report}: ") and "Traceback" not in err
+
+
+def _captured_inputs(monkeypatch, theorem, seed=0):
+    """The inputs that the checker of ``theorem`` receives on the instance
+    generated at ``seed``."""
+    checker = THEOREMS[theorem].checker
+    original, captured = getattr(registry, checker), []
+    monkeypatch.setattr(registry, checker, lambda *args: captured.append(args) or original(*args))
+    build_and_run(theorem, {}, seed)
+    monkeypatch.setattr(registry, checker, original)
+    return captured[0]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_final_corollary_slack_lets_no_non_frame_reach_the_conclusion(
+    tmp_path, monkeypatch, seed
+):
+    # G has frame operator S_F - C.P, P the projection onto the least
+    # eigenvector of S_F: ||S_F - S_G|| = C and G is no frame.  With
+    # alpha = C(1 - eps) < C, the distance C lies within the slack of the
+    # alpha check, so the check against C must fail it.
+    family = _captured_inputs(monkeypatch, "FINAL_COROLLARY", seed)[0]
+    eigs, vecs = np.linalg.eigh(gframes.frame_operator(family).flat)
+    lower = float(eigs[0])
+    eigs[0] = 0.0
+    root = (vecs * np.sqrt(eigs)) @ vecs.conj().T
+    other = gframes.GFrameFamily.of((gframes.AdjointableOp(root, family.algebra_dim),))
+    report_path = tmp_path / "out.json"
+    for eps in (1e-9, 1e-10, 1e-11):
+        instance = {"family": ser.family_to_json(family),
+                    "second_family": ser.family_to_json(other), "alpha": lower * (1.0 - eps)}
+        doc = _basic_scenario(theorem="FINAL_COROLLARY", repetitions=1, instance=instance)
+        argv = ["run", _write(tmp_path, "near.json", doc), "--no-timestamp"]
+        assert main(argv + ["--report", str(report_path)]) == 0, eps
+        rep = json.loads(report_path.read_text())["runs"][0]["reports"][0]
+        assert rep["verdict"] == "HypothesisFails", eps
+        passed = {c["name"]: c["passed"] for c in rep["hypothesis_checks"]}
+        assert passed == {"input_is_frame": True, "proximity_within_alpha": True,
+                          "proximity_below_lower": False}, eps
+
+
+@pytest.mark.parametrize("theorem", ["FINAL_COROLLARY", "T12_OPERATOR"])
+def test_an_svd_that_does_not_converge_exits_2_and_names_the_fields(
+    tmp_path, capsys, monkeypatch, theorem
+):
+    # The seed-0 families scaled by 2^-520 and their operators by 2^-1040:
+    # finite entries whose frame operators lie at the end of the subnormal
+    # range, where LAPACK's SVD does not converge.
+    inputs, scale = _captured_inputs(monkeypatch, theorem), 2.0**-520
+    instance = {"family": ser.family_to_json(gframes.scale_family(inputs[0], scale))}
+    if theorem == "FINAL_COROLLARY":
+        instance["second_family"] = ser.family_to_json(gframes.scale_family(inputs[1], scale))
+        instance["alpha"] = inputs[2] * scale**2
+    else:
+        instance["delta_ops"] = [
+            ser.op_to_json(gframes.AdjointableOp(op.flat * scale**2, op.algebra_dim))
+            for op in inputs[1]
+        ]
+    doc = _basic_scenario(theorem=theorem, repetitions=1, instance=instance)
+    code = main(["run", _write(tmp_path, "tiny.json", doc)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "'family'" in err and "did not converge" in err
+    assert "Traceback" not in err

@@ -1,0 +1,96 @@
+"""One verdict path: a report reads HypothesisFails exactly when one of
+its listed checks failed, and no scalar limit lets an instance at its
+boundary through to ConclusionFails."""
+
+from dataclasses import fields
+
+import numpy as np
+import pytest
+
+from gframes import StabilityId, TheoremReport, Verdict
+from gframes.registry import THEOREMS, build_and_run
+from gframes.serialize import _REPORT_KEYS, report_to_json
+
+# Scalar overrides under which some seeds fail a hypothesis.
+_FAILING = [
+    ("PROP_MIXED", {"alpha1": 0.01, "alpha2": 0.01}),
+    ("THM_DIFFERENCE", {"alpha1": 1e-4, "alpha2": 1e-4}),
+    ("T12_OPERATOR", {"budget_fraction": 3.0}),
+    ("FINAL_COROLLARY", {"alpha": 1e-3}),
+    ("T7_SCALAR", {"bessel_ratio": 2.0}),
+    ("LAMBDA_LOWER", {"bessel_upper": 3.0}),
+]
+
+
+@pytest.mark.parametrize(
+    "theorem, instance", [(t, {}) for t in sorted(THEOREMS)] + _FAILING
+)
+def test_a_report_fails_its_hypotheses_exactly_when_a_listed_check_failed(theorem, instance):
+    failed = 0
+    for seed in range(20):
+        report = build_and_run(theorem, instance, seed)
+        names = [c.name for c in report.hypothesis_checks]
+        assert len(set(names)) == len(names), (seed, names)
+        if theorem in {s.value for s in StabilityId}:
+            assert len(names) >= 2, seed
+        check_failed = not all(c.passed for c in report.hypothesis_checks)
+        assert (report.verdict is Verdict.HYPOTHESIS_FAILS) == check_failed, seed
+        failed += check_failed
+    assert failed or not instance
+
+
+def test_each_report_field_is_written_once():
+    written = ["theorem_id", "verdict", *_REPORT_KEYS, "details"]
+    assert sorted(written) == sorted(f.name for f in fields(TheoremReport))
+    data = report_to_json(build_and_run("T12_OPERATOR", {}, 0))
+    assert list(data) == ["theorem", "verdict", *_REPORT_KEYS, "details"]
+
+
+def _bits(x: float) -> int:
+    """The bits of a float as an integer: consecutive positive floats
+    have consecutive integers."""
+    return int(np.float64(x).view(np.int64))
+
+
+def _float(bits: int) -> float:
+    return float(np.int64(bits).view(np.float64))
+
+
+# Each scalar limit with a value at which the default instances hold their
+# hypotheses, one beyond which some fail, and the fields held fixed; the
+# other coefficient is kept small so that the coefficient varied decides.
+_LIMITS = [
+    ("T7_SCALAR", "bessel_ratio", 0.4, 2.0, {}),
+    ("LAMBDA_LOWER", "bessel_upper", 0.2, 3.0, {}),
+    ("T12_OPERATOR", "budget_fraction", 0.5, 3.0, {}),
+    ("PROP_MIXED", "alpha1", 0.999, 1e-3, {"alpha2": 0.01}),
+    ("PROP_MIXED", "alpha2", 0.999, 1e-3, {"alpha1": 0.01}),
+    ("THM_DIFFERENCE", "alpha1", 0.999, 1e-6, {"alpha2": 1e-4}),
+    ("THM_DIFFERENCE", "alpha2", 0.999, 1e-6, {"alpha1": 1e-4}),
+]
+
+
+@pytest.mark.parametrize("theorem, key, holds, fails, fixed", _LIMITS)
+def test_no_conclusion_fails_at_a_scalar_limit(theorem, key, holds, fails, fixed):
+    # Bisect, in units in the last place, to the first value at which the
+    # hypothesis verdict flips, then run there and around it.
+    flips = 0
+    for seed in range(10):
+        def verdict(bits, seed=seed):
+            return build_and_run(theorem, {**fixed, key: _float(bits)}, seed).verdict
+
+        good, bad = _bits(holds), _bits(fails)
+        if verdict(good) is Verdict.HYPOTHESIS_FAILS:
+            continue
+        if verdict(bad) is not Verdict.HYPOTHESIS_FAILS:
+            continue
+        flips += 1
+        while abs(bad - good) > 1:
+            mid = (good + bad) // 2
+            if verdict(mid) is Verdict.HYPOTHESIS_FAILS:
+                bad = mid
+            else:
+                good = mid
+        for ulps in (0, 1, -1, 10, -10, 1000, -1000):
+            assert verdict(bad + ulps) is not Verdict.CONCLUSION_FAILS, (seed, ulps)
+    assert flips
