@@ -40,7 +40,7 @@ def show(report):
 
 print("== composing with (I + L), L = I doubles every member ==")
 family = gen_family(GenSpec(1, 2, 2, (2, 2), FamilyTarget.bounds(1.0, 2.0)))
-_, report = perturb_lambda(family, identity_op(2, 2))
+report = perturb_lambda(family, identity_op(2, 2))
 show(report)
 
 print()

@@ -71,7 +71,6 @@ from .hilbert import (
     zero_op,
 )
 from .stability import (
-    StabilityId,
     difference_check,
     final_corollary_check,
     operators_from_family,
@@ -81,7 +80,6 @@ from .stability import (
 from .sums import (
     CheckItem,
     ScalarWeights,
-    TheoremId,
     TheoremReport,
     Verdict,
     isometry_sum_check,

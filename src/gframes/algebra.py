@@ -122,11 +122,14 @@ def positivity(mat: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     """Spectral positivity test of a square matrix, or of each matrix in a
     stack of them (then each result below is an array over the stack).
 
-    Returns the verdict, the least eigenvalue of the Hermitian part and
-    the margin ``tol.abs + tol.rel * ||mat||``.  The matrix is positive
-    iff it is Hermitian up to the margin and that eigenvalue clears
-    ``-margin``, so near-singular positives on the PSD boundary are
-    accepted.  When every matrix is exactly Hermitian, its norm is read
+    Returns the verdict, the least value and the margin
+    ``tol.abs + tol.rel * ||mat||``.  The matrix is positive iff it is
+    Hermitian up to the margin and the least eigenvalue of its Hermitian
+    part clears ``-margin``, so near-singular positives on the PSD
+    boundary are accepted.  The least value is that eigenvalue, or
+    ``-||mat - mat*||`` for a matrix that fails the Hermitian test, so
+    the verdict is positive exactly when the least value clears
+    ``-margin``.  When every matrix is exactly Hermitian, its norm is read
     off the eigenvalues as max|lambda|; otherwise one singular-value
     call measures the matrices and their skew parts together.
     """
@@ -138,6 +141,7 @@ def positivity(mat: np.ndarray, tol: Tolerance = DEFAULT_TOL):
         top, skew_top = np.split(spectral_norm(np.concatenate([stack, skew])), 2)
         margin = tol.abs + tol.rel * top
         hermitian = skew_top <= margin
+        least = np.where(hermitian, least, -skew_top)
     else:
         margin = tol.abs + tol.rel * np.maximum(-least, eigs[:, -1])
         hermitian = True

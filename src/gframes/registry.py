@@ -636,9 +636,7 @@ def run_decoded(theorem: str, cfg, seed: int, tol: Tolerance = DEFAULT_TOL):
                 if keys[0] not in v:
                     drawn = step(v, seed, rng, *sizes)
                     v.update(zip(keys, drawn) if len(keys) > 1 else {keys[0]: drawn})
-            result = globals()[spec.checker](*(v[key] for key in spec.inputs), tol)
-        # Three checkers return (family, report).
-        return result[1] if isinstance(result, tuple) else result
+            return globals()[spec.checker](*(v[key] for key in spec.inputs), tol)
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         # Blame the inline arrays, else the scalar fields that scale them.
         named = [key for key in _ARRAY_FIELDS if key in cfg]

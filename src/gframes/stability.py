@@ -13,16 +13,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from enum import Enum
 
 import numpy as np
 
 from .algebra import DEFAULT_TOL, Tolerance, hermitian_part, positivity, spectral_norm
 from .errors import AlphaOutOfRange, DimensionMismatch
 from .frames import (
-    FrameKind,
+    FrameBounds,
     GFrameFamily,
-    classify,
     frame_operator,
     is_frame_bounds,
     member_grams,
@@ -43,23 +41,15 @@ from .sums import (
 )
 
 
-class StabilityId(str, Enum):
-    PROP_MIXED = "PROP_MIXED"
-    THM_DIFFERENCE = "THM_DIFFERENCE"
-    T12_OPERATOR = "T12_OPERATOR"
-    FINAL_COROLLARY = "FINAL_COROLLARY"
-
-
-def _frame_conclusion_report(
-    theorem: StabilityId, other: GFrameFamily, checks: tuple, tol: Tolerance, details: dict
+def _report(
+    theorem_id: str, achieved: FrameBounds, checks: tuple, conclusion: bool, details: dict
 ) -> TheoremReport:
-    """Shared tail of the family-based checks: the claim is that the
-    perturbed family classifies as a frame; its bounds are the achieved ones."""
-    cls = classify(other, tol)
+    """Shared tail of the perturbation checkers, which predict no bounds
+    and report no result kind."""
     return TheoremReport(
-        theorem_id=theorem.value,
-        achieved=cls.bounds,
-        verdict=_verdict(checks, cls.kind is not FrameKind.BESSEL_ONLY),
+        theorem_id=theorem_id,
+        achieved=achieved,
+        verdict=_verdict(checks, conclusion),
         hypothesis_checks=checks,
         details=details,
     )
@@ -149,7 +139,8 @@ def prop_mixed_check(
         "witness_margin": measured - allowed,
         "kappa": kappa,
     }
-    return _frame_conclusion_report(StabilityId.PROP_MIXED, other, checks, tol, details)
+    achieved = optimal_bounds(other)
+    return _report("PROP_MIXED", achieved, checks, is_frame_bounds(achieved, tol), details)
 
 
 def difference_check(
@@ -194,9 +185,9 @@ def difference_check(
         ),
         "input_lower": base.lower,
         "input_upper": base.upper,
-        "domination_gap": gap,
     }
-    return _frame_conclusion_report(StabilityId.THM_DIFFERENCE, other, checks, tol, details)
+    achieved = optimal_bounds(other)
+    return _report("THM_DIFFERENCE", achieved, checks, is_frame_bounds(achieved, tol), details)
 
 
 def operators_from_family(other: GFrameFamily) -> list[AdjointableOp]:
@@ -299,29 +290,22 @@ def t12_check(
         contraction = math.inf
     contraction_limit = 1.0 / d_high if d_high > 0.0 else math.inf
     contraction_ok = contraction <= contraction_limit + tol.margin(1.0)
-    k_invertible = is_frame_bounds(achieved, tol)
-    conclusion = k_invertible and contraction_ok
-
-    return TheoremReport(
-        theorem_id=StabilityId.T12_OPERATOR.value,
-        achieved=achieved,
-        verdict=_verdict(checks, conclusion),
-        hypothesis_checks=checks,
-        details={
-            # The first claimed value reads as a bound on ||K^-1||, which a
-            # Neumann argument puts at D/(C(D-1)): recorded, not asserted.
-            "claimed_lower": (
-                (1.0 / c_low) * ((d_high + 1.0) / d_high) if c_low > 0.0 else math.inf
-            ),
-            "claimed_upper": budget + d_high,
-            "contraction_norm": contraction,
-            "contraction_limit": contraction_limit,
-            "inverse_norm": 1.0 / achieved.lower if achieved.lower > 0.0 else math.inf,
-            "input_lower": c_low,
-            "input_upper": d_high,
-            **bracket,
-        },
-    )
+    conclusion = is_frame_bounds(achieved, tol) and contraction_ok
+    details = {
+        # The first claimed value reads as a bound on ||K^-1||, which a
+        # Neumann argument puts at D/(C(D-1)): recorded, not asserted.
+        "claimed_lower": (
+            (1.0 / c_low) * ((d_high + 1.0) / d_high) if c_low > 0.0 else math.inf
+        ),
+        "claimed_upper": budget + d_high,
+        "contraction_norm": contraction,
+        "contraction_limit": contraction_limit,
+        "inverse_norm": 1.0 / achieved.lower if achieved.lower > 0.0 else math.inf,
+        "input_lower": c_low,
+        "input_upper": d_high,
+        **bracket,
+    }
+    return _report("T12_OPERATOR", achieved, checks, conclusion, details)
 
 
 def final_corollary_check(
@@ -361,7 +345,8 @@ def final_corollary_check(
         "input_lower": c_low,
         "input_upper": base.upper,
     }
-    return _frame_conclusion_report(StabilityId.FINAL_COROLLARY, other, checks, tol, details)
+    achieved = optimal_bounds(other)
+    return _report("FINAL_COROLLARY", achieved, checks, is_frame_bounds(achieved, tol), details)
 
 
 def _contraction(s_flat: np.ndarray, k_flat: np.ndarray) -> np.ndarray:

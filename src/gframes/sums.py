@@ -9,7 +9,14 @@ bounds the statement predicts, and reports a verdict:
   as claimed (including predicted-bound conservativeness).
 * ``ConclusionFails``   - hypotheses held but the claim is violated.
 
-Checkers never raise on hypothesis failure, only on malformed inputs.
+A measured hypothesis that fails is a failed check, never an exception.
+Checkers raise a ``GFrameError`` only on inputs outside the statement,
+which the scenario runner reports with exit 2: operands of mismatched
+sizes (``DimensionMismatch``), a ``lam_bound`` that is not positive
+(``BadRange``), a ``TIGHT_SUM`` or ``TIGHT_MN`` input family that is not
+a tight frame (``NotTight``), and, in ``stability``, an ``alpha1`` or
+``alpha2`` outside (0, 1) or a ``FINAL_COROLLARY`` alpha outside (0, C),
+C the input's lower bound (``AlphaOutOfRange``).
 """
 
 from __future__ import annotations
@@ -57,18 +64,6 @@ from .hilbert import (
 )
 
 
-class TheoremId(str, Enum):
-    PERTURB_LAMBDA = "PERTURB_LAMBDA"
-    T3_EQUIV = "T3_EQUIV"
-    T3_COROLLARY = "T3_COROLLARY"
-    T7_SCALAR = "T7_SCALAR"
-    T11_POSITIVE = "T11_POSITIVE"
-    TIGHT_SUM = "TIGHT_SUM"
-    ISOMETRY_SUM = "ISOMETRY_SUM"
-    LAMBDA_LOWER = "LAMBDA_LOWER"
-    TIGHT_MN = "TIGHT_MN"
-
-
 class Verdict(str, Enum):
     CONCLUSION_HOLDS = "ConclusionHolds"
     HYPOTHESIS_FAILS = "HypothesisFails"
@@ -114,10 +109,6 @@ class TheoremReport:
     predicted_upper: float | None = None
     result_kind: str | None = None
     details: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def hypotheses_pass(self) -> bool:
-        return self.verdict is not Verdict.HYPOTHESIS_FAILS
 
 
 @dataclass(frozen=True)
@@ -276,7 +267,7 @@ def _weight_band_check(weights: ScalarWeights) -> CheckItem:
 
 def perturb_lambda(
     family: GFrameFamily, lam: AdjointableOp, tol: Tolerance = DEFAULT_TOL
-) -> tuple[GFrameFamily, TheoremReport]:
+) -> TheoremReport:
     """Members composed with (I + lam); a frame again whenever the
     conjugated frame operator dominates the original."""
     require_endomorphism(lam, family, "lam")
@@ -290,8 +281,8 @@ def perturb_lambda(
         _frame_check("input_is_frame", base, tol),
         _positivity_check("conjugation_dominates", conjugated - s_op, tol),
     )
-    report = theorem_report(
-        TheoremId.PERTURB_LAMBDA.value,
+    return theorem_report(
+        "PERTURB_LAMBDA",
         classify(new_family, tol),
         checks,
         base.lower,
@@ -299,7 +290,6 @@ def perturb_lambda(
         tol,
         details={"s_formula_residual": _s_formula_residual(conjugated, new_family)},
     )
-    return new_family, report
 
 
 def op_weighted_sum(
@@ -308,7 +298,7 @@ def op_weighted_sum(
     m_op: AdjointableOp,
     n_op: AdjointableOp,
     tol: Tolerance = DEFAULT_TOL,
-) -> tuple[GFrameFamily, TheoremReport]:
+) -> TheoremReport:
     """Equivalence checker for members P.M + Q.N.
 
     The three conditions (combined family is a frame; the combined
@@ -349,8 +339,8 @@ def op_weighted_sum(
     conclusion = agree and residual <= FORMULA_AGREEMENT_REL and (
         cls.bounds.upper <= predicted_upper + slack
     )
-    report = theorem_report(
-        TheoremId.T3_EQUIV.value,
+    return theorem_report(
+        "T3_EQUIV",
         cls,
         (),
         None,
@@ -364,7 +354,6 @@ def op_weighted_sum(
             "s_formula_residual": residual,
         },
     )
-    return new_family, report
 
 
 def t3_corollary_check(
@@ -401,7 +390,7 @@ def t3_corollary_check(
         + frame_operator(other)
     )
     return theorem_report(
-        TheoremId.T3_COROLLARY.value,
+        "T3_COROLLARY",
         classify(new_family, tol),
         checks,
         bounds_left.lower + bounds_right.lower,
@@ -416,7 +405,7 @@ def scalar_weighted_sum(
     other: GFrameFamily,
     weights: ScalarWeights,
     tol: Tolerance = DEFAULT_TOL,
-) -> tuple[GFrameFamily, TheoremReport]:
+) -> TheoremReport:
     """Coefficient-weighted member sums.
 
     Hypotheses: the first family is a frame with lower bound D, the
@@ -441,8 +430,8 @@ def scalar_weighted_sum(
     predicted_lower = (
         math.sqrt(weights.band_lower * d_low) - math.sqrt(weights.band_upper * bessel)
     ) ** 2
-    report = theorem_report(
-        TheoremId.T7_SCALAR.value,
+    return theorem_report(
+        "T7_SCALAR",
         classify(new_family, tol),
         checks,
         predicted_lower,
@@ -450,7 +439,6 @@ def scalar_weighted_sum(
         tol,
         details={"bessel_bound": bessel, "frame_lower": d_low},
     )
-    return new_family, report
 
 
 def t11_check(
@@ -476,7 +464,7 @@ def t11_check(
     )
     new_family = _member_sums(*weighted_pair(family, other, weights))
     return theorem_report(
-        TheoremId.T11_POSITIVE.value,
+        "T11_POSITIVE",
         classify(new_family, tol),
         checks,
         weights.band_lower * (bounds_left.lower + bounds_right.lower),
@@ -526,7 +514,7 @@ def tight_sum_check(
     cls = classify(_member_sums(family, other), tol)
     target = alpha1 + alpha2
     return theorem_report(
-        TheoremId.TIGHT_SUM.value,
+        "TIGHT_SUM",
         cls,
         checks,
         target,
@@ -562,7 +550,7 @@ def isometry_sum_check(
     summed = family.analysis + other.analysis
     new_family = GFrameFamily(compose(summed, lam), family.member_dims)
     return theorem_report(
-        TheoremId.ISOMETRY_SUM.value,
+        "ISOMETRY_SUM",
         classify(new_family, tol),
         checks,
         bounds_left.lower,
@@ -616,7 +604,7 @@ def lambda_lower_check(
         check("aux_m_dominates_n", dominance, ">=", -dom_margin),
     )
     return theorem_report(
-        TheoremId.LAMBDA_LOWER.value,
+        "LAMBDA_LOWER",
         classify(_mn_family(family, other, m_op, n_op), tol),
         checks,
         lam_bound**2 * (math.sqrt(d_low) - math.sqrt(bessel)) ** 2,
@@ -662,7 +650,7 @@ def tight_mn_check(
         conclusion = not measured_tight
     predicted = alpha if condition_holds else None
     return theorem_report(
-        TheoremId.TIGHT_MN.value,
+        "TIGHT_MN",
         cls,
         checks,
         predicted,

@@ -121,11 +121,15 @@ def verify_frame_inequality(
 
 def svd_positivity(mat: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float, float]:
     """The positivity rule on one square matrix, with its norm and the
-    norm of its skew part each taken by its own singular-value call."""
+    norm of its skew part each taken by its own singular-value call; the
+    least value of a matrix that fails the Hermitian test is minus that
+    skew norm."""
     margin = tol.margin(np.linalg.svd(mat, compute_uv=False)[0])
     least = float(np.linalg.eigvalsh(hermitian_part(mat))[0])
-    skew = np.linalg.svd(mat - mat.conj().T, compute_uv=False)[0]
-    return bool(skew <= margin and least >= -margin), least, float(margin)
+    skew = float(np.linalg.svd(mat - mat.conj().T, compute_uv=False)[0])
+    if skew > margin:
+        return False, -skew, float(margin)
+    return bool(least >= -margin), least, float(margin)
 
 
 def walk_to_json(value):

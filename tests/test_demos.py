@@ -1,6 +1,7 @@
-"""Every demo script runs to completion."""
+"""Every demo script, and README's library tour, runs to completion."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,12 +12,23 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[path.name for path in DEMOS])
-def test_demo_exits_0(demo, tmp_path):
+def _run(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, str(demo)],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[path.name for path in DEMOS])
+def test_demo_exits_0(demo, tmp_path):
+    done = _run([str(demo)], tmp_path)
+    assert done.returncode == 0, done.stderr
+
+
+def test_readme_library_tour_exits_0(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("\n## Library tour\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"^```python\n(.*?)^```$", tour, re.S | re.M)
+    done = _run(["-c", block], tmp_path)
     assert done.returncode == 0, done.stderr

@@ -54,6 +54,11 @@ def _bench_workloads():
     return module
 
 
+@pytest.mark.parametrize("theorem", list(THEOREMS))
+def test_each_checker_stamps_its_report_with_its_registry_key(theorem):
+    assert build_and_run(theorem, {}, 0).theorem_id == theorem
+
+
 def test_declared_checkers_and_inputs_match_the_bench_capture_table(capsys):
     # The benchmark keeps its own copy of the table to capture inline
     # instances; CLASSIFY's declared checker wraps ``classify``.

@@ -279,7 +279,7 @@ def test_t12_large_family_with_alternating_deviations_fails_hypothesis():
     report = t12_check(family, deltas)
     assert _check(report, "subset_sup_within_budget").limit == pytest.approx(1.0)
     assert report.verdict == Verdict.HYPOTHESIS_FAILS
-    assert not report.hypotheses_pass
+    assert not _check(report, "subset_sup_within_budget").passed
     assert report.details["subset_sup_upper"] == pytest.approx(1.4)
     assert report.details["subset_sup_lower"] == pytest.approx(1.4)
 
@@ -436,6 +436,7 @@ def test_perturbation_reports_name_their_exact_decisions(seed):
     mixed = registry.build_and_run("PROP_MIXED", {}, seed).details
     assert {"witness_margin", "kappa"} <= set(mixed)
     assert "worst_sample_margin" not in mixed
-    difference = registry.build_and_run("THM_DIFFERENCE", {}, seed).details
-    assert "domination_gap" in difference
-    assert "sampled_ok" not in difference
+    difference = registry.build_and_run("THM_DIFFERENCE", {}, seed)
+    dominated = _check(difference, "difference_dominated")
+    assert dominated.passed and dominated.measured <= dominated.limit
+    assert not {"domination_gap", "sampled_ok"} & set(difference.details)

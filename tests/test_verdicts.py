@@ -7,7 +7,19 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from gframes import StabilityId, TheoremReport, Verdict
+from gframes import (
+    AdjointableOp,
+    FamilyTarget,
+    GenSpec,
+    TheoremReport,
+    Verdict,
+    gen_family,
+    operators_from_family,
+    scale_family,
+    stability,
+    t3_corollary_check,
+    t12_check,
+)
 from gframes.registry import THEOREMS, build_and_run
 from gframes.serialize import _REPORT_KEYS, report_to_json
 
@@ -31,7 +43,7 @@ def test_a_report_fails_its_hypotheses_exactly_when_a_listed_check_failed(theore
         report = build_and_run(theorem, instance, seed)
         names = [c.name for c in report.hypothesis_checks]
         assert len(set(names)) == len(names), (seed, names)
-        if theorem in {s.value for s in StabilityId}:
+        if THEOREMS[theorem].checker in vars(stability):
             assert len(names) >= 2, seed
         check_failed = not all(c.passed for c in report.hypothesis_checks)
         assert (report.verdict is Verdict.HYPOTHESIS_FAILS) == check_failed, seed
@@ -94,3 +106,31 @@ def test_no_conclusion_fails_at_a_scalar_limit(theorem, key, holds, fails, fixed
         for ulps in (0, 1, -1, 10, -10, 1000, -1000):
             assert verdict(bad + ulps) is not Verdict.CONCLUSION_FAILS, (seed, ulps)
     assert flips
+
+
+_POSITIVITY_CHECKS = {"conjugation_dominates", "mixed_operator_positive", "summands_positive"}
+
+
+def _non_hermitian_reports():
+    family = gen_family(GenSpec(13, 2, 2, (2, 2), FamilyTarget.bounds(1.0, 2.0)))
+    u = np.triu(np.ones((4, 4)), 1)
+    summands = operators_from_family(family)
+    # A skew-Hermitian bump leaves the Hermitian part, and its least
+    # eigenvalue, as it was.
+    summands[0] = AdjointableOp(summands[0].flat + 0.5j * (u + u.T), 2)
+    yield t12_check(family, summands)
+    for phase in (0.3, 1.0, 2.0):
+        # Mixed operator e^(i phase) S_F: Hermitian part cos(phase) S_F.
+        rotated = scale_family(family, np.exp(1j * phase))
+        yield t3_corollary_check(family, rotated)
+
+
+def test_a_positivity_check_passes_exactly_when_its_measured_value_clears_its_limit():
+    checked = 0
+    for report in _non_hermitian_reports():
+        for item in report.hypothesis_checks:
+            if item.name in _POSITIVITY_CHECKS:
+                assert item.passed == (item.measured >= item.limit), (report.theorem_id, item)
+                assert not item.passed, (report.theorem_id, item)
+                checked += 1
+    assert checked == 4
