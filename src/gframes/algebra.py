@@ -112,26 +112,24 @@ def hermitian_part(mat: np.ndarray) -> np.ndarray:
 def spectral_norm(mat: np.ndarray):
     """Largest singular value of a complex matrix, as a float, or of each
     matrix in a stack of them, as an array."""
-    if mat.size == 0:
-        return 0.0
     top = np.linalg.svd(mat, compute_uv=False)[..., 0]
     return float(top) if mat.ndim == 2 else top
 
 
 def positivity(mat: np.ndarray, tol: Tolerance = DEFAULT_TOL):
-    """Spectral positivity test of a square matrix, or of each matrix in a
-    stack of them (then each result below is an array over the stack).
+    """Spectral positivity measure of a square matrix, or of each matrix
+    in a stack of them (then each result below is an array over the
+    stack).
 
-    Returns the verdict, the least value and the margin
-    ``tol.abs + tol.rel * ||mat||``.  The matrix is positive iff it is
-    Hermitian up to the margin and the least eigenvalue of its Hermitian
-    part clears ``-margin``, so near-singular positives on the PSD
-    boundary are accepted.  The least value is that eigenvalue, or
-    ``-||mat - mat*||`` for a matrix that fails the Hermitian test, so
-    the verdict is positive exactly when the least value clears
-    ``-margin``.  When every matrix is exactly Hermitian, its norm is read
-    off the eigenvalues as max|lambda|; otherwise one singular-value
-    call measures the matrices and their skew parts together.
+    Returns the least value and the margin ``tol.abs + tol.rel * ||mat||``;
+    the matrix is positive exactly when ``least >= -margin``, so
+    near-singular positives on the PSD boundary are accepted.  The least
+    value is the least eigenvalue of the Hermitian part, or
+    ``-||mat - mat*||`` for a matrix whose skew part exceeds the margin,
+    so a matrix that is not Hermitian up to the margin is never positive.
+    When every matrix is exactly Hermitian, its norm is read off the
+    eigenvalues as max|lambda|; otherwise one singular-value call
+    measures the matrices and their skew parts together.
     """
     stack = mat[None] if mat.ndim == 2 else mat
     eigs = np.linalg.eigvalsh(hermitian_part(stack))
@@ -140,15 +138,12 @@ def positivity(mat: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     if skew.any():
         top, skew_top = np.split(spectral_norm(np.concatenate([stack, skew])), 2)
         margin = tol.abs + tol.rel * top
-        hermitian = skew_top <= margin
-        least = np.where(hermitian, least, -skew_top)
+        least = np.where(skew_top <= margin, least, -skew_top)
     else:
         margin = tol.abs + tol.rel * np.maximum(-least, eigs[:, -1])
-        hermitian = True
-    passed = hermitian & (least >= -margin)
     if mat.ndim == 2:
-        return bool(passed[0]), float(least[0]), float(margin[0])
-    return passed, least, margin
+        return float(least[0]), float(margin[0])
+    return least, margin
 
 
 def adjoint(a: AlgebraElement) -> AlgebraElement:
@@ -162,8 +157,9 @@ def operator_norm(a: AlgebraElement) -> float:
 
 
 def is_positive(a: AlgebraElement, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """The verdict of ``positivity`` on the element's entries."""
-    return positivity(a.entries, tol)[0]
+    """True iff ``positivity`` of the element's entries clears its margin."""
+    least, margin = positivity(a.entries, tol)
+    return least >= -margin
 
 
 def sqrt_psd(a: AlgebraElement, tol: Tolerance = DEFAULT_TOL) -> AlgebraElement:

@@ -245,8 +245,6 @@ def is_surjective(op: AdjointableOp, tol: Tolerance = DEFAULT_TOL) -> bool:
     if op.target_len > op.source_len:
         return False
     svals = np.linalg.svd(op.flat, compute_uv=False)
-    if svals.size == 0:
-        return False
     return bool(svals[-1] > tol.rel**0.5 * svals[0])
 
 

@@ -27,7 +27,6 @@ from .generators import (
     gen_family,
     gen_isometry,
     gen_orthogonal_pair,
-    gen_weights,
     weight_matrices,
 )
 from .hilbert import AdjointableOp, identity_op, zero_op
@@ -236,12 +235,9 @@ def _gen_weights(rng, n, count, band, shared=False) -> ScalarWeights:
     """Weights drawn inside ``band``.  With ``shared`` the thetas serve as
     the deltas too: a shared coefficient sequence keeps the weighted mixed
     term positive whenever the unweighted one is."""
-    seed = sub_seed(rng)
-    if not shared:
-        return gen_weights(seed, n, count, *band)
-    mats = weight_matrices(seed, n, count, *band)
-    thetas = tuple(AlgebraElement(mat) for mat in mats)
-    return ScalarWeights(thetas, thetas, *band)
+    mats = weight_matrices(sub_seed(rng), n, count if shared else 2 * count, *band)
+    weights = tuple(AlgebraElement(mat) for mat in mats)
+    return ScalarWeights(weights[:count], weights[-count:], *band)
 
 
 def _bessel_partner(rng, family: GFrameFamily, target_upper: float) -> GFrameFamily:
@@ -249,10 +245,7 @@ def _bessel_partner(rng, family: GFrameFamily, target_upper: float) -> GFrameFam
     its optimal upper bound equals target_upper."""
     n, d = family.algebra_dim, family.source_len
     raw = gen_family(GenSpec(sub_seed(rng), n, d, family.member_dims))
-    current = optimal_bounds(raw).upper
-    if current <= 0.0:
-        return raw
-    return scale_family(raw, math.sqrt(target_upper / current))
+    return scale_family(raw, math.sqrt(target_upper / optimal_bounds(raw).upper))
 
 
 def _positive_mixed_pair(rng, n, d, dims, orthogonal, ranges=((0.2, 1.5), (0.3, 1.3))):

@@ -31,7 +31,6 @@ from .frames import (
 )
 from .hilbert import AdjointableOp, _op
 from .sums import (
-    CheckItem,
     ScalarWeights,
     TheoremReport,
     _frame_check,
@@ -53,6 +52,23 @@ def _report(
         hypothesis_checks=checks,
         details=details,
     )
+
+
+def _second_family_report(
+    theorem_id: str,
+    base: FrameBounds,
+    other: GFrameFamily,
+    checks: tuple,
+    details: dict,
+    tol: Tolerance,
+) -> TheoremReport:
+    """Tail of the checkers that conclude the second family is a frame:
+    the input's frame check, with bounds ``base``, leads the hypotheses,
+    and those bounds join ``details``."""
+    checks = (_frame_check("input_is_frame", base, tol), *checks)
+    details = {**details, "input_lower": base.lower, "input_upper": base.upper}
+    achieved = optimal_bounds(other)
+    return _report(theorem_id, achieved, checks, is_frame_bounds(achieved, tol), details)
 
 
 def _weighted_preamble(
@@ -121,12 +137,8 @@ def prop_mixed_check(
     measured = math.sqrt(max(a - b, 0.0))
     allowed = alpha1 * math.sqrt(a) + alpha2 * math.sqrt(b)
     slack = tol.margin(math.sqrt(max(a, b, 1.0)))
+    checks = (whitened, check("norm_difference_within", measured, "<=", allowed + slack))
     base = optimal_bounds(family)
-    checks = (
-        _frame_check("input_is_frame", base, tol),
-        whitened,
-        check("norm_difference_within", measured, "<=", allowed + slack),
-    )
     ratio = (1.0 + alpha2) ** 2 / (1.0 - alpha1) ** 2
     band = weights.band_upper / weights.band_lower
     details = {
@@ -134,13 +146,10 @@ def prop_mixed_check(
         "alpha2": alpha2,
         "claimed_lower": base.lower / (band * ratio),
         "claimed_upper": band * base.upper * ratio,
-        "input_lower": base.lower,
-        "input_upper": base.upper,
         "witness_margin": measured - allowed,
         "kappa": kappa,
     }
-    achieved = optimal_bounds(other)
-    return _report("PROP_MIXED", achieved, checks, is_frame_bounds(achieved, tol), details)
+    return _second_family_report("PROP_MIXED", base, other, checks, details, tol)
 
 
 def difference_check(
@@ -168,10 +177,7 @@ def difference_check(
     scale = max(*spectral_norm(np.stack([combo, s_diff])).tolist(), 1.0)
 
     base = optimal_bounds(family)
-    checks = (
-        _frame_check("input_is_frame", base, tol),
-        check("difference_dominated", gap, "<=", tol.margin(scale)),
-    )
+    checks = (check("difference_dominated", gap, "<=", tol.margin(scale)),)
     ratio = (1.0 + 2.0 * math.sqrt(alpha2)) ** 2 / (1.0 - math.sqrt(alpha1)) ** 2
     band = weights.band_upper / weights.band_lower
     details = {
@@ -183,11 +189,8 @@ def difference_check(
             if base.lower > 0.0
             else math.inf
         ),
-        "input_lower": base.lower,
-        "input_upper": base.upper,
     }
-    achieved = optimal_bounds(other)
-    return _report("THM_DIFFERENCE", achieved, checks, is_frame_bounds(achieved, tol), details)
+    return _second_family_report("THM_DIFFERENCE", base, other, checks, details, tol)
 
 
 def operators_from_family(other: GFrameFamily) -> list[AdjointableOp]:
@@ -253,9 +256,9 @@ def t12_check(
     budget = c_low / d_high if d_high > 0.0 else math.inf
 
     summands = np.stack([op.flat for op in delta_ops])
-    positive, least, margin = positivity(summands, tol)
+    least, margin = positivity(summands, tol)
     # The first summand that fails, else the one nearest its margin.
-    worst = int(np.argmin(np.where(positive, least + margin, -np.inf)))
+    worst = int(np.argmin(np.where(least >= -margin, least + margin, -np.inf)))
     deviations = member_grams(family) - summands
     size = n * d
     bracket = {}
@@ -276,9 +279,7 @@ def t12_check(
     checks = (
         input_frame,
         check("upper_above_one", d_high, ">", 1.0),
-        CheckItem(
-            "summands_positive", bool(positive.all()), float(least[worst]), -float(margin[worst])
-        ),
+        check("summands_positive", float(least[worst]), ">=", -float(margin[worst])),
         check("subset_sup_within_budget", subset_sup, "<=", budget + tol.margin(max(budget, 1.0))),
     )
 
@@ -334,7 +335,6 @@ def final_corollary_check(
     # distance plus the slack that the alpha check allows must stay below C.
     slack = tol.margin(max(alpha, 1.0))
     checks = (
-        _frame_check("input_is_frame", base, tol),
         check("proximity_within_alpha", distance, "<=", alpha + slack),
         check("proximity_below_lower", distance, "<", c_low - slack),
     )
@@ -342,11 +342,8 @@ def final_corollary_check(
         "alpha": alpha,
         "contraction_norm": contraction,
         "contraction_limit": alpha / c_low,
-        "input_lower": c_low,
-        "input_upper": base.upper,
     }
-    achieved = optimal_bounds(other)
-    return _report("FINAL_COROLLARY", achieved, checks, is_frame_bounds(achieved, tol), details)
+    return _second_family_report("FINAL_COROLLARY", base, other, checks, details, tol)
 
 
 def _contraction(s_flat: np.ndarray, k_flat: np.ndarray) -> np.ndarray:

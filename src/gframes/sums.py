@@ -204,8 +204,8 @@ def theorem_report(
 
 
 def _positivity_check(name: str, op: AdjointableOp, tol: Tolerance) -> CheckItem:
-    passed, least, margin = positivity(op.flat, tol)
-    return CheckItem(name=name, passed=passed, measured=least, limit=-margin)
+    least, margin = positivity(op.flat, tol)
+    return check(name, least, ">=", -margin)
 
 
 def _frame_check(name: str, bounds: FrameBounds, tol: Tolerance) -> CheckItem:
@@ -260,9 +260,10 @@ def weighted_pair(
 
 
 def _weight_band_check(weights: ScalarWeights) -> CheckItem:
-    worst_low, worst_high = weights.spectrum_range
-    passed = weights.band_lower < worst_low and worst_high < weights.band_upper
-    return CheckItem("weights_in_band", passed, worst_low, weights.band_lower)
+    """The least weight spectrum above the band.  It can only pass:
+    ``ScalarWeights`` raises ``BadRange`` for a weight outside either
+    side of the band."""
+    return check("weights_in_band", weights.spectrum_range[0], ">", weights.band_lower)
 
 
 def perturb_lambda(

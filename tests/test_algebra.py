@@ -83,7 +83,8 @@ def test_positivity_returns_the_verdict_least_eigenvalue_and_margin(mat, positiv
     tol = Tolerance()
     element = AlgebraElement(mat)
     entries = element.entries
-    verdict, least, margin = positivity(entries, tol)
+    least, margin = positivity(entries, tol)
+    verdict = least >= -margin
     assert verdict == is_positive(element, tol) == positive
     assert margin == tol.margin(np.linalg.norm(entries, 2))
     skew = np.linalg.norm(entries - entries.conj().T, 2)
@@ -92,7 +93,9 @@ def test_positivity_returns_the_verdict_least_eigenvalue_and_margin(mat, positiv
     else:
         # Not Hermitian: the least value is minus the skew norm.
         assert least == -skew
-    assert verdict == (least >= -margin)
+    want = svd_positivity(entries, tol)
+    assert (verdict, least) == want[:2]
+    assert abs(margin - want[2]) <= 1e-14 * want[2]
 
 
 def test_sqrt_psd_literal_cases():
@@ -231,16 +234,16 @@ def test_stacked_positivity_is_the_per_matrix_positivity(brk):
     loose = Tolerance(rel=1e-3, abs=1e-3)
     for count, size in ((1, 1), (1, 3), (4, 2), (7, 6)):
         stack = _psd_stack(rng, count, size)
-        assert positivity(stack)[0].all()
+        least, margins = positivity(stack)
+        assert (least >= -margins).all()
         for at in range(count):
             broken = stack.copy()
             broken[at] = _BREAKS[brk](stack[at])
             for tol in (DEFAULT_TOL, loose):
-                verdicts, least, margins = positivity(broken, tol)
+                least, margins = positivity(broken, tol)
                 singles = [positivity(m, tol) for m in broken]
-                assert verdicts.tolist() == [v for v, _, _ in singles]
-                assert least.tolist() == [lo for _, lo, _ in singles]
-                assert margins.tolist() == [mg for _, _, mg in singles]
+                assert least.tolist() == [lo for lo, _ in singles]
+                assert margins.tolist() == [mg for _, mg in singles]
 
 
 def test_stacked_spectral_norm_is_the_per_matrix_norm():
@@ -261,12 +264,12 @@ def test_hermitian_positivity_agrees_with_the_svd_rule():
         for count in (1, 5):
             # Shifted by a random multiple of I, so that some pass and some fail.
             stack = _hermitian_stack(rng, count, size) + rng.uniform(-1, 3) * np.eye(size)
-            verdicts, least, margins = positivity(stack)
+            least, margins = positivity(stack)
             for at, mat in enumerate(stack):
                 want = svd_positivity(mat)
-                for got in ((verdicts[at], least[at], margins[at]), positivity(mat)):
-                    assert (got[0], got[1]) == want[:2]
-                    assert abs(got[2] - want[2]) <= 1e-14 * want[2]
+                for lo, mg in ((least[at], margins[at]), positivity(mat)):
+                    assert (lo >= -mg, lo) == want[:2]
+                    assert abs(mg - want[2]) <= 1e-14 * want[2]
 
 
 def test_an_exactly_hermitian_stack_takes_no_singular_values(monkeypatch):
@@ -286,9 +289,9 @@ def test_a_non_hermitian_stack_keeps_the_per_matrix_svd_rule():
         stack = _hermitian_stack(rng, 4, size) + 2.0 * np.eye(size)
         stack[1] += 1e-13j * np.eye(size)  # Hermitian within the margin
         stack[2] += 0.5j * np.eye(size)  # beyond it
-        verdicts, least, margins = positivity(stack)
+        least, margins = positivity(stack)
         want = [svd_positivity(mat) for mat in stack]
-        assert verdicts.tolist() == [w[0] for w in want]
+        assert (least >= -margins).tolist() == [w[0] for w in want]
         assert least.tolist() == [w[1] for w in want]
         assert margins.tolist() == [w[2] for w in want]
 
@@ -307,7 +310,8 @@ def test_a_least_eigenvalue_at_the_margin_is_decided_by_its_side(beyond):
             if rotate:
                 basis = np.linalg.qr(random_matrix(rng, size, size))[0]
                 mat = hermitian_part((basis * np.diag(mat)) @ basis.conj().T)
-            verdict, least, margin = positivity(mat, tol)
+            least, margin = positivity(mat, tol)
+            verdict = least >= -margin
             assert verdict is (not beyond)
             assert verdict == svd_positivity(mat, tol)[0]
             assert abs(margin - tol.margin(1.0)) <= 1e-14 * margin

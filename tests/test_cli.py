@@ -441,6 +441,18 @@ def test_malformed_instance_exits_2_and_names_the_field(
     assert "Traceback" not in err
 
 
+def test_families_of_other_member_dims_exit_2_without_a_traceback(tmp_path, capsys):
+    family = gframes.gen_family(gframes.GenSpec(1, 1, 2, (2, 2)))
+    other = gframes.gen_family(gframes.GenSpec(2, 1, 2, (1, 3)))
+    instance = {"family": ser.family_to_json(family), "second_family": ser.family_to_json(other)}
+    doc = _basic_scenario(theorem="T3_COROLLARY", repetitions=1, instance=instance)
+    code = main(["run", _write(tmp_path, "dims.json", doc)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "DimensionMismatch: families are not index-compatible" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("reps", [MAX_REPETITIONS + 1, _HUGE], ids=["cap_plus_one", "huge"])
 def test_repetitions_above_the_cap_are_rejected(reps):
     # Rejected while parsing, so that no run loops at the extreme.

@@ -74,3 +74,10 @@ def test_declared_checkers_and_inputs_match_the_bench_capture_table(capsys):
     for theorem, spec in THEOREMS.items():
         assert any(line.split()[0] == theorem and line.endswith(f"  {spec.description}")
                    for line in lines), theorem
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_zero_lambda_leaves_the_family_as_it_was(seed):
+    report = build_and_run("PERTURB_LAMBDA", {"lambda_kind": "zero"}, seed)
+    assert report.verdict.value == "ConclusionHolds"
+    assert report.achieved.lower == report.predicted_lower

@@ -12,6 +12,7 @@ from randoms import random_family
 from gframes import (
     AdjointableOp,
     AlphaOutOfRange,
+    DimensionMismatch,
     FamilyTarget,
     GenSpec,
     GFrameFamily,
@@ -36,9 +37,11 @@ from gframes import (
     scalar_norm,
     scale_family,
     t12_check,
+    weighted_family,
     zero_op,
 )
 from gframes.algebra import DEFAULT_TOL, positivity, spectral_norm
+from gframes.serialize import family_to_json, report_to_json
 from gframes.stability import _subset_sup_bracket
 from gframes.sums import weighted_pair
 
@@ -90,6 +93,18 @@ class TestPropMixed:
         weights = _unit_weights(family.size)
         with pytest.raises(AlphaOutOfRange):
             prop_mixed_check(family, family, weights, 1.5, 0.5)
+
+    def test_a_first_family_too_singular_to_whiten_fails_its_check(self):
+        # One member of dim 1 on a module of length 2: neither weighted
+        # frame operator is invertible, so kappa is not measured.
+        one = GFrameFamily(AdjointableOp(np.array([[1.0], [0.0]], dtype=complex), 1), (1,))
+        weights = {"thetas": [[[[1, 0]]]], "deltas": [[[[1, 0]]]], "band": [0.5, 2]}
+        instance = {"family": family_to_json(one), "second_family": family_to_json(one),
+                    "weights": weights}
+        report = registry.build_and_run("PROP_MIXED", instance, 0)
+        assert report.verdict is Verdict.HYPOTHESIS_FAILS
+        assert not _check(report, "first_weighted_is_frame").passed
+        assert report_to_json(report)["details"]["kappa"] is None
 
     def test_claimed_bounds_recorded_not_asserted(self):
         family = _frame(4)
@@ -178,7 +193,7 @@ class TestT12:
         for at in range(family.size):
             flats = [breaks[kind](g) if j == at else g for j, g in enumerate(grams)]
             report = t12_check(family, [AdjointableOp(f, n) for f in flats])
-            expected = all(positivity(f)[0] for f in flats)
+            expected = all(least >= -margin for least, margin in map(positivity, flats))
             assert expected is (kind == "hermitian_within_margin")
             assert _check(report, "summands_positive").passed is expected
             if not expected:
@@ -440,3 +455,13 @@ def test_perturbation_reports_name_their_exact_decisions(seed):
     dominated = _check(difference, "difference_dominated")
     assert dominated.passed and dominated.measured <= dominated.limit
     assert not {"domination_gap", "sampled_ok"} & set(difference.details)
+
+
+def test_inputs_of_the_wrong_count_or_module_raise_dimension_mismatch():
+    family = _frame(0)
+    with pytest.raises(DimensionMismatch, match="one candidate summand per member required"):
+        t12_check(family, operators_from_family(family)[:-1])
+    with pytest.raises(DimensionMismatch, match="families live on different modules"):
+        final_corollary_check(family, _frame(1, d=3), 0.5)
+    with pytest.raises(DimensionMismatch, match="one coefficient per family member required"):
+        weighted_family(family, (identity(2),) * (family.size - 1))

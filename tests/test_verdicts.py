@@ -2,7 +2,9 @@
 its listed checks failed, and no scalar limit lets an instance at its
 boundary through to ConclusionFails."""
 
+import ast
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,3 +136,31 @@ def test_a_positivity_check_passes_exactly_when_its_measured_value_clears_its_li
                 assert not item.passed, (report.theorem_id, item)
                 checked += 1
     assert checked == 4
+
+
+def _check_item_builders() -> list[str]:
+    """The ``module.function`` around each ``CheckItem(...)`` call in the
+    package, ``module.<module>`` for a call outside any function."""
+    builders = []
+    for path in (Path(__file__).resolve().parents[1] / "src" / "gframes").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        # Breadth first: a node's owner is set before its children are read.
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                is_function = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                owner[child] = node.name if is_function else owner.get(node, "<module>")
+        builders += [
+            f"{path.stem}.{owner[node]}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "CheckItem" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        ]
+    return builders
+
+
+def test_check_items_are_built_only_by_check_and_the_one_disjunction():
+    # Every comparison is decided in ``sums.check``; the one hypothesis
+    # that is no single comparison is T3_COROLLARY's "either input is a
+    # frame".
+    assert sorted(_check_item_builders()) == ["sums.check", "sums.t3_corollary_check"]
