@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 
 from .algebra import DEFAULT_TOL, Tolerance
 from .errors import GFrameError, ValidationError
-from .registry import THEOREMS, run_decoded, theorem_ids, validate_instance
+from .registry import THEOREMS, run_decoded, validate_instance
 from .serialize import decode_fields, is_int, is_number, report_to_json
 
 SCHEMA_VERSION = 1
@@ -37,7 +37,8 @@ _TOLERANCE_FIELDS = {"rel": _NONNEGATIVE, "abs": _NONNEGATIVE}
 _SCENARIO_FIELDS = {
     "schema": (str(SCHEMA_VERSION), lambda v: is_int(v) and v == SCHEMA_VERSION, int),
     "name": ("a string", lambda v: isinstance(v, str), str),
-    "theorem": ("a theorem id; see --list-theorems", lambda v: v in theorem_ids(), str),
+    "theorem": ("a theorem id; see --list-theorems",
+                lambda v: isinstance(v, str) and v in THEOREMS, str),
     **dict.fromkeys(("seed", "seed_stride"), ("an integer", is_int, int)),
     "repetitions": (f"a positive integer at most {MAX_REPETITIONS}",
                     lambda v: is_int(v) and 0 < v <= MAX_REPETITIONS, int),
@@ -241,8 +242,8 @@ def render_csv(runs: list[RunReport]) -> str:
 
 
 def _list_theorems() -> str:
-    width = max(len(name) for name in theorem_ids())
-    lines = [f"{name:<{width}}  {THEOREMS[name].description}" for name in theorem_ids()]
+    width = max(map(len, THEOREMS))
+    lines = [f"{name:<{width}}  {spec.description}" for name, spec in THEOREMS.items()]
     return "\n".join(lines) + "\n"
 
 

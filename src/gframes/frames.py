@@ -43,7 +43,10 @@ class FrameBounds:
 
 @dataclass(frozen=True)
 class Classification:
-    kind: FrameKind
+    """The kind and optimal bounds that ``sums.theorem_report`` reports;
+    a None kind means the report states no result kind."""
+
+    kind: FrameKind | None
     bounds: FrameBounds
 
 

@@ -82,10 +82,6 @@ class GenSpec:
             raise BadRange("member_dims must be nonempty positive integers")
 
 
-def _needs_span(target: FamilyTarget) -> bool:
-    return target.kind != "random"
-
-
 def _condition_to_target(
     flat: np.ndarray,
     n: int,
@@ -117,8 +113,6 @@ def _condition_to_target(
                 "a one-dimensional flattening admits only equal bounds"
             )
         spectrum = np.array([target.lower])
-    elif size == 2:
-        spectrum = np.array([target.lower, target.upper])
     else:
         interior = rng.uniform(target.lower, target.upper, size - 2)
         spectrum = np.concatenate([[target.lower], interior, [target.upper]])
@@ -141,6 +135,19 @@ def _verify_target(family: GFrameFamily, target: FamilyTarget) -> bool:
     return abs(bounds.lower - lower) <= slack and abs(bounds.upper - upper) <= slack
 
 
+def _conditioned(
+    flat: np.ndarray, spec: GenSpec, rng: np.random.Generator
+) -> GFrameFamily | None:
+    """The draw conditioned to the spec's target as a family, or None
+    when it is too ill-conditioned or misses the target: redraw then."""
+    n = spec.algebra_dim
+    conditioned = _condition_to_target(flat, n, spec.module_len, spec.target, rng)
+    if conditioned is None:
+        return None
+    family = GFrameFamily(AdjointableOp(conditioned, n), spec.member_dims)
+    return family if _verify_target(family, spec.target) else None
+
+
 def gen_family(spec: GenSpec) -> GFrameFamily:
     """Generate one family, deterministically in the seed.
 
@@ -149,7 +156,7 @@ def gen_family(spec: GenSpec) -> GFrameFamily:
     further shape the spectrum to hit the requested extremes exactly.
     """
     n, d = spec.algebra_dim, spec.module_len
-    if _needs_span(spec.target) and sum(spec.member_dims) < d:
+    if spec.target.kind != "random" and sum(spec.member_dims) < d:
         raise DegenerateSpec(
             f"member dims {spec.member_dims} cannot span a length-{d} module"
         )
@@ -158,11 +165,8 @@ def gen_family(spec: GenSpec) -> GFrameFamily:
         flat = np.hstack(
             [complex_gaussian(rng, n * d, n * dz) for dz in spec.member_dims]
         )
-        conditioned = _condition_to_target(flat, n, d, spec.target, rng)
-        if conditioned is None:
-            continue
-        family = GFrameFamily(AdjointableOp(conditioned, n), spec.member_dims)
-        if _verify_target(family, spec.target):
+        family = _conditioned(flat, spec, rng)
+        if family is not None:
             return family
     raise RuntimeError(f"generator failed to hit target after {_REDRAWS} draws")
 
@@ -180,7 +184,7 @@ def gen_orthogonal_pair(spec: GenSpec) -> tuple[GFrameFamily, GFrameFamily]:
     if any(dz < 2 for dz in spec.member_dims):
         raise DegenerateSpec("orthogonal pairs need every member dim at least 2")
     splits = [(n * dz) // 2 for dz in spec.member_dims]
-    if _needs_span(spec.target):
+    if spec.target.kind != "random":
         left_cols = sum(splits)
         right_cols = sum(n * dz - k for dz, k in zip(spec.member_dims, splits))
         if left_cols < n * d or right_cols < n * d:
@@ -195,13 +199,11 @@ def gen_orthogonal_pair(spec: GenSpec) -> tuple[GFrameFamily, GFrameFamily]:
         for at, dz, k in zip(starts, spec.member_dims, splits):
             left[:, at : at + k] = complex_gaussian(rng, n * d, k)
             right[:, at + k : at + n * dz] = complex_gaussian(rng, n * d, n * dz - k)
-        left_cond = _condition_to_target(left, n, d, spec.target, rng)
-        right_cond = _condition_to_target(right, n, d, spec.target, rng)
-        if left_cond is None or right_cond is None:
-            continue
-        first = GFrameFamily(AdjointableOp(left_cond, n), spec.member_dims)
-        second = GFrameFamily(AdjointableOp(right_cond, n), spec.member_dims)
-        if not (_verify_target(first, spec.target) and _verify_target(second, spec.target)):
+        # Both halves are conditioned before a redraw: the right half's
+        # conditioning draws even when the left half is rejected.
+        first = _conditioned(left, spec, rng)
+        second = _conditioned(right, spec, rng)
+        if first is None or second is None:
             continue
         cross = cross_operator(first, second).flat
         if cross.any() and spectral_norm(cross) > 1e-12:

@@ -227,8 +227,8 @@ def _sizes(
     return n, d, dims
 
 
-def _random_endo(rng, n, d, scale=1.0) -> AdjointableOp:
-    return AdjointableOp(scale * complex_gaussian(rng, n * d, n * d), n)
+def _random_endo(rng, n, d) -> AdjointableOp:
+    return AdjointableOp(complex_gaussian(rng, n * d, n * d), n)
 
 
 def _gen_weights(rng, n, count, band, shared=False) -> ScalarWeights:
@@ -381,8 +381,7 @@ def _tight_mn_ops(v, seed, rng, n, d, dims) -> tuple:
     # Distinct Hermitian spectrum: the identity-multiple condition fails
     # and the sum must measure non-tight.
     basis = haar_unitary(rng, n * d)
-    spread = np.linspace(0.5, 1.5, n * d) if n * d > 1 else np.array([1.0])
-    m_flat = (basis * spread) @ basis.conj().T
+    m_flat = (basis * np.linspace(0.5, 1.5, n * d)) @ basis.conj().T
     m_op = AdjointableOp(m_flat, n)
     n_op = AdjointableOp(float(rng.uniform(0.4, 1.1)) * haar_unitary(rng, n * d), n)
     if n * d == 1:
@@ -586,10 +585,6 @@ _theorem(
     {"family": _drawn("family"), "second_family": _near_copy},
     {"family_target": FamilyTarget.bounds(1.0, 2.0), "alpha": 0.5},
 )
-
-
-def theorem_ids() -> list[str]:
-    return list(THEOREMS)
 
 
 class _LazyRng:

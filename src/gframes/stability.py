@@ -19,6 +19,7 @@ import numpy as np
 from .algebra import DEFAULT_TOL, Tolerance, hermitian_part, positivity, spectral_norm
 from .errors import AlphaOutOfRange, DimensionMismatch
 from .frames import (
+    Classification,
     FrameBounds,
     GFrameFamily,
     frame_operator,
@@ -34,24 +35,10 @@ from .sums import (
     ScalarWeights,
     TheoremReport,
     _frame_check,
-    _verdict,
     check,
+    theorem_report,
     weighted_pair,
 )
-
-
-def _report(
-    theorem_id: str, achieved: FrameBounds, checks: tuple, conclusion: bool, details: dict
-) -> TheoremReport:
-    """Shared tail of the perturbation checkers, which predict no bounds
-    and report no result kind."""
-    return TheoremReport(
-        theorem_id=theorem_id,
-        achieved=achieved,
-        verdict=_verdict(checks, conclusion),
-        hypothesis_checks=checks,
-        details=details,
-    )
 
 
 def _second_family_report(
@@ -64,11 +51,12 @@ def _second_family_report(
 ) -> TheoremReport:
     """Tail of the checkers that conclude the second family is a frame:
     the input's frame check, with bounds ``base``, leads the hypotheses,
-    and those bounds join ``details``."""
+    and those bounds join ``details``.  With no predicted bounds and no
+    result kind, ``theorem_report`` concludes that ``other`` is a frame."""
     checks = (_frame_check("input_is_frame", base, tol), *checks)
     details = {**details, "input_lower": base.lower, "input_upper": base.upper}
-    achieved = optimal_bounds(other)
-    return _report(theorem_id, achieved, checks, is_frame_bounds(achieved, tol), details)
+    cls = Classification(None, optimal_bounds(other))
+    return theorem_report(theorem_id, cls, checks, None, None, tol, details)
 
 
 def _weighted_preamble(
@@ -306,7 +294,10 @@ def t12_check(
         "input_upper": d_high,
         **bracket,
     }
-    return _report("T12_OPERATOR", achieved, checks, conclusion, details)
+    cls = Classification(None, achieved)
+    return theorem_report(
+        "T12_OPERATOR", cls, checks, None, None, tol, details, conclusion=conclusion
+    )
 
 
 def final_corollary_check(

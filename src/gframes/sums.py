@@ -97,8 +97,9 @@ def check(name: str, measured: float, sense: str, limit: float) -> CheckItem:
 
 @dataclass(frozen=True)
 class TheoremReport:
-    """The outcome of one checker run.  The perturbation checkers predict
-    no bounds and leave ``result_kind`` None; their inputs and recorded
+    """The outcome of one checker run, built only by ``theorem_report``,
+    which alone picks the verdict.  The perturbation checkers predict no
+    bounds and leave ``result_kind`` None; their inputs and recorded
     constants sit in ``details``."""
 
     theorem_id: str
@@ -159,12 +160,6 @@ class ScalarWeights:
         return self.thetas[0].dim
 
 
-def _verdict(checks: tuple[CheckItem, ...], conclusion_holds: bool) -> Verdict:
-    if not all(c.passed for c in checks):
-        return Verdict.HYPOTHESIS_FAILS
-    return Verdict.CONCLUSION_HOLDS if conclusion_holds else Verdict.CONCLUSION_FAILS
-
-
 def _bound_slack(achieved: FrameBounds, tol: Tolerance) -> float:
     return tol.rel * achieved.upper
 
@@ -179,10 +174,11 @@ def theorem_report(
     details: dict[str, float] | None = None,
     conclusion: bool | None = None,
 ) -> TheoremReport:
-    """The shared checker tail: ``achieved`` and ``result_kind`` come from
-    the one classification of the combined family.  Unless the checker
-    states its own conclusion, the claim is a frame within the predicted
-    bounds."""
+    """The one checker tail, and the one place a verdict is picked: any
+    failed check gives ``HypothesisFails``, else the conclusion decides.
+    ``achieved`` and ``result_kind`` come from ``cls``.  Unless the
+    checker states its own conclusion, the claim is a frame within the
+    predicted bounds."""
     achieved = cls.bounds
     if conclusion is None:
         slack = _bound_slack(achieved, tol)
@@ -191,14 +187,18 @@ def theorem_report(
             and (predicted_lower is None or achieved.lower >= predicted_lower - slack)
             and (predicted_upper is None or achieved.upper <= predicted_upper + slack)
         )
+    if not all(c.passed for c in checks):
+        verdict = Verdict.HYPOTHESIS_FAILS
+    else:
+        verdict = Verdict.CONCLUSION_HOLDS if conclusion else Verdict.CONCLUSION_FAILS
     return TheoremReport(
         theorem_id=theorem_id,
         hypothesis_checks=checks,
         predicted_lower=predicted_lower,
         predicted_upper=predicted_upper,
         achieved=achieved,
-        verdict=_verdict(checks, conclusion),
-        result_kind=cls.kind.value,
+        verdict=verdict,
+        result_kind=cls.kind.value if cls.kind else None,
         details=details or {},
     )
 

@@ -377,6 +377,9 @@ _MALFORMED = [
     ("T12_OPERATOR", {"tolerance": {"rel": "1e-6"}}, {}, "rel"),
     ("T12_OPERATOR", {"tolerance": {"abs": True}}, {}, "abs"),
     ("CLASSIFY", {"name": {"a": [1, 2]}}, {}, "name"),
+    # Theorem ids that cannot be hashed, and so cannot be looked up.
+    ("CLASSIFY", {"theorem": []}, {}, "theorem"),
+    ("CLASSIFY", {"theorem": {}}, {}, "theorem"),
     # Finite numbers that overflow in the products the checker forms.
     ("TIGHT_MN", {}, {"alpha1": sys.float_info.max}, "alpha1"),
     ("T3_EQUIV", {}, {"second_family_target": {"bounds": [1, sys.float_info.max]}},

@@ -81,6 +81,7 @@ _LIMITS = [
     ("PROP_MIXED", "alpha2", 0.999, 1e-3, {"alpha1": 0.01}),
     ("THM_DIFFERENCE", "alpha1", 0.999, 1e-6, {"alpha2": 1e-4}),
     ("THM_DIFFERENCE", "alpha2", 0.999, 1e-6, {"alpha1": 1e-4}),
+    ("FINAL_COROLLARY", "alpha", 0.5, 1e-3, {}),
 ]
 
 
@@ -138,9 +139,9 @@ def test_a_positivity_check_passes_exactly_when_its_measured_value_clears_its_li
     assert checked == 4
 
 
-def _check_item_builders() -> list[str]:
-    """The ``module.function`` around each ``CheckItem(...)`` call in the
-    package, ``module.<module>`` for a call outside any function."""
+def _builders(class_name: str) -> list[str]:
+    """The ``module.function`` around each ``<class_name>(...)`` call in
+    the package, ``module.<module>`` for a call outside any function."""
     builders = []
     for path in (Path(__file__).resolve().parents[1] / "src" / "gframes").glob("*.py"):
         tree = ast.parse(path.read_text())
@@ -154,7 +155,7 @@ def _check_item_builders() -> list[str]:
             f"{path.stem}.{owner[node]}"
             for node in ast.walk(tree)
             if isinstance(node, ast.Call)
-            and "CheckItem" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            and class_name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
         ]
     return builders
 
@@ -163,4 +164,10 @@ def test_check_items_are_built_only_by_check_and_the_one_disjunction():
     # Every comparison is decided in ``sums.check``; the one hypothesis
     # that is no single comparison is T3_COROLLARY's "either input is a
     # frame".
-    assert sorted(_check_item_builders()) == ["sums.check", "sums.t3_corollary_check"]
+    assert sorted(_builders("CheckItem")) == ["sums.check", "sums.t3_corollary_check"]
+
+
+def test_reports_are_built_only_by_the_one_tail():
+    # Every checker returns through ``sums.theorem_report``, the one place
+    # where a verdict is picked from the checks and the conclusion.
+    assert _builders("TheoremReport") == ["sums.theorem_report"]
