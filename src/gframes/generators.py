@@ -27,41 +27,34 @@ _MIN_CONDITION = 1e-6
 
 @dataclass(frozen=True)
 class FamilyTarget:
-    """What the generated family's optimal bounds should be."""
+    """The optimal bounds the generated family should have: neither for
+    a raw draw, and equal ones for a tight family, Parseval being tight
+    with constant one."""
 
-    kind: str
-    nu: float | None = None
     lower: float | None = None
     upper: float | None = None
 
     def __post_init__(self):
-        if self.kind not in {"random", "parseval", "tight", "bounds"}:
-            raise BadRange(f"unknown target kind {self.kind!r}")
-        if self.kind == "tight" and (self.nu is None or not 0.0 < self.nu < math.inf):
-            raise BadRange("tight target needs a finite nu > 0")
-        if self.kind == "bounds":
-            if (
-                self.lower is None
-                or self.upper is None
-                or not (0.0 < self.lower <= self.upper < math.inf)
-            ):
-                raise BadRange("bounds target needs 0 < lower <= upper < inf")
+        if self.lower is None and self.upper is None:
+            return
+        if None in (self.lower, self.upper) or not 0.0 < self.lower <= self.upper < math.inf:
+            raise BadRange("a target needs 0 < lower <= upper < inf, or neither bound")
 
     @classmethod
     def random(cls) -> "FamilyTarget":
-        return cls("random")
+        return cls()
 
     @classmethod
     def parseval(cls) -> "FamilyTarget":
-        return cls("parseval")
+        return cls(1.0, 1.0)
 
     @classmethod
     def tight(cls, nu: float) -> "FamilyTarget":
-        return cls("tight", nu=nu)
+        return cls(nu, nu)
 
     @classmethod
     def bounds(cls, lower: float, upper: float) -> "FamilyTarget":
-        return cls("bounds", lower=lower, upper=upper)
+        return cls(lower, upper)
 
 
 @dataclass(frozen=True)
@@ -83,18 +76,14 @@ class GenSpec:
 
 
 def _condition_to_target(
-    flat: np.ndarray,
-    n: int,
-    d: int,
-    target: FamilyTarget,
-    rng: np.random.Generator,
+    flat: np.ndarray, target: FamilyTarget, rng: np.random.Generator
 ) -> np.ndarray | None:
     """Post-compose a raw analysis flattening so its frame operator hits the target.
 
     Returns None when the raw draw is too ill-conditioned to normalize
     accurately (the caller redraws).
     """
-    if target.kind == "random":
+    if target.lower is None:
         return flat
     eigs, vecs = np.linalg.eigh(hermitian_part(flat @ flat.conj().T))
     if eigs[0] <= _MIN_CONDITION * max(eigs[-1], 1.0):
@@ -102,36 +91,24 @@ def _condition_to_target(
     # The inverse square root of the frame operator.
     whitener = (vecs / np.sqrt(eigs)) @ vecs.conj().T
     flat = whitener @ flat
-    if target.kind == "parseval":
-        return flat
-    if target.kind == "tight":
-        return math.sqrt(target.nu) * flat
-    size = n * d
+    if target.lower == target.upper:
+        return math.sqrt(target.lower) * flat
+    size = flat.shape[0]
     if size == 1:
-        if target.lower != target.upper:
-            raise DegenerateSpec(
-                "a one-dimensional flattening admits only equal bounds"
-            )
-        spectrum = np.array([target.lower])
-    else:
-        interior = rng.uniform(target.lower, target.upper, size - 2)
-        spectrum = np.concatenate([[target.lower], interior, [target.upper]])
+        raise DegenerateSpec("a one-dimensional flattening admits only equal bounds")
+    interior = rng.uniform(target.lower, target.upper, size - 2)
+    spectrum = np.concatenate([[target.lower], interior, [target.upper]])
     basis = haar_unitary(rng, size)
     shaper = (basis * np.sqrt(spectrum)) @ basis.conj().T
     return shaper @ flat
 
 
 def _verify_target(family: GFrameFamily, target: FamilyTarget) -> bool:
-    if target.kind == "random":
+    if target.lower is None:
         return True
-    if target.kind == "bounds":
-        lower, upper, rel = target.lower, target.upper, 1e-8
-    else:
-        # Parseval is tight with constant one.
-        lower = upper = 1.0 if target.kind == "parseval" else target.nu
-        rel = 1e-9
+    lower, upper = target.lower, target.upper
+    slack = (1e-9 if lower == upper else 1e-8) * max(1.0, upper)
     bounds = optimal_bounds(family)
-    slack = rel * max(1.0, upper)
     return abs(bounds.lower - lower) <= slack and abs(bounds.upper - upper) <= slack
 
 
@@ -140,23 +117,23 @@ def _conditioned(
 ) -> GFrameFamily | None:
     """The draw conditioned to the spec's target as a family, or None
     when it is too ill-conditioned or misses the target: redraw then."""
-    n = spec.algebra_dim
-    conditioned = _condition_to_target(flat, n, spec.module_len, spec.target, rng)
+    conditioned = _condition_to_target(flat, spec.target, rng)
     if conditioned is None:
         return None
-    family = GFrameFamily(AdjointableOp(conditioned, n), spec.member_dims)
+    family = GFrameFamily(AdjointableOp(conditioned, spec.algebra_dim), spec.member_dims)
     return family if _verify_target(family, spec.target) else None
 
 
 def gen_family(spec: GenSpec) -> GFrameFamily:
     """Generate one family, deterministically in the seed.
 
-    Parseval targets post-compose a raw draw with the inverse square
-    root of its frame operator; tight targets scale that; bounds targets
-    further shape the spectrum to hit the requested extremes exactly.
+    A target with bounds post-composes a raw draw with the inverse
+    square root of its frame operator.  Equal bounds scale that by the
+    square root of their constant (one for Parseval); spread bounds
+    shape its spectrum in a Haar basis to hit both extremes exactly.
     """
     n, d = spec.algebra_dim, spec.module_len
-    if spec.target.kind != "random" and sum(spec.member_dims) < d:
+    if spec.target.lower is not None and sum(spec.member_dims) < d:
         raise DegenerateSpec(
             f"member dims {spec.member_dims} cannot span a length-{d} module"
         )
@@ -184,7 +161,7 @@ def gen_orthogonal_pair(spec: GenSpec) -> tuple[GFrameFamily, GFrameFamily]:
     if any(dz < 2 for dz in spec.member_dims):
         raise DegenerateSpec("orthogonal pairs need every member dim at least 2")
     splits = [(n * dz) // 2 for dz in spec.member_dims]
-    if spec.target.kind != "random":
+    if spec.target.lower is not None:
         left_cols = sum(splits)
         right_cols = sum(n * dz - k for dz, k in zip(spec.member_dims, splits))
         if left_cols < n * d or right_cols < n * d:

@@ -66,7 +66,7 @@ _TARGET_FIELDS = {
 def parse_target(data) -> FamilyTarget:
     """Accepts "random" | "parseval" | {"tight": nu} | {"bounds": [lo, hi]}."""
     if data in ("random", "parseval"):
-        return FamilyTarget(data)
+        return getattr(FamilyTarget, data)()
     targets = list(decode_fields(data, _TARGET_FIELDS, "family target").values())
     if len(targets) != 1:
         raise ValidationError('a family target object holds one of "tight" and "bounds"')
@@ -192,10 +192,10 @@ def _sizes(
 
     ``min_flat`` forces a drawn flattening dimension n*d upward, for
     builders whose targets need room for two distinct bounds; a declared
-    bounds target with lower < upper needs it as well.
+    target with spread bounds needs it as well.
     """
     targets = (cfg.get("family_target"), cfg.get("second_family_target"))
-    if any(t is not None and t.kind == "bounds" and t.lower < t.upper for t in targets):
+    if any(t is not None and t.lower != t.upper for t in targets):
         min_flat = max(min_flat, 2)
     fixed = {size: value for _, size, value in reversed(_fixed_sizes(cfg))}
     n = fixed.get("n") or int(rng.integers(1, 4))

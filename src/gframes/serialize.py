@@ -102,6 +102,10 @@ def _labelled(data, kinds: dict, what: str, contents: str):
     return value
 
 
+def _has_bool(data) -> bool:
+    return isinstance(data, bool) or isinstance(data, list) and any(map(_has_bool, data))
+
+
 def array_from_json(data, rank: int) -> np.ndarray:
     """Finite complex array of the given rank from nested [re, im] pairs,
     converted in one call."""
@@ -110,8 +114,11 @@ def array_from_json(data, rank: int) -> np.ndarray:
     except (ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed complex array: {exc}") from exc
     # Entries must be JSON numbers: a string such as "1.5" makes a text
-    # array and a null, an object or a huge integer an object array.
-    if pairs.dtype.kind not in "biuf" or pairs.ndim != rank + 1 or pairs.shape[-1] != 2:
+    # array, a null, an object or a huge integer an object array, and a
+    # bool among numbers reads as 0 or 1, so bools are searched for once
+    # the shape bounds the depth.
+    shaped = pairs.ndim == rank + 1 and pairs.shape[-1] == 2
+    if pairs.dtype.kind not in "iuf" or not shaped or _has_bool(data):
         raise ValidationError(f"need a rank-{rank} array of [re, im] number pairs")
     if not np.isfinite(pairs).all():
         raise ValidationError("non-finite complex entry")

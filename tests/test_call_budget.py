@@ -2,9 +2,9 @@
 
 The checkers end in spectral norms and extreme eigenvalues of small
 matrices, and a repetition's cost follows its count of LAPACK calls.
-The table holds the most ``svd`` and ``eigvalsh`` calls that one
-repetition made at these sizes and seeds, decode included, so a change
-that adds a call fails here instead of going unnoticed.
+The table holds the most ``svd``, ``eigvalsh`` and ``eigh`` calls that
+one repetition made at these sizes and seeds, decode included, so a
+change that adds a call fails here instead of going unnoticed.
 """
 
 from collections import Counter
@@ -17,22 +17,23 @@ from gframes.registry import THEOREMS, run_decoded, validate_instance
 SIZES = {"algebra_dim": 2, "module_len": 2, "member_dims": [2, 2]}
 SEEDS = range(4)
 
-# theorem: (svd calls, eigvalsh calls), the most over SEEDS.
+# theorem: (svd, eigvalsh, eigh calls), the most over SEEDS.
+_CALLS = ("svd", "eigvalsh", "eigh")
 BUDGET = {
-    "CLASSIFY": (0, 1),
-    "PERTURB_LAMBDA": (3, 3),
-    "T3_EQUIV": (3, 4),
-    "T3_COROLLARY": (2, 6),
-    "T7_SCALAR": (0, 5),
-    "T11_POSITIVE": (1, 7),
-    "TIGHT_SUM": (1, 5),
-    "ISOMETRY_SUM": (3, 6),
-    "LAMBDA_LOWER": (1, 5),
-    "TIGHT_MN": (2, 5),
-    "PROP_MIXED": (0, 3),
-    "THM_DIFFERENCE": (1, 3),
-    "T12_OPERATOR": (2, 4),
-    "FINAL_COROLLARY": (1, 2),
+    "CLASSIFY": (0, 1, 1),
+    "PERTURB_LAMBDA": (3, 3, 1),
+    "T3_EQUIV": (3, 4, 0),
+    "T3_COROLLARY": (2, 6, 2),
+    "T7_SCALAR": (0, 5, 1),
+    "T11_POSITIVE": (1, 7, 2),
+    "TIGHT_SUM": (1, 5, 2),
+    "ISOMETRY_SUM": (3, 6, 2),
+    "LAMBDA_LOWER": (1, 5, 1),
+    "TIGHT_MN": (2, 5, 2),
+    "PROP_MIXED": (0, 3, 3),
+    "THM_DIFFERENCE": (1, 3, 2),
+    "T12_OPERATOR": (2, 4, 1),
+    "FINAL_COROLLARY": (1, 2, 1),
 }
 
 
@@ -43,7 +44,7 @@ def test_the_budget_names_every_theorem():
 @pytest.mark.parametrize("theorem", sorted(BUDGET))
 def test_a_repetition_stays_within_its_lapack_budget(monkeypatch, theorem):
     counts = Counter()
-    for name in ("svd", "eigvalsh"):
+    for name in _CALLS:
         original = getattr(np.linalg, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
@@ -55,6 +56,5 @@ def test_a_repetition_stays_within_its_lapack_budget(monkeypatch, theorem):
         config = validate_instance(theorem, dict(SIZES))
         counts.clear()
         run_decoded(theorem, config, seed)
-        svd_budget, eigvalsh_budget = BUDGET[theorem]
-        assert counts["svd"] <= svd_budget, (seed, dict(counts))
-        assert counts["eigvalsh"] <= eigvalsh_budget, (seed, dict(counts))
+        for name, budget in zip(_CALLS, BUDGET[theorem]):
+            assert counts[name] <= budget, (seed, name, dict(counts))

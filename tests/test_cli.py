@@ -334,6 +334,13 @@ _MALFORMED = [
     ("ISOMETRY_SUM", {}, {"lambda": {"blocks": [[_ROW], [_ROW]]}}, "blocks"),
     ("T12_OPERATOR", {}, {"delta_ops": [{"blocks": [[_ONE], [_EYE2]]}]}, "blocks"),
     ("T3_EQUIV", {}, {"n": {"source_len": 2, "blocks": [[_ONE]]}}, "source_len"),
+    # A JSON bool is no number, alone or beside numbers that numpy would
+    # turn it into.
+    ("FINAL_COROLLARY", {}, {"family": {"members": [{"blocks": [[[[[True, False]]]]]}]}},
+     "blocks"),
+    ("T7_SCALAR", {}, {"family": {"members": [{"blocks": [[[[[1.0, True]]]]]}]}}, "blocks"),
+    ("T11_POSITIVE", {}, dict(_inline_pair_instance(), weights=dict(_WEIGHTS, thetas=[[[[True, 0]]]]),
+                              second_family=_inline_pair_instance()["family"]), "thetas"),
     # Scenario fields: a tolerance must be finite, repetitions not a bool.
     ("CLASSIFY", {"tolerance": {"rel": "nan"}}, {}, "rel"),
     ("CLASSIFY", {"tolerance": {"abs": 1e999}}, {}, "abs"),

@@ -66,6 +66,25 @@ def test_bounds_target_places_spectrum_exactly():
         assert classify(family).kind is not FrameKind.BESSEL_ONLY
 
 
+def test_a_target_is_its_pair_of_bounds():
+    assert FamilyTarget.parseval() == FamilyTarget.tight(1.0) == FamilyTarget.bounds(1.0, 1.0)
+    assert FamilyTarget.random() == FamilyTarget()
+    for lower, upper in ((1.0, None), (None, 1.0), (2.0, 1.0), (0.0, 1.0), (1.0, np.inf)):
+        with pytest.raises(BadRange):
+            FamilyTarget(lower, upper)
+
+
+@pytest.mark.parametrize("nu", [0.5, 3.0])
+def test_equal_bounds_take_the_tight_path(nu):
+    for seed in range(20):
+        tight = gen_family(GenSpec(seed, 2, 2, (2, 3), FamilyTarget.tight(nu)))
+        equal = gen_family(GenSpec(seed, 2, 2, (2, 3), FamilyTarget.bounds(nu, nu)))
+        assert np.array_equal(tight.analysis.flat, equal.analysis.flat), seed
+    # A one-dimensional flattening admits equal bounds only.
+    family = gen_family(GenSpec(0, 1, 1, (1, 1), FamilyTarget.bounds(nu, nu)))
+    assert optimal_bounds(family).lower == pytest.approx(nu, rel=1e-9)
+
+
 def test_gen_family_degenerate_span():
     with pytest.raises(DegenerateSpec):
         gen_family(GenSpec(0, 2, 3, (1, 1), FamilyTarget.parseval()))
@@ -267,6 +286,6 @@ def test_condition_to_target_makes_one_eigh_and_no_eigvalsh(monkeypatch, target)
     rng = make_rng(5)
     flat = np.hstack([complex_gaussian(rng, 6, 2 * dz) for dz in (2, 3, 2)])
     counts = _counting(monkeypatch, "eigh", "eigvalsh")
-    conditioned = _condition_to_target(flat, 2, 3, target, rng)
+    conditioned = _condition_to_target(flat, target, rng)
     assert conditioned is not None
     assert counts == {"eigh": 1, "eigvalsh": 0}

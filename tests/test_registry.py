@@ -25,7 +25,7 @@ _PARITY_CHOICES = {
 def _json_form(value):
     """A declared default as an instance spells it."""
     if isinstance(value, FamilyTarget):
-        return {"bounds": [value.lower, value.upper]} if value.kind == "bounds" else value.kind
+        return "random" if value.lower is None else {"bounds": [value.lower, value.upper]}
     return list(value) if isinstance(value, tuple) else value
 
 

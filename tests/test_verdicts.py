@@ -17,13 +17,14 @@ from gframes import (
     Verdict,
     gen_family,
     operators_from_family,
+    registry,
     scale_family,
     stability,
     t3_corollary_check,
     t12_check,
 )
 from gframes.registry import THEOREMS, build_and_run
-from gframes.serialize import _REPORT_KEYS, report_to_json
+from gframes.serialize import _REPORT_KEYS, op_to_json, report_to_json
 
 # Scalar overrides under which some seeds fail a hypothesis.
 _FAILING = [
@@ -85,10 +86,23 @@ _LIMITS = [
 ]
 
 
+def _flip(verdict, good: int, bad: int) -> int:
+    """Bisect, in units in the last place, to the first value at which the
+    hypothesis verdict flips, then check that no conclusion fails there or
+    around it; returns that value's bits."""
+    while abs(bad - good) > 1:
+        mid = (good + bad) // 2
+        if verdict(mid) is Verdict.HYPOTHESIS_FAILS:
+            bad = mid
+        else:
+            good = mid
+    for ulps in (0, 1, -1, 10, -10, 1000, -1000):
+        assert verdict(bad + ulps) is not Verdict.CONCLUSION_FAILS, ulps
+    return bad
+
+
 @pytest.mark.parametrize("theorem, key, holds, fails, fixed", _LIMITS)
 def test_no_conclusion_fails_at_a_scalar_limit(theorem, key, holds, fails, fixed):
-    # Bisect, in units in the last place, to the first value at which the
-    # hypothesis verdict flips, then run there and around it.
     flips = 0
     for seed in range(10):
         def verdict(bits, seed=seed):
@@ -100,15 +114,34 @@ def test_no_conclusion_fails_at_a_scalar_limit(theorem, key, holds, fails, fixed
         if verdict(bad) is not Verdict.HYPOTHESIS_FAILS:
             continue
         flips += 1
-        while abs(bad - good) > 1:
-            mid = (good + bad) // 2
-            if verdict(mid) is Verdict.HYPOTHESIS_FAILS:
-                bad = mid
-            else:
-                good = mid
-        for ulps in (0, 1, -1, 10, -10, 1000, -1000):
-            assert verdict(bad + ulps) is not Verdict.CONCLUSION_FAILS, (seed, ulps)
+        _flip(verdict, good, bad)
     assert flips
+
+
+def test_lambda_bound_flips_at_the_least_singular_value_of_n(monkeypatch):
+    # ``lambda_bound`` is drawn with M and N, so the seed's M and N are
+    # given inline to vary it alone, from its drawn value up to 2 sigma_min(N).
+    drawn = []
+    checker = registry.lambda_lower_check
+
+    def recording(*args):
+        drawn.append(args)
+        return checker(*args)
+
+    monkeypatch.setattr(registry, "lambda_lower_check", recording)
+    for seed in range(10):
+        build_and_run("LAMBDA_LOWER", {}, seed)
+        _, _, m_op, n_op, lam_bound, _ = drawn.pop()
+        mn = {"m": op_to_json(m_op), "n": op_to_json(n_op)}
+
+        def report(bits, seed=seed, mn=mn):
+            return build_and_run("LAMBDA_LOWER", {**mn, "lambda_bound": _float(bits)}, seed)
+
+        at_drawn = report(_bits(lam_bound))
+        assert at_drawn.verdict is Verdict.CONCLUSION_HOLDS, seed
+        sigma_min = at_drawn.details["n_sigma_min"]
+        flip = _flip(lambda bits: report(bits).verdict, _bits(lam_bound), _bits(2 * sigma_min))
+        assert flip == _bits(sigma_min), seed
 
 
 _POSITIVITY_CHECKS = {"conjugation_dominates", "mixed_operator_positive", "summands_positive"}
