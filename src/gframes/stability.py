@@ -6,7 +6,10 @@ Hermitian-definite pencil, whose eigenvector gives a witness vector.
 Each hypothesis is one check.  Numeric bound formulas quoted from the
 source derivations are recorded in ``details`` as ``claimed_lower`` and
 ``claimed_upper`` but never asserted; the verdict concerns only the
-qualitative conclusion (the perturbed family classifies as a frame).
+qualitative conclusion: the second family, or T12's summand total K,
+has frame bounds.  T12 and FINAL_COROLLARY conclude from K >= C - ||S - K||
+and share one companion check, ``_below_lower``, that holds the deviation,
+slack included, below C.
 """
 
 from __future__ import annotations
@@ -41,22 +44,30 @@ from .sums import (
 )
 
 
-def _second_family_report(
+def _frame_report(
     theorem_id: str,
     base: FrameBounds,
-    other: GFrameFamily,
+    achieved: FrameBounds,
     checks: tuple,
     details: dict,
     tol: Tolerance,
 ) -> TheoremReport:
-    """Tail of the checkers that conclude the second family is a frame:
-    the input's frame check, with bounds ``base``, leads the hypotheses,
-    and those bounds join ``details``.  With no predicted bounds and no
-    result kind, ``theorem_report`` concludes that ``other`` is a frame."""
+    """Tail of the checkers that conclude a perturbed family or operator
+    is a frame: the input's frame check, with bounds ``base``, leads the
+    hypotheses, and those bounds join ``details``.  With no predicted
+    bounds and no result kind, ``theorem_report`` concludes that bounds
+    ``achieved`` are frame bounds."""
     checks = (_frame_check("input_is_frame", base, tol), *checks)
     details = {**details, "input_lower": base.lower, "input_upper": base.upper}
-    cls = Classification(None, optimal_bounds(other))
+    cls = Classification(None, achieved)
     return theorem_report(theorem_id, cls, checks, None, None, tol, details)
+
+
+def _below_lower(name: str, deviation: float, base: FrameBounds, tol: Tolerance):
+    """``deviation`` below the input's lower bound C.  K with ||S - K|| <=
+    deviation has K >= C - deviation and ||K|| <= D + deviation, so a pass
+    at this slack leaves K a frame by ``is_frame_bounds``."""
+    return check(name, deviation, "<", base.lower, tol.margin(base.upper + deviation))
 
 
 def _weighted_preamble(
@@ -107,7 +118,7 @@ def prop_mixed_check(
     _, _, s_left, s_right = _weighted_preamble(family, other, weights, alpha1, alpha2)
     left_eigs, left_vecs = np.linalg.eigh(hermitian_part(s_left))
     whitened = check(
-        "first_weighted_is_frame", float(left_eigs[0]), ">", tol.rel * float(left_eigs[-1])
+        "first_weighted_is_frame", float(left_eigs[0]), ">", 0.0, tol.rel * float(left_eigs[-1])
     )
     if whitened.passed:
         whitener = (left_vecs / np.sqrt(left_eigs)) @ left_vecs.conj().T
@@ -125,7 +136,7 @@ def prop_mixed_check(
     measured = math.sqrt(max(a - b, 0.0))
     allowed = alpha1 * math.sqrt(a) + alpha2 * math.sqrt(b)
     slack = tol.margin(math.sqrt(max(a, b, 1.0)))
-    checks = (whitened, check("norm_difference_within", measured, "<=", allowed + slack))
+    checks = (whitened, check("norm_difference_within", measured, "<=", allowed, slack))
     base = optimal_bounds(family)
     ratio = (1.0 + alpha2) ** 2 / (1.0 - alpha1) ** 2
     band = weights.band_upper / weights.band_lower
@@ -137,7 +148,7 @@ def prop_mixed_check(
         "witness_margin": measured - allowed,
         "kappa": kappa,
     }
-    return _second_family_report("PROP_MIXED", base, other, checks, details, tol)
+    return _frame_report("PROP_MIXED", base, optimal_bounds(other), checks, details, tol)
 
 
 def difference_check(
@@ -165,7 +176,7 @@ def difference_check(
     scale = max(*spectral_norm(np.stack([combo, s_diff])).tolist(), 1.0)
 
     base = optimal_bounds(family)
-    checks = (check("difference_dominated", gap, "<=", tol.margin(scale)),)
+    checks = (check("difference_dominated", gap, "<=", 0.0, tol.margin(scale)),)
     ratio = (1.0 + 2.0 * math.sqrt(alpha2)) ** 2 / (1.0 - math.sqrt(alpha1)) ** 2
     band = weights.band_upper / weights.band_lower
     details = {
@@ -178,7 +189,7 @@ def difference_check(
             else math.inf
         ),
     }
-    return _second_family_report("THM_DIFFERENCE", base, other, checks, details, tol)
+    return _frame_report("THM_DIFFERENCE", base, optimal_bounds(other), checks, details, tol)
 
 
 def operators_from_family(other: GFrameFamily) -> list[AdjointableOp]:
@@ -229,8 +240,9 @@ def t12_check(
     Hypothesis: over every index subset, the summed deviation between
     adjoint(P).P and the candidate summand stays within C/D, where
     (C, D) are the input's optimal bounds and D > 1.  Conclusion: the
-    summand total K is positive and invertible; the proof-step
-    contraction ||I - S^-1 K|| <= 1/D is verified alongside.
+    summand total K is a frame operator: K >= C - ||S - K||, and the
+    subset supremum bounds ||S - K||.  The proof-step contraction
+    ||I - S^-1 K|| and its limit 1/D are recorded in ``details``.
     """
     n, d = family.algebra_dim, family.source_len
     if len(delta_ops) != family.size:
@@ -240,7 +252,6 @@ def t12_check(
 
     base = optimal_bounds(family)
     c_low, d_high = base.lower, base.upper
-    input_frame = _frame_check("input_is_frame", base, tol)
     budget = c_low / d_high if d_high > 0.0 else math.inf
 
     summands = np.stack([op.flat for op in delta_ops])
@@ -265,21 +276,18 @@ def t12_check(
         sup_lower, subset_sup = _subset_sup_bracket(deviations)
         bracket = {"subset_sup_lower": sup_lower, "subset_sup_upper": subset_sup}
     checks = (
-        input_frame,
         check("upper_above_one", d_high, ">", 1.0),
-        check("summands_positive", float(least[worst]), ">=", -float(margin[worst])),
-        check("subset_sup_within_budget", subset_sup, "<=", budget + tol.margin(max(budget, 1.0))),
+        check("summands_positive", float(least[worst]), ">=", 0.0, float(margin[worst])),
+        check("subset_sup_within_budget", subset_sup, "<=", budget, tol.margin(max(budget, 1.0))),
+        _below_lower("subset_sup_below_lower", subset_sup, base, tol),
     )
 
     k_flat = sum(op.flat for op in delta_ops)
     achieved = spectrum_bounds(k_flat)
-    if input_frame.passed:
+    if is_frame_bounds(base, tol):
         contraction = spectral_norm(_contraction(frame_operator(family).flat, k_flat))
     else:
         contraction = math.inf
-    contraction_limit = 1.0 / d_high if d_high > 0.0 else math.inf
-    contraction_ok = contraction <= contraction_limit + tol.margin(1.0)
-    conclusion = is_frame_bounds(achieved, tol) and contraction_ok
     details = {
         # The first claimed value reads as a bound on ||K^-1||, which a
         # Neumann argument puts at D/(C(D-1)): recorded, not asserted.
@@ -288,16 +296,11 @@ def t12_check(
         ),
         "claimed_upper": budget + d_high,
         "contraction_norm": contraction,
-        "contraction_limit": contraction_limit,
+        "contraction_limit": 1.0 / d_high if d_high > 0.0 else math.inf,
         "inverse_norm": 1.0 / achieved.lower if achieved.lower > 0.0 else math.inf,
-        "input_lower": c_low,
-        "input_upper": d_high,
         **bracket,
     }
-    cls = Classification(None, achieved)
-    return theorem_report(
-        "T12_OPERATOR", cls, checks, None, None, tol, details, conclusion=conclusion
-    )
+    return _frame_report("T12_OPERATOR", base, achieved, checks, details, tol)
 
 
 def final_corollary_check(
@@ -322,19 +325,16 @@ def final_corollary_check(
     distance, contraction = spectral_norm(
         np.stack([s_left - s_right, _contraction(s_left, s_right)])
     ).tolist()
-    # The second family's lower bound is at least C - ||S_F - S_G||, so the
-    # distance plus the slack that the alpha check allows must stay below C.
-    slack = tol.margin(max(alpha, 1.0))
     checks = (
-        check("proximity_within_alpha", distance, "<=", alpha + slack),
-        check("proximity_below_lower", distance, "<", c_low - slack),
+        check("proximity_within_alpha", distance, "<=", alpha, tol.margin(max(alpha, 1.0))),
+        _below_lower("proximity_below_lower", distance, base, tol),
     )
     details = {
         "alpha": alpha,
         "contraction_norm": contraction,
         "contraction_limit": alpha / c_low,
     }
-    return _second_family_report("FINAL_COROLLARY", base, other, checks, details, tol)
+    return _frame_report("FINAL_COROLLARY", base, optimal_bounds(other), checks, details, tol)
 
 
 def _contraction(s_flat: np.ndarray, k_flat: np.ndarray) -> np.ndarray:

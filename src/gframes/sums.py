@@ -88,10 +88,12 @@ class CheckItem:
 _SENSES = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-def check(name: str, measured: float, sense: str, limit: float) -> CheckItem:
+def check(name: str, measured: float, sense: str, limit: float, slack: float = 0.0) -> CheckItem:
     """The hypothesis ``measured <sense> limit``, ``sense`` one of
-    ``<``, ``<=``, ``>`` and ``>=``; ``limit`` carries whatever slack the
-    check allows."""
+    ``<``, ``<=``, ``>`` and ``>=``, with ``limit`` the theorem's bare
+    limit.  A strict sense must clear it by ``slack``, a non-strict one
+    may miss it by ``slack``; the item records the limit so moved."""
+    limit = limit - slack if sense in ("<", ">=") else limit + slack
     return CheckItem(name, bool(_SENSES[sense](measured, limit)), measured, limit)
 
 
@@ -205,12 +207,12 @@ def theorem_report(
 
 def _positivity_check(name: str, op: AdjointableOp, tol: Tolerance) -> CheckItem:
     least, margin = positivity(op.flat, tol)
-    return check(name, least, ">=", -margin)
+    return check(name, least, ">=", 0.0, margin)
 
 
 def _frame_check(name: str, bounds: FrameBounds, tol: Tolerance) -> CheckItem:
     """``is_frame_bounds`` as a check."""
-    return check(name, bounds.lower, ">", tol.rel * bounds.upper)
+    return check(name, bounds.lower, ">", 0.0, tol.rel * bounds.upper)
 
 
 def _member_sums(family: GFrameFamily, other: GFrameFamily) -> GFrameFamily:
@@ -491,8 +493,8 @@ def _tight_pair(
                 f" ({bounds.lower:.6g}, {bounds.upper:.6g})"
             )
     cross_norm = op_norm(cross_operator(family, other))
-    limit = tol.rel * max(left.upper, right.upper)
-    checks = (check("mixed_operator_vanishes", cross_norm, "<=", limit),)
+    slack = tol.rel * max(left.upper, right.upper)
+    checks = (check("mixed_operator_vanishes", cross_norm, "<=", 0.0, slack),)
     return _tight_constant(left), _tight_constant(right), checks
 
 
@@ -542,11 +544,10 @@ def isometry_sum_check(
     bounds_left = optimal_bounds(family)
     bounds_right = optimal_bounds(other)
     cross = cross_operator(family, other)
-    gram_dev, limit = isometry_defect(lam), tol.margin(1.0)
     checks = (
         _frame_check("first_is_frame", bounds_left, tol),
         _positivity_check("mixed_operator_positive", cross, tol),
-        check("lam_is_isometry", gram_dev, "<=", limit),
+        check("lam_is_isometry", isometry_defect(lam), "<=", 0.0, tol.margin(1.0)),
     )
     summed = family.analysis + other.analysis
     new_family = GFrameFamily(compose(summed, lam), family.member_dims)
@@ -596,13 +597,12 @@ def lambda_lower_check(
     sigma_min, norm_n, norm_m = svals[0][-1], svals[0][0], svals[1][0]
     dominance_flat = m_op.flat @ m_op.flat.conj().T - n_op.flat @ n_op.flat.conj().T
     dominance = float(np.linalg.eigvalsh(hermitian_part(dominance_flat))[0])
-    dom_margin = tol.margin(max(norm_m, norm_n) ** 2)
 
     checks = (
         _frame_check("input_is_frame", bounds_left, tol),
         check("n_bounded_below", sigma_min, ">", lam_bound),
         check("bessel_below_frame_lower", bessel, "<", d_low),
-        check("aux_m_dominates_n", dominance, ">=", -dom_margin),
+        check("aux_m_dominates_n", dominance, ">=", 0.0, tol.margin(max(norm_m, norm_n) ** 2)),
     )
     return theorem_report(
         "LAMBDA_LOWER",

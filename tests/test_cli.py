@@ -1194,6 +1194,74 @@ def test_final_corollary_slack_lets_no_non_frame_reach_the_conclusion(
                           "proximity_below_lower": False}, eps
 
 
+def _diagonal_family(*weights):
+    """n = 1, d = 2: one member per weight, the column sqrt(w_j) e_j, so
+    that the frame operator is diag(weights)."""
+    columns = np.sqrt(np.array(weights)) * np.eye(2, dtype=complex)
+    return ser.family_to_json(gframes.GFrameFamily.of(
+        gframes.AdjointableOp(columns[:, [j]], 1) for j in range(2)
+    ))
+
+
+def _diagonal_op(*entries):
+    return ser.op_to_json(gframes.AdjointableOp(np.diag(entries).astype(complex), 1))
+
+
+def _probe(tmp_path, theorem, instance):
+    """The exit code and the one report of an inline instance run once."""
+    doc = _basic_scenario(theorem=theorem, repetitions=1, instance=instance)
+    report_path = tmp_path / "out.json"
+    argv = ["run", _write(tmp_path, "probe.json", doc), "--no-timestamp"]
+    code = main(argv + ["--report", str(report_path)])
+    rep = json.loads(report_path.read_text())["runs"][0]["reports"][0]
+    return code, rep, {c["name"]: c["passed"] for c in rep["hypothesis_checks"]}
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-10, 1e-11, 1e-12])
+def test_t12_deviation_at_the_lower_bound_fails_its_companion_check(tmp_path, eps):
+    # S = diag(1, D), D = 1 + eps, and the summands diag(0, 0), diag(0, D):
+    # the subset supremum is C = 1, past the budget 1/D by about eps and
+    # within its slack, and K = diag(0, D) is no frame.
+    d_high = 1.0 + eps
+    instance = {"family": _diagonal_family(1.0, d_high),
+                "delta_ops": [_diagonal_op(0.0, 0.0), _diagonal_op(0.0, d_high)]}
+    code, rep, passed = _probe(tmp_path, "T12_OPERATOR", instance)
+    assert (code, rep["verdict"]) == (0, "HypothesisFails"), eps
+    assert passed["subset_sup_within_budget"] and not passed["subset_sup_below_lower"], eps
+
+
+@pytest.mark.parametrize("c_low, d_high, over", [(1e-3, 2.0, 5e-10), (1e-2, 2.0, 5e-10),
+                                                 (1e-3, 4.0, 9e-10)])
+def test_t12_budget_overshoot_within_its_slack_reads_no_conclusion_failure(
+    tmp_path, c_low, d_high, over
+):
+    # S = diag(C, D) and one deviation (C/D + over) e1e1*: the budget check
+    # passes by its slack, K = diag(C - C/D - over, D) is a frame, and only
+    # the contraction misses 1/D, which is recorded, not concluded.
+    instance = {"family": _diagonal_family(c_low, d_high),
+                "delta_ops": [_diagonal_op(c_low - c_low / d_high - over, 0.0),
+                              _diagonal_op(0.0, d_high)]}
+    code, rep, passed = _probe(tmp_path, "T12_OPERATOR", instance)
+    assert code == 0 and rep["verdict"] != "ConclusionFails"
+    assert passed["subset_sup_within_budget"]
+    assert rep["details"]["contraction_norm"] > rep["details"]["contraction_limit"]
+
+
+@pytest.mark.parametrize("d_high, gap", [(1e4, 1e-7), (10.0, 5e-9)])
+def test_final_corollary_proximity_is_held_below_c_at_the_upper_bound_scale(
+    tmp_path, d_high, gap
+):
+    # S_F = diag(1, D), S_G = diag(gap, D) and alpha = 1 - gap: the hypothesis
+    # holds exactly and G is a frame, but its bound ratio is below tol.rel,
+    # so C - alpha must clear a slack at the scale of D.
+    instance = {"family": _diagonal_family(1.0, d_high),
+                "second_family": _diagonal_family(gap, d_high), "alpha": 1.0 - gap}
+    code, rep, passed = _probe(tmp_path, "FINAL_COROLLARY", instance)
+    assert (code, rep["verdict"]) == (0, "HypothesisFails"), d_high
+    assert passed == {"input_is_frame": True, "proximity_within_alpha": True,
+                      "proximity_below_lower": False}, d_high
+
+
 @pytest.mark.parametrize("theorem", ["FINAL_COROLLARY", "T12_OPERATOR"])
 def test_an_svd_that_does_not_converge_exits_2_and_names_the_fields(
     tmp_path, capsys, monkeypatch, theorem

@@ -200,6 +200,59 @@ def test_check_items_are_built_only_by_check_and_the_one_disjunction():
     assert sorted(_builders("CheckItem")) == ["sums.check", "sums.t3_corollary_check"]
 
 
+_SLACK_WORDS = {"tol", "slack", "margin"}
+
+
+def _assignments(function: ast.FunctionDef) -> dict[str, list[ast.expr]]:
+    """Each local name with the expressions assigned to it."""
+    values = {}
+    for node in ast.walk(function):
+        for target in node.targets if isinstance(node, ast.Assign) else []:
+            for name in target.elts if isinstance(target, ast.Tuple) else [target]:
+                if isinstance(name, ast.Name):
+                    values.setdefault(name.id, []).append(node.value)
+    return values
+
+
+def _words(expr: ast.expr, values: dict, seen: set) -> set[str]:
+    """The ``_``-separated words of every name and attribute that ``expr``
+    reads, through the local assignments to the names it reads."""
+    words = set()
+    for node in ast.walk(expr):
+        ident = getattr(node, "id", None) or getattr(node, "attr", None)
+        if ident is None:
+            continue
+        words |= set(ident.split("_"))
+        if isinstance(node, ast.Name) and node.id not in seen:
+            seen.add(node.id)
+            for value in values.get(node.id, []):
+                words |= _words(value, values, seen)
+    return words
+
+
+def test_no_check_passes_a_limit_that_carries_a_slack():
+    # ``sums.check`` places every slack by its sense, so each call passes
+    # the theorem's bare limit: none that reads a tolerance, a slack or a
+    # margin, directly or through a local name.
+    calls, offenders = 0, []
+    for path in (Path(__file__).resolve().parents[1] / "src" / "gframes").glob("*.py"):
+        for function in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            values = _assignments(function)
+            for node in ast.walk(function):
+                if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "check"):
+                    continue
+                calls += 1
+                limit = node.args[3] if len(node.args) > 3 else next(
+                    k.value for k in node.keywords if k.arg == "limit"
+                )
+                if _words(limit, values, set()) & _SLACK_WORDS:
+                    offenders.append(f"{path.stem}.{function.name}: {ast.unparse(limit)}")
+    assert calls >= 15
+    assert offenders == []
+
+
 def test_reports_are_built_only_by_the_one_tail():
     # Every checker returns through ``sums.theorem_report``, the one place
     # where a verdict is picked from the checks and the conclusion.
