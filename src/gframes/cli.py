@@ -23,7 +23,8 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from .algebra import DEFAULT_TOL, Tolerance
 from .errors import GFrameError, ValidationError
 from .registry import THEOREMS, run_decoded, validate_instance
-from .serialize import decode_fields, is_int, is_number, report_to_json
+from .serialize import decode_fields, is_int, is_number, report_text
+from .sums import TheoremReport
 
 SCHEMA_VERSION = 1
 # Inclusive cap on a scenario's repetitions, so that every run ends.
@@ -142,7 +143,10 @@ def load_scenarios(path: str) -> list[Scenario]:
     return [parse_scenario(item, path) for item in items]
 
 
-def run_report_to_json(run: RunReport, with_timing: bool) -> dict:
+def _run_document(run: RunReport, with_timing: bool) -> dict:
+    """A run's entry in the report document; its reports stay
+    ``TheoremReport``s, which ``_write_json`` writes through
+    ``serialize.report_text``."""
     out = {
         "scenario": run.scenario.name,
         "theorem": run.scenario.theorem,
@@ -150,7 +154,7 @@ def run_report_to_json(run: RunReport, with_timing: bool) -> dict:
         "seed_stride": run.scenario.seed_stride,
         "repetitions": run.scenario.repetitions,
         "aggregate": run.aggregate,
-        "reports": [report_to_json(r) for r in run.reports],
+        "reports": run.reports,
     }
     if with_timing:
         out["wall_time_s"] = run.wall_time_s
@@ -160,9 +164,10 @@ def run_report_to_json(run: RunReport, with_timing: bool) -> dict:
 def _write_json(value, indent: str, out: list) -> None:
     """Append ``value`` to ``out`` as ``json.dumps(value, indent=2,
     allow_nan=False)`` writes it, ``indent`` being the newline and
-    spaces before the value's line.  ``json.dumps`` cannot use its C
-    encoder when it indents, and its Python encoder takes about twice
-    as long as this writer on a report."""
+    spaces before the value's line, and each ``TheoremReport`` in it as
+    ``serialize.report_text`` writes it.  ``json.dumps`` cannot use its
+    C encoder when it indents, and its Python encoder takes about twice
+    as long as this writer."""
     if isinstance(value, str):
         out.append(_encode_str(value))
     elif value is None:
@@ -191,6 +196,8 @@ def _write_json(value, indent: str, out: list) -> None:
             _write_json(item, inner, out)
             sep = ","
         out.append(indent + "}" if value else "{}")
+    elif isinstance(value, TheoremReport):
+        out.append(report_text(value, indent))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -199,7 +206,7 @@ def render_json(runs: list[RunReport], with_timing: bool) -> str:
     doc = {"schema": SCHEMA_VERSION}
     if with_timing:
         doc["generated_at"] = datetime.now(timezone.utc).isoformat()
-    doc["runs"] = [run_report_to_json(r, with_timing) for r in runs]
+    doc["runs"] = [_run_document(r, with_timing) for r in runs]
     out = []
     _write_json(doc, "\n", out)
     out.append("\n")
@@ -217,25 +224,26 @@ _CSV_COLUMNS = (
 )
 
 
+def _bound_cell(value) -> str:
+    """A bound's CSV cell: empty when the bound is absent or not finite."""
+    return "" if value is None or not math.isfinite(value) else repr(float(value))
+
+
 def render_csv(runs: list[RunReport]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
     for run in runs:
         for rep, report in enumerate(run.reports):
-            data = report_to_json(report)
-            achieved = data["achieved"]
-            predicted_lower = data.get("predicted_lower")
-            predicted_upper = data.get("predicted_upper")
             writer.writerow(
                 [
                     run.scenario.name,
                     rep,
-                    data["verdict"],
-                    repr(achieved["lower"]),
-                    repr(achieved["upper"]),
-                    "" if predicted_lower is None else repr(float(predicted_lower)),
-                    "" if predicted_upper is None else repr(float(predicted_upper)),
+                    report.verdict.value,
+                    _bound_cell(report.achieved.lower),
+                    _bound_cell(report.achieved.upper),
+                    _bound_cell(report.predicted_lower),
+                    _bound_cell(report.predicted_upper),
                 ]
             )
     return buffer.getvalue()

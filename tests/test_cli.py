@@ -18,6 +18,8 @@ from oracles import walk_report_to_json
 from gframes import serialize as ser
 from gframes.cli import (
     MAX_REPETITIONS,
+    RunReport,
+    Scenario,
     load_scenarios,
     main,
     parse_scenario,
@@ -968,6 +970,34 @@ def test_report_encoding_is_the_dataclass_walk():
     for report in reports + list(_hand_made_reports()):
         # repr shows key order and value types as well as values.
         assert repr(ser.report_to_json(report)) == repr(walk_report_to_json(report))
+
+
+def test_csv_writes_a_non_finite_bound_as_an_empty_cell():
+    # JSON writes each of these bounds as null, and CSV leaves its cell
+    # empty, whether the bound is achieved or predicted.
+    run = RunReport(Scenario("hand", "CLASSIFY"), list(_hand_made_reports()), 0.0)
+    assert render_csv([run]).splitlines()[1:] == [
+        "hand,0,ConclusionHolds,0.5,,,1.0",
+        "hand,1,ConclusionHolds,0.5,,,",
+    ]
+
+
+def test_rendering_never_encodes_a_report_twice(monkeypatch):
+    # Each report is written straight from its TheoremReport, so neither
+    # format goes through report_to_json's parsed form.
+    def refuse(report):
+        raise AssertionError("report_to_json called while rendering")
+
+    encode = ser.report_to_json
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gframes") and getattr(module, "report_to_json", None) is encode:
+            monkeypatch.setattr(module, "report_to_json", refuse)
+    runs = [
+        run_scenario(parse_scenario(_basic_scenario(theorem=theorem, repetitions=2, instance={})))
+        for theorem in sorted(THEOREMS)
+    ]
+    runs.append(RunReport(Scenario("hand", "CLASSIFY"), list(_hand_made_reports()), 0.0))
+    assert render_json(runs, with_timing=True) and render_csv(runs)
 
 
 def _nonorthogonal_parseval_pair(seed):

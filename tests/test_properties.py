@@ -6,15 +6,26 @@ import os
 import tempfile
 from datetime import timedelta
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gframes
 from gframes import serialize as ser
-from gframes.cli import MAX_REPETITIONS, Scenario, _write_json, main, parse_scenario
+from gframes.cli import (
+    MAX_REPETITIONS,
+    SCHEMA_VERSION,
+    RunReport,
+    Scenario,
+    _write_json,
+    main,
+    parse_scenario,
+    render_json,
+)
 from gframes.errors import ValidationError
 from gframes.registry import THEOREMS
+from oracles import walk_report_to_json
 
 _FAMILIES = [
     ser.family_to_json(gframes.gen_family(gframes.GenSpec(seed, n, d, dims, target)))
@@ -151,3 +162,64 @@ def test_the_report_writer_writes_what_json_dumps_writes(value):
 def test_the_report_writer_refuses_non_finite_floats(value, bad):
     with pytest.raises(ValueError):
         _written({"value": [value, bad]})
+
+
+# Report fields and details as checkers and hand-made reports hold them:
+# numpy scalars, non-finite floats, the sign of zero, the least subnormal,
+# nested tuples and lists, and any text in names and keys.
+_NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+_NUMBERS = st.one_of(
+    _FINITE,
+    _NON_FINITE,
+    _FINITE.map(np.float64),
+    _NON_FINITE.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(10**30), 10**30),
+)
+_FLAGS = st.booleans() | st.booleans().map(np.bool_)
+_DETAILS = st.dictionaries(
+    _TEXT,
+    st.recursive(
+        st.none() | _FLAGS | _NUMBERS | _TEXT,
+        lambda inner: st.lists(inner, max_size=3) | st.tuples(inner, inner),
+        max_leaves=6,
+    ),
+    max_size=4,
+)
+
+
+@st.composite
+def _reports(draw):
+    checks = st.builds(gframes.CheckItem, _TEXT, _FLAGS, st.none() | _NUMBERS, st.none() | _NUMBERS)
+    return gframes.TheoremReport(
+        draw(_TEXT),
+        gframes.FrameBounds(draw(_NUMBERS), draw(_NUMBERS), draw(_FLAGS), draw(_FLAGS)),
+        draw(st.sampled_from(gframes.Verdict)),
+        tuple(draw(st.lists(checks, max_size=3))),
+        draw(st.none() | _NUMBERS),
+        draw(st.none() | _NUMBERS),
+        draw(st.none() | _TEXT),
+        details=draw(_DETAILS),
+    )
+
+
+@settings(max_examples=60, derandomize=True, deadline=_DEADLINE, database=None)
+@given(st.lists(_reports(), max_size=3))
+def test_render_json_writes_each_report_as_json_dumps_writes_its_walk(reports):
+    run = RunReport(Scenario("reports", "CLASSIFY", seed=3), reports, 0.0)
+    doc = {
+        "schema": SCHEMA_VERSION,
+        "runs": [
+            {
+                "scenario": "reports",
+                "theorem": "CLASSIFY",
+                "seed": 3,
+                "seed_stride": 1,
+                "repetitions": 1,
+                "aggregate": run.aggregate,
+                "reports": [walk_report_to_json(report) for report in reports],
+            }
+        ],
+    }
+    expected = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    assert render_json([run], with_timing=False) == expected
