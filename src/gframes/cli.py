@@ -18,13 +18,11 @@ import time
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from functools import cached_property
-from json.encoder import encode_basestring_ascii as _encode_str
 
 from .algebra import DEFAULT_TOL, Tolerance
 from .errors import GFrameError, ValidationError
 from .registry import THEOREMS, run_decoded, validate_instance
-from .serialize import decode_fields, is_int, is_number, report_text
-from .sums import TheoremReport
+from .serialize import decode_fields, is_int, is_number, json_text
 
 SCHEMA_VERSION = 1
 # Inclusive cap on a scenario's repetitions, so that every run ends.
@@ -37,7 +35,8 @@ _NONNEGATIVE = ("a finite nonnegative number", lambda v: is_number(v) and v >= 0
 _TOLERANCE_FIELDS = {"rel": _NONNEGATIVE, "abs": _NONNEGATIVE}
 _SCENARIO_FIELDS = {
     "schema": (str(SCHEMA_VERSION), lambda v: is_int(v) and v == SCHEMA_VERSION, int),
-    "name": ("a string", lambda v: isinstance(v, str), str),
+    "name": ("a string with no lone surrogate, which UTF-8 cannot encode",
+             lambda v: isinstance(v, str) and not any("\ud800" <= c <= "\udfff" for c in v), str),
     "theorem": ("a theorem id; see --list-theorems",
                 lambda v: isinstance(v, str) and v in THEOREMS, str),
     **dict.fromkeys(("seed", "seed_stride"), ("an integer", is_int, int)),
@@ -145,8 +144,7 @@ def load_scenarios(path: str) -> list[Scenario]:
 
 def _run_document(run: RunReport, with_timing: bool) -> dict:
     """A run's entry in the report document; its reports stay
-    ``TheoremReport``s, which ``_write_json`` writes through
-    ``serialize.report_text``."""
+    ``TheoremReport``s, which ``serialize.json_text`` writes."""
     out = {
         "scenario": run.scenario.name,
         "theorem": run.scenario.theorem,
@@ -161,56 +159,12 @@ def _run_document(run: RunReport, with_timing: bool) -> dict:
     return out
 
 
-def _write_json(value, indent: str, out: list) -> None:
-    """Append ``value`` to ``out`` as ``json.dumps(value, indent=2,
-    allow_nan=False)`` writes it, ``indent`` being the newline and
-    spaces before the value's line, and each ``TheoremReport`` in it as
-    ``serialize.report_text`` writes it.  ``json.dumps`` cannot use its
-    C encoder when it indents, and its Python encoder takes about twice
-    as long as this writer."""
-    if isinstance(value, str):
-        out.append(_encode_str(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-        out.append(float.__repr__(value))
-    elif isinstance(value, list):
-        inner, sep = indent + "  ", "["
-        for item in value:
-            out.append(sep + inner)
-            _write_json(item, inner, out)
-            sep = ","
-        out.append(indent + "]" if value else "[]")
-    elif isinstance(value, dict):
-        inner, sep = indent + "  ", "{"
-        for key, item in value.items():
-            out.append(f"{sep}{inner}{_encode_str(key)}: ")
-            _write_json(item, inner, out)
-            sep = ","
-        out.append(indent + "}" if value else "{}")
-    elif isinstance(value, TheoremReport):
-        out.append(report_text(value, indent))
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def render_json(runs: list[RunReport], with_timing: bool) -> str:
     doc = {"schema": SCHEMA_VERSION}
     if with_timing:
         doc["generated_at"] = datetime.now(timezone.utc).isoformat()
     doc["runs"] = [_run_document(r, with_timing) for r in runs]
-    out = []
-    _write_json(doc, "\n", out)
-    out.append("\n")
-    return "".join(out)
+    return json_text(doc) + "\n"
 
 
 _CSV_COLUMNS = (
@@ -307,15 +261,16 @@ def main(argv=None) -> int:
         text = render_csv(runs)
     else:
         text = render_json(runs, with_timing=not args.no_timestamp)
-    if args.report:
-        try:
+    try:
+        if args.report:
             with open(args.report, "w", encoding="utf-8") as handle:
                 handle.write(text)
-        except OSError as exc:
-            print(f"error: {args.report}: {exc.strerror or exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: {args.report or '<stdout>'}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
 
     failures = sum(run.aggregate["ConclusionFails"] for run in runs)
     return 1 if failures else 0

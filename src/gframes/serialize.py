@@ -4,7 +4,7 @@ Complex scalars are [re, im] pairs; matrices are nested lists of those;
 operators carry their block grid; families list their members.  These
 shapes appear verbatim inside scenario files and reports.  Every JSON
 object the runner reads decodes through ``decode_fields``, by its table,
-and every report it writes is written by ``report_text``.
+and every JSON text it writes is written by ``json_text``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import json
 import math
 import reprlib
 import sys
-from dataclasses import fields, is_dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
@@ -206,83 +205,100 @@ OPERATORS = ("a nonempty list of operator objects", lambda v: _is_list(v) and v,
 WEIGHTS = ("a weights object", _is_object, lambda v: weights_from_json(v))
 
 
-def _text(value, indent: str) -> str:
-    """The strict JSON text of a report value, as ``json.dumps`` with
+# The text of a JSON scalar, by its exact type.
+_SCALARS = {
+    float: lambda value: float.__repr__(value) if math.isfinite(value) else "null",
+    str: _encode_str,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda value: "null",
+}
+
+
+def json_text(value, indent: str = "\n") -> str:
+    """The strict JSON text of ``value`` as ``json.dumps`` with
     ``indent=2`` writes it, ``indent`` being the newline and spaces
-    before its line: dataclasses as objects in field order, tuples as
-    lists, numpy scalars as Python ones and non-finite floats as null.
-    A type JSON lacks raises TypeError."""
-    if isinstance(value, float):
-        return float.__repr__(value) if math.isfinite(value) else "null"
-    if isinstance(value, str):
-        return _encode_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, (list, tuple)):
-        inner = indent + "  "
-        body = ",".join([inner + _text(item, inner) for item in value])
-        return f"[{body}{indent}]" if body else "[]"
-    if isinstance(value, np.generic):
-        return _text(value.item(), indent)
-    if is_dataclass(type(value)):
-        return _object_text([(f.name, getattr(value, f.name)) for f in fields(value)], indent)
-    if isinstance(value, dict):
-        return _object_text(value.items(), indent)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    before the value's line: each ``TheoremReport`` as ``report_text``
+    writes it, tuples as lists, numpy scalars as Python ones and
+    non-finite floats as null.  Any other type JSON lacks raises
+    TypeError."""
+    write = _SCALARS.get(type(value))
+    if write is not None:
+        return write(value)
+    out = []
+    _write(value, indent, out)
+    return "".join(out)
 
 
-def _object_text(items, indent: str) -> str:
-    """The JSON object of these (key, value) pairs at ``indent``."""
-    inner = indent + "  "
-    body = ",".join([f"{inner}{_encode_str(key)}: {_text(value, inner)}" for key, value in items])
-    return f"{{{body}{indent}}}" if body else "{}"
+def _write(value, indent: str, out: list) -> None:
+    """Append the pieces of ``json_text(value, indent)`` to ``out``, so
+    that a document is copied once.  ``json.dumps`` cannot use its C
+    encoder when it indents, and its Python encoder takes about twice as
+    long as this writer."""
+    write = _SCALARS.get(type(value))
+    if write is not None:
+        out.append(write(value))
+    elif isinstance(value, dict):
+        inner, sep = indent + "  ", "{"
+        for key, item in value.items():
+            out.append(f"{sep}{inner}{_encode_str(key)}: ")
+            _write(item, inner, out)
+            sep = ","
+        out.append(indent + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        inner, sep = indent + "  ", "["
+        for item in value:
+            out.append(sep + inner)
+            _write(item, inner, out)
+            sep = ","
+        out.append(indent + "]" if value else "[]")
+    elif isinstance(value, TheoremReport):
+        out.append(report_text(value, indent))
+    elif isinstance(value, np.generic):
+        _write(value.item(), indent, out)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _checks_text(checks: tuple[CheckItem, ...], indent: str) -> str:
-    """A report's checks as ``_text`` writes them: a list of objects
-    with each ``CheckItem`` field in field order."""
+    """A report's checks: a list of objects, each with the ``CheckItem``
+    fields in field order."""
     inner = indent + "  "
     field = inner + "  "
     body = ",".join([
-        f'{inner}{{{field}"name": {_text(check.name, field)},'
-        f'{field}"passed": {_text(check.passed, field)},'
-        f'{field}"measured": {_text(check.measured, field)},'
-        f'{field}"limit": {_text(check.limit, field)}{inner}}}'
+        f'{inner}{{{field}"name": {json_text(check.name, field)},'
+        f'{field}"passed": {json_text(check.passed, field)},'
+        f'{field}"measured": {json_text(check.measured, field)},'
+        f'{field}"limit": {json_text(check.limit, field)}{inner}}}'
         for check in checks
     ])
     return f"[{body}{indent}]" if body else "[]"
 
 
 def _bounds_text(bounds: FrameBounds, indent: str) -> str:
-    """A report's achieved bounds as ``_text`` writes them: an object
-    with each ``FrameBounds`` field in field order."""
+    """A report's achieved bounds: an object with the ``FrameBounds``
+    fields in field order."""
     inner = indent + "  "
     return (
-        f'{{{inner}"lower": {_text(bounds.lower, inner)},'
-        f'{inner}"upper": {_text(bounds.upper, inner)},'
-        f'{inner}"tight": {_text(bounds.tight, inner)},'
-        f'{inner}"parseval": {_text(bounds.parseval, inner)}{indent}}}'
+        f'{{{inner}"lower": {json_text(bounds.lower, inner)},'
+        f'{inner}"upper": {json_text(bounds.upper, inner)},'
+        f'{inner}"tight": {json_text(bounds.tight, inner)},'
+        f'{inner}"parseval": {json_text(bounds.parseval, inner)}{indent}}}'
     )
 
 
 # Each key a report writes between "theorem"/"verdict" and the sorted
 # "details", in order, with the writer of its value: a new report field
-# is one more row, written by ``_text``.  The checks and the bounds are
-# written field by field because the generic walk over ``fields`` makes
-# a report take about 1.5 times as long to write; the report encoding
-# tests hold both writers to that walk.
+# is one more row, written by ``json_text``.  The checks and the bounds
+# are written field by field because a generic walk over
+# ``dataclasses.fields`` makes a report take about 1.5 times as long to
+# write; the report encoding tests hold both writers to such a walk.
 _REPORT_WRITERS = (
     ("hypothesis_checks", _checks_text),
-    ("predicted_lower", _text),
-    ("predicted_upper", _text),
+    ("predicted_lower", json_text),
+    ("predicted_upper", json_text),
     ("achieved", _bounds_text),
-    ("result_kind", _text),
+    ("result_kind", json_text),
 )
 _REPORT_KEYS = tuple(key for key, _ in _REPORT_WRITERS)
 
@@ -297,11 +313,10 @@ def report_text(report: TheoremReport, indent: str) -> str:
     fields_text = "".join(
         [f',{inner}"{key}": {write(getattr(report, key), inner)}' for key, write in _REPORT_WRITERS]
     )
-    details = report.details
-    details_text = _object_text([(key, details[key]) for key in sorted(details)], inner)
+    details_text = json_text(dict(sorted(report.details.items())), inner)
     return (
-        f'{{{inner}"theorem": {_text(report.theorem_id, inner)},'
-        f'{inner}"verdict": {_text(report.verdict.value, inner)}{fields_text},'
+        f'{{{inner}"theorem": {json_text(report.theorem_id, inner)},'
+        f'{inner}"verdict": {json_text(report.verdict.value, inner)}{fields_text},'
         f'{inner}"details": {details_text}{indent}}}'
     )
 

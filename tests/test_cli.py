@@ -1,5 +1,7 @@
 """Scenario runner: schema validation, determinism, exit-code contract."""
 
+import ast
+import errno
 import json
 import math
 import os
@@ -386,6 +388,8 @@ _MALFORMED = [
     ("T12_OPERATOR", {"tolerance": {"rel": "1e-6"}}, {}, "rel"),
     ("T12_OPERATOR", {"tolerance": {"abs": True}}, {}, "abs"),
     ("CLASSIFY", {"name": {"a": [1, 2]}}, {}, "name"),
+    # A lone surrogate, which JSON can escape but UTF-8 cannot encode.
+    ("TIGHT_SUM", {"name": "a\ud800b"}, {}, "name"),
     # Theorem ids that cannot be hashed, and so cannot be looked up.
     ("CLASSIFY", {"theorem": []}, {}, "theorem"),
     ("CLASSIFY", {"theorem": {}}, {}, "theorem"),
@@ -1000,6 +1004,45 @@ def test_rendering_never_encodes_a_report_twice(monkeypatch):
     assert render_json(runs, with_timing=True) and render_csv(runs)
 
 
+def test_render_json_writes_the_whole_document_through_the_one_writer(monkeypatch):
+    documents = []
+
+    def recording(value, *args):
+        documents.append(value)
+        return ser.json_text(value, *args)
+
+    monkeypatch.setattr(gframes.cli, "json_text", recording)
+    run = run_scenario(parse_scenario(_basic_scenario()))
+    text = render_json([run], with_timing=True)
+    (document,) = documents
+    assert document["runs"][0]["reports"] == run.reports
+    assert text == ser.json_text(document) + "\n"
+
+
+def test_serialize_holds_the_only_json_text_writer():
+    # No other module imports the JSON string encoder, and the one
+    # function in the package that calls itself is the writer's walk.
+    importers, recursive = [], []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "gframes").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        importers += [
+            path.stem
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "json.encoder"
+        ]
+        recursive += [
+            f"{path.stem}.{function.name}"
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            and any(
+                isinstance(node, ast.Call) and getattr(node.func, "id", None) == function.name
+                for node in ast.walk(function)
+            )
+        ]
+    assert importers == ["serialize"]
+    assert recursive == ["serialize._write"]
+
+
 def _nonorthogonal_parseval_pair(seed):
     """Two Parseval families with a non-zero mixed operator."""
     return tuple(
@@ -1183,6 +1226,22 @@ def test_a_report_path_that_cannot_be_written_exits_2(tmp_path, capsys, where):
     assert main(["run", scenario, "--no-timestamp", "--report", str(report)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {report}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_a_stdout_that_cannot_be_written_exits_2(monkeypatch, capsys, failing):
+    class FullStdout:
+        def write(self, text):
+            if failing == "write":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return len(text)
+
+        def flush(self):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    assert main(["run", str(SCENARIO_DIR / "tight_sum.json"), "--format", "csv"]) == 2
+    assert capsys.readouterr().err == f"error: <stdout>: {os.strerror(errno.ENOSPC)}\n"
 
 
 def _captured_inputs(monkeypatch, theorem, seed=0):

@@ -7,7 +7,6 @@ import tempfile
 from datetime import timedelta
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +17,6 @@ from gframes.cli import (
     SCHEMA_VERSION,
     RunReport,
     Scenario,
-    _write_json,
     main,
     parse_scenario,
     render_json,
@@ -145,23 +143,36 @@ _REPORT_VALUES = st.recursive(
 )
 
 
-def _written(value) -> str:
-    out = []
-    _write_json(value, "\n", out)
-    return "".join(out)
-
-
 @settings(max_examples=300, derandomize=True, deadline=_DEADLINE, database=None)
 @given(_REPORT_VALUES)
 def test_the_report_writer_writes_what_json_dumps_writes(value):
-    assert _written(value) == json.dumps(value, indent=2, allow_nan=False)
+    assert ser.json_text(value) == json.dumps(value, indent=2, allow_nan=False)
 
 
-@settings(max_examples=100, derandomize=True, deadline=_DEADLINE, database=None)
-@given(_REPORT_VALUES, st.sampled_from([math.nan, math.inf, -math.inf]))
-def test_the_report_writer_refuses_non_finite_floats(value, bad):
-    with pytest.raises(ValueError):
-        _written({"value": [value, bad]})
+def _nulled(value):
+    """``value`` with each non-finite float in it replaced by None."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, list):
+        return [_nulled(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _nulled(item) for key, item in value.items()}
+    return value
+
+
+# Report-like JSON values whose floats may be infinite or NaN.
+_ANY_FLOAT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**30), 10**30) | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=_DEADLINE, database=None)
+@given(_ANY_FLOAT_VALUES, st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_the_json_writer_writes_a_non_finite_float_anywhere_as_null(value, bad):
+    document = {"value": [value, bad]}
+    assert ser.json_text(document) == json.dumps(_nulled(document), indent=2, allow_nan=False)
 
 
 # Report fields and details as checkers and hand-made reports hold them:
