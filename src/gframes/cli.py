@@ -209,6 +209,30 @@ def _list_theorems() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _emit(text: str, report: str | None) -> bool:
+    """Write ``text`` to the ``report`` path, else to standard output.
+    A failed write prints ``error: <where>: <reason>`` and returns False:
+    an ``OSError`` such as a full disk, or a standard output whose
+    encoding cannot hold a character of ``text`` (report files are
+    UTF-8, which holds every string the decoder accepts)."""
+    where = report or "<stdout>"
+    try:
+        if report:
+            with open(report, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: {where}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    except UnicodeEncodeError as exc:
+        bad = exc.object[exc.start:exc.end]
+        print(f"error: {where}: encoding {exc.encoding} cannot encode {bad!r}", file=sys.stderr)
+        return False
+    return True
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="gframes",
@@ -237,8 +261,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.list_theorems:
-        sys.stdout.write(_list_theorems())
-        return 0
+        return 0 if _emit(_list_theorems(), None) else 2
     if args.command != "run":
         parser.print_usage(sys.stderr)
         return 2
@@ -261,17 +284,8 @@ def main(argv=None) -> int:
         text = render_csv(runs)
     else:
         text = render_json(runs, with_timing=not args.no_timestamp)
-    try:
-        if args.report:
-            with open(args.report, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-    except OSError as exc:
-        print(f"error: {args.report or '<stdout>'}: {exc.strerror or exc}", file=sys.stderr)
+    if not _emit(text, args.report):
         return 2
-
     failures = sum(run.aggregate["ConclusionFails"] for run in runs)
     return 1 if failures else 0
 

@@ -197,8 +197,8 @@ def operators_from_family(other: GFrameFamily) -> list[AdjointableOp]:
     return [_op(gram, other.algebra_dim, scan=True) for gram in member_grams(other)]
 
 
-# Subset enumeration is exact up to this family size; beyond it the
-# supremum over finite subsets is bracketed (see _subset_sup_bracket).
+# Subset enumeration is exact up to this many indefinite members; beyond
+# it the supremum over finite subsets is bracketed (see _subset_sup_bracket).
 _SUBSET_LIMIT = 12
 # Subsets summed per step of the enumeration: a block of subset sums takes
 # 16 * _SUBSET_BLOCK * (n*d)^2 bytes, instead of one array for all of them.
@@ -230,6 +230,62 @@ def _subset_sup_bracket(deviations: np.ndarray) -> tuple[float, float]:
     return lower, upper
 
 
+def _subset_sup(deviations: np.ndarray) -> tuple[float, dict]:
+    """Supremum over nonempty index subsets S of ||sum_S D_i||, and the
+    bracket's ends for ``details`` when it is bracketed instead.
+
+    For a fixed x, the subset that maximises x*(sum_S D_i)x takes every
+    positive semidefinite member (the set P) and no negative semidefinite
+    one (N).  So sup_S lmax(sum_S D_i) is the largest lmax(sum_P D_i +
+    sum_S' D_i) over subsets S' of the indefinite members I, and the
+    bottom end is the same with N and -lmin.  One ``eigvalsh`` call
+    classes the members and decomposes the full sum, which is the
+    supremum when every member is positive semidefinite or every one is
+    negative semidefinite.  Otherwise the 2^|I| subsets of I are laid on
+    the sum over P and on the sum over N (with P and N both empty, on
+    nothing: plain enumeration), and each subset sum is read by its
+    largest |eigenvalue|.  Past ``_SUBSET_LIMIT`` indefinite members the
+    supremum is bracketed.
+
+    A member classed semidefinite from its computed eigenvalues may be
+    indefinite by O(eps ||D_i||); that moves the supremum by no more than
+    the eigensolver's own error, far inside the checks' slack.
+    """
+    count, size = deviations.shape[0], deviations.shape[-1]
+    flat = deviations.reshape(count, -1)
+    # Two masks: numpy forms a one-row product by another BLAS path, which
+    # rounds differently from a row of the enumeration's blocks.
+    full = (np.ones((2, count), dtype=np.complex128) @ flat)[:1].reshape(1, size, size)
+    eigs = np.linalg.eigvalsh(hermitian_part(np.concatenate([deviations, full])))
+    psd, nsd = eigs[:count, 0] >= 0.0, eigs[:count, -1] <= 0.0
+    sup = float(np.abs(eigs[-1]).max())
+    if psd.all() or nsd.all():
+        return sup, {}
+    indefinite = np.flatnonzero(~(psd | nsd))
+    if indefinite.size > _SUBSET_LIMIT:
+        # Too many subsets to enumerate: the sound upper end is held to
+        # the budget, so the check errs only towards HypothesisFails.
+        lower, upper = _subset_sup_bracket(deviations)
+        return upper, {"subset_sup_lower": lower, "subset_sup_upper": upper}
+    # Subset s of the rows is the bits of s; a base sum is the last row,
+    # so its subsets run from 2^|I| up.
+    stop = 1 << indefinite.size
+    members = flat[indefinite]
+    pos, neg = psd & ~nsd, nsd & ~psd
+    if pos.any() or neg.any():
+        bases = np.stack([pos, neg]).astype(np.complex128) @ flat
+        groups = [(np.vstack([members, base]), range(stop, 2 * stop)) for base in bases]
+    else:
+        groups = [(members, range(1, stop))]
+    for rows, subsets in groups:
+        for start in subsets[::_SUBSET_BLOCK]:
+            block = np.arange(start, min(start + _SUBSET_BLOCK, subsets.stop))
+            masks = ((block[:, None] >> np.arange(len(rows))) & 1).astype(np.complex128)
+            sums = hermitian_part((masks @ rows).reshape(-1, size, size))
+            sup = max(sup, float(np.abs(np.linalg.eigvalsh(sums)).max()))
+    return sup, {}
+
+
 def t12_check(
     family: GFrameFamily,
     delta_ops: Sequence[AdjointableOp],
@@ -244,7 +300,6 @@ def t12_check(
     subset supremum bounds ||S - K||.  The proof-step contraction
     ||I - S^-1 K|| and its limit 1/D are recorded in ``details``.
     """
-    n, d = family.algebra_dim, family.source_len
     if len(delta_ops) != family.size:
         raise DimensionMismatch("one candidate summand per member required")
     for op in delta_ops:
@@ -259,22 +314,7 @@ def t12_check(
     # The first summand that fails, else the one nearest its margin.
     worst = int(np.argmin(np.where(least >= -margin, least + margin, -np.inf)))
     deviations = member_grams(family) - summands
-    size = n * d
-    bracket = {}
-    if family.size <= _SUBSET_LIMIT:
-        count, stop = family.size, 1 << family.size
-        subset_sup = 0.0
-        for start in range(1, stop, _SUBSET_BLOCK):
-            subsets = np.arange(start, min(start + _SUBSET_BLOCK, stop))
-            masks = ((subsets[:, None] >> np.arange(count)) & 1).astype(np.complex128)
-            sums = (masks @ deviations.reshape(count, -1)).reshape(-1, size, size)
-            eigs = np.linalg.eigvalsh(hermitian_part(sums))
-            subset_sup = max(subset_sup, float(np.abs(eigs).max()))
-    else:
-        # Too many subsets to enumerate: the sound upper end is held to
-        # the budget, so the check errs only towards HypothesisFails.
-        sup_lower, subset_sup = _subset_sup_bracket(deviations)
-        bracket = {"subset_sup_lower": sup_lower, "subset_sup_upper": subset_sup}
+    subset_sup, bracket = _subset_sup(deviations)
     checks = (
         check("upper_above_one", d_high, ">", 1.0),
         check("summands_positive", float(least[worst]), ">=", 0.0, float(margin[worst])),

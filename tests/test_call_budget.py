@@ -12,6 +12,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from gframes import stability
+from gframes.algebra import hermitian_part
 from gframes.registry import THEOREMS, run_decoded, validate_instance
 
 SIZES = {"algebra_dim": 2, "module_len": 2, "member_dims": [2, 2]}
@@ -58,3 +60,26 @@ def test_a_repetition_stays_within_its_lapack_budget(monkeypatch, theorem):
         run_decoded(theorem, config, seed)
         for name, budget in zip(_CALLS, BUDGET[theorem]):
             assert counts[name] <= budget, (seed, name, dict(counts))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_t12_subset_search_decomposes_m_plus_one_matrices_for_definite_deviations(
+    monkeypatch, seed
+):
+    # Every generated T12 deviation is negative definite, so the search
+    # decomposes the m = 5 members and their full sum: 6 matrices, where
+    # enumeration would decompose all 2^m - 1 = 31 subset sums.
+    captured = []
+    search = stability._subset_sup
+    monkeypatch.setattr(stability, "_subset_sup", lambda dev: captured.append(dev) or search(dev))
+    sizes = {**SIZES, "member_dims": [1, 2, 1, 2, 1]}
+    run_decoded("T12_OPERATOR", validate_instance("T12_OPERATOR", sizes), seed)
+    (deviations,) = captured
+    assert (np.linalg.eigvalsh(hermitian_part(deviations))[:, -1] < 0.0).all()
+    matrices = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda a, *args: matrices.append(len(a)) or eigvalsh(a, *args)
+    )
+    search(deviations)
+    assert matrices == [len(deviations) + 1]

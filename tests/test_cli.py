@@ -428,6 +428,18 @@ _CONTRADICTIONS = [
 ]
 
 
+def _child(args, stdout=subprocess.PIPE, **env):
+    """``python -m gframes`` on ``args`` in a child process that imports
+    this checkout, with ``env`` added to its environment."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, **env}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "gframes", *args],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+    )
+
+
 @pytest.mark.parametrize(
     "theorem, doc_fields, instance, field",
     _MALFORMED,
@@ -442,13 +454,7 @@ def test_malformed_instance_exits_2_and_names_the_field(
     if instance.get("algebra_dim", 1) < 0:
         # Run in a child process so that a hang fails the test instead
         # of stalling the suite.
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-m", "gframes", "run", path],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        done = _child(["run", path])
         code, err = done.returncode, done.stderr
     else:
         code, err = main(["run", path]), capsys.readouterr().err
@@ -1228,20 +1234,56 @@ def test_a_report_path_that_cannot_be_written_exits_2(tmp_path, capsys, where):
     assert err.startswith(f"error: {report}: ") and "Traceback" not in err
 
 
+class _FullStdout:
+    """A standard output on a full disk, failing at ``write`` or only at
+    ``flush``."""
+
+    def __init__(self, failing):
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return len(text)
+
+    def flush(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
 @pytest.mark.parametrize("failing", ["write", "flush"])
 def test_a_stdout_that_cannot_be_written_exits_2(monkeypatch, capsys, failing):
-    class FullStdout:
-        def write(self, text):
-            if failing == "write":
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            return len(text)
-
-        def flush(self):
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-    monkeypatch.setattr(sys, "stdout", FullStdout())
+    monkeypatch.setattr(sys, "stdout", _FullStdout(failing))
     assert main(["run", str(SCENARIO_DIR / "tight_sum.json"), "--format", "csv"]) == 2
     assert capsys.readouterr().err == f"error: <stdout>: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_a_theorem_list_to_a_stdout_that_cannot_be_written_exits_2(
+    monkeypatch, capsys, failing
+):
+    monkeypatch.setattr(sys, "stdout", _FullStdout(failing))
+    assert main(["--list-theorems"]) == 2
+    assert capsys.readouterr().err == f"error: <stdout>: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+@pytest.mark.parametrize("args", [["--list-theorems"], ["run", str(SCENARIO_DIR / "tight_sum.json")]])
+def test_a_full_device_as_stdout_exits_2_without_a_traceback(args):
+    with open("/dev/full", "w") as full:
+        done = _child(args, stdout=full)
+    assert done.returncode == 2
+    assert done.stderr == f"error: <stdout>: {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_a_stdout_encoding_that_cannot_hold_a_name_exits_2(tmp_path):
+    path = _write(tmp_path, "s.json", _basic_scenario(name="caf\u00e9", repetitions=1))
+    done = _child(["run", path, "--format", "csv"], PYTHONIOENCODING="ascii")
+    assert done.returncode == 2
+    assert done.stderr == "error: <stdout>: encoding ascii cannot encode '\\xe9'\n"
+    assert done.stdout == ""
+    # The JSON format escapes every non-ASCII character.
+    done = _child(["run", path], PYTHONIOENCODING="ascii")
+    assert done.returncode == 0 and "caf\\u00e9" in done.stdout
 
 
 def _captured_inputs(monkeypatch, theorem, seed=0):

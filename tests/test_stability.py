@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from randoms import random_family
@@ -40,9 +40,9 @@ from gframes import (
     weighted_family,
     zero_op,
 )
-from gframes.algebra import DEFAULT_TOL, positivity, spectral_norm
+from gframes.algebra import DEFAULT_TOL, hermitian_part, positivity, spectral_norm
 from gframes.serialize import family_to_json, report_to_json
-from gframes.stability import _subset_sup_bracket
+from gframes.stability import _subset_sup, _subset_sup_bracket
 from gframes.sums import weighted_pair
 
 
@@ -281,10 +281,11 @@ class TestWeightedStabilityInstances:
             assert report.verdict is Verdict.CONCLUSION_HOLDS
 
 
-def test_t12_large_family_with_alternating_deviations_fails_hypothesis():
+def test_t12_thirteen_semidefinite_deviations_are_decided_exactly():
     # 13 unit members (S = 13 I, budget C/D = 1) whose deviations
     # alternate +0.2 and -0.2: the full sum has norm 0.2, but the seven
-    # positive deviations together have norm 1.4 > 1.
+    # positive deviations together have norm 1.4 > 1.  Every deviation is
+    # semidefinite, so no subset is enumerated and nothing is bracketed.
     one = AdjointableOp(np.array([[1.0 + 0j]]), 1)
     family = GFrameFamily.of((one,) * 13)
     deltas = [
@@ -295,8 +296,107 @@ def test_t12_large_family_with_alternating_deviations_fails_hypothesis():
     assert _check(report, "subset_sup_within_budget").limit == pytest.approx(1.0)
     assert report.verdict == Verdict.HYPOTHESIS_FAILS
     assert not _check(report, "subset_sup_within_budget").passed
-    assert report.details["subset_sup_upper"] == pytest.approx(1.4)
-    assert report.details["subset_sup_lower"] == pytest.approx(1.4)
+    assert _check(report, "subset_sup_within_budget").measured == pytest.approx(1.4)
+    assert "subset_sup_lower" not in report.details
+    assert "subset_sup_upper" not in report.details
+
+
+def _unit_members(count):
+    """``count`` members of n = 1 and dim 2, each the identity: S = count I,
+    and C/D = 1."""
+    return GFrameFamily.of((AdjointableOp(np.eye(2, dtype=complex), 1),) * count)
+
+
+def _pauli(angle):
+    """The reflection cos(angle) sigma_z + sin(angle) sigma_x: eigenvalues
+    +1 and -1, so any nonzero multiple of it is indefinite."""
+    return np.array([[np.cos(angle), np.sin(angle)], [np.sin(angle), -np.cos(angle)]])
+
+
+def _brute_subset_sup(deviations):
+    """max over nonempty index subsets S of ||sum_S D_i||, one subset at a time."""
+    count = len(deviations)
+    best = 0.0
+    for subset in range(1, 1 << count):
+        total = sum(deviations[i] for i in range(count) if subset >> i & 1)
+        best = max(best, float(np.abs(np.linalg.eigvalsh(hermitian_part(total))).max()))
+    return best
+
+
+def test_t12_thirteen_indefinite_deviations_take_the_bracket():
+    family = _unit_members(13)
+    deviations = np.stack([0.05 * _pauli(0.4 * i) + 0j for i in range(13)])
+    deltas = [AdjointableOp(np.eye(2) - dev, 1) for dev in deviations]
+    report = t12_check(family, deltas)
+    lower, upper = report.details["subset_sup_lower"], report.details["subset_sup_upper"]
+    assert _check(report, "subset_sup_within_budget").measured == upper
+    assert (lower, upper) == pytest.approx(_subset_sup_bracket(deviations), rel=1e-12)
+    exact = _brute_subset_sup(deviations)
+    assert lower - 1e-12 <= exact <= upper + 1e-12
+    assert report.verdict is Verdict.CONCLUSION_HOLDS
+
+
+def test_t12_sixteen_members_decided_exactly_where_the_bracket_straddles_the_budget():
+    # Four indefinite deviations a * _pauli(t) at t = 0, pi/2, pi and
+    # 3pi/2 (+-a sigma_z and +-a sigma_x): every subset sum
+    # is a(c1 sigma_z + c2 sigma_x) with c1, c2 in {-1, 0, 1}, of norm at
+    # most a sqrt(2).  Twelve positive semidefinite deviations b/12 I add
+    # b I on top, so the supremum is b + a sqrt(2) = 0.924, inside the
+    # budget C/D = 1, while the bracket's upper end b + 2a = 1.1 is not.
+    a, b = 0.3, 0.5
+    indefinite = [a * _pauli(k * np.pi / 2) for k in range(4)]
+    deviations = np.stack([*indefinite, *[b / 12 * np.eye(2)] * 12]).astype(complex)
+    deltas = [AdjointableOp(np.eye(2) - dev, 1) for dev in deviations]
+    report = t12_check(_unit_members(16), deltas)
+    measured = _check(report, "subset_sup_within_budget").measured
+    assert measured == pytest.approx(b + a * math.sqrt(2), rel=1e-12)
+    assert "subset_sup_upper" not in report.details
+    assert report.verdict is Verdict.CONCLUSION_HOLDS
+    lower, upper = _subset_sup_bracket(deviations)
+    assert lower < 1.0 < upper
+
+
+_DEFINITENESS = ("psd", "nsd", "indefinite", "zero")
+
+
+def _deviation(rng, size, kind):
+    """A raw deviation of the given kind: its Hermitian part is positive or
+    negative semidefinite, indefinite (where size > 1 allows) or zero,
+    and a skew-Hermitian part rides along, as in K's raw summands."""
+    raw = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    skew = 0.1 * (raw - raw.conj().T)
+    if kind == "zero":
+        return skew
+    basis = np.linalg.qr(raw)[0]
+    eigs = rng.uniform(0.1, 2.0, size) * 10.0 ** rng.uniform(-4, 2, size)
+    if kind == "nsd":
+        eigs = -eigs
+    elif kind == "indefinite" and size > 1:
+        eigs[: rng.integers(1, size)] *= -1.0
+    return (basis * eigs) @ basis.conj().T + skew
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 6),
+    kinds=st.lists(st.sampled_from(_DEFINITENESS), min_size=1, max_size=8),
+)
+@example(seed=0, size=3, kinds=["indefinite"])
+@example(seed=1, size=2, kinds=["zero"] * 5)
+def test_subset_sup_equals_enumeration_over_every_subset(seed, size, kinds):
+    rng = np.random.default_rng(seed)
+    deviations = np.stack([_deviation(rng, size, kind) for kind in kinds])
+    sup, bracket = _subset_sup(deviations)
+    brute = _brute_subset_sup(deviations)
+    assert bracket == {}
+    assert abs(sup - brute) <= 1e-12 * brute
+
+
+def test_subset_sup_reaches_a_supremum_at_one_indefinite_member():
+    # D and -D/2 are indefinite: D alone has norm 1, the other subsets 1/2.
+    dev = _pauli(0.3) + 0j
+    assert _subset_sup(np.stack([dev, -dev / 2])) == (pytest.approx(1.0, rel=1e-15), {})
 
 
 def test_t12_subset_bracket_contains_exact_enumeration():
