@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import DEFAULT_TOL, Tolerance, hermitian_part
 from .errors import DimensionMismatch
-from .hilbert import AdjointableOp, ModuleVector, _op, adjoint_op, apply, compose
+from .hilbert import AdjointableOp, ModuleVector, _op, adjoint_op, apply
 
 # Relative margin for deciding that optimal bounds coincide (tightness).
 TIGHTNESS_REL = 1e-8
@@ -103,7 +103,8 @@ class GFrameFamily:
 
     @cached_property
     def operator(self) -> AdjointableOp:
-        return compose(adjoint_op(self.analysis), self.analysis)
+        flat = self.analysis._flat
+        return _op(flat @ flat.conj().T, self.algebra_dim, scan=True)
 
     @cached_property
     def bounds(self) -> FrameBounds:
@@ -162,7 +163,7 @@ def require_endomorphism(op: AdjointableOp, family: GFrameFamily, name: str) -> 
 def cross_operator(left: GFrameFamily, right: GFrameFamily) -> AdjointableOp:
     """Mixed operator synthesis(left) . analysis(right) on the source module."""
     require_compatible(left, right)
-    return compose(adjoint_op(left.analysis), right.analysis)
+    return _op(right.analysis._flat @ left.analysis._flat.conj().T, left.algebra_dim, scan=True)
 
 
 def member_grams(family: GFrameFamily) -> np.ndarray:

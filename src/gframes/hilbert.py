@@ -15,8 +15,10 @@ targets.
 Arrays are validated where they enter: the public constructors, which
 the ``serialize`` decoders and the generators use, copy and check them.
 Kernels trust the operators they are given and wrap their fresh results
-with ``_op``; those that can overflow (``compose``, ``+``, ``-``, scalar
-``*``, weighted members and member Grams) still scan for non-finite entries.
+with ``_op``; those that can overflow scan for non-finite entries: ``compose``,
+``+``, ``-`` and scalar ``*`` each result, and the checkers' Gram and mixed
+products, formed on the flattenings with each adjoint read as the view
+``flat.conj().T``, once per product chain, at its end.
 """
 
 from __future__ import annotations
@@ -250,7 +252,7 @@ def is_surjective(op: AdjointableOp, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 def isometry_defect(op: AdjointableOp) -> float:
     """||adjoint_op(T) . T - I||, which vanishes exactly for an isometry."""
-    gram = compose(adjoint_op(op), op).flat
+    gram = _op(op._flat @ op._flat.conj().T, op.algebra_dim, scan=True)._flat
     return spectral_norm(gram - np.eye(gram.shape[0], dtype=np.complex128))
 
 

@@ -50,12 +50,10 @@ from .frames import (
     require_compatible,
     require_endomorphism,
     spectrum_bounds,
-    synthesis_op,
 )
 from .hilbert import (
     AdjointableOp,
     _op,
-    adjoint_op,
     compose,
     identity_op,
     is_surjective,
@@ -126,7 +124,8 @@ class ScalarWeights:
     deltas: tuple[AlgebraElement, ...]
     band_lower: float
     band_upper: float
-    # Smallest and largest eig(w* w) over all weights, set at construction.
+    # Stacked theta-then-delta entries and the eig(w* w) range, set at construction.
+    entries: np.ndarray = field(init=False, repr=False, compare=False)
     spectrum_range: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -149,9 +148,7 @@ class ScalarWeights:
                 f"{seq_name} weight spectrum [{least[first]:.6g}, {most[first]:.6g}]"
                 f" leaves the open band ({self.band_lower}, {self.band_upper})"
             )
-        object.__setattr__(
-            self, "spectrum_range", (float(least.min()), float(most.max()))
-        )
+        vars(self).update(entries=entries, spectrum_range=(float(least.min()), float(most.max())))
 
     @property
     def count(self) -> int:
@@ -215,19 +212,21 @@ def _frame_check(name: str, bounds: FrameBounds, tol: Tolerance) -> CheckItem:
     return check(name, bounds.lower, ">", 0.0, tol.rel * bounds.upper)
 
 
+def _family(flat: np.ndarray, like: GFrameFamily) -> GFrameFamily:
+    """``like``'s member dims on the scanned analysis flattening ``flat``."""
+    return GFrameFamily(_op(flat, like.algebra_dim, scan=True), like.member_dims)
+
+
 def _member_sums(family: GFrameFamily, other: GFrameFamily) -> GFrameFamily:
     """Members P_i + Q_i: analysis operator T_P + T_Q."""
-    return GFrameFamily(family.analysis + other.analysis, family.member_dims)
+    return _family(family.analysis._flat + other.analysis._flat, family)
 
 
 def _mn_family(
     family: GFrameFamily, other: GFrameFamily, m_op: AdjointableOp, n_op: AdjointableOp
 ) -> GFrameFamily:
     """Members P_i.M + Q_i.N: analysis operator T_P.M + T_Q.N."""
-    return GFrameFamily(
-        compose(family.analysis, m_op) + compose(other.analysis, n_op),
-        family.member_dims,
-    )
+    return _family(m_op._flat @ family.analysis._flat + n_op._flat @ other.analysis._flat, family)
 
 
 def _s_formula_residual(formula: AdjointableOp, family: GFrameFamily) -> float:
@@ -241,24 +240,29 @@ def weighted_family(family: GFrameFamily, coeffs) -> GFrameFamily:
     algebra coefficients on their target modules: every n-column block
     of the analysis flattening times its member's coefficient."""
     coeffs = tuple(coeffs)
-    if len(coeffs) != family.size:
+    return _lifted(family, [w.entries for w in coeffs], {w.dim for w in coeffs})
+
+
+def _lifted(family: GFrameFamily, entries, dims: set[int]) -> GFrameFamily:
+    """``weighted_family`` on the coefficients' entries and algebra dims."""
+    if len(entries) != family.size:
         raise DimensionMismatch("one coefficient per family member required")
     n = family.algebra_dim
-    if any(w.dim != n for w in coeffs):
+    if dims != {n}:
         raise DimensionMismatch("coefficients live over a different algebra")
     rows = n * family.source_len
-    blocks = family.analysis.flat.reshape(rows, -1, n).swapaxes(0, 1)
-    lifted = np.repeat([w.entries for w in coeffs], family.member_dims, axis=0)
-    weighted = (blocks @ lifted).swapaxes(0, 1).reshape(rows, -1)
-    return GFrameFamily(_op(weighted, n, scan=True), family.member_dims)
+    blocks = family.analysis._flat.reshape(rows, -1, n).swapaxes(0, 1)
+    lifted = np.repeat(entries, family.member_dims, axis=0)
+    return _family((blocks @ lifted).swapaxes(0, 1).reshape(rows, -1), family)
 
 
 def weighted_pair(
     family: GFrameFamily, other: GFrameFamily, weights: ScalarWeights
 ) -> tuple[GFrameFamily, GFrameFamily]:
     """The first family weighted by the thetas, the second by the deltas."""
-    left = weighted_family(family, weights.thetas)
-    return left, weighted_family(other, weights.deltas)
+    count, dims = weights.count, {weights.algebra_dim}
+    left = _lifted(family, weights.entries[:count], dims)
+    return left, _lifted(other, weights.entries[count:], dims)
 
 
 def _weight_band_check(weights: ScalarWeights) -> CheckItem:
@@ -278,8 +282,8 @@ def perturb_lambda(
     new_family = GFrameFamily(compose(family.analysis, shifted), family.member_dims)
 
     base = optimal_bounds(family)
-    s_op = frame_operator(family)
-    conjugated = adjoint_op(shifted) @ s_op @ shifted
+    s_op, sh = frame_operator(family), shifted._flat
+    conjugated = _op(sh @ (s_op._flat @ sh.conj().T), family.algebra_dim, scan=True)
     checks = (
         _frame_check("input_is_frame", base, tol),
         _positivity_check("conjugation_dominates", conjugated - s_op, tol),
@@ -314,18 +318,16 @@ def op_weighted_sum(
     require_endomorphism(n_op, family, "n_op")
     new_family = _mn_family(family, other, m_op, n_op)
 
-    mh, nh = adjoint_op(m_op), adjoint_op(n_op)
-    combined_synthesis = mh @ synthesis_op(family) + nh @ synthesis_op(other)
+    dim, m, n = family.algebra_dim, m_op._flat, n_op._flat
+    # C-ordered, as a one-row synthesis goes to gemv, whose sums follow the layout.
+    mh, nh = np.conjugate(m.T, order="C"), np.conjugate(n.T, order="C")
+    synthesis = family.analysis._flat.conj().T @ mh + other.analysis._flat.conj().T @ nh
+    combined_synthesis = _op(synthesis, dim, scan=True)
 
-    s_left = frame_operator(family)
-    s_right = frame_operator(other)
-    cross = cross_operator(family, other)
-    s_formula = (
-        mh @ s_left @ m_op
-        + mh @ cross @ n_op
-        + nh @ adjoint_op(cross) @ m_op
-        + nh @ s_right @ n_op
-    )
+    s_left, s_right = frame_operator(family)._flat, frame_operator(other)._flat
+    cross = cross_operator(family, other)._flat
+    s_formula = m @ (s_left @ mh) + n @ (cross @ mh)
+    s_formula = _op(s_formula + m @ (cross.conj().T @ nh) + n @ (s_right @ nh), dim, scan=True)
 
     cls = classify(new_family, tol)
     cond_frame = is_frame_bounds(cls.bounds, tol)
@@ -386,12 +388,8 @@ def t3_corollary_check(
     )
 
     new_family = _member_sums(family, other)
-    s_formula = (
-        frame_operator(family)
-        + cross
-        + adjoint_op(cross)
-        + frame_operator(other)
-    )
+    s_left, s_right, c = frame_operator(family)._flat, frame_operator(other)._flat, cross._flat
+    s_formula = _op(s_left + c + c.conj().T + s_right, family.algebra_dim, scan=True)
     return theorem_report(
         "T3_COROLLARY",
         classify(new_family, tol),
@@ -634,12 +632,11 @@ def tight_mn_check(
     require_endomorphism(n_op, family, "n_op")
     alpha1, alpha2, checks = _tight_pair(family, other, tol)
 
-    combo = alpha1 * (adjoint_op(m_op) @ m_op) + alpha2 * (adjoint_op(n_op) @ n_op)
-    size = family.algebra_dim * family.source_len
-    alpha = float(np.trace(combo.flat).real) / size
-    residual, combo_norm = spectral_norm(
-        np.stack([combo.flat - alpha * np.eye(size), combo.flat])
-    ).tolist()
+    m, n, size = m_op._flat, n_op._flat, family.algebra_dim * family.source_len
+    combo = alpha1 * (m @ m.conj().T) + alpha2 * (n @ n.conj().T)
+    combo = _op(combo, family.algebra_dim, scan=True)._flat
+    alpha = float(np.trace(combo).real) / size
+    residual, combo_norm = spectral_norm(np.stack([combo - alpha * np.eye(size), combo])).tolist()
     combo_margin = tol.rel * combo_norm
     condition_holds = residual <= combo_margin and alpha > combo_margin
 

@@ -7,7 +7,10 @@ eigenvector witnesses, through batched Gram matrices and quadratic
 forms, so that the tests can hold the two routes against each other.
 Two more oracles keep slower forms of package rules: positivity with
 every norm taken by a singular-value call, and the report encoding that
-asks each value whether it is a dataclass.
+asks each value whether it is a dataclass.  The ``*_form`` functions
+keep the operator-level form of each Gram, mixed, conjugated and
+weighted product the checkers form on the flattenings: every adjoint a
+contiguous ``adjoint_op`` copy, every product a ``compose``.
 """
 
 import math
@@ -19,12 +22,16 @@ from gframes import (
     AdjointableOp,
     AlgebraElement,
     GFrameFamily,
+    adjoint_op,
     bound_witnesses,
+    compose,
     frame_operator,
+    identity_op,
     optimal_bounds,
+    synthesis_op,
 )
 from gframes import serialize
-from gframes.algebra import DEFAULT_TOL, Tolerance, hermitian_part
+from gframes.algebra import DEFAULT_TOL, Tolerance, hermitian_part, spectral_norm
 
 
 def block_diag_op(a: AlgebraElement, length: int) -> AdjointableOp:
@@ -153,3 +160,73 @@ def walk_report_to_json(report) -> dict:
         data[key] = walk_to_json(getattr(report, key))
     data["details"] = {k: walk_to_json(report.details[k]) for k in sorted(report.details)}
     return data
+
+
+def gram_form(family: GFrameFamily) -> AdjointableOp:
+    """Frame operator T*T."""
+    return compose(adjoint_op(family.analysis), family.analysis)
+
+
+def cross_form(left: GFrameFamily, right: GFrameFamily) -> AdjointableOp:
+    """Mixed operator T_left* T_right."""
+    return compose(adjoint_op(left.analysis), right.analysis)
+
+
+def isometry_defect_form(op: AdjointableOp) -> float:
+    """||T*T - I||."""
+    gram = compose(adjoint_op(op), op).flat
+    return spectral_norm(gram - np.eye(gram.shape[0], dtype=np.complex128))
+
+
+def member_sums_form(family: GFrameFamily, other: GFrameFamily) -> AdjointableOp:
+    """Analysis operator T_P + T_Q of the member sums."""
+    return family.analysis + other.analysis
+
+
+def mn_form(family, other, m_op, n_op) -> AdjointableOp:
+    """Analysis operator T_P.M + T_Q.N."""
+    return compose(family.analysis, m_op) + compose(other.analysis, n_op)
+
+
+def weighted_form(family: GFrameFamily, coeffs) -> AdjointableOp:
+    """Analysis operator of the family weighted by the algebra
+    coefficients, the coefficients stacked anew."""
+    n, rows = family.algebra_dim, family.algebra_dim * family.source_len
+    blocks = family.analysis.flat.reshape(rows, -1, n).swapaxes(0, 1)
+    lifted = np.repeat([w.entries for w in coeffs], family.member_dims, axis=0)
+    return AdjointableOp((blocks @ lifted).swapaxes(0, 1).reshape(rows, -1), n)
+
+
+def conjugation_form(family: GFrameFamily, lam: AdjointableOp) -> AdjointableOp:
+    """(I + lam)* S (I + lam)."""
+    shifted = identity_op(family.algebra_dim, family.source_len) + lam
+    return adjoint_op(shifted) @ gram_form(family) @ shifted
+
+
+def combined_synthesis_form(family, other, m_op, n_op) -> AdjointableOp:
+    """M* T_P* + N* T_Q*."""
+    mh, nh = adjoint_op(m_op), adjoint_op(n_op)
+    return mh @ synthesis_op(family) + nh @ synthesis_op(other)
+
+
+def mn_formula_form(family, other, m_op, n_op) -> AdjointableOp:
+    """M*S_P M + M*T_P*T_Q N + N*T_Q*T_P M + N*S_Q N."""
+    mh, nh = adjoint_op(m_op), adjoint_op(n_op)
+    cross = cross_form(family, other)
+    return (
+        mh @ gram_form(family) @ m_op
+        + mh @ cross @ n_op
+        + nh @ adjoint_op(cross) @ m_op
+        + nh @ gram_form(other) @ n_op
+    )
+
+
+def sum_formula_form(family: GFrameFamily, other: GFrameFamily) -> AdjointableOp:
+    """S_P + T_P*T_Q + T_Q*T_P + S_Q."""
+    cross = cross_form(family, other)
+    return gram_form(family) + cross + adjoint_op(cross) + gram_form(other)
+
+
+def combo_form(m_op, n_op, alpha1: float, alpha2: float) -> AdjointableOp:
+    """alpha1 M*M + alpha2 N*N."""
+    return alpha1 * (adjoint_op(m_op) @ m_op) + alpha2 * (adjoint_op(n_op) @ n_op)

@@ -936,7 +936,12 @@ def test_trusted_kernel_results_change_no_report(monkeypatch):
         if name.startswith("gframes") and getattr(module, "_op", None) is trusted:
             monkeypatch.setattr(module, "_op", checking)
     assert _default_reports() == shipped
-    assert len(checked) > 1000
+    # The checkers wrap each product chain once, so the wraps are counted
+    # per theorem: every theorem's default run still passes through one.
+    for theorem in sorted(THEOREMS):
+        checked.clear()
+        build_and_run(theorem, {}, 0)
+        assert checked, theorem
 
 
 @pytest.mark.parametrize("seed", range(5))

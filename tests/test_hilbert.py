@@ -11,26 +11,37 @@ from gframes import (
     DimensionMismatch,
     GFrameFamily,
     ModuleVector,
+    ScalarWeights,
     Tolerance,
     adjoint,
     adjoint_op,
     apply,
     compose,
+    cross_operator,
+    frame_operator,
+    identity,
     identity_op,
     inner_product,
     is_isometry,
     is_positive,
     is_surjective,
+    isometry_sum_check,
     module_scale,
+    op_weighted_sum,
     operators_from_family,
     op_norm,
     operator_norm,
+    perturb_lambda,
     psd_order_leq,
     scalar_norm,
+    scalar_weighted_sum,
+    t3_corollary_check,
+    tight_mn_check,
     weighted_family,
     zero,
     zero_op,
 )
+from gframes.hilbert import isometry_defect
 
 
 def test_inner_product_literal_cases():
@@ -315,6 +326,8 @@ def _kernel_results(rng):
         "scale_float32": a * np.float32(0.5),
         "of": GFrameFamily.of((a, b)).analysis,
         "weighted_family": weighted_family(family, weights).analysis,
+        "frame_operator": frame_operator(family),
+        "cross_operator": cross_operator(family, weighted_family(family, weights)),
     }
     results.update({f"member_{j}": m for j, m in enumerate(family.members)})
     results.update(
@@ -370,3 +383,50 @@ def test_overflowing_kernel_products_raise_outside_the_runner():
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="finite"):
             huge + huge
+
+
+def _diagonal_family(value: float, member_dims=(1, 1)) -> GFrameFamily:
+    """Family over the 1-by-1 algebra whose analysis flattening is
+    ``value`` times the identity, split into the given members."""
+    size = sum(member_dims)
+    return GFrameFamily(AdjointableOp(value * np.eye(size), 1), member_dims)
+
+
+def _scaled_identity(value: float) -> AdjointableOp:
+    return AdjointableOp(value * np.eye(2), 1)
+
+
+def test_overflowing_checker_products_raise_outside_the_runner():
+    # Each product chain the checkers form on the flattenings ends in one
+    # scanning wrap.  Each input overflows first in the chain it names;
+    # entries of 1e160 overflow a product of degree 2, 1e80 one of degree 4.
+    big, unit, mid = _diagonal_family(1e160), _diagonal_family(1.0), _diagonal_family(1e80)
+    tight_pair = (  # P = [I 0] and Q = [0 I]: tight, with T_P* T_Q = 0
+        GFrameFamily(AdjointableOp(np.eye(2, 4), 1), (2, 2)),
+        GFrameFamily(AdjointableOp(np.eye(2, 4, 2), 1), (2, 2)),
+    )
+    ones = (identity(1),) * 2
+    chains = {
+        "frame operator": lambda: frame_operator(big),
+        "cross_operator": lambda: cross_operator(big, big),
+        "isometry_defect": lambda: isometry_defect(_scaled_identity(1e160)),
+        "PERTURB_LAMBDA conjugation": lambda: perturb_lambda(unit, _scaled_identity(1e160)),
+        "T3_EQUIV members P.M + Q.N": lambda: op_weighted_sum(
+            big, big, _scaled_identity(1e160), _scaled_identity(1e160)),
+        "T3_EQUIV closed form": lambda: op_weighted_sum(
+            mid, mid, _scaled_identity(1e80), _scaled_identity(1e80)),
+        "T3_COROLLARY closed form": lambda: t3_corollary_check(
+            _diagonal_family(0.9e154, (1,)), _diagonal_family(0.9e154, (1,))),
+        "T7_SCALAR weighted members": lambda: scalar_weighted_sum(big, big, ScalarWeights(
+            (identity(1) * 1e150,) * 2, (identity(1) * 1e150,) * 2, 0.5, 1e301)),
+        "T7_SCALAR member sums": lambda: scalar_weighted_sum(
+            _diagonal_family(1.2e308), _diagonal_family(1.2e308), ScalarWeights(ones, ones, 0.5, 2.0)),
+        "TIGHT_MN combination": lambda: tight_mn_check(
+            *tight_pair, _scaled_identity(1e160), _scaled_identity(1.0)),
+        "ISOMETRY_SUM isometry defect": lambda: isometry_sum_check(
+            unit, unit, _scaled_identity(1e160)),
+    }
+    with np.errstate(all="ignore"):
+        for name, chain in chains.items():
+            with pytest.raises(ValueError, match="finite"):
+                chain()
