@@ -41,6 +41,17 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
+def _frozen_matrix(data, what: str) -> np.ndarray:
+    """Read-only complex128 copy of a non-empty, finite 2-D array."""
+    arr = np.array(data, dtype=np.complex128, order="C")
+    if arr.ndim != 2 or arr.size == 0:
+        raise DimensionMismatch(f"{what} must be a non-empty matrix, not {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} entries must be finite")
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class AlgebraElement:
     """An n-by-n complex matrix, one element of the scalar algebra.
@@ -53,15 +64,10 @@ class AlgebraElement:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.entries, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-            raise DimensionMismatch(
-                f"algebra element must be a square matrix, got shape {arr.shape}"
-            )
-        if not np.isfinite(arr).all():
-            raise ValueError("algebra element entries must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        shape = np.shape(self.entries)
+        if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1:
+            raise DimensionMismatch(f"algebra element must be a square matrix, got shape {shape}")
+        object.__setattr__(self, "entries", _frozen_matrix(self.entries, "algebra element"))
 
     @property
     def dim(self) -> int:

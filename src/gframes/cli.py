@@ -115,19 +115,24 @@ def run_scenario(scenario: Scenario) -> RunReport:
     reports = []
     for rep in range(scenario.repetitions):
         rep_seed = (scenario.seed + scenario.seed_stride * rep) & _MASK64
-        reports.append(
-            run_decoded(
-                scenario.theorem, decoded.config, rep_seed, scenario.tolerance
-            )
-        )
+        reports.append(run_decoded(scenario.theorem, decoded.config, rep_seed, scenario.tolerance))
     return RunReport(scenario, reports, time.perf_counter() - started)
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a key given twice is an error."""
+    data = dict(pairs)
+    if len(data) != len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return data
 
 
 def load_scenarios(path: str) -> list[Scenario]:
     """One file holds either a scenario object or a list of them."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
@@ -135,8 +140,8 @@ def load_scenarios(path: str) -> list[Scenario]:
             f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"
         ) from exc
     except (ValueError, RecursionError) as exc:
-        # Bytes that are not UTF-8, an integer past Python's digit limit,
-        # or arrays and objects nested past the decoder's recursion limit.
+        # Bytes that are not UTF-8, a repeated key, an integer past Python's
+        # digit limit, or nesting past the decoder's recursion limit.
         raise ValidationError(f"{path}: {exc}") from exc
     items = data if isinstance(data, list) else [data]
     return [parse_scenario(item, path) for item in items]

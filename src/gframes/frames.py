@@ -104,7 +104,7 @@ class GFrameFamily:
     @cached_property
     def operator(self) -> AdjointableOp:
         flat = self.analysis._flat
-        return _op(flat @ flat.conj().T, self.algebra_dim, scan=True)
+        return _op(flat @ flat.conj().T, self.algebra_dim)
 
     @cached_property
     def bounds(self) -> FrameBounds:
@@ -163,7 +163,7 @@ def require_endomorphism(op: AdjointableOp, family: GFrameFamily, name: str) -> 
 def cross_operator(left: GFrameFamily, right: GFrameFamily) -> AdjointableOp:
     """Mixed operator synthesis(left) . analysis(right) on the source module."""
     require_compatible(left, right)
-    return _op(right.analysis._flat @ left.analysis._flat.conj().T, left.algebra_dim, scan=True)
+    return _op(right.analysis._flat @ left.analysis._flat.conj().T, left.algebra_dim)
 
 
 def member_grams(family: GFrameFamily) -> np.ndarray:

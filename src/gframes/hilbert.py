@@ -12,13 +12,13 @@ A g-frame family (``frames.GFrameFamily``) is stored the same way, as
 one operator: its analysis operator into the direct sum of the member
 targets.
 
-Arrays are validated where they enter: the public constructors, which
-the ``serialize`` decoders and the generators use, copy and check them.
-Kernels trust the operators they are given and wrap their fresh results
-with ``_op``; those that can overflow scan for non-finite entries: ``compose``,
-``+``, ``-`` and scalar ``*`` each result, and the checkers' Gram and mixed
-products, formed on the flattenings with each adjoint read as the view
-``flat.conj().T``, once per product chain, at its end.
+Two rules keep every array valid.  An array from outside, as the
+``serialize`` decoders and the generators pass it, is copied and checked
+by a public constructor, each through the one ``algebra._frozen_matrix``.
+Every operator a kernel or checker computes is wrapped by ``_op``, which
+always scans it for non-finite entries; the checkers form their products
+on the flattenings, each adjoint read as the view ``flat.conj().T``, and
+wrap each product chain once, at its end.
 """
 
 from __future__ import annotations
@@ -28,25 +28,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import AlgebraElement, DEFAULT_TOL, Tolerance, spectral_norm
+from .algebra import AlgebraElement, DEFAULT_TOL, Tolerance, _frozen_matrix, spectral_norm
 from .errors import DimensionMismatch
 
 
-def _frozen_matrix(data, what: str) -> np.ndarray:
-    """Read-only complex128 copy of a non-empty, finite 2-D array."""
-    arr = np.array(data, dtype=np.complex128, order="C")
-    if arr.ndim != 2 or arr.size == 0:
-        raise DimensionMismatch(f"{what} must be a non-empty matrix, not {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{what} entries must be finite")
-    arr.setflags(write=False)
-    return arr
-
-
-def _op(arr: np.ndarray, n: int, scan: bool = False) -> "AdjointableOp":
+def _op(arr: np.ndarray, n: int) -> "AdjointableOp":
     """Read-only wrap, with no copy or shape check, of a fresh C-contiguous
-    complex128 2-D array made from valid operators; ``scan`` checks finiteness."""
-    if scan and not np.isfinite(arr).all():
+    complex128 2-D array made from valid operators, scanned for finiteness."""
+    if not np.isfinite(arr).all():
         raise ValueError("operator entries must be finite")
     arr.flags.writeable = False
     op = object.__new__(AdjointableOp)
@@ -134,11 +123,11 @@ class AdjointableOp:
 
     def __add__(self, other: "AdjointableOp") -> "AdjointableOp":
         _check_op_shapes(self, other)
-        return _op(self._flat + other._flat, self.algebra_dim, scan=True)
+        return _op(self._flat + other._flat, self.algebra_dim)
 
     def __sub__(self, other: "AdjointableOp") -> "AdjointableOp":
         _check_op_shapes(self, other)
-        return _op(self._flat - other._flat, self.algebra_dim, scan=True)
+        return _op(self._flat - other._flat, self.algebra_dim)
 
     def __neg__(self) -> "AdjointableOp":
         return _op(-self._flat, self.algebra_dim)
@@ -147,7 +136,7 @@ class AdjointableOp:
         arr = (self._flat * scalar).astype(np.complex128, copy=False)
         if arr.shape != self._flat.shape:
             raise DimensionMismatch(f"cannot scale an operator by shape {np.shape(scalar)}")
-        return _op(arr, self.algebra_dim, scan=True)
+        return _op(arr, self.algebra_dim)
 
     __rmul__ = __mul__
 
@@ -227,7 +216,7 @@ def compose(second: AdjointableOp, first: AdjointableOp) -> AdjointableOp:
         raise DimensionMismatch(
             f"cannot compose: inner lengths {first.target_len} vs {second.source_len}"
         )
-    return _op(first._flat @ second._flat, first.algebra_dim, scan=True)
+    return _op(first._flat @ second._flat, first.algebra_dim)
 
 
 def op_norm(op: AdjointableOp) -> float:
@@ -252,7 +241,7 @@ def is_surjective(op: AdjointableOp, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 def isometry_defect(op: AdjointableOp) -> float:
     """||adjoint_op(T) . T - I||, which vanishes exactly for an isometry."""
-    gram = _op(op._flat @ op._flat.conj().T, op.algebra_dim, scan=True)._flat
+    gram = _op(op._flat @ op._flat.conj().T, op.algebra_dim)._flat
     return spectral_norm(gram - np.eye(gram.shape[0], dtype=np.complex128))
 
 

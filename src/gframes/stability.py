@@ -37,6 +37,7 @@ from .hilbert import AdjointableOp, _op
 from .sums import (
     ScalarWeights,
     TheoremReport,
+    _family,
     _frame_check,
     check,
     theorem_report,
@@ -169,7 +170,7 @@ def difference_check(
     left, right, s_left, s_right = _weighted_preamble(
         family, other, weights, alpha1, alpha2
     )
-    diff = GFrameFamily(left.analysis - right.analysis, left.member_dims)
+    diff = _family(left.analysis._flat - right.analysis._flat, left)
     s_diff = frame_operator(diff).flat
     combo = alpha1 * s_left + alpha2 * s_right
     gap = float(np.linalg.eigh(hermitian_part(s_diff - combo))[0][-1])
@@ -194,7 +195,7 @@ def difference_check(
 
 def operators_from_family(other: GFrameFamily) -> list[AdjointableOp]:
     """Lift a family to candidate frame-operator summands adjoint(Q).Q."""
-    return [_op(gram, other.algebra_dim, scan=True) for gram in member_grams(other)]
+    return [_op(gram, other.algebra_dim) for gram in member_grams(other)]
 
 
 # Subset enumeration is exact up to this many indefinite members; beyond

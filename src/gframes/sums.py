@@ -55,7 +55,6 @@ from .hilbert import (
     AdjointableOp,
     _op,
     compose,
-    identity_op,
     is_surjective,
     isometry_defect,
     op_norm,
@@ -214,7 +213,7 @@ def _frame_check(name: str, bounds: FrameBounds, tol: Tolerance) -> CheckItem:
 
 def _family(flat: np.ndarray, like: GFrameFamily) -> GFrameFamily:
     """``like``'s member dims on the scanned analysis flattening ``flat``."""
-    return GFrameFamily(_op(flat, like.algebra_dim, scan=True), like.member_dims)
+    return GFrameFamily(_op(flat, like.algebra_dim), like.member_dims)
 
 
 def _member_sums(family: GFrameFamily, other: GFrameFamily) -> GFrameFamily:
@@ -278,15 +277,15 @@ def perturb_lambda(
     """Members composed with (I + lam); a frame again whenever the
     conjugated frame operator dominates the original."""
     require_endomorphism(lam, family, "lam")
-    shifted = identity_op(family.algebra_dim, family.source_len) + lam
-    new_family = GFrameFamily(compose(family.analysis, shifted), family.member_dims)
+    n = family.algebra_dim
+    sh = np.eye(len(lam._flat), dtype=np.complex128) + lam._flat
+    new_family = _family(sh @ family.analysis._flat, family)
 
-    base = optimal_bounds(family)
-    s_op, sh = frame_operator(family), shifted._flat
-    conjugated = _op(sh @ (s_op._flat @ sh.conj().T), family.algebra_dim, scan=True)
+    base, s = optimal_bounds(family), frame_operator(family)._flat
+    conjugated = _op(sh @ (s @ sh.conj().T), n)
     checks = (
         _frame_check("input_is_frame", base, tol),
-        _positivity_check("conjugation_dominates", conjugated - s_op, tol),
+        _positivity_check("conjugation_dominates", _op(conjugated._flat - s, n), tol),
     )
     return theorem_report(
         "PERTURB_LAMBDA",
@@ -322,12 +321,12 @@ def op_weighted_sum(
     # C-ordered, as a one-row synthesis goes to gemv, whose sums follow the layout.
     mh, nh = np.conjugate(m.T, order="C"), np.conjugate(n.T, order="C")
     synthesis = family.analysis._flat.conj().T @ mh + other.analysis._flat.conj().T @ nh
-    combined_synthesis = _op(synthesis, dim, scan=True)
+    combined_synthesis = _op(synthesis, dim)
 
     s_left, s_right = frame_operator(family)._flat, frame_operator(other)._flat
     cross = cross_operator(family, other)._flat
     s_formula = m @ (s_left @ mh) + n @ (cross @ mh)
-    s_formula = _op(s_formula + m @ (cross.conj().T @ nh) + n @ (s_right @ nh), dim, scan=True)
+    s_formula = _op(s_formula + m @ (cross.conj().T @ nh) + n @ (s_right @ nh), dim)
 
     cls = classify(new_family, tol)
     cond_frame = is_frame_bounds(cls.bounds, tol)
@@ -389,7 +388,7 @@ def t3_corollary_check(
 
     new_family = _member_sums(family, other)
     s_left, s_right, c = frame_operator(family)._flat, frame_operator(other)._flat, cross._flat
-    s_formula = _op(s_left + c + c.conj().T + s_right, family.algebra_dim, scan=True)
+    s_formula = _op(s_left + c + c.conj().T + s_right, family.algebra_dim)
     return theorem_report(
         "T3_COROLLARY",
         classify(new_family, tol),
@@ -547,8 +546,7 @@ def isometry_sum_check(
         _positivity_check("mixed_operator_positive", cross, tol),
         check("lam_is_isometry", isometry_defect(lam), "<=", 0.0, tol.margin(1.0)),
     )
-    summed = family.analysis + other.analysis
-    new_family = GFrameFamily(compose(summed, lam), family.member_dims)
+    new_family = GFrameFamily(compose(family.analysis + other.analysis, lam), family.member_dims)
     return theorem_report(
         "ISOMETRY_SUM",
         classify(new_family, tol),
@@ -634,7 +632,7 @@ def tight_mn_check(
 
     m, n, size = m_op._flat, n_op._flat, family.algebra_dim * family.source_len
     combo = alpha1 * (m @ m.conj().T) + alpha2 * (n @ n.conj().T)
-    combo = _op(combo, family.algebra_dim, scan=True)._flat
+    combo = _op(combo, family.algebra_dim)._flat
     alpha = float(np.trace(combo).real) / size
     residual, combo_norm = spectral_norm(np.stack([combo - alpha * np.eye(size), combo])).tolist()
     combo_margin = tol.rel * combo_norm

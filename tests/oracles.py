@@ -230,3 +230,13 @@ def sum_formula_form(family: GFrameFamily, other: GFrameFamily) -> AdjointableOp
 def combo_form(m_op, n_op, alpha1: float, alpha2: float) -> AdjointableOp:
     """alpha1 M*M + alpha2 N*N."""
     return alpha1 * (adjoint_op(m_op) @ m_op) + alpha2 * (adjoint_op(n_op) @ n_op)
+
+
+def perturbed_form(family: GFrameFamily, lam: AdjointableOp) -> AdjointableOp:
+    """Analysis operator of the members composed with (I + lam)."""
+    return compose(family.analysis, identity_op(family.algebra_dim, family.source_len) + lam)
+
+
+def difference_form(left: AdjointableOp, right: AdjointableOp) -> AdjointableOp:
+    """Analysis operator T_P - T_Q of the member differences, from T_P and T_Q."""
+    return left - right

@@ -928,7 +928,7 @@ def test_trusted_kernel_results_change_no_report(monkeypatch):
     trusted = gframes.hilbert._op
     checked = []
 
-    def checking(arr, n, scan=False):
+    def checking(arr, n):
         checked.append(n)
         return gframes.AdjointableOp(arr, n)
 
@@ -1421,3 +1421,79 @@ def test_an_svd_that_does_not_converge_exits_2_and_names_the_fields(
     assert code == 2 and out == ""
     assert "'family'" in err and "did not converge" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"schema": 1, "theorem": "CLASSIFY", "theorem": "T3_EQUIV", "repetitions": 1}',
+         "theorem"),
+        ('{"schema": 1, "theorem": "FINAL_COROLLARY", "repetitions": 1,'
+         ' "instance": {"alpha": 0.5, "alpha": 0.9}}', "alpha"),
+    ],
+    ids=["scenario-field", "instance-field"],
+)
+def test_a_repeated_key_exits_2_and_names_the_file_and_the_key(tmp_path, capsys, text, key):
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    assert main(["run", str(path), "--no-timestamp"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert f"repeated.json: repeated key {key!r}" in err
+
+
+@pytest.mark.parametrize("seed", [0, -1])
+def test_seeds_equal_modulo_2_64_run_the_same_repetitions(tmp_path, seed):
+    # Repetition i runs at (seed + seed_stride * i) mod 2^64; the run
+    # document echoes the seed as given.  Some generators branch on the
+    # seed modulo 5 or 7, which 2^64 is not a multiple of.
+    runs = []
+    for i, given in enumerate((seed, seed + 2**64)):
+        docs = [_basic_scenario(theorem=theorem, seed=given, seed_stride=3, repetitions=3,
+                                instance={}) for theorem in sorted(THEOREMS)]
+        report_path = tmp_path / f"out{i}.json"
+        argv = ["run", _write(tmp_path, f"seed{i}.json", docs), "--no-timestamp"]
+        assert main(argv + ["--report", str(report_path)]) == 0
+        runs.append(json.loads(report_path.read_text())["runs"])
+        assert {run["seed"] for run in runs[-1]} == {given}
+    assert [run["reports"] for run in runs[0]] == [run["reports"] for run in runs[1]]
+
+
+def _run_child(tmp_path, theorem, instance):
+    """Exit code and standard error of an inline instance run once in a
+    child process, where a traceback shows on standard error."""
+    doc = _basic_scenario(theorem=theorem, repetitions=1, instance=instance)
+    done = _child(["run", _write(tmp_path, "probe.json", doc), "--no-timestamp"])
+    return done.returncode, done.stderr
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="valid input whose products underflow; no magnitude contract yet")
+def test_t3_equiv_far_below_unit_scale_does_not_exit_1(tmp_path, monkeypatch):
+    # The seed-0 instance with its family scaled by 2^-540.  Known wrong:
+    # its details read condition_frame 0, condition_surjective 1 and
+    # condition_positive 0, and the run exits 1.
+    family, other, m_op, n_op = _captured_inputs(monkeypatch, "T3_EQUIV")[:4]
+    instance = {"family": ser.family_to_json(gframes.scale_family(family, 2.0**-540)),
+                "second_family": ser.family_to_json(other),
+                "m": ser.op_to_json(m_op), "n": ser.op_to_json(n_op)}
+    code, err = _run_child(tmp_path, "T3_EQUIV", instance)
+    assert "Traceback" not in err
+    assert code != 1
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the conclusion rejects a frame whose bound ratio is below tol.rel")
+@pytest.mark.parametrize("theorem", ["PROP_MIXED", "THM_DIFFERENCE"])
+def test_an_ill_conditioned_perturbed_frame_does_not_exit_1(tmp_path, theorem):
+    # S_F = diag(2e-9, 1) and S_G = diag(8e-10, 1) with unit weights: every
+    # check passes and G is a frame with lower bound 8e-10.  Known wrong:
+    # the verdict reads ConclusionFails and the run exits 1.
+    ones = (gframes.identity(1),) * 2
+    instance = {"family": _diagonal_family(2e-9, 1.0),
+                "second_family": _diagonal_family(8e-10, 1.0),
+                "weights": ser.weights_to_json(gframes.ScalarWeights(ones, ones, 0.9, 1.1)),
+                "alpha1": 0.5, "alpha2": 0.5}
+    code, err = _run_child(tmp_path, theorem, instance)
+    assert "Traceback" not in err
+    assert code != 1

@@ -41,7 +41,7 @@ from gframes import (
     zero,
     zero_op,
 )
-from gframes.hilbert import isometry_defect
+from gframes.hilbert import _op, isometry_defect
 
 
 def test_inner_product_literal_cases():
@@ -361,6 +361,15 @@ def test_the_public_constructor_copies_its_input():
     assert vec.flat[0, 1] == kept[0, 1]
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(1.0, np.inf)])
+def test_the_one_wrap_scans_every_array(bad):
+    arr = np.eye(2, dtype=np.complex128)
+    assert not _op(arr.copy(), 1).flat.flags.writeable
+    arr[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        _op(arr, 1)
+
+
 def test_overflowing_kernel_products_raise_outside_the_runner():
     # Outside ``run_decoded`` no errstate guard raises; the finite scan does.
     big = AdjointableOp(np.full((2, 2), 1e200 + 1e200j), 1)
@@ -410,6 +419,8 @@ def test_overflowing_checker_products_raise_outside_the_runner():
         "frame operator": lambda: frame_operator(big),
         "cross_operator": lambda: cross_operator(big, big),
         "isometry_defect": lambda: isometry_defect(_scaled_identity(1e160)),
+        "PERTURB_LAMBDA new family": lambda: perturb_lambda(
+            _diagonal_family(1e300), _scaled_identity(1e10)),
         "PERTURB_LAMBDA conjugation": lambda: perturb_lambda(unit, _scaled_identity(1e160)),
         "T3_EQUIV members P.M + Q.N": lambda: op_weighted_sum(
             big, big, _scaled_identity(1e160), _scaled_identity(1e160)),
@@ -425,6 +436,9 @@ def test_overflowing_checker_products_raise_outside_the_runner():
             *tight_pair, _scaled_identity(1e160), _scaled_identity(1.0)),
         "ISOMETRY_SUM isometry defect": lambda: isometry_sum_check(
             unit, unit, _scaled_identity(1e160)),
+        # Every degree-2 product stays finite; only (T_P + T_Q).lam overflows.
+        "ISOMETRY_SUM new family": lambda: isometry_sum_check(
+            _diagonal_family(9e153), _diagonal_family(9e153), _scaled_identity(1.3e154)),
     }
     with np.errstate(all="ignore"):
         for name, chain in chains.items():

@@ -27,6 +27,7 @@ from gframes import (
     weighted_family,
 )
 from gframes.hilbert import isometry_defect
+from gframes.stability import difference_check
 from gframes.sums import (
     _member_sums,
     _mn_family,
@@ -68,13 +69,24 @@ def _draw(instance):
     return family, other, *ops
 
 
+def _weights(rng, family):
+    """Random thetas and deltas, one per member, inside a band around
+    their spectra."""
+    n = family.algebra_dim
+    coeffs = [AlgebraElement(random_matrix(rng, n, n)) for _ in range(2 * family.size)]
+    spectra = np.linalg.eigvalsh([w.entries.conj().T @ w.entries for w in coeffs])
+    return ScalarWeights(
+        coeffs[: family.size], coeffs[family.size :], 0.5 * spectra.min(), 2.0 * spectra.max()
+    )
+
+
 def _recorded(monkeypatch, module):
     """The arrays ``module`` hands its trusted wrap, in call order."""
     wrapped, trusted = [], module._op
 
-    def recording(arr, n, scan=False):
+    def recording(arr, n):
         wrapped.append(arr.copy())
-        return trusted(arr, n, scan)
+        return trusted(arr, n)
 
     monkeypatch.setattr(module, "_op", recording)
     return wrapped
@@ -100,15 +112,11 @@ def test_flat_products_equal_their_operator_forms_bit_for_bit(instance):
         _mn_family(family, other, m_op, n_op).analysis.flat,
         oracles.mn_form(family, other, m_op, n_op).flat,
     )
-    rng = np.random.default_rng(instance[3] + 1)
-    n = family.algebra_dim
-    coeffs = [AlgebraElement(random_matrix(rng, n, n)) for _ in range(2 * family.size)]
-    thetas, deltas = coeffs[: family.size], coeffs[family.size :]
+    weights = _weights(np.random.default_rng(instance[3] + 1), family)
+    thetas, deltas = weights.thetas, weights.deltas
     assert np.array_equal(
         weighted_family(family, thetas).analysis.flat, oracles.weighted_form(family, thetas).flat
     )
-    spectra = np.linalg.eigvalsh([w.entries.conj().T @ w.entries for w in coeffs])
-    weights = ScalarWeights(thetas, deltas, 0.5 * spectra.min(), 2.0 * spectra.max())
     left, right = weighted_pair(family, other, weights)
     assert np.array_equal(left.analysis.flat, oracles.weighted_form(family, thetas).flat)
     assert np.array_equal(right.analysis.flat, oracles.weighted_form(other, deltas).flat)
@@ -121,7 +129,11 @@ def test_checker_product_chains_equal_their_operator_forms_bit_for_bit(instance)
     with pytest.MonkeyPatch.context() as monkeypatch:
         wrapped = _recorded(monkeypatch, gframes.sums)
         perturb_lambda(family, lam)
-        _assert_bitwise(wrapped, [oracles.conjugation_form(family, lam)])
+        _assert_bitwise(wrapped, [
+            oracles.perturbed_form(family, lam),
+            oracles.conjugation_form(family, lam),
+            oracles.conjugation_form(family, lam) - oracles.gram_form(family),
+        ])
         wrapped.clear()
         op_weighted_sum(family, other, m_op, n_op)
         _assert_bitwise(wrapped, [
@@ -138,6 +150,12 @@ def test_checker_product_chains_equal_their_operator_forms_bit_for_bit(instance)
         wrapped.clear()
         lambda_lower_check(family, other, m_op, n_op, 1.0)
         _assert_bitwise(wrapped, [oracles.mn_form(family, other, m_op, n_op)])
+        wrapped.clear()
+        weights = _weights(np.random.default_rng(instance[3] + 1), family)
+        difference_check(family, other, weights, 0.5, 0.5)
+        left = oracles.weighted_form(family, weights.thetas)
+        right = oracles.weighted_form(other, weights.deltas)
+        _assert_bitwise(wrapped, [left, right, oracles.difference_form(left, right)])
 
 
 @settings(max_examples=30, deadline=None)
@@ -186,6 +204,9 @@ def test_the_checkers_make_no_adjoint_copies():
         module: ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
         for module in ("sums", "stability", "frames")
     }
-    assert _calls(trees["sums"], "adjoint_op") == set()
-    assert _calls(trees["stability"], "adjoint_op") == set()
+    for name in ("adjoint_op", "compose", "identity_op"):
+        assert _calls(trees["stability"], name) == set()
+    assert _calls(trees["sums"], "adjoint_op") == _calls(trees["sums"], "identity_op") == set()
+    # The one compose left keeps the benchmark's traced compose floor defined.
+    assert _calls(trees["sums"], "compose") == {"isometry_sum_check"}
     assert _calls(trees["frames"], "adjoint_op") == {"synthesis_op"}
