@@ -120,28 +120,49 @@ def run_scenario(scenario: Scenario) -> RunReport:
 
 
 def _unique_keys(pairs: list) -> dict:
-    """A JSON object's pairs as a dict; a key given twice is an error."""
+    """A JSON object's pairs as a dict; a key given twice raises ``KeyError``."""
     data = dict(pairs)
     if len(data) != len(pairs):
         keys = [key for key, _ in pairs]
-        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+        raise KeyError(next(k for k in keys if keys.count(k) > 1))
     return data
+
+
+def _repeated_key_path(text: str) -> str:
+    """`` in`` and the path of the first object closed with a repeated key,
+    by a second read keeping each object's pairs; nothing if that read fails."""
+    closed = []
+    try:
+        node = json.loads(text, object_pairs_hook=lambda p: closed.append(tuple(p)) or closed[-1])
+    except (ValueError, RecursionError):
+        return ""
+    first = next(pairs for pairs in closed if len(dict(pairs)) < len(pairs))
+    todo = [(node, "")]
+    while todo[-1][0] is not first:
+        node, path = todo.pop()
+        if isinstance(node, tuple):
+            todo += [(value, f"{path}.{key}" if path else key) for key, value in node]
+        elif isinstance(node, list):
+            todo += [(value, f"{path}[{i}]") for i, value in enumerate(node)]
+    return " in " + (todo[-1][1] or "the top-level object")
 
 
 def load_scenarios(path: str) -> list[Scenario]:
     """One file holds either a scenario object or a list of them."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle, object_pairs_hook=_unique_keys)
+            text = handle.read()
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"
-        ) from exc
+        raise ValidationError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except KeyError as exc:
+        # A KeyError reads as its key's repr; only such a file is read twice.
+        raise ValidationError(f"{path}: repeated key {exc}{_repeated_key_path(text)}") from exc
     except (ValueError, RecursionError) as exc:
-        # Bytes that are not UTF-8, a repeated key, an integer past Python's
-        # digit limit, or nesting past the decoder's recursion limit.
+        # Bytes that are not UTF-8, an integer past Python's digit limit,
+        # or nesting past the decoder's recursion limit.
         raise ValidationError(f"{path}: {exc}") from exc
     items = data if isinstance(data, list) else [data]
     return [parse_scenario(item, path) for item in items]

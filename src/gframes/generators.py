@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rand import complex_gaussian, haar_unitary, make_rng, unitaries_from_ginibre
+from ._rand import complex_gaussian, haar_unitary, make_rng, unitaries_from_normals
 from .algebra import AlgebraElement, hermitian_part, spectral_norm
 from .errors import BadRange, DegenerateSpec
 from .frames import GFrameFamily, cross_operator, optimal_bounds
@@ -134,14 +134,10 @@ def gen_family(spec: GenSpec) -> GFrameFamily:
     """
     n, d = spec.algebra_dim, spec.module_len
     if spec.target.lower is not None and sum(spec.member_dims) < d:
-        raise DegenerateSpec(
-            f"member dims {spec.member_dims} cannot span a length-{d} module"
-        )
+        raise DegenerateSpec(f"member dims {spec.member_dims} cannot span a length-{d} module")
     rng = make_rng(spec.seed)
     for _ in range(_REDRAWS):
-        flat = np.hstack(
-            [complex_gaussian(rng, n * d, n * dz) for dz in spec.member_dims]
-        )
+        flat = complex_gaussian(rng, n * d, *(n * dz for dz in spec.member_dims))
         family = _conditioned(flat, spec, rng)
         if family is not None:
             return family
@@ -160,26 +156,17 @@ def gen_orthogonal_pair(spec: GenSpec) -> tuple[GFrameFamily, GFrameFamily]:
     n, d = spec.algebra_dim, spec.module_len
     if any(dz < 2 for dz in spec.member_dims):
         raise DegenerateSpec("orthogonal pairs need every member dim at least 2")
-    splits = [(n * dz) // 2 for dz in spec.member_dims]
-    if spec.target.lower is not None:
-        left_cols = sum(splits)
-        right_cols = sum(n * dz - k for dz, k in zip(spec.member_dims, splits))
-        if left_cols < n * d or right_cols < n * d:
-            raise DegenerateSpec(
-                "column split cannot span the module for both families"
-            )
-    starts = n * np.cumsum((0,) + spec.member_dims[:-1])
+    widths = [w for dz in spec.member_dims for w in ((n * dz) // 2, (n * dz + 1) // 2)]
+    if spec.target.lower is not None and min(sum(widths[::2]), sum(widths[1::2])) < n * d:
+        raise DegenerateSpec("column split cannot span the module for both families")
+    on_left = np.repeat(np.arange(len(widths)) % 2 == 0, widths)
     rng = make_rng(spec.seed)
     for _ in range(_REDRAWS):
-        left = np.zeros((n * d, n * sum(spec.member_dims)), dtype=np.complex128)
-        right = np.zeros_like(left)
-        for at, dz, k in zip(starts, spec.member_dims, splits):
-            left[:, at : at + k] = complex_gaussian(rng, n * d, k)
-            right[:, at + k : at + n * dz] = complex_gaussian(rng, n * d, n * dz - k)
+        drawn = complex_gaussian(rng, n * d, *widths)
         # Both halves are conditioned before a redraw: the right half's
         # conditioning draws even when the left half is rejected.
-        first = _conditioned(left, spec, rng)
-        second = _conditioned(right, spec, rng)
+        first = _conditioned(np.where(on_left, drawn, 0), spec, rng)
+        second = _conditioned(np.where(on_left, 0, drawn), spec, rng)
         if first is None or second is None:
             continue
         cross = cross_operator(first, second).flat
@@ -218,11 +205,11 @@ def weight_matrices(
     pad = 0.05 * (band_upper - band_lower)
 
     squared = np.empty((count, n))
-    ginibre = np.empty((count, n, n), dtype=np.complex128)
+    parts = np.empty((count, 2, n, n))
     for i in range(count):
         squared[i] = rng.uniform(band_lower + pad, band_upper - pad, n)
-        ginibre[i] = complex_gaussian(rng, n, n)
-    bases = unitaries_from_ginibre(ginibre)
+        rng.standard_normal(out=parts[i])
+    bases = unitaries_from_normals(parts)
     return (bases * np.sqrt(squared)[:, None, :]) @ bases.conj().swapaxes(-1, -2)
 
 

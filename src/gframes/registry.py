@@ -208,9 +208,9 @@ def _sizes(
     if dims is None:
         count = fixed.get("members") or int(rng.integers(2, 6))
         if even_dims:
-            dims = tuple(int(rng.choice((2, 4))) for _ in range(count))
+            dims = tuple((2 + 2 * rng.integers(0, 2, size=count)).tolist())
         else:
-            dims = tuple(int(rng.integers(1, d + 3)) for _ in range(count))
+            dims = tuple(rng.integers(1, d + 3, size=count).tolist())
         pad = 2 if even_dims else 1
         while sum(dims) < pad * d:
             dims = dims + (pad,)
@@ -415,9 +415,10 @@ def _budget_deltas(v, seed, rng, n, d, dims) -> list:
     bounds = optimal_bounds(family)
     # numpy floats, so that an overflow reaches the runner's errstate guard.
     budget = np.float64(v["budget_fraction"]) * bounds.lower / max(bounds.upper, 1e-12)
-    raws = [complex_gaussian(rng, n * d, n * d) for _ in range(family.size)]
-    bumps = [r @ r.conj().T for r in raws]
-    total = sum(spectral_norm(np.stack(bumps)).tolist())
+    raws = complex_gaussian(rng, n * d, *[n * d] * family.size)
+    raws = raws.reshape(n * d, family.size, n * d).swapaxes(0, 1)
+    bumps = raws @ raws.conj().swapaxes(-1, -2)
+    total = sum(spectral_norm(bumps).tolist())
     return [
         AdjointableOp(gram + (budget / max(total, 1e-12)) * b, n)
         for gram, b in zip(member_grams(family), bumps)
@@ -588,10 +589,8 @@ _theorem(
 
 
 class _LazyRng:
-    """The seed's Philox generator, keyed on its first use, so that a
-    repetition that draws nothing (a fully inline instance) keys none:
-    ``Philox(key=...)`` gathers OS entropy first, which costs tens of
-    microseconds."""
+    """The seed's Philox generator, keyed (about 5 µs) on its first use, so
+    that a repetition that draws nothing (a fully inline instance) keys none."""
 
     def __init__(self, seed: int):
         self._seed = seed

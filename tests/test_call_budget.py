@@ -1,10 +1,12 @@
-"""LAPACK call budget of one repetition per theorem.
+"""LAPACK and draw-call budgets of one repetition per theorem.
 
 The checkers end in spectral norms and extreme eigenvalues of small
 matrices, and a repetition's cost follows its count of LAPACK calls.
 The table holds the most ``svd``, ``eigvalsh`` and ``eigh`` calls that
 one repetition made at these sizes and seeds, decode included, so a
-change that adds a call fails here instead of going unnoticed.
+change that adds a call fails here instead of going unnoticed.  A
+second table does the same for the generators' Philox keyings and
+``standard_normal`` calls.
 """
 
 from collections import Counter
@@ -12,7 +14,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gframes import stability
+from gframes import generators, registry, stability
+from gframes._rand import make_rng
 from gframes.algebra import hermitian_part
 from gframes.registry import THEOREMS, run_decoded, validate_instance
 
@@ -60,6 +63,64 @@ def test_a_repetition_stays_within_its_lapack_budget(monkeypatch, theorem):
         run_decoded(theorem, config, seed)
         for name, budget in zip(_CALLS, BUDGET[theorem]):
             assert counts[name] <= budget, (seed, name, dict(counts))
+
+
+# theorem: (Philox keyings, standard_normal calls), the most over SEEDS.
+# Every seed keys as many generators; a Gaussian draw site makes one call
+# for all its blocks.
+DRAWS = {
+    "CLASSIFY": (2, 1),
+    "PERTURB_LAMBDA": (2, 2),
+    "T3_EQUIV": (3, 4),
+    "T3_COROLLARY": (2, 2),
+    "T7_SCALAR": (4, 7),
+    "T11_POSITIVE": (3, 5),
+    "TIGHT_SUM": (2, 1),
+    "ISOMETRY_SUM": (3, 3),
+    "LAMBDA_LOWER": (3, 4),
+    "TIGHT_MN": (2, 3),
+    "PROP_MIXED": (3, 6),
+    "THM_DIFFERENCE": (3, 4),
+    "T12_OPERATOR": (2, 3),
+    "FINAL_COROLLARY": (2, 2),
+}
+
+
+class _CountingRng:
+    """A generator that counts its ``standard_normal`` calls."""
+
+    def __init__(self, rng, counts):
+        self._rng, self._counts = rng, counts
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def standard_normal(self, *args, **kwargs):
+        self._counts["standard_normal"] += 1
+        return self._rng.standard_normal(*args, **kwargs)
+
+
+def test_the_draw_budget_names_every_theorem():
+    assert sorted(DRAWS) == sorted(THEOREMS)
+
+
+@pytest.mark.parametrize("theorem", sorted(DRAWS))
+def test_a_repetition_stays_within_its_draw_budget(monkeypatch, theorem):
+    counts = Counter()
+
+    def keyed(seed):
+        counts["keyings"] += 1
+        return _CountingRng(make_rng(seed), counts)
+
+    for module in (registry, generators):
+        monkeypatch.setattr(module, "make_rng", keyed)
+    keyings, normals = DRAWS[theorem]
+    for seed in SEEDS:
+        config = validate_instance(theorem, dict(SIZES))
+        counts.clear()
+        run_decoded(theorem, config, seed)
+        assert counts["keyings"] == keyings, (seed, dict(counts))
+        assert counts["standard_normal"] <= normals, (seed, dict(counts))
 
 
 @pytest.mark.parametrize("seed", SEEDS)

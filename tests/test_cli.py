@@ -1423,23 +1423,45 @@ def test_an_svd_that_does_not_converge_exits_2_and_names_the_fields(
     assert "Traceback" not in err
 
 
+def _repeated_member_key() -> str:
+    """A list of one scenario whose inline family's last member gives
+    ``target_len`` twice."""
+    text = json.dumps([_basic_scenario(theorem="CLASSIFY", repetitions=1, instance=_PAIR)])
+    before, member, after = text.rpartition(json.dumps(_PAIR["family"]["members"][-1]))
+    return before + '{"target_len": 1, ' + member[1:] + after
+
+
 @pytest.mark.parametrize(
-    "text, key",
+    "text, key, where",
     [
         ('{"schema": 1, "theorem": "CLASSIFY", "theorem": "T3_EQUIV", "repetitions": 1}',
-         "theorem"),
+         "theorem", "the top-level object"),
         ('{"schema": 1, "theorem": "FINAL_COROLLARY", "repetitions": 1,'
-         ' "instance": {"alpha": 0.5, "alpha": 0.9}}', "alpha"),
+         ' "instance": {"alpha": 0.5, "alpha": 0.9}}', "alpha", "instance"),
+        (_repeated_member_key(), "target_len", "[0].instance.family.members[1]"),
     ],
-    ids=["scenario-field", "instance-field"],
+    ids=["scenario-field", "instance-field", "family-member-field"],
 )
-def test_a_repeated_key_exits_2_and_names_the_file_and_the_key(tmp_path, capsys, text, key):
+def test_a_repeated_key_exits_2_and_names_the_file_and_the_key(
+    tmp_path, capsys, text, key, where
+):
     path = tmp_path / "repeated.json"
     path.write_text(text)
     assert main(["run", str(path), "--no-timestamp"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "Traceback" not in err
     assert f"repeated.json: repeated key {key!r}" in err
+    assert f"repeated.json: repeated key {key!r} in {where}\n" in err
+
+
+def test_a_repeated_key_before_a_syntax_error_is_named_without_a_path(tmp_path, capsys):
+    # The decoder stops at the repeated key, and the document cannot be
+    # read whole again to find where it is.
+    path = tmp_path / "repeated.json"
+    path.write_text('{"instance": {"alpha": 0.5, "alpha": 0.9}, "theorem": [')
+    assert main(["run", str(path), "--no-timestamp"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {path}: repeated key 'alpha'\n"
 
 
 @pytest.mark.parametrize("seed", [0, -1])

@@ -1,5 +1,11 @@
 """Generator postconditions: exactness, determinism, degeneracy errors."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,15 +27,25 @@ from gframes import (
     op_norm,
     optimal_bounds,
 )
+from gframes import generators
 from gframes._rand import (
+    _philox_key,
     complex_gaussian,
     haar_unitaries,
     haar_unitary,
     make_rng,
     sub_seed,
 )
+from gframes.algebra import spectral_norm
+from gframes.frames import member_grams
 from gframes.generators import _condition_to_target
-from gframes.registry import _gen_weights, build_and_run
+from gframes.registry import (
+    _budget_deltas,
+    _gen_weights,
+    _sizes,
+    build_and_run,
+    validate_instance,
+)
 
 
 def test_gen_family_is_deterministic():
@@ -191,6 +207,163 @@ def test_haar_unitaries_equal_sequential_draws_to_the_bit(m, k):
         after = batch_rng.standard_normal(3)
         assert np.array_equal(after, seq_rng.standard_normal(3))
         assert np.array_equal(after, ref_rng.standard_normal(3))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 - 1, 2**63, 2**64 - 1, -1, 10**30])
+def test_make_rng_is_philox_keyed_with_the_seed_modulo_2_64(seed):
+    rng = make_rng(seed)
+    ref = np.random.Generator(np.random.Philox(key=seed & (2**64 - 1)))
+    assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+    assert np.array_equal(rng.standard_normal(5), ref.standard_normal(5))
+    assert np.array_equal(rng.integers(0, 1 << 63, 5), ref.integers(0, 1 << 63, 5))
+    assert np.array_equal(rng.uniform(size=5), ref.uniform(size=5))
+    # A keyed generator pickles, and its copy goes on with the same stream.
+    assert np.array_equal(pickle.loads(pickle.dumps(rng)).random(5), ref.random(5))
+
+
+@pytest.mark.parametrize(
+    "request_", [(4,), (2,), (2, np.uint32), (4, np.uint64), (1, np.uint64), (3, np.int64)]
+)
+def test_the_philox_key_refuses_any_request_but_two_64_bit_words(request_):
+    key = _philox_key()((2**64 - 1, 0))
+    assert isinstance(key, np.random.bit_generator.ISeedSequence)
+    assert key.generate_state(2, np.uint64).tolist() == [2**64 - 1, 0]
+    with pytest.raises(ValueError, match="two 64-bit words"):
+        key.generate_state(*request_)
+
+
+def test_importing_gframes_does_not_import_numpy_random():
+    # numpy.random takes about 12 ms to import, so the key type is
+    # registered on the first keying rather than at import.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    child = subprocess.run(
+        [sys.executable, "-c", "import sys, gframes; print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert child.stdout == "False\n", child.stderr
+
+
+def _gaussian_reference(rng, rows, cols):
+    """One complex Gaussian block drawn on its own: real parts, then imaginary parts."""
+    re = rng.standard_normal((rows, cols))
+    im = rng.standard_normal((rows, cols))
+    return (re + 1j * im) / np.sqrt(2.0)
+
+
+def _same_bits(got, want) -> bool:
+    return (
+        got.shape == want.shape
+        and got.dtype == want.dtype
+        and np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+    )
+
+
+def _assert_same_place(rng, ref):
+    """Both generators are at the same point of the same stream."""
+    assert np.array_equal(rng.standard_normal(3), ref.standard_normal(3))
+
+
+def _keyed(monkeypatch) -> list:
+    """The generators that ``generators.make_rng`` keys, in order."""
+    keyed = []
+
+    def keying(seed):
+        keyed.append(make_rng(seed))
+        return keyed[-1]
+
+    monkeypatch.setattr(generators, "make_rng", keying)
+    return keyed
+
+
+@pytest.mark.parametrize("rows", [1, 6])
+@pytest.mark.parametrize("widths", [(1,), (3,), (2, 5, 1), (4, 4, 4)])
+def test_complex_gaussian_blocks_equal_sequential_draws_to_the_bit(rows, widths):
+    for seed in range(3):
+        rng, ref = make_rng(seed), make_rng(seed)
+        got = complex_gaussian(rng, rows, *widths)
+        assert _same_bits(got, np.hstack([_gaussian_reference(ref, rows, w) for w in widths]))
+        _assert_same_place(rng, ref)
+
+
+@pytest.mark.parametrize("n, d, dims", [(1, 1, (1,)), (2, 2, (2, 3)), (3, 2, (1, 2, 1, 3))])
+def test_gen_family_blocks_equal_sequential_draws_to_the_bit(monkeypatch, n, d, dims):
+    keyed = _keyed(monkeypatch)
+    for seed in range(3):
+        family = gen_family(GenSpec(seed, n, d, dims))
+        ref = make_rng(seed)
+        want = np.hstack([_gaussian_reference(ref, n * d, n * dz) for dz in dims])
+        assert _same_bits(family.analysis.flat, want)
+        _assert_same_place(keyed[-1], ref)
+
+
+@pytest.mark.parametrize(
+    "n, d, dims", [(1, 1, (2,)), (1, 2, (3, 2)), (2, 2, (2, 3)), (3, 1, (2, 2, 3))]
+)
+def test_orthogonal_pair_blocks_equal_sequential_draws_to_the_bit(monkeypatch, n, d, dims):
+    keyed = _keyed(monkeypatch)
+    for seed in range(3):
+        first, second = gen_orthogonal_pair(GenSpec(seed, n, d, dims))
+        ref = make_rng(seed)
+        left = np.zeros((n * d, n * sum(dims)), dtype=np.complex128)
+        right = np.zeros_like(left)
+        at = 0
+        for dz in dims:
+            k = (n * dz) // 2
+            left[:, at : at + k] = _gaussian_reference(ref, n * d, k)
+            right[:, at + k : at + n * dz] = _gaussian_reference(ref, n * d, n * dz - k)
+            at += n * dz
+        assert _same_bits(first.analysis.flat, left)
+        assert _same_bits(second.analysis.flat, right)
+        _assert_same_place(keyed[-1], ref)
+
+
+@pytest.mark.parametrize("n, d, dims", [(1, 1, (1, 1)), (2, 2, (2, 2)), (1, 3, (1, 2, 1, 2, 1))])
+def test_t12_bumps_equal_sequential_draws_to_the_bit(n, d, dims):
+    family = gen_family(GenSpec(7, n, d, dims))
+    bounds = optimal_bounds(family)
+    budget = np.float64(0.5) * bounds.lower / max(bounds.upper, 1e-12)
+    for seed in range(3):
+        rng, ref = make_rng(seed), make_rng(seed)
+        got = _budget_deltas({"family": family, "budget_fraction": 0.5}, seed, rng, n, d, dims)
+        raws = [_gaussian_reference(ref, n * d, n * d) for _ in dims]
+        bumps = [r @ r.conj().T for r in raws]
+        scale = budget / max(sum(spectral_norm(np.stack(bumps)).tolist()), 1e-12)
+        assert len(got) == len(dims)
+        for op, gram, bump in zip(got, member_grams(family), bumps):
+            assert _same_bits(op.flat, gram + scale * bump)
+        _assert_same_place(rng, ref)
+
+
+def _sizes_reference(rng, even_dims, min_flat, n=None, d=None):
+    """``registry._sizes`` of an instance that fixes at most n and d,
+    drawing one member dim per call."""
+    n = n or int(rng.integers(1, 4))
+    if d is None:
+        d = int(rng.integers(1, 4))
+        while n * d < min_flat:
+            d += 1
+    count = int(rng.integers(2, 6))
+    if even_dims:
+        dims = tuple(int(rng.choice((2, 4))) for _ in range(count))
+    else:
+        dims = tuple(int(rng.integers(1, d + 3)) for _ in range(count))
+    pad = 2 if even_dims else 1
+    while sum(dims) < pad * d:
+        dims += (pad,)
+    return n, d, dims
+
+
+@pytest.mark.parametrize("even_dims", [False, True])
+@pytest.mark.parametrize("fixed", [{}, {"algebra_dim": 1, "module_len": 3}])
+def test_drawn_member_dims_equal_sequential_draws_to_the_bit(even_dims, fixed):
+    cfg = validate_instance("CLASSIFY", fixed)
+    for seed in range(40):
+        rng, ref = make_rng(seed), make_rng(seed)
+        got = _sizes(cfg, rng, even_dims=even_dims, min_flat=2)
+        n, d = fixed.get("algebra_dim"), fixed.get("module_len")
+        assert got == _sizes_reference(ref, even_dims, 2, n, d)
+        assert all(type(size) is int for size in (*got[:2], *got[2]))
+        _assert_same_place(rng, ref)
 
 
 @pytest.mark.parametrize("n, count", [(1, 1), (1, 3), (2, 2), (3, 5), (4, 1)])
