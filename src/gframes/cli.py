@@ -22,7 +22,7 @@ from functools import cached_property
 from .algebra import DEFAULT_TOL, Tolerance
 from .errors import GFrameError, ValidationError
 from .registry import THEOREMS, run_decoded, validate_instance
-from .serialize import decode_fields, is_int, is_number, json_text
+from .serialize import Document, decode_fields, is_int, is_number, json_text
 
 SCHEMA_VERSION = 1
 # Inclusive cap on a scenario's repetitions, so that every run ends.
@@ -77,6 +77,9 @@ class Scenario:
 
 @dataclass(frozen=True)
 class RunReport:
+    """A scenario's reports, one per repetition.  Its entry in a report
+    document is written by ``serialize.json_text`` from this object."""
+
     scenario: Scenario
     reports: list
     wall_time_s: float
@@ -168,29 +171,9 @@ def load_scenarios(path: str) -> list[Scenario]:
     return [parse_scenario(item, path) for item in items]
 
 
-def _run_document(run: RunReport, with_timing: bool) -> dict:
-    """A run's entry in the report document; its reports stay
-    ``TheoremReport``s, which ``serialize.json_text`` writes."""
-    out = {
-        "scenario": run.scenario.name,
-        "theorem": run.scenario.theorem,
-        "seed": run.scenario.seed,
-        "seed_stride": run.scenario.seed_stride,
-        "repetitions": run.scenario.repetitions,
-        "aggregate": run.aggregate,
-        "reports": run.reports,
-    }
-    if with_timing:
-        out["wall_time_s"] = run.wall_time_s
-    return out
-
-
 def render_json(runs: list[RunReport], with_timing: bool) -> str:
-    doc = {"schema": SCHEMA_VERSION}
-    if with_timing:
-        doc["generated_at"] = datetime.now(timezone.utc).isoformat()
-    doc["runs"] = [_run_document(r, with_timing) for r in runs]
-    return json_text(doc) + "\n"
+    stamp = datetime.now(timezone.utc).isoformat() if with_timing else None
+    return json_text(Document(SCHEMA_VERSION, stamp, runs)) + "\n"
 
 
 _CSV_COLUMNS = (

@@ -112,7 +112,10 @@ class GFrameFamily:
 
 
 def scale_family(family: GFrameFamily, factor: complex) -> GFrameFamily:
-    """Family with every member multiplied by the scalar factor."""
+    """Family with every member multiplied by the scalar factor; a factor
+    of exactly 1 gives the family itself, whose spectrum may be known."""
+    if factor == 1:
+        return family
     return GFrameFamily(factor * family.analysis, family.member_dims)
 
 

@@ -10,8 +10,8 @@ one meaning of "hypothesis-satisfying generator".
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from functools import partial
-from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -119,14 +119,40 @@ _FIELD_KINDS = {
 }
 
 
-def validate_instance(theorem: str, instance) -> MappingProxyType:
-    """The decoded values of the instance's non-null fields, once every
-    instance rule holds: each field is known to the theorem and
-    well-formed, each size a field fixes agrees with the first field that
-    fixes it, and the fields of each ``+`` group come all or none.  Draws
-    nothing from any generator, so generated instances do not depend on
-    validation.  The mapping and its values are read-only: one decode may
-    serve every repetition of a scenario."""
+class InstanceConfig(Mapping):
+    """The decoded values of an instance's non-null fields, with the sizes
+    they fix, worked out once per decode: ``fixed`` maps each size a field
+    fixes (n, d, dims, members) to its value and ``setters`` to the first
+    field that fixes it.  ``sizes`` is (n, d, dims) when the fields fix all
+    three within ``MAX_FLAT_SIZE``, else None.  The mapping and its values
+    are read-only: one decode may serve every repetition of a scenario."""
+
+    __slots__ = ("_values", "fixed", "setters", "sizes")
+
+    def __init__(self, values: dict, sources: dict):
+        self._values = values
+        self.fixed = {size: value for size, (_, value) in sources.items()}
+        self.setters = {size: key for size, (key, _) in sources.items()}
+        n, d, dims = map(self.fixed.get, ("n", "d", "dims"))
+        within = None not in (n, d, dims) and n * max(d, *dims) <= MAX_FLAT_SIZE
+        self.sizes = (n, d, dims) if within else None
+
+    def __getitem__(self, key):
+        return self._values[key]
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __len__(self):
+        return len(self._values)
+
+
+def validate_instance(theorem: str, instance) -> InstanceConfig:
+    """The decoded instance, once every instance rule holds: each field is
+    known to the theorem and well-formed, each size a field fixes agrees
+    with the first field that fixes it, and the fields of each ``+`` group
+    come all or none.  Draws nothing from any generator, so generated
+    instances do not depend on validation."""
     if theorem not in THEOREMS:
         raise ValidationError(f"unknown theorem id {theorem!r}")
     spec = THEOREMS[theorem]
@@ -152,7 +178,7 @@ def validate_instance(theorem: str, instance) -> MappingProxyType:
                 f"instance field {missing[0]!r} is required together with"
                 f" {', '.join(repr(key) for key in group if key in cfg)}"
             )
-    return MappingProxyType(cfg)
+    return InstanceConfig(cfg, sources)
 
 
 def _fixed_sizes(cfg) -> list[tuple[str, str, object]]:
@@ -183,24 +209,27 @@ def _fixed_sizes(cfg) -> list[tuple[str, str, object]]:
 
 
 def _sizes(
-    cfg: dict, rng, *, even_dims: bool = False, min_flat: int = 1
+    cfg: InstanceConfig, rng, *, even_dims: bool = False, min_flat: int = 1
 ) -> tuple[int, int, tuple[int, ...]]:
     """Instance sizes: each from the first field that fixes it, else drawn
     at desk scale in the order n, d, member count, member dims.  The
     fields agree, as ``validate_instance`` has checked; the sizes must
-    keep n*d and every n*d_i within ``MAX_FLAT_SIZE``.
+    keep n*d and every n*d_i within ``MAX_FLAT_SIZE``.  Sizes the fields
+    fix alone come from the decode, drawing nothing.
 
     ``min_flat`` forces a drawn flattening dimension n*d upward, for
     builders whose targets need room for two distinct bounds; a declared
     target with spread bounds needs it as well.
     """
-    targets = (cfg.get("family_target"), cfg.get("second_family_target"))
-    if any(t is not None and t.lower != t.upper for t in targets):
-        min_flat = max(min_flat, 2)
-    fixed = {size: value for _, size, value in reversed(_fixed_sizes(cfg))}
+    if cfg.sizes is not None:
+        return cfg.sizes
+    fixed = cfg.fixed
     n = fixed.get("n") or int(rng.integers(1, 4))
     d = fixed.get("d")
     if d is None:
+        targets = (cfg.get("family_target"), cfg.get("second_family_target"))
+        if any(t is not None and t.lower != t.upper for t in targets):
+            min_flat = max(min_flat, 2)
         d = int(rng.integers(1, 4))
         while n * d < min_flat:
             d += 1
@@ -635,7 +664,7 @@ def run_decoded(theorem: str, cfg, seed: int, tol: Tolerance = DEFAULT_TOL):
         named = ", ".join(map(repr, named))
         raise ValidationError(f"the values of {named} are {fault}: {exc}") from exc
     except DegenerateSpec as exc:
-        setters = {size: key for key, size, _ in reversed(_fixed_sizes(cfg))}
+        setters = cfg.setters
         # The fields in order, each once: a family fixes all three sizes.
         named = {setters[size]: 0 for size in ("n", "d", "dims") if size in setters}
         if not named:

@@ -4,7 +4,12 @@ Complex scalars are [re, im] pairs; matrices are nested lists of those;
 operators carry their block grid; families list their members.  These
 shapes appear verbatim inside scenario files and reports.  Every JSON
 object the runner reads decodes through ``decode_fields``, by its table,
-and every JSON text it writes is written by ``json_text``.
+and every JSON text it writes is written by ``json_text``.  A report
+document is written by templates, one per level: ``document_text`` for
+the document, ``run_text`` for each run's entry, straight from its
+``cli.RunReport``, and ``report_text`` for each report, which writes the
+plain scalars itself.  Only other values, such as a nested detail value,
+take the generic walk.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import math
 import reprlib
 import sys
 from json.encoder import encode_basestring_ascii as _encode_str
+from typing import NamedTuple
 
 import numpy as np
 
@@ -215,16 +221,30 @@ _SCALARS = {
 }
 
 
+class Document(NamedTuple):
+    """A report document, which ``json_text`` writes as ``document_text``
+    does: ``schema``, ``generated_at`` unless it is None, and one entry
+    per run of ``runs`` (``cli.RunReport``s).  A document with
+    ``generated_at`` is timed: each entry holds its run's wall time."""
+
+    schema: int
+    generated_at: str | None
+    runs: list
+
+
 def json_text(value, indent: str = "\n") -> str:
     """The strict JSON text of ``value`` as ``json.dumps`` with
     ``indent=2`` writes it, ``indent`` being the newline and spaces
-    before the value's line: each ``TheoremReport`` as ``report_text``
-    writes it, tuples as lists, numpy scalars as Python ones and
+    before the value's line: a ``Document`` or a ``TheoremReport`` by its
+    template, tuples as lists, numpy scalars as Python ones and
     non-finite floats as null.  Any other type JSON lacks raises
     TypeError."""
     write = _SCALARS.get(type(value))
     if write is not None:
         return write(value)
+    template = _TEMPLATES.get(type(value))
+    if template is not None:
+        return template(value, indent)
     out = []
     _write(value, indent, out)
     return "".join(out)
@@ -232,12 +252,14 @@ def json_text(value, indent: str = "\n") -> str:
 
 def _write(value, indent: str, out: list) -> None:
     """Append the pieces of ``json_text(value, indent)`` to ``out``, so
-    that a document is copied once.  ``json.dumps`` cannot use its C
+    that a nested value is copied once.  ``json.dumps`` cannot use its C
     encoder when it indents, and its Python encoder takes about twice as
     long as this writer."""
     write = _SCALARS.get(type(value))
     if write is not None:
         out.append(write(value))
+    elif type(value) in _TEMPLATES:
+        out.append(_TEMPLATES[type(value)](value, indent))
     elif isinstance(value, dict):
         inner, sep = indent + "  ", "{"
         for key, item in value.items():
@@ -252,55 +274,32 @@ def _write(value, indent: str, out: list) -> None:
             _write(item, inner, out)
             sep = ","
         out.append(indent + "]" if value else "[]")
-    elif isinstance(value, TheoremReport):
-        out.append(report_text(value, indent))
     elif isinstance(value, np.generic):
         _write(value.item(), indent, out)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _checks_text(checks: tuple[CheckItem, ...], indent: str) -> str:
-    """A report's checks: a list of objects, each with the ``CheckItem``
-    fields in field order."""
-    inner = indent + "  "
-    field = inner + "  "
-    body = ",".join([
-        f'{inner}{{{field}"name": {json_text(check.name, field)},'
-        f'{field}"passed": {json_text(check.passed, field)},'
-        f'{field}"measured": {json_text(check.measured, field)},'
-        f'{field}"limit": {json_text(check.limit, field)}{inner}}}'
-        for check in checks
-    ])
-    return f"[{body}{indent}]" if body else "[]"
+def _text(value, indent: str) -> str:
+    """``json_text(value, indent)``, with a float, str or bool, the
+    scalars of a report, written in this one call."""
+    kind = type(value)
+    if kind is float:
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    if kind is str:
+        return _encode_str(value)
+    if kind is bool:
+        return "true" if value else "false"
+    return json_text(value, indent)
 
 
-def _bounds_text(bounds: FrameBounds, indent: str) -> str:
-    """A report's achieved bounds: an object with the ``FrameBounds``
-    fields in field order."""
-    inner = indent + "  "
-    return (
-        f'{{{inner}"lower": {json_text(bounds.lower, inner)},'
-        f'{inner}"upper": {json_text(bounds.upper, inner)},'
-        f'{inner}"tight": {json_text(bounds.tight, inner)},'
-        f'{inner}"parseval": {json_text(bounds.parseval, inner)}{indent}}}'
-    )
-
-
-# Each key a report writes between "theorem"/"verdict" and the sorted
-# "details", in order, with the writer of its value: a new report field
-# is one more row, written by ``json_text``.  The checks and the bounds
-# are written field by field because a generic walk over
-# ``dataclasses.fields`` makes a report take about 1.5 times as long to
-# write; the report encoding tests hold both writers to such a walk.
-_REPORT_WRITERS = (
-    ("hypothesis_checks", _checks_text),
-    ("predicted_lower", json_text),
-    ("predicted_upper", json_text),
-    ("achieved", _bounds_text),
-    ("result_kind", json_text),
-)
-_REPORT_KEYS = tuple(key for key, _ in _REPORT_WRITERS)
+# The keys a report writes between "theorem"/"verdict" and the sorted
+# "details", in order.  The checks and the bounds are written field by
+# field because a generic walk over ``dataclasses.fields`` makes a report
+# take about 1.5 times as long to write; the report encoding tests hold
+# the template to such a walk.
+_REPORT_KEYS = ("hypothesis_checks", "predicted_lower", "predicted_upper", "achieved",
+                "result_kind")
 
 
 def report_text(report: TheoremReport, indent: str) -> str:
@@ -308,17 +307,79 @@ def report_text(report: TheoremReport, indent: str) -> str:
     writes its strict form, ``indent`` being the newline and spaces
     before the report's line.  Keys come in one fixed order:
     ``theorem``, ``verdict``, ``_REPORT_KEYS`` and the ``details``,
-    sorted by key."""
+    sorted by key; the checks are objects of the ``CheckItem`` fields
+    and the bounds one of the ``FrameBounds`` fields, in field order."""
     inner = indent + "  "
-    fields_text = "".join(
-        [f',{inner}"{key}": {write(getattr(report, key), inner)}' for key, write in _REPORT_WRITERS]
-    )
-    details_text = json_text(dict(sorted(report.details.items())), inner)
+    item = inner + "  "
+    field = item + "  "
+    checks = ",".join([
+        f'{item}{{{field}"name": {_text(check.name, field)},'
+        f'{field}"passed": {_text(check.passed, field)},'
+        f'{field}"measured": {_text(check.measured, field)},'
+        f'{field}"limit": {_text(check.limit, field)}{item}}}'
+        for check in report.hypothesis_checks
+    ])
+    details = ",".join([
+        f"{item}{_encode_str(key)}: {_text(value, item)}"
+        for key, value in sorted(report.details.items())
+    ])
+    bounds = report.achieved
     return (
-        f'{{{inner}"theorem": {json_text(report.theorem_id, inner)},'
-        f'{inner}"verdict": {json_text(report.verdict.value, inner)}{fields_text},'
-        f'{inner}"details": {details_text}{indent}}}'
+        f'{{{inner}"theorem": {_text(report.theorem_id, inner)},'
+        f'{inner}"verdict": {_text(report.verdict.value, inner)},'
+        f'{inner}"hypothesis_checks": {f"[{checks}{inner}]" if checks else "[]"},'
+        f'{inner}"predicted_lower": {_text(report.predicted_lower, inner)},'
+        f'{inner}"predicted_upper": {_text(report.predicted_upper, inner)},'
+        f'{inner}"achieved": {{{item}"lower": {_text(bounds.lower, item)},'
+        f'{item}"upper": {_text(bounds.upper, item)},'
+        f'{item}"tight": {_text(bounds.tight, item)},'
+        f'{item}"parseval": {_text(bounds.parseval, item)}{inner}}},'
+        f'{inner}"result_kind": {_text(report.result_kind, inner)},'
+        f'{inner}"details": {f"{{{details}{inner}}}" if details else "{}"}{indent}}}'
     )
+
+
+def run_text(run, indent: str, timed: bool) -> str:
+    """A run's entry in a report document, written from its
+    ``cli.RunReport``: the scenario's name, theorem, seed, seed stride
+    and repetitions, the aggregate verdict counts, each report as
+    ``json_text`` writes it and, when ``timed``, the wall time."""
+    inner = indent + "  "
+    item = inner + "  "
+    scenario = run.scenario
+    counts = ",".join([
+        f"{item}{_encode_str(verdict)}: {json_text(count)}"
+        for verdict, count in run.aggregate.items()
+    ])
+    reports = ",".join([item + json_text(report, item) for report in run.reports])
+    timing = f',{inner}"wall_time_s": {_text(run.wall_time_s, inner)}' if timed else ""
+    return (
+        f'{{{inner}"scenario": {_text(scenario.name, inner)},'
+        f'{inner}"theorem": {_text(scenario.theorem, inner)},'
+        f'{inner}"seed": {json_text(scenario.seed, inner)},'
+        f'{inner}"seed_stride": {json_text(scenario.seed_stride, inner)},'
+        f'{inner}"repetitions": {json_text(scenario.repetitions, inner)},'
+        f'{inner}"aggregate": {f"{{{counts}{inner}}}" if counts else "{}"},'
+        f'{inner}"reports": {f"[{reports}{inner}]" if reports else "[]"}{timing}{indent}}}'
+    )
+
+
+def document_text(document: Document, indent: str) -> str:
+    """The JSON text of ``document`` as ``json.dumps`` with ``indent=2``
+    writes the object of its fields, each run as ``run_text`` writes it."""
+    inner = indent + "  "
+    item = inner + "  "
+    timed = document.generated_at is not None
+    stamp = f'{inner}"generated_at": {_text(document.generated_at, inner)},' if timed else ""
+    runs = ",".join([item + run_text(run, item, timed) for run in document.runs])
+    return (
+        f'{{{inner}"schema": {json_text(document.schema, inner)},{stamp}'
+        f'{inner}"runs": {f"[{runs}{inner}]" if runs else "[]"}{indent}}}'
+    )
+
+
+# The writers of the values whose text is a template, by exact type.
+_TEMPLATES = {Document: document_text, TheoremReport: report_text}
 
 
 def report_to_json(report: TheoremReport) -> dict:

@@ -1,4 +1,4 @@
-"""LAPACK and draw-call budgets of one repetition per theorem.
+"""LAPACK, draw-call and writer budgets of one repetition per theorem.
 
 The checkers end in spectral norms and extreme eigenvalues of small
 matrices, and a repetition's cost follows its count of LAPACK calls.
@@ -6,17 +6,23 @@ The table holds the most ``svd``, ``eigvalsh`` and ``eigh`` calls that
 one repetition made at these sizes and seeds, decode included, so a
 change that adds a call fails here instead of going unnoticed.  A
 second table does the same for the generators' Philox keyings and
-``standard_normal`` calls.
+``standard_normal`` calls.  The work a repetition does apart from its
+checker is held as well: the sizes an instance fixes are worked out
+once per decode, and a one-repetition document is written by templates,
+not by the generic walk.
 """
 
 from collections import Counter
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gframes import generators, registry, stability
+from gframes import generators, registry, serialize, stability
 from gframes._rand import make_rng
 from gframes.algebra import hermitian_part
+from gframes.cli import load_scenarios, parse_scenario, render_json, run_scenario
 from gframes.registry import THEOREMS, run_decoded, validate_instance
 
 SIZES = {"algebra_dim": 2, "module_len": 2, "member_dims": [2, 2]}
@@ -31,10 +37,10 @@ BUDGET = {
     "T3_COROLLARY": (2, 6, 2),
     "T7_SCALAR": (0, 5, 1),
     "T11_POSITIVE": (1, 7, 2),
-    "TIGHT_SUM": (1, 5, 2),
+    "TIGHT_SUM": (1, 3, 2),
     "ISOMETRY_SUM": (3, 6, 2),
     "LAMBDA_LOWER": (1, 5, 1),
-    "TIGHT_MN": (2, 5, 2),
+    "TIGHT_MN": (2, 3, 2),
     "PROP_MIXED": (0, 3, 3),
     "THM_DIFFERENCE": (1, 3, 2),
     "T12_OPERATOR": (2, 4, 1),
@@ -144,3 +150,61 @@ def test_t12_subset_search_decomposes_m_plus_one_matrices_for_definite_deviation
     )
     search(deviations)
     assert matrices == [len(deviations) + 1]
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+@pytest.mark.parametrize(
+    "name, sizes",
+    [("t3_inline_identity.json", (1, 1, (1,))), ("classify_parseval.json", (2, 2, (2, 2)))],
+)
+def test_the_sizes_an_instance_fixes_are_worked_out_once_per_decode(monkeypatch, name, sizes):
+    # A fully inline instance and one that fixes only its sizes: neither
+    # repetition sizes again, nor keys its generator to do so.
+    counts = Counter()
+    fixed_sizes, sizing = registry._fixed_sizes, registry._sizes
+
+    def counting(cfg):
+        counts["fixed_sizes"] += 1
+        return fixed_sizes(cfg)
+
+    def unkeyed(cfg, rng, **options):
+        got = sizing(cfg, rng, **options)
+        assert got == sizes and "_rng" not in vars(rng)
+        counts["sizes"] += 1
+        return got
+
+    monkeypatch.setattr(registry, "_fixed_sizes", counting)
+    monkeypatch.setattr(registry, "_sizes", unkeyed)
+    (scenario,) = load_scenarios(str(SCENARIOS / name))
+    run = run_scenario(replace(scenario, repetitions=5))
+    assert len(run.reports) == 5
+    assert counts == {"fixed_sizes": 1, "sizes": 5}
+
+
+# The exact types whose text a report's template writes without the walk.
+_PLAIN = (float, str, bool, int, type(None))
+
+
+@pytest.mark.parametrize("theorem", sorted(THEOREMS))
+def test_a_one_repetition_document_stays_within_its_writer_budget(monkeypatch, theorem):
+    # Only a detail value that is not a plain scalar may take the generic
+    # walk, ``serialize._write``: none of today's checkers records one.
+    calls = Counter()
+    write = serialize._write
+
+    def counting(*args):
+        calls["_write"] += 1
+        return write(*args)
+
+    monkeypatch.setattr(serialize, "_write", counting)
+    for seed in SEEDS:
+        doc = {"schema": 1, "theorem": theorem, "seed": seed, "instance": dict(SIZES)}
+        run = run_scenario(parse_scenario(doc))
+        (report,) = run.reports
+        nested = sum(type(value) not in _PLAIN for value in report.details.values())
+        for with_timing in (False, True):
+            calls.clear()
+            render_json([run], with_timing)
+            assert calls["_write"] <= nested == 0, (seed, with_timing)

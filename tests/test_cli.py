@@ -1016,6 +1016,8 @@ def test_rendering_never_encodes_a_report_twice(monkeypatch):
 
 
 def test_render_json_writes_the_whole_document_through_the_one_writer(monkeypatch):
+    # The runner hands json_text one Document holding its RunReports, and
+    # the text is that document's, key for key as json.dumps writes it.
     documents = []
 
     def recording(value, *args):
@@ -1026,8 +1028,15 @@ def test_render_json_writes_the_whole_document_through_the_one_writer(monkeypatc
     run = run_scenario(parse_scenario(_basic_scenario()))
     text = render_json([run], with_timing=True)
     (document,) = documents
-    assert document["runs"][0]["reports"] == run.reports
+    assert isinstance(document, ser.Document) and document.runs == [run]
     assert text == ser.json_text(document) + "\n"
+    written = json.loads(text)
+    assert list(written) == ["schema", "generated_at", "runs"]
+    assert written["generated_at"] == document.generated_at
+    (entry,) = written["runs"]
+    assert entry["reports"] == [ser.report_to_json(report) for report in run.reports]
+    assert entry["aggregate"] == run.aggregate and entry["wall_time_s"] == run.wall_time_s
+    assert text == json.dumps(written, indent=2, allow_nan=False) + "\n"
 
 
 def test_serialize_holds_the_only_json_text_writer():

@@ -4,9 +4,11 @@ import json
 import math
 import os
 import tempfile
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +19,7 @@ from gframes.cli import (
     SCHEMA_VERSION,
     RunReport,
     Scenario,
+    load_scenarios,
     main,
     parse_scenario,
     render_json,
@@ -214,23 +217,120 @@ def _reports(draw):
     )
 
 
+class _FixedClock:
+    """A ``datetime`` whose ``now`` is one instant, so that a timed
+    document's ``generated_at`` is known."""
+
+    INSTANT = datetime(2024, 5, 6, 7, 8, 9, 123456, tzinfo=timezone.utc)
+
+    @classmethod
+    def now(cls, tz):
+        return cls.INSTANT.astimezone(tz)
+
+
+_RUNS = st.lists(
+    st.tuples(
+        st.lists(_reports(), max_size=3),
+        _TEXT,
+        st.sampled_from(sorted(THEOREMS)),
+        st.integers(-(2**64), 2**64),
+        st.integers(1, MAX_REPETITIONS),
+        _FINITE.map(abs),
+    ),
+    max_size=3,
+)
+
+
 @settings(max_examples=60, derandomize=True, deadline=_DEADLINE, database=None)
-@given(st.lists(_reports(), max_size=3))
-def test_render_json_writes_each_report_as_json_dumps_writes_its_walk(reports):
-    run = RunReport(Scenario("reports", "CLASSIFY", seed=3), reports, 0.0)
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "runs": [
-            {
-                "scenario": "reports",
-                "theorem": "CLASSIFY",
-                "seed": 3,
-                "seed_stride": 1,
-                "repetitions": 1,
-                "aggregate": run.aggregate,
-                "reports": [walk_report_to_json(report) for report in reports],
-            }
-        ],
-    }
+@given(_RUNS, st.booleans())
+def test_render_json_writes_each_report_as_json_dumps_writes_its_walk(runs, with_timing):
+    runs = [
+        RunReport(Scenario(name, theorem, seed=seed, seed_stride=-seed, repetitions=count),
+                  reports, wall)
+        for reports, name, theorem, seed, count, wall in runs
+    ]
+    doc = {"schema": SCHEMA_VERSION}
+    if with_timing:
+        doc["generated_at"] = _FixedClock.INSTANT.isoformat()
+    doc["runs"] = []
+    for run in runs:
+        entry = {
+            "scenario": run.scenario.name,
+            "theorem": run.scenario.theorem,
+            "seed": run.scenario.seed,
+            "seed_stride": run.scenario.seed_stride,
+            "repetitions": run.scenario.repetitions,
+            "aggregate": run.aggregate,
+            "reports": [walk_report_to_json(report) for report in run.reports],
+        }
+        if with_timing:
+            entry["wall_time_s"] = run.wall_time_s
+        doc["runs"].append(entry)
     expected = json.dumps(doc, indent=2, allow_nan=False) + "\n"
-    assert render_json([run], with_timing=False) == expected
+    with mock.patch.object(gframes.cli, "datetime", _FixedClock):
+        assert render_json(runs, with_timing) == expected
+
+
+def _objects(node, path=""):
+    """Each JSON object in ``node``, with its path as the loader names it."""
+    if isinstance(node, dict):
+        yield path, node
+        for key, value in node.items():
+            yield from _objects(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _objects(value, f"{path}[{i}]")
+
+
+@st.composite
+def _scenario_files(draw):
+    """A scenario document, as an object or a list of one, whose objects
+    are the top level, ``tolerance``, the instance and its inline family,
+    members and operators."""
+    tolerance = {"rel": draw(_FINITE.map(abs)), "abs": draw(_FINITE.map(abs))}
+    instance = {
+        key: draw(st.sampled_from(values))
+        for key, values in (("family", _FAMILIES), ("m", _OPERATORS), ("n", _OPERATORS))
+        if draw(st.booleans())
+    }
+    doc = {"schema": 1, "theorem": "T3_EQUIV", "seed": draw(st.integers(0, 9)),
+           "tolerance": tolerance, "instance": instance}
+    # A copy: the sampled family and operators are shared by every example.
+    doc = json.loads(json.dumps(doc))
+    return [doc] if draw(st.booleans()) else doc
+
+
+# A key no scenario file holds, written in place of the repeated one.
+_STAND_IN = "\x00repeated"
+
+
+@settings(max_examples=150, derandomize=True, deadline=_DEADLINE, database=None)
+@given(_scenario_files(), st.data())
+def test_a_key_repeated_in_any_object_is_named_with_its_path(doc, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        try:
+            expected = [parse_scenario(item, path) for item in (doc if isinstance(doc, list) else [doc])]
+        except ValidationError as exc:
+            expected = str(exc)
+        try:
+            loaded = load_scenarios(path)
+        except ValidationError as exc:
+            loaded = str(exc)
+        assert loaded == expected
+
+        where, target = data.draw(st.sampled_from([pair for pair in _objects(doc) if pair[1]]))
+        key = data.draw(st.sampled_from(sorted(target)))
+        items = list(target.items())
+        again = data.draw(st.sampled_from([target[key], None, 0, "x", {}]))
+        items.insert(data.draw(st.integers(0, len(items))), (_STAND_IN, again))
+        target.clear()
+        target.update(items)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(doc).replace(json.dumps(_STAND_IN), json.dumps(key)))
+        with pytest.raises(ValidationError) as raised:
+            load_scenarios(path)
+    named = where or "the top-level object"
+    assert str(raised.value) == f"{path}: repeated key {key!r} in {named}"
