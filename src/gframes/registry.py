@@ -10,8 +10,8 @@ one meaning of "hypothesis-satisfying generator".
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from functools import partial
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -119,32 +119,16 @@ _FIELD_KINDS = {
 }
 
 
-class InstanceConfig(Mapping):
-    """The decoded values of an instance's non-null fields, with the sizes
-    they fix, worked out once per decode: ``fixed`` maps each size a field
-    fixes (n, d, dims, members) to its value and ``setters`` to the first
-    field that fixes it.  ``sizes`` is (n, d, dims) when the fields fix all
-    three within ``MAX_FLAT_SIZE``, else None.  The mapping and its values
-    are read-only: one decode may serve every repetition of a scenario."""
+class InstanceConfig(NamedTuple):
+    """A decoded instance: ``values`` maps its non-null fields to their
+    decoded values, ``fixed`` each size its fields fix (n, d, dims,
+    members) to its value and ``setters`` to the first field that fixes
+    it.  The values are read-only: one decode may serve every repetition
+    of a scenario."""
 
-    __slots__ = ("_values", "fixed", "setters", "sizes")
-
-    def __init__(self, values: dict, sources: dict):
-        self._values = values
-        self.fixed = {size: value for size, (_, value) in sources.items()}
-        self.setters = {size: key for size, (key, _) in sources.items()}
-        n, d, dims = map(self.fixed.get, ("n", "d", "dims"))
-        within = None not in (n, d, dims) and n * max(d, *dims) <= MAX_FLAT_SIZE
-        self.sizes = (n, d, dims) if within else None
-
-    def __getitem__(self, key):
-        return self._values[key]
-
-    def __iter__(self):
-        return iter(self._values)
-
-    def __len__(self):
-        return len(self._values)
+    values: MappingProxyType
+    fixed: dict
+    setters: dict
 
 
 def validate_instance(theorem: str, instance) -> InstanceConfig:
@@ -157,18 +141,22 @@ def validate_instance(theorem: str, instance) -> InstanceConfig:
         raise ValidationError(f"unknown theorem id {theorem!r}")
     spec = THEOREMS[theorem]
     cfg = decode_fields({} if instance is None else instance, spec.fields, f"{theorem} instance")
-    fixed = _fixed_sizes(cfg)
-    sources = {size: (key, value) for key, size, value in reversed(fixed)}
-    if "dims" in sources:
-        # A field that fixes the member dims fixes the count and comes first.
-        setter, dims = sources["dims"]
-        sources["members"] = (setter, len(dims))
-    for key, size, value in fixed:
-        source, given = sources[size]
-        if value != given:
-            first, second = f"{size} = {given!r}", f"{size} = {value!r}"
-            said = f"{second}, but {source!r} gives {first}"
-            if source == key:
+    if theorem == "T12_OPERATOR" and "second_family" in cfg and "delta_ops" in cfg:
+        # A second family gives T12 its deltas, its members' operators:
+        # beside inline deltas it would go unread.
+        raise ValidationError("instance fields 'second_family' and 'delta_ops' each give"
+                              " the T12_OPERATOR deltas: give one of them")
+    fixed, setters = {}, {}
+    for key, size, value in _fixed_sizes(cfg):
+        if size not in fixed:
+            fixed[size], setters[size] = value, key
+            if size == "dims":
+                # A field that fixes the member dims fixes the count too.
+                fixed["members"], setters["members"] = len(value), key
+        elif fixed[size] != value:
+            first, second = f"{size} = {fixed[size]!r}", f"{size} = {value!r}"
+            said = f"{second}, but {setters[size]!r} gives {first}"
+            if setters[size] == key:
                 said = f"both {first} and {second}"
             raise ValidationError(f"instance field {key!r} gives {said}")
     for group in spec.groups:
@@ -178,7 +166,7 @@ def validate_instance(theorem: str, instance) -> InstanceConfig:
                 f"instance field {missing[0]!r} is required together with"
                 f" {', '.join(repr(key) for key in group if key in cfg)}"
             )
-    return InstanceConfig(cfg, sources)
+    return InstanceConfig(MappingProxyType(cfg), fixed, setters)
 
 
 def _fixed_sizes(cfg) -> list[tuple[str, str, object]]:
@@ -221,13 +209,11 @@ def _sizes(
     builders whose targets need room for two distinct bounds; a declared
     target with spread bounds needs it as well.
     """
-    if cfg.sizes is not None:
-        return cfg.sizes
-    fixed = cfg.fixed
+    fixed, values = cfg.fixed, cfg.values
     n = fixed.get("n") or int(rng.integers(1, 4))
     d = fixed.get("d")
     if d is None:
-        targets = (cfg.get("family_target"), cfg.get("second_family_target"))
+        targets = (values.get("family_target"), values.get("second_family_target"))
         if any(t is not None and t.lower != t.upper for t in targets):
             min_flat = max(min_flat, 2)
         d = int(rng.integers(1, 4))
@@ -248,7 +234,7 @@ def _sizes(
             dims = dims[: count - 1] + (sum(dims[count - 1 :]),)
     flat = n * max(d, *dims)
     if flat > MAX_FLAT_SIZE:
-        named = ", ".join(repr(key) for key in _SIZE_SOURCES if key in cfg)
+        named = ", ".join(repr(key) for key in _SIZE_SOURCES if key in values)
         raise ValidationError(
             f"the sizes from {named} give a flattened size"
             f" n*max(d, d_i) = {flat}, above the cap of {MAX_FLAT_SIZE}"
@@ -647,7 +633,7 @@ def run_decoded(theorem: str, cfg, seed: int, tol: Tolerance = DEFAULT_TOL):
     sizes = _sizes(cfg, rng, **spec.sizing)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            v = {**spec.defaults, **cfg}
+            v = {**spec.defaults, **cfg.values}
             for keys, step in spec.steps:
                 if keys[0] not in v:
                     drawn = step(v, seed, rng, *sizes)
@@ -655,8 +641,8 @@ def run_decoded(theorem: str, cfg, seed: int, tol: Tolerance = DEFAULT_TOL):
             return globals()[spec.checker](*(v[key] for key in spec.inputs), tol)
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         # Blame the inline arrays, else the scalar fields that scale them.
-        named = [key for key in _ARRAY_FIELDS if key in cfg]
-        named = named or [key for key in cfg if key not in _SIZE_FIELDS]
+        named = [key for key in _ARRAY_FIELDS if key in cfg.values]
+        named = named or [key for key in cfg.values if key not in _SIZE_FIELDS]
         if isinstance(exc, FloatingPointError):
             fault = f"too large for the products the {theorem} checker forms"
         else:

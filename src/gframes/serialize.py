@@ -4,12 +4,13 @@ Complex scalars are [re, im] pairs; matrices are nested lists of those;
 operators carry their block grid; families list their members.  These
 shapes appear verbatim inside scenario files and reports.  Every JSON
 object the runner reads decodes through ``decode_fields``, by its table,
-and every JSON text it writes is written by ``json_text``.  A report
-document is written by templates, one per level: ``document_text`` for
-the document, ``run_text`` for each run's entry, straight from its
-``cli.RunReport``, and ``report_text`` for each report, which writes the
-plain scalars itself.  Only other values, such as a nested detail value,
-take the generic walk.
+and every JSON text it writes is written by ``json_text``, the one
+writer of a JSON scalar.  A report document is written by templates,
+one per level: ``document_text`` for the document, ``run_text`` for each
+run's entry, straight from its ``cli.RunReport``, and ``report_text``
+for each report, whose scalars take one ``json_text`` call each.  Only
+containers, such as a nested detail value, take the walk ``_write``,
+which hands each leaf back to ``json_text``.
 """
 
 from __future__ import annotations
@@ -211,16 +212,6 @@ OPERATORS = ("a nonempty list of operator objects", lambda v: _is_list(v) and v,
 WEIGHTS = ("a weights object", _is_object, lambda v: weights_from_json(v))
 
 
-# The text of a JSON scalar, by its exact type.
-_SCALARS = {
-    float: lambda value: float.__repr__(value) if math.isfinite(value) else "null",
-    str: _encode_str,
-    int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda value: "null",
-}
-
-
 class Document(NamedTuple):
     """A report document, which ``json_text`` writes as ``document_text``
     does: ``schema``, ``generated_at`` unless it is None, and one entry
@@ -235,16 +226,27 @@ class Document(NamedTuple):
 def json_text(value, indent: str = "\n") -> str:
     """The strict JSON text of ``value`` as ``json.dumps`` with
     ``indent=2`` writes it, ``indent`` being the newline and spaces
-    before the value's line: a ``Document`` or a ``TheoremReport`` by its
-    template, tuples as lists, numpy scalars as Python ones and
-    non-finite floats as null.  Any other type JSON lacks raises
-    TypeError."""
-    write = _SCALARS.get(type(value))
-    if write is not None:
-        return write(value)
-    template = _TEMPLATES.get(type(value))
+    before the value's line: a JSON scalar by its exact type, here, a
+    ``Document`` or a ``TheoremReport`` by its template, and containers
+    and numpy scalars by ``_write``, tuples as lists and numpy scalars as
+    Python ones.  A non-finite float is null, and any other type JSON
+    lacks raises TypeError."""
+    kind = type(value)
+    if kind is float:
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    if kind is str:
+        return _encode_str(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    template = _TEMPLATES.get(kind)
     if template is not None:
         return template(value, indent)
+    if not isinstance(value, (dict, list, tuple, np.generic)):
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     out = []
     _write(value, indent, out)
     return "".join(out)
@@ -252,15 +254,11 @@ def json_text(value, indent: str = "\n") -> str:
 
 def _write(value, indent: str, out: list) -> None:
     """Append the pieces of ``json_text(value, indent)`` to ``out``, so
-    that a nested value is copied once.  ``json.dumps`` cannot use its C
-    encoder when it indents, and its Python encoder takes about twice as
-    long as this writer."""
-    write = _SCALARS.get(type(value))
-    if write is not None:
-        out.append(write(value))
-    elif type(value) in _TEMPLATES:
-        out.append(_TEMPLATES[type(value)](value, indent))
-    elif isinstance(value, dict):
+    that a nested container is copied once; every other value is written
+    by ``json_text``, a numpy scalar as its ``item()``.  ``json.dumps``
+    cannot use its C encoder when it indents, and its Python encoder
+    takes about twice as long as this writer."""
+    if isinstance(value, dict):
         inner, sep = indent + "  ", "{"
         for key, item in value.items():
             out.append(f"{sep}{inner}{_encode_str(key)}: ")
@@ -274,23 +272,8 @@ def _write(value, indent: str, out: list) -> None:
             _write(item, inner, out)
             sep = ","
         out.append(indent + "]" if value else "[]")
-    elif isinstance(value, np.generic):
-        _write(value.item(), indent, out)
     else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _text(value, indent: str) -> str:
-    """``json_text(value, indent)``, with a float, str or bool, the
-    scalars of a report, written in this one call."""
-    kind = type(value)
-    if kind is float:
-        return float.__repr__(value) if math.isfinite(value) else "null"
-    if kind is str:
-        return _encode_str(value)
-    if kind is bool:
-        return "true" if value else "false"
-    return json_text(value, indent)
+        out.append(json_text(value.item() if isinstance(value, np.generic) else value, indent))
 
 
 # The keys a report writes between "theorem"/"verdict" and the sorted
@@ -313,28 +296,28 @@ def report_text(report: TheoremReport, indent: str) -> str:
     item = inner + "  "
     field = item + "  "
     checks = ",".join([
-        f'{item}{{{field}"name": {_text(check.name, field)},'
-        f'{field}"passed": {_text(check.passed, field)},'
-        f'{field}"measured": {_text(check.measured, field)},'
-        f'{field}"limit": {_text(check.limit, field)}{item}}}'
+        f'{item}{{{field}"name": {json_text(check.name, field)},'
+        f'{field}"passed": {json_text(check.passed, field)},'
+        f'{field}"measured": {json_text(check.measured, field)},'
+        f'{field}"limit": {json_text(check.limit, field)}{item}}}'
         for check in report.hypothesis_checks
     ])
     details = ",".join([
-        f"{item}{_encode_str(key)}: {_text(value, item)}"
+        f"{item}{_encode_str(key)}: {json_text(value, item)}"
         for key, value in sorted(report.details.items())
     ])
     bounds = report.achieved
     return (
-        f'{{{inner}"theorem": {_text(report.theorem_id, inner)},'
-        f'{inner}"verdict": {_text(report.verdict.value, inner)},'
+        f'{{{inner}"theorem": {json_text(report.theorem_id, inner)},'
+        f'{inner}"verdict": {json_text(report.verdict.value, inner)},'
         f'{inner}"hypothesis_checks": {f"[{checks}{inner}]" if checks else "[]"},'
-        f'{inner}"predicted_lower": {_text(report.predicted_lower, inner)},'
-        f'{inner}"predicted_upper": {_text(report.predicted_upper, inner)},'
-        f'{inner}"achieved": {{{item}"lower": {_text(bounds.lower, item)},'
-        f'{item}"upper": {_text(bounds.upper, item)},'
-        f'{item}"tight": {_text(bounds.tight, item)},'
-        f'{item}"parseval": {_text(bounds.parseval, item)}{inner}}},'
-        f'{inner}"result_kind": {_text(report.result_kind, inner)},'
+        f'{inner}"predicted_lower": {json_text(report.predicted_lower, inner)},'
+        f'{inner}"predicted_upper": {json_text(report.predicted_upper, inner)},'
+        f'{inner}"achieved": {{{item}"lower": {json_text(bounds.lower, item)},'
+        f'{item}"upper": {json_text(bounds.upper, item)},'
+        f'{item}"tight": {json_text(bounds.tight, item)},'
+        f'{item}"parseval": {json_text(bounds.parseval, item)}{inner}}},'
+        f'{inner}"result_kind": {json_text(report.result_kind, inner)},'
         f'{inner}"details": {f"{{{details}{inner}}}" if details else "{}"}{indent}}}'
     )
 
@@ -352,10 +335,10 @@ def run_text(run, indent: str, timed: bool) -> str:
         for verdict, count in run.aggregate.items()
     ])
     reports = ",".join([item + json_text(report, item) for report in run.reports])
-    timing = f',{inner}"wall_time_s": {_text(run.wall_time_s, inner)}' if timed else ""
+    timing = f',{inner}"wall_time_s": {json_text(run.wall_time_s, inner)}' if timed else ""
     return (
-        f'{{{inner}"scenario": {_text(scenario.name, inner)},'
-        f'{inner}"theorem": {_text(scenario.theorem, inner)},'
+        f'{{{inner}"scenario": {json_text(scenario.name, inner)},'
+        f'{inner}"theorem": {json_text(scenario.theorem, inner)},'
         f'{inner}"seed": {json_text(scenario.seed, inner)},'
         f'{inner}"seed_stride": {json_text(scenario.seed_stride, inner)},'
         f'{inner}"repetitions": {json_text(scenario.repetitions, inner)},'
@@ -370,7 +353,7 @@ def document_text(document: Document, indent: str) -> str:
     inner = indent + "  "
     item = inner + "  "
     timed = document.generated_at is not None
-    stamp = f'{inner}"generated_at": {_text(document.generated_at, inner)},' if timed else ""
+    stamp = f'{inner}"generated_at": {json_text(document.generated_at, inner)},' if timed else ""
     runs = ",".join([item + run_text(run, item, timed) for run in document.runs])
     return (
         f'{{{inner}"schema": {json_text(document.schema, inner)},{stamp}'

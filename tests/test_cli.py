@@ -412,19 +412,28 @@ _MALFORMED = [
 
 
 # (theorem, instance, the field that contradicts, the field that set the
-# size it contradicts): inline operators that contradict the family, a size
-# field or each other, that do not map a module to itself, or whose count
-# differs from the family's member count; weights and a family against a
-# size field.
+# size it contradicts, the whole error line): inline operators that
+# contradict the family, a size field or each other, that do not map a
+# module to itself, or whose count differs from the family's member count;
+# weights and a family against a size field.
 _CONTRADICTIONS = [
-    ("PERTURB_LAMBDA", dict(_inline_pair_instance(), **{"lambda": _op(2, 2)}), "lambda", "family"),
-    ("LAMBDA_LOWER", dict(_IDENTITY_MN, lambda_bound=0.5, module_len=3), "m", "module_len"),
-    ("TIGHT_MN", dict(_IDENTITY_MN, algebra_dim=2), "m", "algebra_dim"),
-    ("T3_EQUIV", {"m": _op(1, 2), "n": _op(1, 3)}, "n", "m"),
-    ("ISOMETRY_SUM", {"lambda": ser.op_to_json(gframes.zero_op(1, 2, 3))}, "lambda", "lambda"),
-    ("T12_OPERATOR", dict(_inline_pair_instance(), delta_ops=[_op(1, 2)] * 3), "delta_ops", "family"),
-    ("T7_SCALAR", {"weights": _WEIGHTS, "member_dims": [1, 2]}, "weights", "member_dims"),
-    ("CLASSIFY", dict(_inline_pair_instance(), algebra_dim=2), "family", "algebra_dim"),
+    ("PERTURB_LAMBDA", dict(_inline_pair_instance(), **{"lambda": _op(2, 2)}), "lambda", "family",
+     "error: instance field 'lambda' gives n = 2, but 'family' gives n = 1"),
+    ("LAMBDA_LOWER", dict(_IDENTITY_MN, lambda_bound=0.5, module_len=3), "m", "module_len",
+     "error: instance field 'm' gives d = 2, but 'module_len' gives d = 3"),
+    ("TIGHT_MN", dict(_IDENTITY_MN, algebra_dim=2), "m", "algebra_dim",
+     "error: instance field 'm' gives n = 1, but 'algebra_dim' gives n = 2"),
+    ("T3_EQUIV", {"m": _op(1, 2), "n": _op(1, 3)}, "n", "m",
+     "error: instance field 'n' gives d = 3, but 'm' gives d = 2"),
+    ("ISOMETRY_SUM", {"lambda": ser.op_to_json(gframes.zero_op(1, 2, 3))}, "lambda", "lambda",
+     "error: instance field 'lambda' gives both d = 2 and d = 3"),
+    ("T12_OPERATOR", dict(_inline_pair_instance(), delta_ops=[_op(1, 2)] * 3), "delta_ops",
+     "family",
+     "error: instance field 'delta_ops' gives members = 3, but 'family' gives members = 2"),
+    ("T7_SCALAR", {"weights": _WEIGHTS, "member_dims": [1, 2]}, "weights", "member_dims",
+     "error: instance field 'weights' gives members = 1, but 'member_dims' gives members = 2"),
+    ("CLASSIFY", dict(_inline_pair_instance(), algebra_dim=2), "family", "algebra_dim",
+     "error: instance field 'family' gives n = 1, but 'algebra_dim' gives n = 2"),
 ]
 
 
@@ -537,23 +546,19 @@ def test_inline_family_sets_the_sizes_of_generated_companions(theorem):
 
 
 @pytest.mark.parametrize(
-    "theorem, instance, field, source",
+    "theorem, instance, field, source, line",
     _CONTRADICTIONS,
     ids=[f"{case[0]}-{case[2]}" for case in _CONTRADICTIONS],
 )
 def test_contradicting_sizes_exit_2_and_name_the_fields(
-    tmp_path, capsys, theorem, instance, field, source
+    tmp_path, capsys, theorem, instance, field, source, line
 ):
+    # The whole message, byte for byte: the field, and only the field that
+    # set the size besides, in the "both ..." form when they are one.
     doc = _basic_scenario(theorem=theorem, repetitions=1, instance=instance)
     assert main(["run", _write(tmp_path, "bad.json", doc)]) == 2
-    err = capsys.readouterr().err
-    if source == field:
-        assert f"instance field {field!r} gives both " in err
-    else:
-        assert f"instance field {field!r} gives " in err
-        assert f", but {source!r} gives " in err
-    # Only the field that set the size is blamed besides.
-    assert not [key for key in instance if repr(key) in err and key not in (field, source)]
+    assert capsys.readouterr().err == line + "\n"
+    assert (f"'{field}' gives both " in line) == (source == field)
 
 
 _PAIR = {"family": _inline_pair_instance()["family"]}
@@ -568,13 +573,25 @@ _OTHER_DIMS = ser.family_to_json(
     [
         ("FINAL_COROLLARY", dict(_PAIR, second_family=_OTHER_DIMS)),
         ("T12_OPERATOR", dict(_PAIR, second_family=_OTHER_DIMS)),
-        ("T12_OPERATOR", dict(_PAIR, second_family=_OTHER_DIMS, delta_ops=[_op(1, 2)] * 2)),
     ],
 )
 def test_a_second_family_leaves_the_sizes_to_the_first(theorem, instance):
     # How the two families fit together is the checker's to decide.
     for seed in range(5):
         build_and_run(theorem, instance, seed)
+
+
+@pytest.mark.parametrize("family", [{}, _PAIR])
+def test_a_t12_instance_with_a_second_family_and_deltas_exits_2(tmp_path, capsys, family):
+    # T12's deltas are either the second family's operators or inline:
+    # given both, the run would read the deltas alone.
+    instance = dict(family, second_family=_OTHER_DIMS, delta_ops=[_op(1, 2)] * 2)
+    doc = _basic_scenario(theorem="T12_OPERATOR", repetitions=1, instance=instance)
+    assert main(["run", _write(tmp_path, "t12.json", doc)]) == 2
+    assert capsys.readouterr().err == (
+        "error: instance fields 'second_family' and 'delta_ops' each give"
+        " the T12_OPERATOR deltas: give one of them\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -625,13 +642,23 @@ def _t3_inline_instance():
 def test_decoded_instances_are_read_only():
     op = _IDENTITY_MN["m"]
     cfg = validate_instance("T12_OPERATOR", {"delta_ops": [op, op], "module_len": 2})
-    assert isinstance(cfg["delta_ops"], tuple)
+    values = cfg.values
+    assert isinstance(values["delta_ops"], tuple)
     with pytest.raises(TypeError):
-        cfg["module_len"] = 3
+        values["module_len"] = 3
     with pytest.raises(TypeError):
-        cfg["delta_ops"][0] = None
+        values["delta_ops"][0] = None
     with pytest.raises(AttributeError):
-        cfg["delta_ops"].append(None)
+        values["delta_ops"].append(None)
+    with pytest.raises(AttributeError):
+        cfg.values = {}
+    # Each size from the first field that fixes it.
+    assert cfg.fixed == {"d": 2, "n": 1, "members": 2}
+    assert cfg.setters == {"d": "module_len", "n": "delta_ops", "members": "delta_ops"}
+    # A field that fixes the member dims fixes the count too.
+    cfg = validate_instance("T7_SCALAR", {"member_dims": [3], "weights": _WEIGHTS})
+    assert cfg.fixed == {"dims": (3,), "members": 1, "n": 1}
+    assert cfg.setters == {"dims": "member_dims", "members": "member_dims", "n": "weights"}
 
 
 def test_an_inline_scenario_is_decoded_once_for_all_its_repetitions(monkeypatch):
@@ -1039,10 +1066,26 @@ def test_render_json_writes_the_whole_document_through_the_one_writer(monkeypatc
     assert text == json.dumps(written, indent=2, allow_nan=False) + "\n"
 
 
+def _scalar_writers(node, owner: str) -> list:
+    """The function, by name, around each place below ``node`` that writes
+    a JSON scalar's text itself: ``float.__repr__``, or a "null", "true"
+    or "false" literal."""
+    if isinstance(node, ast.FunctionDef):
+        owner = f"{owner.partition('.')[0]}.{node.name}"
+    is_repr = (isinstance(node, ast.Attribute) and node.attr == "__repr__"
+               and getattr(node.value, "id", None) == "float")
+    literal = isinstance(node, ast.Constant) and node.value in ("null", "true", "false")
+    found = [owner] if is_repr or literal else []
+    for child in ast.iter_child_nodes(node):
+        found += _scalar_writers(child, owner)
+    return found
+
+
 def test_serialize_holds_the_only_json_text_writer():
-    # No other module imports the JSON string encoder, and the one
-    # function in the package that calls itself is the writer's walk.
-    importers, recursive = [], []
+    # No other module imports the JSON string encoder, the one function in
+    # the package that calls itself is the writer's walk, and the one
+    # function that writes a float, a null or a bool is ``json_text``.
+    importers, recursive, scalars = [], [], set()
     for path in sorted((Path(__file__).resolve().parents[1] / "src" / "gframes").glob("*.py")):
         tree = ast.parse(path.read_text())
         importers += [
@@ -1059,8 +1102,27 @@ def test_serialize_holds_the_only_json_text_writer():
                 for node in ast.walk(function)
             )
         ]
+        scalars.update(_scalar_writers(tree, path.stem))
     assert importers == ["serialize"]
     assert recursive == ["serialize._write"]
+    assert scalars == {"serialize.json_text"}
+
+
+# Values JSON lacks, among them a str subclass that the exact-type rule
+# rejects, and numpy scalars that are written as their ``item()``.
+_NOT_JSON = [object(), 1j, np.complex128(1j), {1, 2}, gframes.Verdict.CONCLUSION_HOLDS]
+_NUMPY_SCALARS = [np.bool_(True), np.bool_(False), np.int64(-7), np.float32(0.1)]
+
+
+@pytest.mark.parametrize("nest", [lambda v: v, lambda v: {"k": v}, lambda v: [1, v],
+                                  lambda v: (v,), lambda v: {"a": [{"b": (v,)}]}],
+                         ids=["top", "dict", "list", "tuple", "deep"])
+def test_the_json_writer_takes_only_json_types_at_every_depth(nest):
+    for value in _NOT_JSON:
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            ser.json_text(nest(value))
+    for value in _NUMPY_SCALARS:
+        assert ser.json_text(nest(value)) == json.dumps(nest(value.item()), indent=2)
 
 
 def _nonorthogonal_parseval_pair(seed):
@@ -1161,7 +1223,8 @@ def _encoded(value):
 
 
 def _reencoded(theorem, instance):
-    return {key: _encoded(value) for key, value in validate_instance(theorem, instance).items()}
+    values = validate_instance(theorem, instance).values
+    return {key: _encoded(value) for key, value in values.items()}
 
 
 @pytest.mark.parametrize("theorem", sorted(THEOREMS))
